@@ -10,8 +10,6 @@ Run:  python3 demos/02_hybrid_paths.py
 """
 import io
 
-import numpy as np
-
 from hpsfde import (IntegratorConfig, Kernel, Measure, ModelSpec,
                     PantographTerm, PolynomialTerm, eval, integrate_path,
                     make_generator, run_batch, segment, write_csv)
@@ -31,7 +29,7 @@ def build_model():
         (PantographTerm(0.3, nu),),
         (PolynomialTerm([(1, 0.2)]),),
     )
-    return ModelSpec(dim=1, theta_lower=0.5, t0=1.0,
+    return ModelSpec(theta_lower=0.5, t0=1.0,
                      generator=make_generator([[-1.0, 1.0], [2.0, -2.0]]),
                      drift=drift, diffusion=diffusion,
                      initial_segment=0.5)
@@ -43,19 +41,19 @@ def main():
 
     print("one path on [1, 6], %d stored nodes" % len(path.times))
     for t in (1.0, 2.0, 4.0, 6.0):
-        print("  x(%g) = %9.5f" % (t, eval(path, t)[0]))
+        print("  x(%g) = %9.5f" % (t, eval(path, t)))
 
     # segment view at t = 4: the delayed state the coefficients see
     view = segment(path, 4.0)
     print("\nsegment anchored at t=4 (covers [%g, 4]):"
           % (path.theta_lower * 4.0))
     for theta in (0.5, 0.6, 0.8, 1.0):
-        print("  x(%.1f * 4) = %9.5f" % (theta, view(theta)[0]))
-    print("  current state via view.point = %9.5f" % view.point[0])
+        print("  x(%.1f * 4) = %9.5f" % (theta, view(theta)))
+    print("  current state via view.point = %9.5f" % view.point)
 
     # the pre-history is part of the path too
     print("\ninitial segment: x(0.6) = %.5f (constant 0.5)"
-          % eval(path, 0.6)[0])
+          % eval(path, 0.6))
 
     # ensembles: same model, many paths, deterministic in the root seed
     batch = run_batch(m, IntegratorConfig(dt=0.005, T=6.0), n_paths=400,

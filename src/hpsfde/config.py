@@ -98,8 +98,14 @@ def _build_term(spec, shared_measure: Optional[Measure],
 
 
 def build_model(cfg: dict) -> ModelSpec:
-    """ModelSpec from the ``model`` section of a config."""
+    """ModelSpec from the ``model`` section of a config.
+
+    The state is scalar: an optional ``"dim"`` key must be 1.
+    """
     spec = cfg.get("model", {})
+    if spec.get("dim", 1) != 1:
+        raise ValueError('model "dim" must be 1 (the state is scalar), got %r'
+                         % (spec["dim"],))
     name = spec.get("preset")
     if name is not None:
         if name not in PRESET_NAMES:
@@ -120,7 +126,6 @@ def build_model(cfg: dict) -> ModelSpec:
             for one_regime in regime_list)
 
     return ModelSpec(
-        dim=int(spec.get("dim", 1)),
         theta_lower=float(spec["theta_lower"]),
         t0=float(spec.get("t0", 1.0)),
         generator=make_generator(spec["generator"]),

@@ -50,7 +50,7 @@ class NonFiniteState(Error):
 # ---------------------------------------------------------------------------
 
 class DimensionMismatch(Error):
-    """State dimension does not match what the model or function expects."""
+    """A Lyapunov family and a model disagree on the number of regimes."""
 
 
 class UnsupportedMeasure(Error):

@@ -38,10 +38,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteState
+from .errors import NonFiniteState
 from .markov import sample_regime_path
 from .models import ModelSpec, _sum_terms
-from .paths import DensePath
+from .paths import DensePath, _interp
 
 DEFAULT_BLOCK_SIZE = 1024
 
@@ -58,16 +58,12 @@ class IntegratorConfig:
     dt: float
     T: float
     blowup_threshold: float = 1e8
-    brownian_dim: int = 1
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.blowup_threshold <= 0:
             raise ValueError("blowup_threshold must be positive")
-        if self.brownian_dim != 1:
-            raise DimensionMismatch(
-                "only scalar driving noise is supported (brownian_dim=1)")
 
 
 def uniform_grid(t0: float, T: float, dt: float) -> np.ndarray:
@@ -107,9 +103,10 @@ class TabulatedWiener:
 
     ``values`` has shape (n_paths, len(times)).  ``increment(a, b)``
     returns W(b) - W(a) per path by linear interpolation, which is exact
-    whenever a and b lie on the table's grid.  Intended for strong
-    convergence studies where several step sizes must be driven by the
-    same noise.
+    whenever a and b lie on the table's grid.  Outside the grid it
+    extrapolates, so run_batch requires the table to cover [t0, T] and
+    to hold a row for every path.  Intended for strong convergence
+    studies where several step sizes must be driven by the same noise.
     """
 
     def __init__(self, times: np.ndarray, values: np.ndarray):
@@ -134,14 +131,9 @@ class TabulatedWiener:
                 math.sqrt(h) * rng.standard_normal(k))
         return cls(times, values)
 
-    def _at(self, t: float) -> np.ndarray:
-        j = int(np.searchsorted(self.times, t, side="right")) - 1
-        j = min(max(j, 0), len(self.times) - 2)
-        w = (t - self.times[j]) / (self.times[j + 1] - self.times[j])
-        return self.values[:, j] * (1.0 - w) + self.values[:, j + 1] * w
-
     def increment(self, a: float, b: float) -> np.ndarray:
-        return self._at(b) - self._at(a)
+        return (_interp(self.times, self.values, b)
+                - _interp(self.times, self.values, a))
 
 
 @dataclass(eq=False)
@@ -248,11 +240,7 @@ def _regime_at(jumps, states, t):
 
 def _history_lookup(H, ht, filled, thetas, t):
     """Interpolated H columns at lookup times thetas * t, shape (J, B)."""
-    lt = thetas * t
-    j = np.searchsorted(ht[:filled + 1], lt, side="right") - 1
-    j = np.clip(j, 0, filled - 1)
-    w = (lt - ht[j]) / (ht[j + 1] - ht[j])
-    return (H[:, j] * (1.0 - w) + H[:, j + 1] * w).T
+    return _interp(ht[:filled + 1], H, thetas * t).T
 
 
 def _scalar_lookup(H_row, ht, filled, t_left, local_t, local_x, thetas, t):
@@ -266,10 +254,7 @@ def _scalar_lookup(H_row, ht, filled, t_left, local_t, local_x, thetas, t):
     out = np.empty(len(lt))
     early = lt <= t_left + 1e-15
     if early.any():
-        j = np.searchsorted(ht[:filled + 1], lt[early], side="right") - 1
-        j = np.clip(j, 0, filled - 1)
-        w = (lt[early] - ht[j]) / (ht[j + 1] - ht[j])
-        out[early] = H_row[j] * (1.0 - w) + H_row[j + 1] * w
+        out[early] = _interp(ht[:filled + 1], H_row, lt[early])
     late = ~early
     if late.any():
         out[late] = np.interp(lt[late], np.asarray(local_t),
@@ -444,7 +429,7 @@ def _assemble_path(m, u_times, init_times, init_vals, u_row, sw_records,
     times = times[order]
     vals = vals[order]
     regimes = states[np.searchsorted(jumps, times, side="right")]
-    return DensePath(times=times, values=vals[:, None],
+    return DensePath(times=times, values=vals,
                      regimes=regimes.astype(np.int64),
                      theta_lower=m.theta_lower, t0=m.t0,
                      exploded_at=float(exploded_at) if exploded else None)
@@ -467,19 +452,27 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
         martingale residual test); switch off for large batches where
         only the uniform-grid values are needed.
       wiener: optional Brownian table replacing the per-path noise
-        streams; switching-free models only.
+        streams; switching-free models only.  It must cover [t0, T] and
+        hold at least ``n_paths`` rows.
     """
-    if m.dim != 1:
-        raise DimensionMismatch("the integrator supports scalar models only")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if not 1 <= i0 <= m.n_regimes:
         raise ValueError("i0 must be in 1..%d" % m.n_regimes)
 
     u_times = uniform_grid(m.t0, cfg.T, cfg.dt)
+    if wiener is not None:
+        if wiener.times[0] > u_times[0] or wiener.times[-1] < u_times[-1]:
+            raise ValueError(
+                "the Wiener table covers [%g, %g], not [t0, T] = [%g, %g]"
+                % (wiener.times[0], wiener.times[-1], u_times[0],
+                   u_times[-1]))
+        if len(wiener.values) < n_paths:
+            raise ValueError("the Wiener table has %d rows for %d paths"
+                             % (len(wiener.values), n_paths))
     h = float(u_times[1] - u_times[0])
     init_times = initial_grid(m, h)
-    init_vals = m.initial_value(init_times)[:, 0]
+    init_vals = m.initial_value(init_times)
     if not np.all(np.isfinite(init_vals)):
         raise NonFiniteState("initial data contains non-finite values")
 

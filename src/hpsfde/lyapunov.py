@@ -4,7 +4,7 @@ For a per-regime Lyapunov function V(x, t, i) the operator is
 
     LV(phi, t, i) = V_t(phi(1), t, i)
                   + V_x(phi(1), t, i) * f(phi, t, i)
-                  + 1/2 * g(phi, t, i)^T V_xx(phi(1), t, i) g(phi, t, i)
+                  + 1/2 * g(phi, t, i)^2 * V_xx(phi(1), t, i)
                   + sum_l rates[i, l] * V(phi(1), t, l).
 
 V is restricted to even-power polynomials in |x| with nonnegative
@@ -217,14 +217,12 @@ def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
             i: int) -> LVBreakdown:
     """Evaluate LV for a segment-like view at time t in regime i."""
     from .models import eval_diffusion, eval_drift
-    if m.dim != 1:
-        raise DimensionMismatch("LV evaluation requires a scalar model")
     if len(V.regimes) != m.n_regimes:
         raise DimensionMismatch(
             "V has %d regimes, model has %d" % (len(V.regimes), m.n_regimes))
-    x = float(np.atleast_1d(view.point)[0])
-    f = float(eval_drift(m, view, t, i)[0])
-    g = float(eval_diffusion(m, view, t, i)[0, 0])
+    x = float(view.point)
+    f = eval_drift(m, view, t, i)
+    g = eval_diffusion(m, view, t, i)
     vt = float(V.dt(x, t, i))
     vxf = float(V.dx(x, t, i)) * f
     trace = 0.5 * g * g * float(V.dxx(x, t, i))
@@ -247,20 +245,18 @@ def lv_profile(V: LyapunovFamily, m: ModelSpec, path,
 
     Returns (times, values, integral).
     """
-    if path.dim != 1:
-        raise DimensionMismatch("LV profile requires a scalar path")
     if t_end is None:
         t_end = path.t_end
     tol = 1e-9 * max(1.0, abs(path.t_end))
     mask = (path.times >= path.t0 - tol) & (path.times <= t_end + tol)
     times = path.times[mask]
-    x = path.values[mask, 0]
+    x = path.values[mask]
     regimes = path.regimes[mask]
     n = m.n_regimes
 
     def phi_at(thetas):
         lookup = thetas[:, None] * times[None, :]
-        return paths_mod.eval(path, lookup)[..., 0]
+        return paths_mod.eval(path, lookup)
 
     lv = np.empty((n, len(times)))
     for i in range(1, n + 1):
@@ -329,10 +325,10 @@ def martingale_residual(V: LyapunovFamily, batch, t_end: float
         if path.exploded_at is not None and path.exploded_at <= t_end:
             excluded += 1
             continue
-        x_end = float(paths_mod.eval(path, t_end)[0])
+        x_end = float(paths_mod.eval(path, t_end))
         idx = int(np.searchsorted(path.times, t_end, side="right")) - 1
         r_end = int(path.regimes[min(idx, len(path.regimes) - 1)])
-        x0 = float(paths_mod.eval(path, path.t0)[0])
+        x0 = float(paths_mod.eval(path, path.t0))
         i0 = int(path.regimes[np.searchsorted(path.times, path.t0)])
         v_end = float(V.value(x_end, t_end, r_end))
         v0 = float(V.value(x0, path.t0, i0))

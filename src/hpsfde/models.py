@@ -16,11 +16,11 @@ sums of two structured term kinds:
 Arbitrary callables can be attached through CustomTerm, but only the two
 structured kinds are understood by the validation helpers.
 
-The term interface is shape-agnostic: phi(1) may be a scalar, a vector
-of Monte Carlo paths, or a vector of time points, and the delayed values
-are supplied by a callback, so the same code serves the public
-segment-based API, the path-parallel integrator, and time-vectorized
-operator evaluation.
+The state is scalar.  Terms are evaluated on batches of it: phi(1) may
+be one state, an array with one state per Monte Carlo path, or one per
+time point, and the delayed values are supplied by a callback, so the
+same code serves the public segment-based API, the path-parallel
+integrator, and time-vectorized operator evaluation.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (DimensionMismatch, QuadratureUnsupported,
-                     UnsupportedMeasure)
+from .errors import QuadratureUnsupported, UnsupportedMeasure
 from .markov import GeneratorMatrix
 
 MASS_TOL = 1e-12
@@ -308,10 +307,9 @@ Term = Union[PolynomialTerm, PantographTerm, CustomTerm]
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Complete coefficient specification of one hybrid system.
+    """Complete coefficient specification of one scalar hybrid system.
 
     Fields:
-      dim: state dimension n (the structured DSL requires n = 1).
       theta_lower: proportional-delay bound in (0, 1).
       t0: start time, > 0 (the earliest delayed lookup is theta_lower*t0).
       generator: regime generator matrix.
@@ -320,7 +318,6 @@ class ModelSpec:
         [theta_lower*t0, t0], or a callable t -> value.
     """
 
-    dim: int
     theta_lower: float
     t0: float
     generator: GeneratorMatrix
@@ -339,54 +336,37 @@ class ModelSpec:
                 "drift/diffusion need one term list per regime (%d)" % n)
         for terms in tuple(self.drift) + tuple(self.diffusion):
             for term in terms:
-                self._check_term(term)
+                if isinstance(term, PantographTerm):
+                    self._check_pantograph(term)
 
-    def _check_term(self, term) -> None:
-        if isinstance(term, PantographTerm):
-            if self.dim != 1:
-                raise DimensionMismatch(
-                    "pantograph terms require scalar state (dim=1)")
-            lo, hi = term.measure.support_range()
-            if lo < self.theta_lower - 1e-12 or hi > 1.0 + 1e-12:
-                raise UnsupportedMeasure(
-                    "measure support [%g, %g] outside [%g, 1]"
-                    % (lo, hi, self.theta_lower))
-            if term.kernel is not None:
-                term.kernel.validate(self.theta_lower)
-        elif isinstance(term, PolynomialTerm):
-            if self.dim != 1 and any(p != 1 for p, _ in term.coeffs):
-                raise DimensionMismatch(
-                    "polynomial powers != 1 require scalar state (dim=1)")
+    def _check_pantograph(self, term: PantographTerm) -> None:
+        lo, hi = term.measure.support_range()
+        if lo < self.theta_lower - 1e-12 or hi > 1.0 + 1e-12:
+            raise UnsupportedMeasure(
+                "measure support [%g, %g] outside [%g, 1]"
+                % (lo, hi, self.theta_lower))
+        if term.kernel is not None:
+            term.kernel.validate(self.theta_lower)
 
     @property
     def n_regimes(self) -> int:
         return self.generator.n_states
 
     def initial_value(self, t):
-        """Initial data xi evaluated at time(s) t in [theta_lower*t0, t0].
+        """Initial data xi at time(s) t in [theta_lower*t0, t0].
 
-        Returns an array of shape t.shape + (dim,).
+        The result has the shape of t.
         """
-        t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        t_arr = np.asarray(t, dtype=np.float64)
         xi = self.initial_segment
         if callable(xi):
-            vals = np.array([np.atleast_1d(np.asarray(xi(float(ti)), float))
-                             for ti in t_arr])
-        elif isinstance(xi, tuple):
+            return np.array([float(xi(float(ti))) for ti in t_arr.ravel()]
+                            ).reshape(t_arr.shape)
+        if isinstance(xi, tuple):
             knots, kvals = xi
-            vals = np.interp(t_arr, np.asarray(knots, float),
-                             np.asarray(kvals, float))[:, None]
-        else:
-            vals = np.broadcast_to(
-                np.atleast_1d(np.asarray(xi, dtype=np.float64)),
-                (len(t_arr), self.dim)).copy()
-        if vals.shape[1] != self.dim:
-            raise DimensionMismatch(
-                "initial data has dimension %d, model has %d"
-                % (vals.shape[1], self.dim))
-        if np.ndim(t) == 0:
-            return vals[0]
-        return vals
+            return np.interp(t_arr, np.asarray(knots, float),
+                             np.asarray(kvals, float))
+        return np.full(t_arr.shape, float(xi))
 
 
 def _sum_terms(terms, phi1, phi_at, t):
@@ -396,37 +376,25 @@ def _sum_terms(terms, phi1, phi_at, t):
     return out
 
 
-def _check_eval_args(m: ModelSpec, view, regime: int) -> None:
+def _eval_terms(m: ModelSpec, terms, view, t: float, regime: int) -> float:
     if not 1 <= regime <= m.n_regimes:
         raise ValueError("regime must be in 1..%d, got %r"
                          % (m.n_regimes, regime))
-    point = np.atleast_1d(np.asarray(view.point))
-    if point.shape[-1] != m.dim:
-        raise DimensionMismatch(
-            "segment has dimension %d, model has %d"
-            % (point.shape[-1], m.dim))
+    return float(_sum_terms(terms[regime - 1], float(view.point), view, t))
 
 
-def eval_drift(m: ModelSpec, view, t: float, regime: int) -> np.ndarray:
-    """Drift f(phi, t, i) for a segment-like view, as an (n,) vector.
+def eval_drift(m: ModelSpec, view, t: float, regime: int) -> float:
+    """Drift f(phi, t, i) for a segment-like view.
 
     ``view`` must provide ``point`` (current state) and be callable on a
     theta vector; both SegmentView and the synthetic segments qualify.
     """
-    _check_eval_args(m, view, regime)
-    phi1 = float(np.atleast_1d(view.point)[0])
-    val = _sum_terms(m.drift[regime - 1], phi1,
-                     lambda th: np.asarray(view(th))[..., 0], t)
-    return np.atleast_1d(np.asarray(val, dtype=np.float64))
+    return _eval_terms(m, m.drift, view, t, regime)
 
 
-def eval_diffusion(m: ModelSpec, view, t: float, regime: int) -> np.ndarray:
-    """Diffusion g(phi, t, i) as an (n, d) matrix (scalar models: (1, 1))."""
-    _check_eval_args(m, view, regime)
-    phi1 = float(np.atleast_1d(view.point)[0])
-    val = _sum_terms(m.diffusion[regime - 1], phi1,
-                     lambda th: np.asarray(view(th))[..., 0], t)
-    return np.atleast_1d(np.asarray(val, dtype=np.float64)).reshape(m.dim, -1)
+def eval_diffusion(m: ModelSpec, view, t: float, regime: int) -> float:
+    """Diffusion g(phi, t, i) for a segment-like view."""
+    return _eval_terms(m, m.diffusion, view, t, regime)
 
 
 def single_regime(m: ModelSpec, regime: int) -> ModelSpec:
@@ -439,7 +407,7 @@ def single_regime(m: ModelSpec, regime: int) -> ModelSpec:
     from .markov import make_generator
     if not 1 <= regime <= m.n_regimes:
         raise ValueError("regime must be in 1..%d" % m.n_regimes)
-    return ModelSpec(dim=m.dim, theta_lower=m.theta_lower, t0=m.t0,
+    return ModelSpec(theta_lower=m.theta_lower, t0=m.t0,
                      generator=make_generator([[0.0]]),
                      drift=(m.drift[regime - 1],),
                      diffusion=(m.diffusion[regime - 1],),
@@ -508,12 +476,12 @@ def validate_local_lipschitz_probe(m: ModelSpec, radius: float, trials: int,
             for regime in range(1, m.n_regimes + 1):
                 fa = eval_drift(m, seg_a, t, regime)
                 fb = eval_drift(m, seg_b, t, regime)
-                ratio = float(np.abs(fa - fb).max()) / dist
+                ratio = abs(fa - fb) / dist
                 if ratio > best[0]:
                     best = (ratio, "drift", regime, float(t))
                 ga = eval_diffusion(m, seg_a, t, regime)
                 gb = eval_diffusion(m, seg_b, t, regime)
-                ratio = float(np.abs(ga - gb).max()) / dist
+                ratio = abs(ga - gb) / dist
                 if ratio > best[0]:
                     best = (ratio, "diffusion", regime, float(t))
     return LipschitzProbeReport(max_ratio=best[0], component=best[1],

@@ -33,7 +33,7 @@ class DensePath:
 
     Fields:
       times: (m,) strictly increasing grid; times[0] = theta_lower * t0.
-      values: (m, n) state at each grid point.
+      values: (m,) scalar state at each grid point.
       regimes: (m,) regime in effect at each grid point, right-continuous;
         points before t0 carry the initial regime.
       theta_lower: proportional-delay bound in (0, 1).
@@ -50,25 +50,35 @@ class DensePath:
     exploded_at: Optional[float] = None
 
     @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def scalar_values(self) -> np.ndarray:
-        """The (m,) value series of a one-dimensional path."""
-        if self.values.shape[1] != 1:
-            raise ValueError("path is not one-dimensional")
-        return self.values[:, 0]
+
+def _interp(times, values, t):
+    """Piecewise-linear interpolation of ``values`` over ``times`` at t.
+
+    No domain checks: queries outside [times[0], times[-1]] extrapolate
+    the end pieces.  ``values`` is one series or one row per path, and
+    may have columns past len(times), which are never read.  The result
+    has the shape of t, after the path axis if there is one.
+    """
+    j = np.clip(np.searchsorted(times, t, side="right") - 1,
+                0, len(times) - 2)
+    w = (t - times[j]) / (times[j + 1] - times[j])
+    # values[..., j] would cover both cases, but numpy indexes 1-D
+    # arrays several times slower through an Ellipsis
+    if values.ndim == 1:
+        left, right = values[j], values[j + 1]
+    else:
+        left, right = values[:, j], values[:, j + 1]
+    return left * (1.0 - w) + right * w
 
 
 def eval(path: DensePath, t):
     """Evaluate a path at time(s) t by piecewise-linear interpolation.
 
     Exact at grid points.  t may be a scalar or an array; the result has
-    shape (n,) or (len(t), n).
+    the shape of t.
 
     Raises:
       OutOfDomain: t outside [theta_lower*t0, last grid time].
@@ -86,16 +96,7 @@ def eval(path: DensePath, t):
     if tmin < lo - tol or tmax > hi + tol:
         raise OutOfDomain(
             "t must lie in [%g, %g], got range [%g, %g]" % (lo, hi, tmin, tmax))
-    tc = np.clip(t_arr, lo, hi)
-    idx = np.searchsorted(times, tc, side="right") - 1
-    idx = np.clip(idx, 0, len(times) - 2)
-    h = times[idx + 1] - times[idx]
-    w = (tc - times[idx]) / h
-    left = path.values[idx]
-    right = path.values[idx + 1]
-    if t_arr.ndim == 0:
-        return left * (1.0 - w) + right * w
-    return left * (1.0 - w)[..., None] + right * w[..., None]
+    return _interp(times, path.values, np.clip(t_arr, lo, hi))
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ class SegmentView:
         return self.path.theta_lower
 
     @property
-    def point(self) -> np.ndarray:
+    def point(self) -> float:
         return eval(self.path, self.t)
 
     def __call__(self, theta):
@@ -151,8 +152,8 @@ def segment(path: DensePath, t: float) -> SegmentView:
 def sup_norm(view: SegmentView, nodes: int = 64) -> float:
     """Supremum of |phi| over the segment [theta_lower, 1].
 
-    For the piecewise-linear storage the maximum of the Euclidean norm
-    over each linear piece is attained at its endpoints, so evaluating at
+    For the piecewise-linear storage the maximum of |x| over each
+    linear piece is attained at its endpoints, so evaluating at
     the stored breakpoints inside [theta_lower*t, t] plus the two segment
     endpoints is exact.  ``nodes`` adds a uniform sampling fallback for
     non-grid-aligned queries; it never lowers the result.
@@ -164,8 +165,7 @@ def sup_norm(view: SegmentView, nodes: int = 64) -> float:
     times = view.path.times
     inside = times[(times > lo) & (times < hi)]
     cand = np.concatenate((np.linspace(lo, hi, nodes), inside))
-    vals = eval(view.path, cand)
-    return float(np.sqrt((vals * vals).sum(axis=1)).max())
+    return float(np.abs(eval(view.path, cand)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +179,26 @@ class ConstantSegment:
     hand-picked arguments, e.g. phi == 1.
     """
 
-    def __init__(self, value, theta_lower: float):
-        v = np.atleast_1d(np.asarray(value, dtype=np.float64))
-        self.value = v
+    def __init__(self, value: float, theta_lower: float):
+        self.value = float(value)
         self.theta_lower = float(theta_lower)
 
     @property
-    def point(self) -> np.ndarray:
+    def point(self) -> float:
         return self.value
 
     def __call__(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.ndim == 0:
-            return self.value.copy()
-        return np.broadcast_to(self.value, theta.shape + self.value.shape).copy()
+        return np.full(np.shape(theta), self.value)
 
 
 class FunctionSegment:
     """Segment defined by an arbitrary function of theta on [theta_lower, 1].
 
     Args:
-      fn: maps a scalar theta to a scalar or an (n,) state.
+      fn: maps a scalar theta to a scalar state.
       theta_lower: lower bound of the segment domain.
       vectorized: set True when fn already accepts theta arrays and
-        returns a matching leading axis.
+        returns an array of the same shape.
     """
 
     def __init__(self, fn: Callable, theta_lower: float, vectorized: bool = False):
@@ -211,24 +207,15 @@ class FunctionSegment:
         self.vectorized = vectorized
 
     @property
-    def point(self) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.fn(1.0), dtype=np.float64))
+    def point(self) -> float:
+        return float(self.fn(1.0))
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         if self.vectorized:
-            out = np.asarray(self.fn(theta), dtype=np.float64)
-            if theta.ndim == 0:
-                return np.atleast_1d(out)
-            if out.ndim == theta.ndim:
-                out = out[..., None]
-            return out
-        if theta.ndim == 0:
-            return np.atleast_1d(np.asarray(self.fn(float(theta)), float))
-        rows = [np.atleast_1d(np.asarray(self.fn(float(th)), float))
-                for th in theta.ravel()]
-        out = np.stack(rows)
-        return out.reshape(theta.shape + (out.shape[-1],))
+            return np.asarray(self.fn(theta), dtype=np.float64)
+        return np.array([float(self.fn(float(th))) for th in theta.ravel()]
+                        ).reshape(theta.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +223,16 @@ class FunctionSegment:
 # ---------------------------------------------------------------------------
 
 def write_csv(path: DensePath, dest) -> None:
-    """Write a path as CSV with columns time, regime, x_1..x_n.
+    """Write a path as CSV with columns time, regime, x_1.
 
     ``dest`` is a file path or a text file object.  Floats are written
     with 17 significant digits so a rewrite of the same path is
     byte-identical.
     """
-    n = path.dim
-    header = "time,regime," + ",".join("x_%d" % (j + 1) for j in range(n))
-    lines = [header]
+    lines = ["time,regime,x_1"]
     for k in range(len(path.times)):
-        cells = ["%.17g" % path.times[k], "%d" % path.regimes[k]]
-        cells += ["%.17g" % v for v in path.values[k]]
-        lines.append(",".join(cells))
+        lines.append("%.17g,%d,%.17g" % (path.times[k], path.regimes[k],
+                                         path.values[k]))
     text = "\n".join(lines) + "\n"
     if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
         with io.open(dest, "w", encoding="utf-8", newline="") as fh:

@@ -85,7 +85,7 @@ def preset(name: str, nu_choice: Optional[Measure] = None, t0: float = 1.0,
     if name == "exp_stable":
         kern = Kernel.linear(0.5)
         return ModelSpec(
-            dim=1, theta_lower=0.5, t0=t0,
+            theta_lower=0.5, t0=t0,
             generator=make_generator([[-1.0, 1.0], [2.0, -2.0]]),
             drift=(
                 (PolynomialTerm([(1, -5.0), (3, -5.0), (5, -5.0)]),
@@ -103,7 +103,7 @@ def preset(name: str, nu_choice: Optional[Measure] = None, t0: float = 1.0,
     if name == "switch_stabilized":
         kern = Kernel.linear(0.6)
         return ModelSpec(
-            dim=1, theta_lower=0.7, t0=t0,
+            theta_lower=0.7, t0=t0,
             generator=make_generator([[-1.0, 1.0], [3.0, -3.0]]),
             drift=(
                 (PolynomialTerm([(1, -6.0), (3, -6.0), (7, -6.0)]),
@@ -123,7 +123,7 @@ def preset(name: str, nu_choice: Optional[Measure] = None, t0: float = 1.0,
 
     # poly_stable: kernel-free
     return ModelSpec(
-        dim=1, theta_lower=0.75, t0=t0,
+        theta_lower=0.75, t0=t0,
         generator=make_generator([[-1.0, 1.0], [4.0, -4.0]]),
         drift=(
             (PolynomialTerm([(1, -6.0), (3, -6.0), (7, -6.0)]),

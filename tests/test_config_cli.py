@@ -72,7 +72,7 @@ def test_build_model_preset_branch():
                                "initial": 0.3}})
     assert m.t0 == 2.0
     assert m.theta_lower == 0.5
-    assert float(m.initial_value(1.5)[0]) == 0.3
+    assert float(m.initial_value(1.5)) == 0.3
     with pytest.raises(ValueError, match="unknown preset"):
         build_model({"model": {"preset": "nope"}})
 
@@ -97,7 +97,7 @@ def test_build_model_explicit_branch():
     assert m.diffusion[0][0].kernel is None
     # phi == 1 at t = t0: poly gives -2, pantograph 0.5 * exp(0) = 0.5
     f = eval_drift(m, ConstantSegment(1.0, 0.5), 1.0, 1)
-    assert float(f[0]) == pytest.approx(-1.5)
+    assert f == pytest.approx(-1.5)
     assert np.array_equal(m.generator.rates,
                           [[-1.0, 1.0], [2.0, -2.0]])
 
@@ -106,7 +106,20 @@ def test_build_model_table_initial():
     spec = dict(EXPLICIT_MODEL)
     spec["initial"] = {"times": [0.5, 1.0], "values": [0.2, 0.6]}
     m = build_model({"model": spec})
-    assert float(m.initial_value(0.75)[0]) == pytest.approx(0.4)
+    assert float(m.initial_value(0.75)) == pytest.approx(0.4)
+
+
+def test_build_model_accepts_dim_one():
+    for model in (dict(EXPLICIT_MODEL, dim=1), {"preset": "exp_stable",
+                                                "dim": 1}):
+        assert build_model({"model": model}).n_regimes == 2
+
+
+def test_build_model_rejects_other_dims():
+    for model in (dict(EXPLICIT_MODEL, dim=2), {"preset": "exp_stable",
+                                                "dim": 3}):
+        with pytest.raises(ValueError, match='"dim"'):
+            build_model({"model": model})
 
 
 def test_build_term_errors():

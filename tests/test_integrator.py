@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hpsfde.errors import DimensionMismatch, NonFiniteState, PathExploded
+from hpsfde.errors import NonFiniteState, PathExploded
 from hpsfde.integrator import (IntegratorConfig, SimulationBatch,
                                TabulatedWiener, initial_grid, integrate_path,
                                path_streams, run_batch, uniform_grid)
@@ -17,12 +17,12 @@ SINGLE = make_generator([[0.0]])
 
 
 def still_model(x0=0.7):
-    return ModelSpec(dim=1, theta_lower=0.5, t0=1.0, generator=SINGLE,
+    return ModelSpec(theta_lower=0.5, t0=1.0, generator=SINGLE,
                      drift=((),), diffusion=((),), initial_segment=x0)
 
 
 def gbm_model(mu=0.07, sigma=0.1, x0=1.0):
-    return ModelSpec(dim=1, theta_lower=0.5, t0=1.0, generator=SINGLE,
+    return ModelSpec(theta_lower=0.5, t0=1.0, generator=SINGLE,
                      drift=((PolynomialTerm([(1, mu)]),),),
                      diffusion=((PolynomialTerm([(1, sigma)]),),),
                      initial_segment=x0)
@@ -37,8 +37,6 @@ def test_config_validation():
         IntegratorConfig(dt=0.0, T=2.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.1, T=2.0, blowup_threshold=0.0)
-    with pytest.raises(DimensionMismatch):
-        IntegratorConfig(dt=0.1, T=2.0, brownian_dim=2)
 
 
 def test_uniform_grid_exact_division():
@@ -71,12 +69,12 @@ def test_initial_grid_covers_delay_interval():
 
 
 def test_initial_grid_merges_table_knots():
-    m = ModelSpec(dim=1, theta_lower=0.5, t0=1.0, generator=SINGLE,
+    m = ModelSpec(theta_lower=0.5, t0=1.0, generator=SINGLE,
                   drift=((),), diffusion=((),),
                   initial_segment=([0.5, 0.62, 1.0], [0.2, 0.8, 0.4]))
     g = initial_grid(m, 0.1)
     assert 0.62 in g
-    vals = m.initial_value(g)[:, 0]
+    vals = m.initial_value(g)
     assert vals[list(g).index(0.62)] == pytest.approx(0.8)
 
 
@@ -102,7 +100,7 @@ def test_zero_coefficients_keep_path_constant():
     assert np.all(batch.uniform_values == 0.7)
     for p in batch.paths:
         assert np.all(p.values == 0.7)
-        assert path_eval(p, 1.37)[0] == 0.7
+        assert path_eval(p, 1.37) == 0.7
 
 
 def test_zero_initial_state_is_absorbing_under_switching():
@@ -119,7 +117,7 @@ def test_piecewise_constant_drift_integrates_occupation_exactly():
     # dx = +1 dt in regime 1 and -1 dt in regime 2 with no noise, and
     # switch times inserted into the grid, so the Euler solution equals
     # the signed occupation time with no discretization error
-    m = ModelSpec(dim=1, theta_lower=0.5, t0=1.0,
+    m = ModelSpec(theta_lower=0.5, t0=1.0,
                   generator=make_generator([[-1.0, 1.0], [2.0, -2.0]]),
                   drift=((PolynomialTerm([(0, 1.0)]),),
                          (PolynomialTerm([(0, -1.0)]),)),
@@ -134,7 +132,7 @@ def test_piecewise_constant_drift_integrates_occupation_exactly():
         regs = p.regimes[keep]
         signs = np.where(regs[:-1] == 1, 1.0, -1.0)
         occupation = float((signs * np.diff(times)).sum())
-        drifted = float(p.values[-1, 0] - path_eval(p, p.t0)[0])
+        drifted = float(p.values[-1] - path_eval(p, p.t0))
         assert drifted == pytest.approx(occupation, abs=1e-10)
 
 
@@ -156,7 +154,7 @@ def test_uniform_values_match_kept_paths():
     batch = run_batch(m, IntegratorConfig(dt=0.1, T=2.0), n_paths=6, i0=1,
                       root_seed=9)
     for p, path in enumerate(batch.paths):
-        got = path_eval(path, batch.uniform_times)[:, 0]
+        got = path_eval(path, batch.uniform_times)
         assert np.array_equal(got, batch.uniform_values[p])
 
 
@@ -245,6 +243,22 @@ def test_wiener_table_rejects_switching_models():
                   root_seed=1, wiener=wiener)
 
 
+def test_wiener_table_must_cover_the_horizon():
+    # past its last time the table would extrapolate one increment
+    # forever, so a table on [1, 2] cannot drive a run to T=3
+    wiener = TabulatedWiener.sample(1.0, 2.0, 0.01, n_paths=5, root_seed=1)
+    with pytest.raises(ValueError, match="covers"):
+        run_batch(gbm_model(), IntegratorConfig(dt=0.01, T=3.0), n_paths=5,
+                  i0=1, root_seed=1, keep_paths=False, wiener=wiener)
+
+
+def test_wiener_table_needs_a_row_per_path():
+    wiener = TabulatedWiener.sample(1.0, 2.0, 0.01, n_paths=3, root_seed=1)
+    with pytest.raises(ValueError, match="3 rows for 5 paths"):
+        run_batch(gbm_model(), IntegratorConfig(dt=0.01, T=2.0), n_paths=5,
+                  i0=1, root_seed=1, keep_paths=False, wiener=wiener)
+
+
 def test_tabulated_wiener_basics():
     with pytest.raises(ValueError):
         TabulatedWiener(np.array([0.0, 1.0]), np.zeros(3))
@@ -262,7 +276,7 @@ def test_tabulated_wiener_basics():
 # ---------------------------------------------------------------------------
 
 def test_cubic_blowup_is_recorded_not_raised():
-    m = ModelSpec(dim=1, theta_lower=0.5, t0=1.0, generator=SINGLE,
+    m = ModelSpec(theta_lower=0.5, t0=1.0, generator=SINGLE,
                   drift=((PolynomialTerm([(3, 1.0)]),),),
                   diffusion=((),), initial_segment=2.0)
     cfg = IntegratorConfig(dt=0.01, T=2.0, blowup_threshold=1e3)
@@ -273,7 +287,7 @@ def test_cubic_blowup_is_recorded_not_raised():
     path = batch.paths[0]
     assert path.exploded_at == t_star
     assert path.t_end == pytest.approx(t_star)
-    assert abs(path.values[-1, 0]) > 1e3
+    assert abs(path.values[-1]) > 1e3
     with pytest.raises(PathExploded):
         path_eval(path, min(t_star + 0.1, 2.0))
     k = np.searchsorted(batch.uniform_times, t_star, side="right")
@@ -294,12 +308,6 @@ def test_run_batch_validation():
         run_batch(m, cfg, n_paths=0, i0=1, root_seed=0)
     with pytest.raises(ValueError):
         run_batch(m, cfg, n_paths=1, i0=2, root_seed=0)
-    m2 = ModelSpec(dim=2, theta_lower=0.5, t0=1.0, generator=SINGLE,
-                   drift=((PolynomialTerm([(1, -1.0)]),),),
-                   diffusion=((PolynomialTerm([(1, 0.1)]),),),
-                   initial_segment=1.0)
-    with pytest.raises(DimensionMismatch):
-        run_batch(m2, cfg, n_paths=1, i0=1, root_seed=0)
 
 
 def test_keep_paths_false_drops_paths():

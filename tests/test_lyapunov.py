@@ -18,7 +18,7 @@ SINGLE = make_generator([[0.0]])
 
 
 def gbm_model(mu=0.07, sigma=0.1, x0=1.0):
-    return ModelSpec(dim=1, theta_lower=0.5, t0=1.0, generator=SINGLE,
+    return ModelSpec(theta_lower=0.5, t0=1.0, generator=SINGLE,
                      drift=((PolynomialTerm([(1, mu)]),),),
                      diffusion=((PolynomialTerm([(1, sigma)]),),),
                      initial_segment=x0)
@@ -31,7 +31,7 @@ def gbm_family():
 
 def constant_path(c, times, regimes, theta_lower, t0):
     times = np.asarray(times, dtype=np.float64)
-    values = np.full((len(times), 1), float(c))
+    values = np.full(len(times), float(c))
     return DensePath(times=times, values=values,
                      regimes=np.asarray(regimes, dtype=np.int64),
                      theta_lower=theta_lower, t0=t0)
@@ -217,15 +217,6 @@ def test_lv_regime_count_mismatch():
         eval_LV(gbm_family(), m, ConstantSegment(1.0, 0.5), 2.0, 1)
 
 
-def test_lv_requires_scalar_model():
-    m2 = ModelSpec(dim=2, theta_lower=0.5, t0=1.0, generator=SINGLE,
-                   drift=((PolynomialTerm([(1, -1.0)]),),),
-                   diffusion=((PolynomialTerm([(1, 0.1)]),),),
-                   initial_segment=1.0)
-    with pytest.raises(DimensionMismatch):
-        eval_LV(gbm_family(), m2, ConstantSegment(np.ones(2), 0.5), 2.0, 1)
-
-
 # ---------------------------------------------------------------------------
 # LV along a path
 # ---------------------------------------------------------------------------
@@ -268,16 +259,6 @@ def test_lv_profile_truncates_at_t_end():
     assert integral == pytest.approx(1.0 * expect, rel=1e-12)
 
 
-def test_lv_profile_rejects_vector_paths():
-    m = preset("poly_stable")
-    fam = preset_lyapunov("poly_stable")
-    times = np.array([0.75, 1.0, 2.0])
-    path = DensePath(times=times, values=np.ones((3, 2)),
-                     regimes=np.array([1, 1, 1]), theta_lower=0.75, t0=1.0)
-    with pytest.raises(DimensionMismatch):
-        lv_profile(fam, m, path)
-
-
 # ---------------------------------------------------------------------------
 # martingale residual
 # ---------------------------------------------------------------------------
@@ -311,7 +292,7 @@ def test_residual_gbm_near_zero():
 
 
 def test_residual_counts_exploded_paths():
-    m = ModelSpec(dim=1, theta_lower=0.5, t0=1.0, generator=SINGLE,
+    m = ModelSpec(theta_lower=0.5, t0=1.0, generator=SINGLE,
                   drift=((PolynomialTerm([(3, 0.2)]),),),
                   diffusion=((PolynomialTerm([(1, 0.8)]),),),
                   initial_segment=1.0)

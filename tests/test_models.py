@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpsfde.errors import DimensionMismatch, UnsupportedMeasure
+from hpsfde.errors import UnsupportedMeasure
 from hpsfde.markov import make_generator
 from hpsfde.models import (Kernel, Measure, ModelSpec, PantographTerm,
                            PolynomialTerm, CustomTerm, eval_diffusion,
@@ -147,8 +147,7 @@ def test_polynomial_term_rejects_bad_powers():
 
 def test_pantograph_term_plain_average():
     term = PantographTerm(coeff=2.0, measure=THREE_ATOMS)
-    seg = FunctionSegment(lambda th: th, 0.5, vectorized=True)
-    phi_at = lambda th: seg(th)[..., 0]
+    phi_at = FunctionSegment(lambda th: th, 0.5, vectorized=True)
     want = 2.0 * (0.5 + 0.75 + 1.0) / 3.0
     assert term.value(1.0, phi_at, 1.0) == pytest.approx(want, rel=1e-14)
 
@@ -156,8 +155,7 @@ def test_pantograph_term_plain_average():
 def test_pantograph_term_absolute_value_by_default():
     term = PantographTerm(coeff=1.0, measure=THREE_ATOMS)
     signed = PantographTerm(coeff=1.0, measure=THREE_ATOMS, signed=True)
-    seg = FunctionSegment(lambda th: -th, 0.5, vectorized=True)
-    phi_at = lambda th: seg(th)[..., 0]
+    phi_at = FunctionSegment(lambda th: -th, 0.5, vectorized=True)
     avg = (0.5 + 0.75 + 1.0) / 3.0
     assert term.value(1.0, phi_at, 1.0) == pytest.approx(avg, rel=1e-14)
     assert signed.value(1.0, phi_at, 1.0) == pytest.approx(-avg, rel=1e-14)
@@ -166,8 +164,7 @@ def test_pantograph_term_absolute_value_by_default():
 def test_pantograph_term_exponents():
     term = PantographTerm(coeff=1.0, measure=THREE_ATOMS,
                           point_exponent=2.0, delay_exponent=3.0)
-    seg = FunctionSegment(lambda th: th, 0.5, vectorized=True)
-    phi_at = lambda th: seg(th)[..., 0]
+    phi_at = FunctionSegment(lambda th: th, 0.5, vectorized=True)
     want = 4.0 * (0.5 ** 3 + 0.75 ** 3 + 1.0) / 3.0  # |phi1|^2 = 4
     assert term.value(2.0, phi_at, 1.0) == pytest.approx(want, rel=1e-14)
 
@@ -211,62 +208,44 @@ def one_state():
 
 def test_model_rejects_bad_theta_lower_and_t0():
     with pytest.raises(ValueError):
-        ModelSpec(dim=1, theta_lower=1.0, t0=1.0, generator=one_state(),
+        ModelSpec(theta_lower=1.0, t0=1.0, generator=one_state(),
                   drift=((),), diffusion=((),), initial_segment=0.0)
     with pytest.raises(ValueError):
-        ModelSpec(dim=1, theta_lower=0.5, t0=0.0, generator=one_state(),
+        ModelSpec(theta_lower=0.5, t0=0.0, generator=one_state(),
                   drift=((),), diffusion=((),), initial_segment=0.0)
 
 
 def test_model_requires_terms_per_regime():
     g = make_generator([[-1.0, 1.0], [2.0, -2.0]])
     with pytest.raises(ValueError):
-        ModelSpec(dim=1, theta_lower=0.5, t0=1.0, generator=g,
+        ModelSpec(theta_lower=0.5, t0=1.0, generator=g,
                   drift=((),), diffusion=((), ()), initial_segment=0.0)
 
 
 def test_model_rejects_measure_outside_delay_range():
     nu = Measure.from_atoms([(0.3, 1.0)])
     with pytest.raises(UnsupportedMeasure):
-        ModelSpec(dim=1, theta_lower=0.5, t0=1.0, generator=one_state(),
+        ModelSpec(theta_lower=0.5, t0=1.0, generator=one_state(),
                   drift=((PantographTerm(1.0, nu),),), diffusion=((),),
                   initial_segment=0.0)
 
 
-def test_model_rejects_pantograph_in_higher_dimension():
-    with pytest.raises(DimensionMismatch):
-        ModelSpec(dim=2, theta_lower=0.5, t0=1.0, generator=one_state(),
-                  drift=((PantographTerm(1.0, THREE_ATOMS),),),
-                  diffusion=((),), initial_segment=0.0)
-
-
-def test_model_allows_linear_terms_in_higher_dimension():
-    m = ModelSpec(dim=2, theta_lower=0.5, t0=1.0, generator=one_state(),
-                  drift=((PolynomialTerm([(1, -1.0)]),),), diffusion=((),),
-                  initial_segment=0.5)
-    assert m.dim == 2
-    with pytest.raises(DimensionMismatch):
-        ModelSpec(dim=2, theta_lower=0.5, t0=1.0, generator=one_state(),
-                  drift=((PolynomialTerm([(3, -1.0)]),),), diffusion=((),),
-                  initial_segment=0.5)
-
-
 def test_initial_value_forms():
-    m = ModelSpec(dim=1, theta_lower=0.5, t0=1.0, generator=one_state(),
+    m = ModelSpec(theta_lower=0.5, t0=1.0, generator=one_state(),
                   drift=((),), diffusion=((),), initial_segment=0.7)
-    assert m.initial_value(0.6).shape == (1,)
-    assert m.initial_value(np.array([0.5, 1.0])).shape == (2, 1)
+    assert m.initial_value(0.6).shape == ()
+    assert m.initial_value(np.array([0.5, 1.0])).shape == (2,)
     assert np.all(m.initial_value(np.array([0.5, 1.0])) == 0.7)
 
-    table = ModelSpec(dim=1, theta_lower=0.5, t0=1.0, generator=one_state(),
+    table = ModelSpec(theta_lower=0.5, t0=1.0, generator=one_state(),
                       drift=((),), diffusion=((),),
                       initial_segment=((0.5, 1.0), (0.0, 1.0)))
-    assert table.initial_value(0.75)[0] == pytest.approx(0.5)
+    assert table.initial_value(0.75) == pytest.approx(0.5)
 
-    fn = ModelSpec(dim=1, theta_lower=0.5, t0=1.0, generator=one_state(),
+    fn = ModelSpec(theta_lower=0.5, t0=1.0, generator=one_state(),
                    drift=((),), diffusion=((),),
                    initial_segment=lambda t: math.sin(t))
-    assert fn.initial_value(0.9)[0] == pytest.approx(math.sin(0.9))
+    assert fn.initial_value(0.9) == pytest.approx(math.sin(0.9))
 
 
 def test_eval_drift_validates_arguments():
@@ -274,8 +253,6 @@ def test_eval_drift_validates_arguments():
     seg = ConstantSegment(0.5, m.theta_lower)
     with pytest.raises(ValueError):
         eval_drift(m, seg, 1.0, 3)
-    with pytest.raises(DimensionMismatch):
-        eval_drift(m, ConstantSegment([0.5, 0.5], m.theta_lower), 1.0, 1)
 
 
 def test_preset_point_mass_spot_values():
@@ -283,12 +260,12 @@ def test_preset_point_mass_spot_values():
     # the kernel factor is exp(0) = 1 at any t
     m = preset("exp_stable", nu_choice=Measure.point_mass(1.0))
     seg = ConstantSegment(1.0, m.theta_lower)
-    assert eval_drift(m, seg, 3.0, 2)[0] == pytest.approx(0.1, rel=1e-14)
-    assert eval_diffusion(m, seg, 3.0, 2)[0, 0] == pytest.approx(
+    assert eval_drift(m, seg, 3.0, 2) == pytest.approx(0.1, rel=1e-14)
+    assert eval_diffusion(m, seg, 3.0, 2) == pytest.approx(
         0.2, rel=1e-14)
     mp = preset("poly_stable", nu_choice=Measure.point_mass(1.0))
     seg = ConstantSegment(1.0, mp.theta_lower)
-    assert eval_diffusion(mp, seg, 5.0, 1)[0, 0] == pytest.approx(
+    assert eval_diffusion(mp, seg, 5.0, 1) == pytest.approx(
         0.2, rel=1e-14)
 
 
@@ -297,7 +274,7 @@ def test_preset_default_measure_drift_value():
     seg = ConstantSegment(0.5, m.theta_lower)
     decay = (math.exp(-0.25) + math.exp(-0.125) + 1.0) / 3.0
     want = 0.05 * 0.5 + 0.05 * 0.5 * decay
-    assert eval_drift(m, seg, 1.0, 2)[0] == pytest.approx(want, rel=1e-13)
+    assert eval_drift(m, seg, 1.0, 2) == pytest.approx(want, rel=1e-13)
 
 
 def test_single_regime_preserves_coefficients():
@@ -305,7 +282,7 @@ def test_single_regime_preserves_coefficients():
     sub = single_regime(m, 2)
     assert sub.n_regimes == 1
     seg = ConstantSegment(0.8, m.theta_lower)
-    assert eval_drift(sub, seg, 2.0, 1)[0] == eval_drift(m, seg, 2.0, 2)[0]
+    assert eval_drift(sub, seg, 2.0, 1) == eval_drift(m, seg, 2.0, 2)
     with pytest.raises(ValueError):
         single_regime(m, 5)
 
@@ -335,11 +312,11 @@ def test_lipschitz_probe_flags_square_root_growth():
     # |x|^(1/2) has unbounded difference quotients near 0; the probe's
     # ratio should blow past any moderate local slope
     rough = ModelSpec(
-        dim=1, theta_lower=0.5, t0=1.0, generator=one_state(),
+        theta_lower=0.5, t0=1.0, generator=one_state(),
         drift=((CustomTerm(lambda p, pa, t: np.abs(p) ** 0.5),),),
         diffusion=((),), initial_segment=0.0)
     smooth = ModelSpec(
-        dim=1, theta_lower=0.5, t0=1.0, generator=one_state(),
+        theta_lower=0.5, t0=1.0, generator=one_state(),
         drift=((PolynomialTerm([(1, 1.0)]),),),
         diffusion=((),), initial_segment=0.0)
     r_rough = validate_local_lipschitz_probe(rough, 1.0, 200, seed=1)

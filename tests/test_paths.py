@@ -17,8 +17,6 @@ def make_path(times, values, theta_lower=0.5, t0=1.0, regimes=None,
               exploded_at=None):
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 1:
-        values = values[:, None]
     if regimes is None:
         regimes = np.ones(len(times), dtype=np.int64)
     return DensePath(times=times, values=values, regimes=np.asarray(regimes),
@@ -29,21 +27,21 @@ SIMPLE = make_path([0.5, 0.75, 1.0, 1.5, 2.0], [0.0, 1.0, 2.0, 1.0, 3.0])
 
 
 def test_eval_exact_at_grid_points():
-    for t, want in zip(SIMPLE.times, SIMPLE.values[:, 0]):
-        assert path_eval(SIMPLE, t)[0] == want
+    for t, want in zip(SIMPLE.times, SIMPLE.values):
+        assert path_eval(SIMPLE, t) == want
 
 
 def test_eval_linear_between_grid_points():
-    assert path_eval(SIMPLE, 1.25)[0] == pytest.approx(1.5, abs=1e-15)
-    assert path_eval(SIMPLE, 0.625)[0] == pytest.approx(0.5, abs=1e-15)
+    assert path_eval(SIMPLE, 1.25) == pytest.approx(1.5, abs=1e-15)
+    assert path_eval(SIMPLE, 0.625) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_eval_vectorized_shape():
     out = path_eval(SIMPLE, np.array([0.5, 1.0, 2.0]))
-    assert out.shape == (3, 1)
-    assert np.array_equal(out[:, 0], [0.0, 2.0, 3.0])
+    assert out.shape == (3,)
+    assert np.array_equal(out, [0.0, 2.0, 3.0])
     grid = np.array([[0.5, 1.0], [1.5, 2.0]])
-    assert path_eval(SIMPLE, grid).shape == (2, 2, 1)
+    assert path_eval(SIMPLE, grid).shape == (2, 2)
 
 
 def test_eval_out_of_domain():
@@ -54,13 +52,13 @@ def test_eval_out_of_domain():
 
 
 def test_eval_tolerates_roundoff_at_endpoints():
-    assert path_eval(SIMPLE, 2.0 + 1e-12)[0] == 3.0
-    assert path_eval(SIMPLE, 0.5 - 1e-12)[0] == 0.0
+    assert path_eval(SIMPLE, 2.0 + 1e-12) == 3.0
+    assert path_eval(SIMPLE, 0.5 - 1e-12) == 0.0
 
 
 def test_exploded_path_guards_evaluation():
     p = make_path([0.5, 1.0, 1.5], [0.0, 1.0, 5.0], exploded_at=1.5)
-    assert path_eval(p, 1.5)[0] == 5.0
+    assert path_eval(p, 1.5) == 5.0
     with pytest.raises(PathExploded):
         path_eval(p, 1.5 + 1e-6)
     with pytest.raises(PathExploded):
@@ -73,17 +71,17 @@ def test_segment_anchor_domain():
     with pytest.raises(OutOfDomain):
         segment(SIMPLE, 2.5)  # past horizon
     view = segment(SIMPLE, 2.0)
-    assert view.point[0] == 3.0
+    assert view.point == 3.0
 
 
 def test_segment_view_values():
     view = segment(SIMPLE, 2.0)
     # theta=0.5 -> x(1.0) = 2, theta=1 -> x(2) = 3
-    assert view(0.5)[0] == 2.0
-    assert view(1.0)[0] == 3.0
+    assert view(0.5) == 2.0
+    assert view(1.0) == 3.0
     out = view(np.array([0.5, 0.75, 1.0]))
-    assert out.shape == (3, 1)
-    assert out[1, 0] == path_eval(SIMPLE, 1.5)[0]
+    assert out.shape == (3,)
+    assert out[1] == path_eval(SIMPLE, 1.5)
 
 
 def test_segment_view_theta_domain():
@@ -93,7 +91,7 @@ def test_segment_view_theta_domain():
     with pytest.raises(OutOfDomain):
         view(1.01)
     # boundary values within tolerance are clipped, not rejected
-    assert view(1.0 + 1e-13)[0] == 3.0
+    assert view(1.0 + 1e-13) == 3.0
 
 
 def test_sup_norm_exact_over_breakpoints():
@@ -123,37 +121,37 @@ def test_sup_norm_matches_dense_sampling(vals, anchor):
     # independent truth: a piecewise-linear |x| attains its max at a
     # breakpoint or a segment endpoint
     cands = np.concatenate(([lo, hi], times[(times > lo) & (times < hi)]))
-    truth = np.abs(path_eval(p, cands)[:, 0]).max()
+    truth = np.abs(path_eval(p, cands)).max()
     assert got == pytest.approx(truth, abs=1e-12)
     # dense sampling can only under-estimate a piecewise-linear sup
     dense = np.linspace(lo, hi, 4001)
-    brute = np.abs(path_eval(p, dense)[:, 0]).max()
+    brute = np.abs(path_eval(p, dense)).max()
     assert got >= brute - 1e-12
 
 
 def test_constant_segment():
     seg = ConstantSegment(0.5, 0.7)
-    assert seg.point[0] == 0.5
-    assert seg(0.9)[0] == 0.5
+    assert seg.point == 0.5
+    assert seg(0.9) == 0.5
     out = seg(np.array([0.7, 1.0]))
-    assert out.shape == (2, 1)
+    assert out.shape == (2,)
     assert np.all(out == 0.5)
 
 
 def test_function_segment_scalar_fn():
     seg = FunctionSegment(lambda th: th ** 2, 0.5)
-    assert seg.point[0] == 1.0
-    assert seg(0.5)[0] == 0.25
+    assert seg.point == 1.0
+    assert seg(0.5) == 0.25
     out = seg(np.array([0.5, 1.0]))
-    assert out.shape == (2, 1)
-    assert out[0, 0] == 0.25
+    assert out.shape == (2,)
+    assert out[0] == 0.25
 
 
 def test_function_segment_vectorized_fn():
     seg = FunctionSegment(lambda th: th ** 2, 0.5, vectorized=True)
     out = seg(np.array([0.5, 1.0]))
-    assert out.shape == (2, 1)
-    assert np.allclose(out[:, 0], [0.25, 1.0])
+    assert out.shape == (2,)
+    assert np.allclose(out, [0.25, 1.0])
 
 
 def test_write_csv_layout_and_determinism(tmp_path):
@@ -172,19 +170,6 @@ def test_write_csv_layout_and_determinism(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_write_csv_multidimensional():
-    times = np.array([0.5, 1.0, 1.5])
-    values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    p = DensePath(times=times, values=values,
-                  regimes=np.ones(3, dtype=np.int64), theta_lower=0.5,
-                  t0=1.0)
-    buf = io.StringIO()
-    write_csv(p, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "time,regime,x_1,x_2"
-    assert lines[2] == "1,1,3,4"
-
-
 def test_csv_round_trip_is_value_exact(tmp_path):
     rng = np.random.default_rng(4)
     times = np.sort(np.concatenate(([0.5, 1.0], 1.0 + rng.random(20))))
@@ -193,4 +178,4 @@ def test_csv_round_trip_is_value_exact(tmp_path):
     write_csv(p, str(dest))
     back = np.loadtxt(str(dest), delimiter=",", skiprows=1)
     assert np.array_equal(back[:, 0], p.times)
-    assert np.array_equal(back[:, 2], p.values[:, 0])
+    assert np.array_equal(back[:, 2], p.values)
