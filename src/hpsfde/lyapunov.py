@@ -19,6 +19,14 @@ The residual test checks the identity
 on a simulated batch.  It holds exactly in law, so a z-score far from 0
 (beyond the Euler scheme's O(dt) weak bias) indicates a bug in the
 integrator, the coefficient model, or the LV implementation.
+
+The integral runs by trapezoid over each path's grid on [t0, t_end]; a
+t_end between two grid points closes it with the interpolated endpoint
+(t_end, x(t_end)).  One routine evaluates LV along a chunk of paths in a
+single array pass, with a fixed bound on the nodes a chunk holds: the
+residual runs it chunk by chunk, and :func:`lv_profile` is its one-path
+case.  Each path's integral is summed over its own nodes, so results do
+not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -234,6 +242,141 @@ def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
                        diffusion_part=trace, coupling_part=coupling)
 
 
+# Upper bound on the nodes that one pass of LV along paths holds.  The
+# history lookup builds (quadrature nodes x chunk nodes) arrays, so one
+# pass over a whole batch would multiply the peak memory of the check.
+_CHUNK_NODES = 1 << 14
+
+
+def _path_nodes(path, t_end: float):
+    """The nodes of ``path`` on [t0, t_end] as (times, x, regimes, a, b).
+
+    The nodes are ``path.times[a:b]``.  A t_end further than the grid
+    tolerance from every node closes the last interval with the node
+    (t_end, x(t_end)), which carries the regime of the node before it.
+    """
+    times = path.times
+    tol = 1e-9 * max(1.0, abs(path.t_end))
+    a = int(np.searchsorted(times, path.t0 - tol, side="left"))
+    b = int(np.searchsorted(times, t_end + tol, side="right"))
+    if b <= a:
+        raise ValueError("t_end=%g is before t0=%g" % (t_end, path.t0))
+    t, x, r = times[a:b], path.values[a:b], path.regimes[a:b]
+    if t[-1] < t_end - tol:
+        t = np.append(t, t_end)
+        x = np.append(x, paths_mod.eval(path, t_end))
+        r = np.append(r, r[-1])
+    return t, x, r, a, b
+
+
+def _history(paths, offsets, times, a, b):
+    """Callback giving x(theta * s) of its own path at every chunk node s.
+
+    Path k's nodes are ``times[offsets[k]:offsets[k + 1]]``, taken from
+    ``paths[k].times[a[k]:b[k]]``.  The callback maps a theta vector to
+    one row per theta, computed as ``paths.eval`` does: each lookup time
+    is clipped to its path and interpolated by the rule of
+    ``paths._interp``, but in one pass over the chunk.  Only the binary
+    search runs per path, and not for theta == 1, whose lookup index is
+    the node's own.  Rows are cached per theta set, which terms share.
+    """
+    lengths = np.array([len(path.times) for path in paths])
+    starts = np.cumsum(lengths) - lengths
+    sizes = np.diff(offsets)
+    full_t = np.concatenate([path.times for path in paths])
+    full_x = np.concatenate([path.values for path in paths])
+    first = np.repeat(starts, sizes)
+    last = np.repeat(starts + lengths - 2, sizes)
+    lo, hi = full_t[first], full_t[last + 1]
+    # searchsorted(times, s, "right") - 1 for a node s: the node itself,
+    # or for an interpolated endpoint the node before it
+    own = first + np.minimum(
+        np.arange(len(times)) + np.repeat(np.array(a) - offsets[:-1], sizes),
+        np.repeat(np.array(b) - 1, sizes))
+    cache = {}
+
+    def phi_at(thetas):
+        key = thetas.tobytes()
+        if key in cache:
+            return cache[key]
+        q = np.clip(thetas[:, None] * times, lo, hi)
+        j = np.empty(q.shape, dtype=np.intp)
+        for row, theta in enumerate(thetas):
+            if theta == 1.0:
+                j[row] = own
+                continue
+            for path, c, d in zip(paths, offsets[:-1], offsets[1:]):
+                j[row, c:d] = path.times.searchsorted(q[row, c:d],
+                                                      side="right")
+            j[row] += first - 1
+        j = np.clip(j, first, last)
+        w = (q - full_t[j]) / (full_t[j + 1] - full_t[j])
+        cache[key] = full_x[j] * (1.0 - w) + full_x[j + 1] * w
+        return cache[key]
+
+    return phi_at
+
+
+def _lv_chunk(V: LyapunovFamily, m: ModelSpec, paths, t_end: float):
+    """LV along several paths on [t0, t_end] in one array pass.
+
+    The paths' nodes are concatenated; ``offsets[k]:offsets[k + 1]``
+    is path k's slice.  Each regime's coefficients are evaluated once
+    over the whole chunk, and the history lookup once per distinct
+    quadrature-node set.  Each interval is integrated by trapezoid in
+    the regime of its left node (switch times are nodes, so LV is
+    continuous inside every interval), and each path's integral is the
+    sum over its own slice, so it does not depend on the chunk.
+
+    Returns (times, point_values, integrals, part_sums): part_sums
+    holds the chunk's summed integrals of the time, drift, diffusion and
+    coupling parts.
+    """
+    if len(V.regimes) != m.n_regimes:
+        raise DimensionMismatch(
+            "V has %d regimes, model has %d" % (len(V.regimes), m.n_regimes))
+    node_t, node_x, node_r, a, b = zip(*[_path_nodes(path, t_end)
+                                          for path in paths])
+    offsets = np.cumsum([0] + [len(t) for t in node_t])
+    times = np.concatenate(node_t)
+    x = np.concatenate(node_x)
+    regimes = np.concatenate(node_r)
+    phi_at = _history(paths, offsets, times, a, b)
+    n = m.n_regimes
+    size = len(times)
+    h = np.diff(times)
+    # no interval joins one path's last node to the next path's first
+    h[offsets[1:-1] - 1] = 0.0
+    half = 0.5 * h
+    # flat (regime, node) index of each interval's left end, in the
+    # interval's regime, and each node's weight in the trapezoid sums
+    left = (regimes[:-1] - 1) * size + np.arange(size - 1)
+    weights = np.zeros(n * size)
+    weights[left] = half
+    weights[left + 1] += half
+    weights = weights.reshape(n, size)
+    v = [V.value(x, times, l + 1) for l in range(n)]
+    lv = np.empty((n, size))
+    part_sums = np.zeros(4)
+    for i in range(1, n + 1):
+        f = _sum_terms(m.drift[i - 1], x, phi_at, times)
+        g = _sum_terms(m.diffusion[i - 1], x, phi_at, times)
+        coupling = np.zeros_like(x)
+        rates = m.generator.rates[i - 1]
+        for l in range(n):
+            coupling = coupling + rates[l] * v[l]
+        parts = (V.dt(x, times, i), V.dx(x, times, i) * f,
+                 0.5 * g * g * V.dxx(x, times, i), coupling)
+        lv[i - 1] = parts[0] + parts[1] + parts[2] + parts[3]
+        part_sums += [part @ weights[i - 1] for part in parts]
+    lv = lv.ravel()
+    point_values = lv[(regimes - 1) * size + np.arange(size)]
+    trapezoids = half * (lv[left] + lv[left + 1])
+    integrals = [float(trapezoids[start:stop - 1].sum())
+                 for start, stop in zip(offsets[:-1], offsets[1:])]
+    return times, point_values, integrals, part_sums
+
+
 def lv_profile(V: LyapunovFamily, m: ModelSpec, path,
                t_end: Optional[float] = None):
     """LV along one path, its per-point values, and the time integral.
@@ -241,40 +384,15 @@ def lv_profile(V: LyapunovFamily, m: ModelSpec, path,
     Evaluates LV(x_s, s, r(s)) at every grid point of ``path`` in
     [t0, t_end] and integrates by trapezoid over each grid interval with
     that interval's regime (switch times are grid points, so the
-    integrand is continuous inside every interval).
+    integrand is continuous inside every interval).  A t_end between
+    grid points adds the interpolated endpoint (t_end, x(t_end)).
 
     Returns (times, values, integral).
     """
     if t_end is None:
         t_end = path.t_end
-    tol = 1e-9 * max(1.0, abs(path.t_end))
-    mask = (path.times >= path.t0 - tol) & (path.times <= t_end + tol)
-    times = path.times[mask]
-    x = path.values[mask]
-    regimes = path.regimes[mask]
-    n = m.n_regimes
-
-    def phi_at(thetas):
-        lookup = thetas[:, None] * times[None, :]
-        return paths_mod.eval(path, lookup)
-
-    lv = np.empty((n, len(times)))
-    for i in range(1, n + 1):
-        f = _sum_terms(m.drift[i - 1], x, phi_at, times)
-        g = _sum_terms(m.diffusion[i - 1], x, phi_at, times)
-        coupling = np.zeros_like(x)
-        rates = m.generator.rates[i - 1]
-        for l in range(n):
-            coupling = coupling + rates[l] * V.value(x, times, l + 1)
-        lv[i - 1] = (V.dt(x, times, i) + V.dx(x, times, i) * f
-                     + 0.5 * g * g * V.dxx(x, times, i) + coupling)
-    point_values = lv[regimes - 1, np.arange(len(times))]
-    h = np.diff(times)
-    r_int = regimes[:-1] - 1
-    left = lv[r_int, np.arange(len(times) - 1)]
-    right = lv[r_int, np.arange(1, len(times))]
-    integral = float((0.5 * h * (left + right)).sum())
-    return times, point_values, integral
+    times, values, integrals, _ = _lv_chunk(V, m, [path], t_end)
+    return times, values, integrals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +407,9 @@ class ResidualStatistic:
     V(end) - V(start) - integral LV ds, ``stderr`` its standard error
     and ``z`` the plain ratio.  ``mean_integral`` supports an O(dt) bias
     allowance: :meth:`z_with_allowance` shrinks the residual by the
-    allowance before standardizing.
+    allowance before standardizing.  ``parts`` splits the mean integral
+    into LV's time, drift, diffusion and coupling parts; its ``value``
+    is their sum, equal to ``mean_integral`` up to rounding.
     """
 
     residual: float
@@ -299,6 +419,7 @@ class ResidualStatistic:
     t_end: float
     n_paths_used: int
     n_excluded: int
+    parts: Optional[LVBreakdown] = None
 
     def z_with_allowance(self, allowance: float) -> float:
         if self.stderr == 0.0:
@@ -306,38 +427,58 @@ class ResidualStatistic:
         return max(0.0, abs(self.residual) - abs(allowance)) / self.stderr
 
 
+def _chunks(paths):
+    """Consecutive runs of paths holding at most _CHUNK_NODES nodes each.
+
+    A path longer than the bound makes a chunk of its own.
+    """
+    chunk, size = [], 0
+    for path in paths:
+        if chunk and size + len(path.times) > _CHUNK_NODES:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(path)
+        size += len(path.times)
+    if chunk:
+        yield chunk
+
+
 def martingale_residual(V: LyapunovFamily, batch, t_end: float
                         ) -> ResidualStatistic:
     """Run the hybrid Ito residual test on a simulated batch.
 
     Paths that exploded at or before t_end are excluded and counted.
-    Requires the batch to retain full paths (keep_paths=True).
+    Requires the batch to retain full paths (keep_paths=True).  LV is
+    evaluated over chunks of paths at once; a t_end between grid points
+    closes each path's integral at the interpolated state x(t_end).
 
     Raises:
       InsufficientPaths: fewer than 100 usable paths.
     """
     if batch.paths is None:
         raise ValueError("batch was run without keep_paths=True")
+    kept = [path for path in batch.paths
+            if path.exploded_at is None or path.exploded_at > t_end]
+    if len(kept) < 100:
+        raise InsufficientPaths(
+            "residual test needs >= 100 paths, have %d" % len(kept))
     deltas = []
     integrals = []
-    excluded = 0
-    for path in batch.paths:
-        if path.exploded_at is not None and path.exploded_at <= t_end:
-            excluded += 1
-            continue
-        x_end = float(paths_mod.eval(path, t_end))
-        idx = int(np.searchsorted(path.times, t_end, side="right")) - 1
-        r_end = int(path.regimes[min(idx, len(path.regimes) - 1)])
-        x0 = float(paths_mod.eval(path, path.t0))
-        i0 = int(path.regimes[np.searchsorted(path.times, path.t0)])
-        v_end = float(V.value(x_end, t_end, r_end))
-        v0 = float(V.value(x0, path.t0, i0))
-        _, _, integral = lv_profile(V, batch.model, path, t_end)
-        deltas.append(v_end - v0 - integral)
-        integrals.append(integral)
-    if len(deltas) < 100:
-        raise InsufficientPaths(
-            "residual test needs >= 100 paths, have %d" % len(deltas))
+    part_sums = np.zeros(4)
+    for chunk in _chunks(kept):
+        _, _, chunk_integrals, chunk_parts = _lv_chunk(
+            V, batch.model, chunk, t_end)
+        part_sums += chunk_parts
+        for path, integral in zip(chunk, chunk_integrals):
+            x_end = float(paths_mod.eval(path, t_end))
+            idx = int(np.searchsorted(path.times, t_end, side="right")) - 1
+            r_end = int(path.regimes[min(idx, len(path.regimes) - 1)])
+            x0 = float(paths_mod.eval(path, path.t0))
+            i0 = int(path.regimes[np.searchsorted(path.times, path.t0)])
+            v_end = float(V.value(x_end, t_end, r_end))
+            v0 = float(V.value(x0, path.t0, i0))
+            deltas.append(v_end - v0 - integral)
+        integrals.extend(chunk_integrals)
     d = np.asarray(deltas)
     residual = float(d.mean())
     stderr = float(d.std(ddof=1) / np.sqrt(len(d)))
@@ -345,7 +486,14 @@ def martingale_residual(V: LyapunovFamily, batch, t_end: float
         z = 0.0 if residual == 0.0 else float(np.inf)
     else:
         z = residual / stderr
+    time_part, drift_part, diffusion_part, coupling_part = (
+        float(s) / len(d) for s in part_sums)
+    parts = LVBreakdown(
+        value=time_part + drift_part + diffusion_part + coupling_part,
+        time_part=time_part, drift_part=drift_part,
+        diffusion_part=diffusion_part, coupling_part=coupling_part)
     return ResidualStatistic(residual=residual, stderr=stderr, z=z,
                              mean_integral=float(np.mean(integrals)),
                              t_end=float(t_end), n_paths_used=len(d),
-                             n_excluded=excluded)
+                             n_excluded=len(batch.paths) - len(kept),
+                             parts=parts)

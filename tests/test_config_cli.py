@@ -257,6 +257,11 @@ def test_check_ito_reports_residual(tmp_path, capsys):
     assert fields[0] == "exp_stable"
     assert float(fields[1]) == 2.0
     assert abs(float(fields[4])) < 5.0
+    assert out[2] == ("mean_integral,time_part,drift_part,diffusion_part,"
+                      "coupling_part")
+    mean_integral, *parts = (float(v) for v in out[3].split(","))
+    assert len(parts) == 4
+    assert sum(parts) == pytest.approx(mean_integral, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,22 @@
 """Lyapunov families, the operator LV, and the martingale residual test."""
 from __future__ import annotations
 
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 
+from hpsfde import paths as paths_mod
 from hpsfde.errors import DimensionMismatch, InsufficientPaths
-from hpsfde.integrator import IntegratorConfig, run_batch
+from hpsfde.integrator import IntegratorConfig, integrate_path, run_batch
 from hpsfde.lyapunov import (LVBreakdown, LyapunovFamily, PolynomialV,
-                             ResidualStatistic, eval_LV, lv_profile,
-                             martingale_residual, sandwich_report)
+                             ResidualStatistic, _chunks, eval_LV,
+                             lv_profile, martingale_residual,
+                             sandwich_report)
 from hpsfde.markov import make_generator
-from hpsfde.models import ModelSpec, PolynomialTerm
-from hpsfde.paths import ConstantSegment, DensePath
+from hpsfde.models import ModelSpec, PantographTerm, PolynomialTerm
+from hpsfde.paths import ConstantSegment, DensePath, segment
 from hpsfde.presets import PRESET_NAMES, preset, preset_lyapunov
 
 SINGLE = make_generator([[0.0]])
@@ -259,6 +264,52 @@ def test_lv_profile_truncates_at_t_end():
     assert integral == pytest.approx(1.0 * expect, rel=1e-12)
 
 
+def test_lv_profile_closes_off_grid_t_end():
+    # t_end = 1.75 lies inside the interval [1.5, 2.0]; the integral runs
+    # up to t_end itself, not only to the last node before it
+    m = preset("poly_stable")
+    fam = preset_lyapunov("poly_stable")
+    c = 0.8
+    path = constant_path(c, [0.75, 1.0, 1.5, 2.0, 3.0], [2, 2, 2, 2, 2],
+                         0.75, 1.0)
+    times, values, integral = lv_profile(fam, m, path, t_end=1.75)
+    expect = -3.32 * c ** 4 - 8.55 * c ** 10
+    assert np.array_equal(times, [1.0, 1.5, 1.75])
+    assert np.allclose(values, expect, rtol=1e-12)
+    assert integral == pytest.approx(0.75 * expect, rel=1e-12)
+    # within the grid tolerance of a node nothing is added
+    times, _, near = lv_profile(fam, m, path, t_end=2.0 + 1e-12)
+    assert times[-1] == 2.0
+    assert near == lv_profile(fam, m, path, t_end=2.0)[2]
+    with pytest.raises(ValueError, match="before t0"):
+        lv_profile(fam, m, path, t_end=0.9)
+
+
+def test_lv_profile_matches_pointwise_lv_across_switch_lookups():
+    m = preset("exp_stable")
+    fam = preset_lyapunov("exp_stable")
+    path = integrate_path(m, IntegratorConfig(dt=0.01, T=3.0), i0=1, seed=1)
+    # on the grid, and with an interpolated endpoint between two nodes
+    for t_end in (3.0, 2.5053):
+        times, values, _ = lv_profile(fam, m, path, t_end)
+        node = np.searchsorted(path.times, times, side="right") - 1
+        expect = [eval_LV(fam, m, segment(path, t), t, r).value
+                  for t, r in zip(times, path.regimes[node])]
+        np.testing.assert_allclose(values, expect, rtol=1e-12, atol=0.0)
+    assert times[-1] == 2.5053
+    # some delayed lookup theta * t falls between the two neighbours of
+    # a switch node, so its interpolation reads the switch node
+    switch = np.flatnonzero(np.diff(path.regimes)) + 1
+    assert len(switch) >= 1
+    thetas = np.unique(np.concatenate(
+        [term._thetas for terms in m.drift + m.diffusion for term in terms
+         if isinstance(term, PantographTerm)]))
+    lookups = (thetas[:, None] * times[None, :]).ravel()
+    assert any(np.any((lookups > path.times[k - 1])
+                      & (lookups < path.times[k + 1])
+                      & (lookups != path.times[k])) for k in switch)
+
+
 # ---------------------------------------------------------------------------
 # martingale residual
 # ---------------------------------------------------------------------------
@@ -302,6 +353,72 @@ def test_residual_counts_exploded_paths():
     stat = martingale_residual(gbm_family(), batch, 2.0)
     assert stat.n_excluded == batch.n_exploded
     assert stat.n_paths_used + stat.n_excluded == 160
+
+
+def test_residual_chunks_match_per_path_profiles():
+    # a two-regime version of the exploding model above: some paths
+    # switch, some explode, and the kept paths fill several chunks, the
+    # last one partly
+    gen = make_generator([[-1.0, 1.0], [1.0, -1.0]])
+    m = ModelSpec(theta_lower=0.5, t0=1.0, generator=gen,
+                  drift=((PolynomialTerm([(3, 0.2)]),),
+                         (PolynomialTerm([(3, 0.3)]),)),
+                  diffusion=((PolynomialTerm([(1, 0.8)]),),
+                             (PolynomialTerm([(1, 0.8)]),)),
+                  initial_segment=1.0)
+    fam = LyapunovFamily(regimes=(PolynomialV([(2, 1.0)]),
+                                  PolynomialV([(2, 2.0)])),
+                         u0_power=2, u_powers=(2,))
+    cfg = IntegratorConfig(dt=0.005, T=2.0, blowup_threshold=1e6)
+    batch = run_batch(m, cfg, n_paths=160, i0=1, root_seed=3,
+                      keep_paths=True)
+    t_end = 2.0
+    kept = [p for p in batch.paths
+            if p.exploded_at is None or p.exploded_at > t_end]
+    sizes = [len(chunk) for chunk in _chunks(kept)]
+    assert batch.n_exploded > 0 and batch.n_switches.sum() > 0
+    assert len(sizes) >= 2 and sizes[-1] < sizes[0]
+
+    deltas, integrals = [], []
+    for path in kept:
+        _, _, integral = lv_profile(fam, m, path, t_end)
+        x_end = float(paths_mod.eval(path, t_end))
+        idx = int(np.searchsorted(path.times, t_end, side="right")) - 1
+        r_end = int(path.regimes[min(idx, len(path.regimes) - 1)])
+        x0 = float(paths_mod.eval(path, path.t0))
+        i0 = int(path.regimes[np.searchsorted(path.times, path.t0)])
+        deltas.append(float(fam.value(x_end, t_end, r_end))
+                      - float(fam.value(x0, path.t0, i0)) - integral)
+        integrals.append(integral)
+    d = np.asarray(deltas)
+    stderr = float(d.std(ddof=1) / np.sqrt(len(d)))
+    reference = ResidualStatistic(
+        residual=float(d.mean()), stderr=stderr,
+        z=float(d.mean()) / stderr, mean_integral=float(np.mean(integrals)),
+        t_end=t_end, n_paths_used=len(kept),
+        n_excluded=160 - len(kept))
+
+    stat = martingale_residual(fam, batch, t_end)
+    assert dataclasses.replace(stat, parts=None) == reference
+    assert stat.parts.value == pytest.approx(stat.mean_integral, rel=1e-12)
+
+
+def test_residual_parts_match_pointwise_breakdown():
+    # 100 copies of a constant path: each part's mean integral is the
+    # pointwise part times the length of [t0, t_end]
+    m = preset("poly_stable")
+    fam = preset_lyapunov("poly_stable")
+    c = 0.8
+    path = constant_path(c, [0.75, 1.0, 1.5, 2.0, 3.0], [2, 2, 2, 2, 2],
+                         0.75, 1.0)
+    batch = types.SimpleNamespace(paths=[path] * 100, model=m)
+    stat = martingale_residual(fam, batch, 1.75)
+    point = eval_LV(fam, m, ConstantSegment(c, 0.75), 1.0, 2)
+    for name in ("time_part", "drift_part", "diffusion_part",
+                 "coupling_part"):
+        assert getattr(stat.parts, name) == pytest.approx(
+            0.75 * getattr(point, name), rel=1e-12, abs=1e-15)
+    assert stat.mean_integral == pytest.approx(0.75 * point.value, rel=1e-12)
 
 
 def test_z_with_allowance():
