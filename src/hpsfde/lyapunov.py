@@ -249,11 +249,12 @@ _CHUNK_NODES = 1 << 14
 
 
 def _path_nodes(path, t_end: float):
-    """The nodes of ``path`` on [t0, t_end] as (times, x, regimes, a, b).
+    """The nodes of ``path`` on [t0, t_end] and the states at both ends.
 
-    The nodes are ``path.times[a:b]``.  A t_end further than the grid
-    tolerance from every node closes the last interval with the node
-    (t_end, x(t_end)), which carries the regime of the node before it.
+    Returns (times, x, regimes, ends), where ends is (x(t0), r(t0),
+    x(t_end), r(t_end)).  A t_end further than the grid tolerance from
+    every node closes the last interval with the node (t_end, x(t_end)),
+    which carries the regime of the node before it.
     """
     times = path.times
     tol = 1e-9 * max(1.0, abs(path.t_end))
@@ -262,56 +263,43 @@ def _path_nodes(path, t_end: float):
     if b <= a:
         raise ValueError("t_end=%g is before t0=%g" % (t_end, path.t0))
     t, x, r = times[a:b], path.values[a:b], path.regimes[a:b]
+    # at a node, paths.eval returns the node's own value
+    x0 = x[0] if t[0] == path.t0 else paths_mod.eval(path, path.t0)
+    x_end = x[-1] if t[-1] == t_end else paths_mod.eval(path, t_end)
+    ends = (float(x0), int(path.regimes[np.searchsorted(times, path.t0)]),
+            float(x_end),
+            int(path.regimes[np.searchsorted(times, t_end, side="right") - 1]))
     if t[-1] < t_end - tol:
         t = np.append(t, t_end)
-        x = np.append(x, paths_mod.eval(path, t_end))
+        x = np.append(x, x_end)
         r = np.append(r, r[-1])
-    return t, x, r, a, b
+    return t, x, r, ends
 
 
-def _history(paths, offsets, times, a, b):
+def _history(paths, offsets, times, x):
     """Callback giving x(theta * s) of its own path at every chunk node s.
 
-    Path k's nodes are ``times[offsets[k]:offsets[k + 1]]``, taken from
-    ``paths[k].times[a[k]:b[k]]``.  The callback maps a theta vector to
-    one row per theta, computed as ``paths.eval`` does: each lookup time
-    is clipped to its path and interpolated by the rule of
-    ``paths._interp``, but in one pass over the chunk.  Only the binary
-    search runs per path, and not for theta == 1, whose lookup index is
-    the node's own.  Rows are cached per theta set, which terms share.
+    Path k's nodes are ``times[offsets[k]:offsets[k + 1]]`` with states
+    ``x[offsets[k]:offsets[k + 1]]``.  The callback maps a theta vector
+    to one row per theta, looked up by ``paths.eval`` on each path;
+    theta == 1 takes the node's own state, which is what eval returns.
+    Rows are cached per theta set, which terms share, and read-only.
     """
-    lengths = np.array([len(path.times) for path in paths])
-    starts = np.cumsum(lengths) - lengths
-    sizes = np.diff(offsets)
-    full_t = np.concatenate([path.times for path in paths])
-    full_x = np.concatenate([path.values for path in paths])
-    first = np.repeat(starts, sizes)
-    last = np.repeat(starts + lengths - 2, sizes)
-    lo, hi = full_t[first], full_t[last + 1]
-    # searchsorted(times, s, "right") - 1 for a node s: the node itself,
-    # or for an interpolated endpoint the node before it
-    own = first + np.minimum(
-        np.arange(len(times)) + np.repeat(np.array(a) - offsets[:-1], sizes),
-        np.repeat(np.array(b) - 1, sizes))
     cache = {}
 
     def phi_at(thetas):
         key = thetas.tobytes()
-        if key in cache:
-            return cache[key]
-        q = np.clip(thetas[:, None] * times, lo, hi)
-        j = np.empty(q.shape, dtype=np.intp)
-        for row, theta in enumerate(thetas):
-            if theta == 1.0:
-                j[row] = own
-                continue
-            for path, c, d in zip(paths, offsets[:-1], offsets[1:]):
-                j[row, c:d] = path.times.searchsorted(q[row, c:d],
-                                                      side="right")
-            j[row] += first - 1
-        j = np.clip(j, first, last)
-        w = (q - full_t[j]) / (full_t[j + 1] - full_t[j])
-        cache[key] = full_x[j] * (1.0 - w) + full_x[j + 1] * w
+        if key not in cache:
+            rows = np.empty((len(thetas), len(times)))
+            own = thetas == 1.0
+            rows[own] = x
+            if not own.all():
+                delayed = thetas[~own, None]
+                for path, c, d in zip(paths, offsets[:-1], offsets[1:]):
+                    rows[~own, c:d] = paths_mod.eval(path,
+                                                     delayed * times[c:d])
+            rows.setflags(write=False)
+            cache[key] = rows
         return cache[key]
 
     return phi_at
@@ -328,36 +316,27 @@ def _lv_chunk(V: LyapunovFamily, m: ModelSpec, paths, t_end: float):
     continuous inside every interval), and each path's integral is the
     sum over its own slice, so it does not depend on the chunk.
 
-    Returns (times, point_values, integrals, part_sums): part_sums
-    holds the chunk's summed integrals of the time, drift, diffusion and
+    Returns (times, point_values, integrals, ends, part_sums): ends
+    holds each path's (x(t0), r(t0), x(t_end), r(t_end)), and part_sums
+    the chunk's summed integrals of the time, drift, diffusion and
     coupling parts.
     """
     if len(V.regimes) != m.n_regimes:
         raise DimensionMismatch(
             "V has %d regimes, model has %d" % (len(V.regimes), m.n_regimes))
-    node_t, node_x, node_r, a, b = zip(*[_path_nodes(path, t_end)
-                                          for path in paths])
+    node_t, node_x, node_r, ends = zip(*[_path_nodes(path, t_end)
+                                         for path in paths])
     offsets = np.cumsum([0] + [len(t) for t in node_t])
     times = np.concatenate(node_t)
     x = np.concatenate(node_x)
     regimes = np.concatenate(node_r)
-    phi_at = _history(paths, offsets, times, a, b)
+    phi_at = _history(paths, offsets, times, x)
     n = m.n_regimes
     size = len(times)
-    h = np.diff(times)
-    # no interval joins one path's last node to the next path's first
-    h[offsets[1:-1] - 1] = 0.0
-    half = 0.5 * h
-    # flat (regime, node) index of each interval's left end, in the
-    # interval's regime, and each node's weight in the trapezoid sums
-    left = (regimes[:-1] - 1) * size + np.arange(size - 1)
-    weights = np.zeros(n * size)
-    weights[left] = half
-    weights[left + 1] += half
-    weights = weights.reshape(n, size)
     v = [V.value(x, times, l + 1) for l in range(n)]
-    lv = np.empty((n, size))
-    part_sums = np.zeros(4)
+    # parts[k, i - 1]: LV's time, drift, diffusion and coupling parts
+    # in regime i at every node
+    parts = np.empty((4, n, size))
     for i in range(1, n + 1):
         f = _sum_terms(m.drift[i - 1], x, phi_at, times)
         g = _sum_terms(m.diffusion[i - 1], x, phi_at, times)
@@ -365,16 +344,23 @@ def _lv_chunk(V: LyapunovFamily, m: ModelSpec, paths, t_end: float):
         rates = m.generator.rates[i - 1]
         for l in range(n):
             coupling = coupling + rates[l] * v[l]
-        parts = (V.dt(x, times, i), V.dx(x, times, i) * f,
-                 0.5 * g * g * V.dxx(x, times, i), coupling)
-        lv[i - 1] = parts[0] + parts[1] + parts[2] + parts[3]
-        part_sums += [part @ weights[i - 1] for part in parts]
-    lv = lv.ravel()
+        parts[:, i - 1] = (V.dt(x, times, i), V.dx(x, times, i) * f,
+                           0.5 * g * g * V.dxx(x, times, i), coupling)
+    parts = parts.reshape(4, n * size)
+    lv = parts[0] + parts[1] + parts[2] + parts[3]
+    h = np.diff(times)
+    # no interval joins one path's last node to the next path's first
+    h[offsets[1:-1] - 1] = 0.0
+    half = 0.5 * h
+    # flat (regime, node) index of each interval's left end, in the
+    # interval's regime
+    left = (regimes[:-1] - 1) * size + np.arange(size - 1)
     point_values = lv[(regimes - 1) * size + np.arange(size)]
     trapezoids = half * (lv[left] + lv[left + 1])
     integrals = [float(trapezoids[start:stop - 1].sum())
                  for start, stop in zip(offsets[:-1], offsets[1:])]
-    return times, point_values, integrals, part_sums
+    part_sums = (half * (parts[:, left] + parts[:, left + 1])).sum(axis=1)
+    return times, point_values, integrals, ends, part_sums
 
 
 def lv_profile(V: LyapunovFamily, m: ModelSpec, path,
@@ -391,7 +377,7 @@ def lv_profile(V: LyapunovFamily, m: ModelSpec, path,
     """
     if t_end is None:
         t_end = path.t_end
-    times, values, integrals, _ = _lv_chunk(V, m, [path], t_end)
+    times, values, integrals, _, _ = _lv_chunk(V, m, [path], t_end)
     return times, values, integrals[0]
 
 
@@ -466,15 +452,11 @@ def martingale_residual(V: LyapunovFamily, batch, t_end: float
     integrals = []
     part_sums = np.zeros(4)
     for chunk in _chunks(kept):
-        _, _, chunk_integrals, chunk_parts = _lv_chunk(
+        _, _, chunk_integrals, ends, chunk_parts = _lv_chunk(
             V, batch.model, chunk, t_end)
         part_sums += chunk_parts
-        for path, integral in zip(chunk, chunk_integrals):
-            x_end = float(paths_mod.eval(path, t_end))
-            idx = int(np.searchsorted(path.times, t_end, side="right")) - 1
-            r_end = int(path.regimes[min(idx, len(path.regimes) - 1)])
-            x0 = float(paths_mod.eval(path, path.t0))
-            i0 = int(path.regimes[np.searchsorted(path.times, path.t0)])
+        for path, (x0, i0, x_end, r_end), integral in zip(
+                chunk, ends, chunk_integrals):
             v_end = float(V.value(x_end, t_end, r_end))
             v0 = float(V.value(x0, path.t0, i0))
             deltas.append(v_end - v0 - integral)

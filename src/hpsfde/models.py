@@ -288,8 +288,10 @@ class CustomTerm:
     ``fn(phi1, phi_at, t)`` receives the current state (any array
     shape), a callback mapping a theta vector to delayed states with a
     leading theta axis, and the anchor time (scalar or an array matching
-    phi1).  Custom terms are integrated like any other but are invisible
-    to the structural validators.
+    phi1).  The delayed states may be shared with other terms and
+    read-only, so they must not be modified in place.  Custom terms are
+    integrated like any other but are invisible to the structural
+    validators.
     """
 
     fn: Callable

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from hpsfde import paths as paths_mod
-from hpsfde.errors import DimensionMismatch, InsufficientPaths
+from hpsfde.errors import (DimensionMismatch, InsufficientPaths,
+                           OutOfDomain)
 from hpsfde.integrator import IntegratorConfig, integrate_path, run_batch
 from hpsfde.lyapunov import (LVBreakdown, LyapunovFamily, PolynomialV,
                              ResidualStatistic, _chunks, eval_LV,
                              lv_profile, martingale_residual,
                              sandwich_report)
 from hpsfde.markov import make_generator
-from hpsfde.models import ModelSpec, PantographTerm, PolynomialTerm
+from hpsfde.models import (CustomTerm, ModelSpec, PantographTerm,
+                           PolynomialTerm)
 from hpsfde.paths import ConstantSegment, DensePath, segment
 from hpsfde.presets import PRESET_NAMES, preset, preset_lyapunov
 
@@ -310,6 +312,28 @@ def test_lv_profile_matches_pointwise_lv_across_switch_lookups():
                       & (lookups != path.times[k])) for k in switch)
 
 
+def test_lv_profile_history_lookups_are_checked_and_read_only():
+    m = gbm_model()
+    path = integrate_path(m, IntegratorConfig(dt=0.01, T=2.0), i0=1, seed=1)
+
+    def with_drift(fn):
+        return dataclasses.replace(m, drift=((CustomTerm(fn),),))
+
+    def scribble(phi1, phi_at, t):
+        phi_at(np.array([0.5]))[0, 0] = 0.0
+        return phi1
+
+    def beyond(phi1, phi_at, t):
+        return phi_at(np.array([2.0]))[0]
+
+    # lookups are shared between terms, so writing to one raises
+    with pytest.raises(ValueError, match="read-only"):
+        lv_profile(gbm_family(), with_drift(scribble), path)
+    # theta * t past the path's end is out of its domain
+    with pytest.raises(OutOfDomain):
+        lv_profile(gbm_family(), with_drift(beyond), path)
+
+
 # ---------------------------------------------------------------------------
 # martingale residual
 # ---------------------------------------------------------------------------
@@ -372,35 +396,45 @@ def test_residual_chunks_match_per_path_profiles():
     cfg = IntegratorConfig(dt=0.005, T=2.0, blowup_threshold=1e6)
     batch = run_batch(m, cfg, n_paths=160, i0=1, root_seed=3,
                       keep_paths=True)
-    t_end = 2.0
     kept = [p for p in batch.paths
-            if p.exploded_at is None or p.exploded_at > t_end]
+            if p.exploded_at is None or p.exploded_at > 2.0]
     sizes = [len(chunk) for chunk in _chunks(kept)]
     assert batch.n_exploded > 0 and batch.n_switches.sum() > 0
     assert len(sizes) >= 2 and sizes[-1] < sizes[0]
 
-    deltas, integrals = [], []
-    for path in kept:
-        _, _, integral = lv_profile(fam, m, path, t_end)
-        x_end = float(paths_mod.eval(path, t_end))
-        idx = int(np.searchsorted(path.times, t_end, side="right")) - 1
-        r_end = int(path.regimes[min(idx, len(path.regimes) - 1)])
-        x0 = float(paths_mod.eval(path, path.t0))
-        i0 = int(path.regimes[np.searchsorted(path.times, path.t0)])
-        deltas.append(float(fam.value(x_end, t_end, r_end))
-                      - float(fam.value(x0, path.t0, i0)) - integral)
-        integrals.append(integral)
-    d = np.asarray(deltas)
-    stderr = float(d.std(ddof=1) / np.sqrt(len(d)))
-    reference = ResidualStatistic(
-        residual=float(d.mean()), stderr=stderr,
-        z=float(d.mean()) / stderr, mean_integral=float(np.mean(integrals)),
-        t_end=t_end, n_paths_used=len(kept),
-        n_excluded=160 - len(kept))
+    # a kept path's switch node, so one t_end below lies within the grid
+    # tolerance of a node in another regime
+    switch = next(p.times[k] for p in kept
+                  for k in np.flatnonzero(np.diff(p.regimes)) + 1
+                  if p.times[k] > 1.5)
+    # on the last node, within the grid tolerance of it or of the switch
+    # node, and between nodes
+    for t_end in (2.0, 2.0 - 1e-12, switch - 1e-12, 1.7531):
+        kept = [p for p in batch.paths
+                if p.exploded_at is None or p.exploded_at > t_end]
+        deltas, integrals = [], []
+        for path in kept:
+            _, _, integral = lv_profile(fam, m, path, t_end)
+            x_end = float(paths_mod.eval(path, t_end))
+            idx = int(np.searchsorted(path.times, t_end, side="right")) - 1
+            r_end = int(path.regimes[min(idx, len(path.regimes) - 1)])
+            x0 = float(paths_mod.eval(path, path.t0))
+            i0 = int(path.regimes[np.searchsorted(path.times, path.t0)])
+            deltas.append(float(fam.value(x_end, t_end, r_end))
+                          - float(fam.value(x0, path.t0, i0)) - integral)
+            integrals.append(integral)
+        d = np.asarray(deltas)
+        stderr = float(d.std(ddof=1) / np.sqrt(len(d)))
+        reference = ResidualStatistic(
+            residual=float(d.mean()), stderr=stderr,
+            z=float(d.mean()) / stderr,
+            mean_integral=float(np.mean(integrals)), t_end=t_end,
+            n_paths_used=len(kept), n_excluded=160 - len(kept))
 
-    stat = martingale_residual(fam, batch, t_end)
-    assert dataclasses.replace(stat, parts=None) == reference
-    assert stat.parts.value == pytest.approx(stat.mean_integral, rel=1e-12)
+        stat = martingale_residual(fam, batch, t_end)
+        assert dataclasses.replace(stat, parts=None) == reference
+        assert stat.parts.value == pytest.approx(stat.mean_integral,
+                                                 rel=1e-12)
 
 
 def test_residual_parts_match_pointwise_breakdown():
