@@ -186,6 +186,10 @@ def simulation_params(cfg: dict) -> dict:
     spec = cfg.get("simulation", {})
     if "dt" not in spec or "T" not in spec:
         raise ValueError("simulation section must set dt and T")
+    block_size = int(spec.get("block_size", 1024))
+    if block_size < 1:
+        raise ValueError("simulation.block_size must be >= 1, got %d"
+                         % block_size)
     return {
         "dt": float(spec["dt"]),
         "T": float(spec["T"]),
@@ -193,7 +197,7 @@ def simulation_params(cfg: dict) -> dict:
         "i0": int(spec.get("i0", 1)),
         "root_seed": int(spec.get("root_seed", 0)),
         "workers": int(spec.get("workers", 1)),
-        "block_size": int(spec.get("block_size", 1024)),
+        "block_size": block_size,
         "keep_paths": bool(spec.get("keep_paths", False)),
         "blowup_threshold": float(spec.get("blowup_threshold", 1e8)),
     }

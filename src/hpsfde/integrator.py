@@ -9,24 +9,40 @@ with dB ~ Normal(0, h).  The regime path is sampled exactly first and
 its switch times are inserted into the grid, so no step straddles a
 switch and the regime used on a step is always r(left endpoint).
 
+Step kernel: a block of paths advances one uniform step [t, t+h] at a
+time in array passes.  The first pass takes the whole step for every
+row.  Each row with switches s_1 < ... < s_q inside the step then
+replaces it by substeps, one pass per substep index over the alive rows
+that have one: [t, s_1] with the f and g already computed (same left
+endpoint), then for j >= 1 the substep starting at s_j, evaluating only
+the regimes present.  The switches come from a per-block table ordered
+by (step, row, time).  A whole step adds f h + g (sqrt(h) z), a substep
+f h_s + (g sqrt(h_s)) z.
+
+Delayed lookups x(theta * a) interpolate piecewise linearly, by the
+rule of ``paths._interp``, and run once per theta set per pass.  Times
+at or before the step's left end t (within 1e-15) read the uniform grid
+plus the initial-segment nodes; later times, which a substep starting
+at a > t meets for theta > t/a, read the row's own nodes in the step:
+t and its switches up to a.  The finished DensePath carries the states
+at switch times as nodes too.
+
 Determinism contract: path p draws all its randomness from
 SeedSequence(root_seed, spawn_key=(p,)), split once into a regime-chain
 stream and a noise stream.  Paths are processed in fixed-size blocks
 whose composition depends only on the path index; workers own whole
-blocks and write into disjoint preallocated slices.  Rerunning with the
-same root seed therefore reproduces every output bit at any worker
-count.
+blocks and write into disjoint preallocated slices.  Each row's result
+depends only on its own streams, so rerunning with the same root seed
+reproduces every output bit at any block size or worker count.
 
 Noise stream order: each path pre-draws one standard normal per uniform
 step plus one per regime switch, consumed in time order (a step
-containing q switches consumes q+1).  Pantograph lookups during
-integration interpolate on the uniform grid plus the initial-segment
-nodes; the finished DensePath additionally carries the exact values at
-switch times.
+containing q switches consumes q+1).
 
 Blow-up is data, not failure: a path whose state exceeds the threshold
 (or turns non-finite) is marked exploded and frozen; the batch always
-completes and reports explosion times.
+completes and reports explosion times.  A non-finite state is dated at
+the start of its (sub)step, a threshold crossing at its end.
 """
 
 from __future__ import annotations
@@ -34,14 +50,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import NonFiniteState
 from .markov import sample_regime_path
 from .models import ModelSpec, _sum_terms
-from .paths import DensePath, _interp
+from .paths import DensePath, _interp, _lerp
 
 DEFAULT_BLOCK_SIZE = 1024
 
@@ -132,8 +148,8 @@ class TabulatedWiener:
         return cls(times, values)
 
     def increment(self, a: float, b: float) -> np.ndarray:
-        return (_interp(self.times, self.values, b)
-                - _interp(self.times, self.values, a))
+        return (_interp(self.times, self.values.T, b)
+                - _interp(self.times, self.values.T, a))
 
 
 @dataclass(eq=False)
@@ -197,15 +213,33 @@ class SimulationBatch:
                    paths=None)
 
 
+class _Switches(NamedTuple):
+    """Regime switches strictly inside a uniform step, for one block.
+
+    Entries are ordered by (step, row, time), so one row's switches in
+    one step are consecutive, from ``first`` to ``last``.  ``regime``
+    is the regime a switch enters and ``end`` the end of the substep it
+    starts: the row's next switch in the step, or the step's right end
+    when ``last``.  Step k owns entries ``bounds[k]:bounds[k + 1]``.
+    """
+
+    row: np.ndarray
+    time: np.ndarray
+    regime: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    end: np.ndarray
+    bounds: list
+
+
 def _sample_block_chains(m, u_times, rows, i0, root_seed):
-    """Regime paths, per-step switch map, and regime grid for one block."""
+    """Regime paths, regime grid and switch table for one block."""
     b = len(rows)
     k = len(u_times) - 1
     t0, T = float(u_times[0]), float(u_times[-1])
     jumps = []
     states = []
     r_grid = np.empty((b, k + 1), dtype=np.int16)
-    switch_map = {}
     for row, p in enumerate(rows):
         chain_ss, _ = path_streams(root_seed, p)
         rp = sample_regime_path(m.generator, i0, t0, T,
@@ -214,11 +248,22 @@ def _sample_block_chains(m, u_times, rows, i0, root_seed):
         states.append(rp.states)
         r_grid[row] = rp.states[np.searchsorted(rp.jump_times, u_times,
                                                 side="right")]
-        for s in rp.jump_times:
-            step = int(np.searchsorted(u_times, s, side="right")) - 1
-            if 0 <= step < k and u_times[step] < s < u_times[step + 1]:
-                switch_map.setdefault(step, {}).setdefault(row, []).append(s)
-    return jumps, states, r_grid, switch_map
+
+    # jump times lie in (t0, T), so every step index is in [0, k)
+    time = np.concatenate(jumps)
+    row = np.repeat(np.arange(b), [len(j) for j in jumps])
+    regime = np.concatenate([s[1:] for s in states])
+    step = np.searchsorted(u_times, time, side="right") - 1
+    inside = np.flatnonzero(u_times[step] < time)
+    order = inside[np.argsort(step[inside], kind="stable")]
+    step, row, time, regime = (v[order] for v in (step, row, time, regime))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (step[1:] != step[:-1]) | (row[1:] != row[:-1])
+    last = np.append(first[1:], True)
+    end = np.where(last, u_times[step + 1], np.append(time[1:], T))
+    bounds = np.searchsorted(step, np.arange(k + 1)).tolist()
+    return jumps, states, r_grid, _Switches(row, time, regime, first, last,
+                                            end, bounds)
 
 
 def _draw_block_normals(rows, root_seed, n_steps, jump_counts):
@@ -234,43 +279,66 @@ def _draw_block_normals(rows, root_seed, n_steps, jump_counts):
     return np.concatenate(chunks) if chunks else np.zeros(0), offsets
 
 
-def _regime_at(jumps, states, t):
-    return int(states[np.searchsorted(jumps, t, side="right")])
+def _cached(lookup):
+    """``lookup`` run once per theta set; the rows are read-only."""
+    cache = {}
+
+    def phi_at(thetas):
+        key = thetas.tobytes()
+        rows = cache.get(key)
+        if rows is None:
+            rows = lookup(thetas)
+            rows.setflags(write=False)
+            cache[key] = rows
+        return rows
+
+    return phi_at
 
 
-def _history_lookup(H, ht, filled, thetas, t):
-    """Interpolated H columns at lookup times thetas * t, shape (J, B)."""
-    return _interp(ht[:filled + 1], H, thetas * t).T
+def _substep_lookup(hist_t, H, rows, t, a, node_t, node_x):
+    """Delayed states x(theta * a) for substeps starting inside a step.
 
-
-def _scalar_lookup(H_row, ht, filled, t_left, local_t, local_x, thetas, t):
-    """Segment lookup for one path inside a switch step.
-
-    Times at or before the last uniform point use the block history;
-    later times (possible when theta is close to 1) interpolate the
-    substep states accumulated in local_t/local_x.
+    Row i's substep starts at a[i] in the step [t, t + h].  Lookups at
+    or before t (within 1e-15) interpolate the history H on hist_t;
+    later ones interpolate the row's nodes in the step, node_t[:, i]
+    (t, then its switches up to a[i]) with states node_x[:, i].  Both
+    follow ``paths._interp``.  The result has shape (len(thetas), R).
     """
-    lt = thetas * t
-    out = np.empty(len(lt))
-    early = lt <= t_left + 1e-15
-    if early.any():
-        out[early] = _interp(ht[:filled + 1], H_row, lt[early])
-    late = ~early
-    if late.any():
-        out[late] = np.interp(lt[late], np.asarray(local_t),
-                              np.asarray(local_x))
-    return out
+    col = np.arange(len(rows))
+
+    def lookup(thetas):
+        lt = thetas[:, None] * a
+        j = np.searchsorted(hist_t[1:-1], lt, side="right")
+        t_l, t_r = hist_t[j], hist_t[j + 1]
+        x_l, x_r = H[j, rows], H[j + 1, rows]
+        late = lt > t + 1e-15
+        if late.any():
+            i = (node_t[1:-1, None] <= lt).sum(axis=0)
+            t_l = np.where(late, node_t[i, col], t_l)
+            t_r = np.where(late, node_t[i + 1, col], t_r)
+            x_l = np.where(late, node_x[i, col], x_l)
+            x_r = np.where(late, node_x[i + 1, col], x_r)
+        return _lerp(lt, t_l, t_r, x_l, x_r)
+
+    return lookup
 
 
-def _eval_regime_coeffs(m, X, phi_at, t):
-    """Drift and diffusion stacks over all regimes, shape (N, B) each."""
-    n = m.n_regimes
-    f = np.empty((n, len(X)))
-    g = np.empty((n, len(X)))
-    for i in range(n):
-        f[i] = _sum_terms(m.drift[i], X, phi_at, t)
-        g[i] = _sum_terms(m.diffusion[i], X, phi_at, t)
-    return f, g
+def _coeffs(m, X, reg, phi_at, t):
+    """Drift and diffusion at states X, row i in regime reg[i].
+
+    Only the regimes present in ``reg`` are evaluated, each on all rows.
+    """
+    F = G = None
+    for i in np.flatnonzero(np.bincount(reg)):
+        f = _sum_terms(m.drift[i - 1], X, phi_at, t)
+        g = _sum_terms(m.diffusion[i - 1], X, phi_at, t)
+        if F is None:
+            F, G = f, g
+        else:
+            here = reg == i
+            F = np.where(here, f, F)
+            G = np.where(here, g, G)
+    return F, G
 
 
 def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
@@ -287,7 +355,7 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
     n_init = len(init_times)
     threshold = cfg.blowup_threshold
 
-    jumps, states, r_grid, switch_map = _sample_block_chains(
+    jumps, states, r_grid, sw = _sample_block_chains(
         m, u_times, rows, i0, root_seed)
     jump_counts = np.array([len(j) for j in jumps], dtype=np.int64)
     if wiener is None:
@@ -299,16 +367,16 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
                 "a Wiener table requires a switching-free model")
         normals, offsets = None, None
 
+    # history, one row per time: initial nodes, then the uniform grid
     ht = np.concatenate((init_times[:-1], u_times))
-    H = np.empty((b, len(ht)))
-    H[:, :n_init] = init_vals[None, :]
+    H = np.empty((len(ht), b))
+    H[:n_init] = init_vals[:, None]
     base_col = n_init - 1
-    X = H[:, base_col].copy()
+    X = H[base_col].copy()
     alive = np.ones(b, dtype=bool)
     exploded_at = np.full(b, np.nan)
     cursors = np.zeros(b, dtype=np.int64)
-    row_idx = np.arange(b)
-    switch_records = [[] for _ in range(b)]
+    node_x = np.full(len(sw.time), np.nan)
 
     u_vals = out["uniform_values"]
     u_vals[rows_arr, 0] = X
@@ -318,15 +386,10 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
             t = float(u_times[k])
             t_next = float(u_times[k + 1])
             h = t_next - t
-            filled = base_col + k
+            hist_t = ht[:base_col + k + 1]
 
-            def phi_at(thetas, _f=filled, _t=t):
-                return _history_lookup(H, ht, _f, thetas, _t)
-
-            f_all, g_all = _eval_regime_coeffs(m, X, phi_at, t)
-            reg0 = r_grid[:, k].astype(np.int64) - 1
-            F = f_all[reg0, row_idx]
-            G = g_all[reg0, row_idx]
+            phi_at = _cached(lambda thetas: _interp(hist_t, H, thetas * t))
+            F, G = _coeffs(m, X, r_grid[:, k], phi_at, t)
             if wiener is None:
                 z = normals[offsets[:-1] + cursors]
                 cursors += 1
@@ -335,48 +398,52 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
                 dW = wiener.increment(t, t_next)[rows_arr]
             Xn = X + F * h + G * dW
 
-            for row, ss in switch_map.get(k, {}).items():
-                if not alive[row]:
-                    continue
-                cur = int(cursors[row]) - 1 if wiener is None else 0
-                x = float(X[row])
-                local_t = [t]
-                local_x = [x]
-                bounds = [t] + list(ss) + [t_next]
-                dead_here = False
-                for a, c_end in zip(bounds[:-1], bounds[1:]):
-                    i_reg = _regime_at(jumps[row], states[row], a)
-                    h_sub = c_end - a
-
-                    def phi_s(thetas, _a=a):
-                        return _scalar_lookup(H[row], ht, filled, t,
-                                              local_t, local_x, thetas, _a)
-
-                    f_s = float(_sum_terms(m.drift[i_reg - 1], x, phi_s, a))
-                    g_s = float(_sum_terms(m.diffusion[i_reg - 1], x,
-                                           phi_s, a))
-                    z_s = float(normals[offsets[row] + cur])
-                    cur += 1
-                    x = x + f_s * h_sub + g_s * math.sqrt(h_sub) * z_s
-                    if not math.isfinite(x):
-                        exploded_at[row] = a
-                        alive[row] = False
-                        dead_here = True
-                        break
-                    local_t.append(c_end)
-                    local_x.append(x)
-                    if c_end in ss:
-                        switch_records[row].append((c_end, x))
-                    if abs(x) > threshold:
-                        exploded_at[row] = c_end
-                        if c_end == t_next:
-                            u_vals[rows_arr[row], k + 1] = x
-                        alive[row] = False
-                        dead_here = True
-                        break
-                cursors[row] = cur
-                if not dead_here:
-                    Xn[row] = x
+            # Switch substeps, one masked pass per substep index over the
+            # alive rows with that many switches in the step: j == 0 ends
+            # at the row's first switch and reuses F and G, j >= 1 starts
+            # at its j-th switch.
+            lo, hi = sw.bounds[k], sw.bounds[k + 1]
+            E = lo + np.flatnonzero(sw.first[lo:hi])
+            E = E[alive[sw.row[E]]]
+            j = 0
+            while len(E):
+                R = sw.row[E]
+                if j == 0:
+                    a = np.full(len(E), t)
+                    c = sw.time[E]
+                    node = E
+                    x = X[R]
+                    Fs, Gs, zs = F[R], G[R], z[R]
+                else:
+                    a = sw.time[E]
+                    c = sw.end[E]
+                    node = np.where(sw.last[E], -1, E + 1)
+                    x = Xn[R]
+                    ent = E + np.arange(1 - j, 1)[:, None]
+                    look = _substep_lookup(
+                        hist_t, H, R, t, a,
+                        np.vstack((np.full(len(E), t), sw.time[ent])),
+                        np.vstack((X[R], node_x[ent])))
+                    Fs, Gs = _coeffs(m, x, sw.regime[E], _cached(look), a)
+                    zs = normals[offsets[R] + cursors[R]]
+                    cursors[R] += 1
+                hs = c - a
+                xn = x + Fs * hs + Gs * np.sqrt(hs) * zs
+                Xn[R] = xn
+                ok = np.isfinite(xn)
+                has_node = node >= 0
+                node_x[node[ok & has_node]] = xn[ok & has_node]
+                over = ok & (np.abs(xn) > threshold)
+                if over.any() or not ok.all():
+                    exploded_at[R[~ok]] = a[~ok]
+                    exploded_at[R[over]] = c[over]
+                    at_end = over & ~has_node
+                    u_vals[rows_arr[R[at_end]], k + 1] = xn[at_end]
+                    alive[R[over | ~ok]] = False
+                if j:
+                    E = E[~sw.last[E]] + 1
+                E = E[alive[sw.row[E]]]
+                j += 1
 
             finite = np.isfinite(Xn)
             over = finite & (np.abs(Xn) > threshold)
@@ -391,40 +458,34 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
                 exploded_at[newly_over] = t_next
                 alive[newly_over] = False
             X = np.where(alive, Xn, 0.0)
-            X[~np.isfinite(X)] = 0.0
-            H[:, base_col + k + 1] = X
+            H[base_col + k + 1] = X
             u_vals[rows_arr[alive], k + 1] = X[alive]
 
     out["regimes_uniform"][rows_arr] = r_grid
     out["exploded_at"][rows_arr] = exploded_at
     out["n_switches"][rows_arr] = jump_counts
     if keep_paths:
+        by_row = np.argsort(sw.row, kind="stable")
+        starts = np.searchsorted(sw.row[by_row], np.arange(b + 1))
         for row, p in enumerate(rows):
+            mine = by_row[starts[row]:starts[row + 1]]
+            reached = mine[~np.isnan(node_x[mine])]
             out["paths"][p] = _assemble_path(
                 m, u_times, init_times, init_vals, out["uniform_values"][p],
-                switch_records[row], jumps[row], states[row],
+                sw.time[reached], node_x[reached], jumps[row], states[row],
                 exploded_at[row])
 
 
-def _assemble_path(m, u_times, init_times, init_vals, u_row, sw_records,
+def _assemble_path(m, u_times, init_times, init_vals, u_row, sw_t, sw_x,
                    jumps, states, exploded_at):
-    """Merge uniform, initial and switch nodes into one DensePath."""
+    """Merge uniform, initial and reached switch nodes into one DensePath."""
     exploded = not math.isnan(exploded_at)
     if exploded:
         u_keep = u_times <= exploded_at + 1e-15
-        sw_records = [(s, v) for s, v in sw_records
-                      if s <= exploded_at + 1e-15]
     else:
         u_keep = np.ones(len(u_times), dtype=bool)
-    parts_t = [init_times[:-1], u_times[u_keep]]
-    parts_v = [init_vals[:-1], u_row[u_keep]]
-    if sw_records:
-        sw_t = np.array([s for s, _ in sw_records])
-        sw_v = np.array([v for _, v in sw_records])
-        parts_t.append(sw_t)
-        parts_v.append(sw_v)
-    times = np.concatenate(parts_t)
-    vals = np.concatenate(parts_v)
+    times = np.concatenate((init_times[:-1], u_times[u_keep], sw_t))
+    vals = np.concatenate((init_vals[:-1], u_row[u_keep], sw_x))
     order = np.argsort(times, kind="stable")
     times = times[order]
     vals = vals[order]
@@ -459,6 +520,8 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
         raise ValueError("n_paths must be >= 1")
     if not 1 <= i0 <= m.n_regimes:
         raise ValueError("i0 must be in 1..%d" % m.n_regimes)
+    if block_size < 1:
+        raise ValueError("block_size must be >= 1, got %r" % (block_size,))
 
     u_times = uniform_grid(m.t0, cfg.T, cfg.dt)
     if wiener is not None:

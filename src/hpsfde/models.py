@@ -275,7 +275,13 @@ class PantographTerm:
         if self.kernel is not None:
             th = thetas.reshape(w.shape)
             w = w * self.kernel.decay(th, t)
-        out = (w * d).sum(axis=0)
+        wd = w * d
+        # one theta at a time, in quadrature order: numpy would sum
+        # pairwise along a contiguous theta axis (a single state), which
+        # rounds differently from the row-by-row sum of a batch
+        out = wd[0]
+        for row in wd[1:]:
+            out = out + row
         if self.point_exponent != 0.0:
             out = out * np.abs(phi1) ** self.point_exponent
         return self.coeff * out

@@ -54,24 +54,27 @@ class DensePath:
         return float(self.times[-1])
 
 
+def _lerp(t, t_left, t_right, x_left, x_right):
+    """The piecewise-linear rule on the piece [t_left, t_right] at t."""
+    w = (t - t_left) / (t_right - t_left)
+    return x_left * (1.0 - w) + x_right * w
+
+
 def _interp(times, values, t):
     """Piecewise-linear interpolation of ``values`` over ``times`` at t.
 
     No domain checks: queries outside [times[0], times[-1]] extrapolate
-    the end pieces.  ``values`` is one series or one row per path, and
-    may have columns past len(times), which are never read.  The result
-    has the shape of t, after the path axis if there is one.
+    the end pieces.  ``values`` holds one entry per time along its first
+    axis, either a number or a row with one number per path, and may
+    have entries past len(times), which are never read.  The result has
+    the shape of t, followed by the path axis if there is one.
     """
-    j = np.clip(np.searchsorted(times, t, side="right") - 1,
-                0, len(times) - 2)
-    w = (t - times[j]) / (times[j + 1] - times[j])
-    # values[..., j] would cover both cases, but numpy indexes 1-D
-    # arrays several times slower through an Ellipsis
-    if values.ndim == 1:
-        left, right = values[j], values[j + 1]
-    else:
-        left, right = values[:, j], values[:, j + 1]
-    return left * (1.0 - w) + right * w
+    # the piece index, clipped to [0, len(times) - 2] without np.clip
+    j = np.searchsorted(times[1:-1], t, side="right")
+    left, right = values[j], values[j + 1]
+    if values.ndim == 2:
+        j, t = j[..., None], np.asarray(t)[..., None]
+    return _lerp(t, times[j], times[j + 1], left, right)
 
 
 def eval(path: DensePath, t):

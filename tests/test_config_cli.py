@@ -169,6 +169,13 @@ def test_simulation_params_defaults_and_validation():
         simulation_params({})
 
 
+@pytest.mark.parametrize("block_size", [0, -2])
+def test_simulation_params_rejects_block_size_below_one(block_size):
+    spec = {"simulation": {"dt": 0.01, "T": 5.0, "block_size": block_size}}
+    with pytest.raises(ValueError, match="block_size"):
+        simulation_params(spec)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

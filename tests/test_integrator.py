@@ -1,6 +1,9 @@
 """Euler integration: grids, determinism, switching, and convergence."""
 from __future__ import annotations
 
+import bisect
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,11 @@ from hpsfde.errors import NonFiniteState, PathExploded
 from hpsfde.integrator import (IntegratorConfig, SimulationBatch,
                                TabulatedWiener, initial_grid, integrate_path,
                                path_streams, run_batch, uniform_grid)
-from hpsfde.markov import make_generator
-from hpsfde.models import ModelSpec, PolynomialTerm
+from hpsfde.markov import make_generator, sample_regime_path
+from hpsfde.models import (Kernel, Measure, ModelSpec, PantographTerm,
+                           PolynomialTerm)
 from hpsfde.paths import eval as path_eval
-from hpsfde.presets import preset
+from hpsfde.presets import PRESET_NAMES, preset
 
 SINGLE = make_generator([[0.0]])
 
@@ -149,6 +153,147 @@ def test_switch_nodes_appear_in_kept_paths():
         assert len(extra) == batch.n_switches[p]
 
 
+def _interp_rule(grid, vals, u):
+    i = min(max(bisect.bisect_right(grid, u) - 1, 0), len(grid) - 2)
+    w = (u - grid[i]) / (grid[i + 1] - grid[i])
+    return vals[i] * (1.0 - w) + vals[i + 1] * w
+
+
+def _reference_path(m, cfg, p, i0, root_seed):
+    """One path, one substep at a time, by the documented scheme.
+
+    A step [t, t + h] is cut at the path's switches inside it.  Each
+    substep [a, c] uses the regime at a and the delayed states
+    x(theta * a): at or before t (within 1e-15) from the uniform-grid
+    history, later from the step's own nodes t, s_1, ..., a, both by
+    piecewise-linear interpolation.  A whole step adds
+    f h + g (sqrt(h) z), a substep f (c - a) + (g sqrt(c - a)) z.
+    Returns the uniform values, the explosion time and the path's nodes
+    as (time, value) pairs.
+    """
+    u_times = uniform_grid(m.t0, cfg.T, cfg.dt)
+    init_times = initial_grid(m, float(u_times[1] - u_times[0]))
+    init_vals = m.initial_value(init_times)
+    n_steps = len(u_times) - 1
+    uniform = np.full(n_steps + 1, np.nan)
+    exploded = np.nan
+    chain_ss, noise_ss = path_streams(root_seed, p)
+    rp = sample_regime_path(m.generator, i0, m.t0, cfg.T,
+                            np.random.default_rng(chain_ss))
+    rng = np.random.Generator(np.random.PCG64(noise_ss))
+    z = iter(rng.standard_normal(n_steps + rp.n_jumps).tolist())
+    hist_t = list(init_times[:-1]) + [float(u_times[0])]
+    hist_x = list(init_vals)
+    x = uniform[0] = hist_x[-1]
+    switch_nodes = []
+
+    def coefficient(terms, x, phi_at, a):
+        total = np.zeros(1)
+        for term in terms:
+            total = total + term.value(np.array([x]), phi_at, a)
+        return float(total[0])
+
+    for k in range(n_steps):
+        t, t_next = float(u_times[k]), float(u_times[k + 1])
+        inner = [float(s) for s in rp.jump_times if t < s < t_next]
+        loc_t, loc_x = [t], [x]
+        for a, c in zip([t] + inner, inner + [t_next]):
+            def phi_at(thetas, a=a):
+                return np.array([
+                    _interp_rule(hist_t, hist_x, u) if u <= t + 1e-15
+                    else _interp_rule(loc_t, loc_x, u)
+                    for u in (thetas * a).tolist()])[:, None]
+
+            r = rp.state_at(a)
+            f = coefficient(m.drift[r - 1], x, phi_at, a)
+            g = coefficient(m.diffusion[r - 1], x, phi_at, a)
+            if inner:
+                x = x + f * (c - a) + g * math.sqrt(c - a) * next(z)
+            else:
+                x = x + f * (c - a) + g * (math.sqrt(c - a) * next(z))
+            if not math.isfinite(x):
+                exploded = a
+                break
+            if c < t_next:
+                switch_nodes.append((c, x))
+                loc_t.append(c)
+                loc_x.append(x)
+            if abs(x) > cfg.blowup_threshold:
+                exploded = c
+                if c == t_next:
+                    uniform[k + 1] = x
+                break
+        if not np.isnan(exploded):
+            break
+        uniform[k + 1] = x
+        hist_t.append(t_next)
+        hist_x.append(x)
+    kept = (n_steps + 1 if np.isnan(exploded)
+            else np.searchsorted(u_times, exploded, side="right"))
+    nodes = sorted(list(zip(init_times[:-1], init_vals[:-1]))
+                   + list(zip(u_times[:kept], uniform[:kept]))
+                   + switch_nodes)
+    return uniform, exploded, nodes
+
+
+def fast_switching_model():
+    # rates 40 and 60 against dt = 0.05: most steps hold several
+    # switches; the atom at 0.999 looks up between a step's own nodes
+    nu = Measure.from_atoms([(0.5, 0.2), (0.9, 0.3), (0.999, 0.3),
+                             (1.0, 0.2)])
+    kern = Kernel.linear(0.5)
+    return ModelSpec(
+        theta_lower=0.5, t0=1.0,
+        generator=make_generator([[-40.0, 40.0], [60.0, -60.0]]),
+        drift=((PolynomialTerm([(1, -1.0), (3, 0.3)]),
+                PantographTerm(coeff=0.5, measure=nu, kernel=kern)),
+               (PolynomialTerm([(1, 0.5)]),
+                PantographTerm(coeff=-0.3, measure=nu, signed=True))),
+        diffusion=((PantographTerm(coeff=0.4, measure=nu, kernel=kern,
+                                   point_exponent=1.0),),
+                   (PolynomialTerm([(1, 0.6)]),)),
+        initial_segment=1.2)
+
+
+@pytest.mark.parametrize("threshold, blow_ups", [
+    (50.0, {"over at a switch", "over at the end of a switch step"}),
+    (1e300, {"non-finite after a switch"}),
+])
+def test_switch_substeps_match_per_path_reference(threshold, blow_ups):
+    m = fast_switching_model()
+    cfg = IntegratorConfig(dt=0.05, T=3.0, blowup_threshold=threshold)
+    batch = run_batch(m, cfg, n_paths=16, i0=1, root_seed=7, block_size=6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = [_reference_path(m, cfg, p, 1, 7) for p in range(16)]
+    for p, (uniform, exploded, nodes) in enumerate(ref):
+        assert np.array_equal(batch.uniform_values[p], uniform,
+                              equal_nan=True)
+        assert np.array_equal(batch.exploded_at[p], exploded, equal_nan=True)
+        assert batch.paths[p].times.tolist() == [t for t, _ in nodes]
+        assert batch.paths[p].values.tolist() == [x for _, x in nodes]
+
+    # the run holds steps with several switches and blow-ups in them
+    u = batch.uniform_times
+    busiest = 0
+    seen = set()
+    for path in batch.paths:
+        sw = np.setdiff1d(path.times[path.times > m.t0], u)
+        busiest = max(busiest, np.bincount(np.searchsorted(u, sw)).max(
+            initial=0))
+        e = path.exploded_at
+        if e is None:
+            continue
+        over = abs(path.values[-1]) > threshold
+        if e in sw:
+            seen.add("over at a switch" if over
+                     else "non-finite after a switch")
+        elif ((sw > u[np.searchsorted(u, e) - 1]) & (sw < e)).any():
+            seen.add("over at the end of a switch step" if over
+                     else "non-finite at a switch step's start")
+    assert busiest >= 2
+    assert blow_ups <= seen
+
+
 def test_uniform_values_match_kept_paths():
     m = preset("exp_stable")
     batch = run_batch(m, IntegratorConfig(dt=0.1, T=2.0), n_paths=6, i0=1,
@@ -171,17 +316,39 @@ def test_rerun_is_bit_identical():
     assert np.array_equal(a.regimes_uniform, b.regimes_uniform)
 
 
+def density_model():
+    nu = Measure.uniform(0.6, 1.0, nodes=16)
+    return ModelSpec(theta_lower=0.5, t0=1.0,
+                     generator=make_generator([[-3.0, 3.0], [4.0, -4.0]]),
+                     drift=((PolynomialTerm([(1, -1.0), (3, -1.0)]),
+                             PantographTerm(coeff=0.4, measure=nu,
+                                            kernel=Kernel.linear(0.5))),
+                            (PantographTerm(coeff=0.2, measure=nu,
+                                            signed=True),)),
+                     diffusion=((PantographTerm(coeff=0.3, measure=nu),),
+                                (PolynomialTerm([(1, 0.2)]),)),
+                     initial_segment=0.8)
+
+
 def test_workers_and_block_size_do_not_change_results():
-    m = preset("switch_stabilized")
     cfg = IntegratorConfig(dt=0.05, T=2.0)
-    base = run_batch(m, cfg, n_paths=23, i0=1, root_seed=3, keep_paths=False)
-    for workers, block in ((1, 7), (3, 7), (4, 5), (2, 23)):
-        other = run_batch(m, cfg, n_paths=23, i0=1, root_seed=3,
-                          workers=workers, block_size=block,
-                          keep_paths=False)
-        assert np.array_equal(base.uniform_values, other.uniform_values,
-                              equal_nan=True)
-        assert np.array_equal(base.regimes_uniform, other.regimes_uniform)
+    for m in [preset(name) for name in PRESET_NAMES] + [density_model()]:
+        base = run_batch(m, cfg, n_paths=23, i0=1, root_seed=3)
+        assert base.n_switches.sum() > 0
+        for workers, block in ((1, 1), (1, 3), (1, 7), (3, 7), (4, 5),
+                               (2, 23)):
+            other = run_batch(m, cfg, n_paths=23, i0=1, root_seed=3,
+                              workers=workers, block_size=block)
+            assert np.array_equal(base.uniform_values, other.uniform_values,
+                                  equal_nan=True)
+            assert np.array_equal(base.regimes_uniform,
+                                  other.regimes_uniform)
+            assert np.array_equal(base.exploded_at, other.exploded_at,
+                                  equal_nan=True)
+            for a, b in zip(base.paths, other.paths):
+                assert np.array_equal(a.times, b.times)
+                assert np.array_equal(a.values, b.values)
+                assert np.array_equal(a.regimes, b.regimes)
 
 
 def test_paths_depend_only_on_their_index():
@@ -308,6 +475,10 @@ def test_run_batch_validation():
         run_batch(m, cfg, n_paths=0, i0=1, root_seed=0)
     with pytest.raises(ValueError):
         run_batch(m, cfg, n_paths=1, i0=2, root_seed=0)
+    for block_size in (0, -2):
+        with pytest.raises(ValueError, match="block_size"):
+            run_batch(m, cfg, n_paths=3, i0=1, root_seed=0,
+                      block_size=block_size)
 
 
 def test_keep_paths_false_drops_paths():
