@@ -33,6 +33,12 @@ STRICTNESS_MARGIN = 1e-9
 BISECTION_TOL = 1e-10
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class CertificateRow:
     """Coefficients of one U_k family: a_k plus the (b_kl, alpha_kl) list."""
@@ -41,9 +47,11 @@ class CertificateRow:
     b_alpha: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self):
+        _require_finite(a_k=self.a)
         if self.a < 0:
             raise ValueError("a_k must be nonnegative")
         for b, alpha in self.b_alpha:
+            _require_finite(b_kl=b, alpha_kl=alpha)
             if b < 0:
                 raise ValueError("b_kl must be nonnegative")
             if not 0.0 <= alpha <= 1.0:
@@ -70,6 +78,9 @@ class CertificateData:
     moment_powers: Tuple[int, ...] = ()
 
     def __post_init__(self):
+        _require_finite(a0=self.a0, t0=self.t0)
+        if self.beta is not None:
+            _require_finite(beta=self.beta)
         if self.a0 < 0:
             raise ValueError("a0 must be nonnegative")
         if not self.rows:

@@ -143,15 +143,17 @@ def _run_certify_checks(data: CertificateData, checks, epsilon) -> bool:
                 v = check_existence(data)
                 _print_verdict("existence", v.holds, v.detail)
                 all_hold &= v.holds
-            elif check == "exponential":
-                if epsilon is not None:
+            elif check in ("exponential", "polynomial"):
+                if check == "polynomial":
+                    v = solve_epsilon_polynomial(data)
+                elif epsilon is not None:
                     v = certify_epsilon_exponential(data, float(epsilon))
                 else:
                     v = solve_epsilon_exponential(data)
                 lines = list(v.detail) + list(v.notes)
                 if v.epsilon is not None:
                     lines.append("epsilon = %.17g" % v.epsilon)
-                _print_verdict("exponential rate", v.holds, lines)
+                _print_verdict("%s rate" % check, v.holds, lines)
                 all_hold &= v.holds
             elif check == "time-average":
                 lines = []
@@ -165,13 +167,6 @@ def _run_certify_checks(data: CertificateData, checks, epsilon) -> bool:
                         ok = False
                 _print_verdict("time averages", ok, lines)
                 all_hold &= ok
-            elif check == "polynomial":
-                v = solve_epsilon_polynomial(data)
-                lines = list(v.detail) + list(v.notes)
-                if v.epsilon is not None:
-                    lines.append("epsilon = %.17g" % v.epsilon)
-                _print_verdict("polynomial rate", v.holds, lines)
-                all_hold &= v.holds
             else:
                 raise ValueError("unknown check %r" % (check,))
         except NotApplicable as exc:

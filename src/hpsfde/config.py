@@ -35,15 +35,23 @@ from .lyapunov import LyapunovFamily, PolynomialV
 from .markov import make_generator
 from .models import (Kernel, Measure, ModelSpec, PantographTerm,
                      PolynomialTerm)
-from .presets import PRESET_NAMES, preset, preset_certificate, preset_lyapunov
+from .presets import preset, preset_certificate, preset_lyapunov
+
+
+def _reject_constant(name):
+    raise ValueError("%s is not a JSON number" % name)
 
 
 def load_config(path) -> dict:
-    """Read one experiment file; accepts a path or an open text file."""
+    """Read one experiment file; accepts a path or an open text file.
+
+    NaN and Infinity literals, which Python's json module would accept,
+    are rejected: JSON has no such numbers.
+    """
     if hasattr(path, "read"):
-        return json.load(path)
+        return json.load(path, parse_constant=_reject_constant)
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def build_measure(spec) -> Measure:
@@ -106,16 +114,13 @@ def build_model(cfg: dict) -> ModelSpec:
     if spec.get("dim", 1) != 1:
         raise ValueError('model "dim" must be 1 (the state is scalar), got %r'
                          % (spec["dim"],))
-    name = spec.get("preset")
-    if name is not None:
-        if name not in PRESET_NAMES:
-            raise ValueError("unknown preset %r; known: %s"
-                             % (name, ", ".join(PRESET_NAMES)))
-        nu = (build_measure(spec["measure"]) if "measure" in spec else None)
-        return preset(name, nu_choice=nu, t0=float(spec.get("t0", 1.0)),
-                      initial=_initial_from(spec.get("initial", 0.5)))
     shared_measure = (build_measure(spec["measure"])
                       if "measure" in spec else None)
+    t0 = float(spec.get("t0", 1.0))
+    initial = _initial_from(spec.get("initial", 0.5))
+    name = spec.get("preset")
+    if name is not None:
+        return preset(name, nu_choice=shared_measure, t0=t0, initial=initial)
     shared_kernel = (Kernel.linear(float(spec["kernel"]["beta"]))
                      if "kernel" in spec else None)
 
@@ -126,12 +131,11 @@ def build_model(cfg: dict) -> ModelSpec:
             for one_regime in regime_list)
 
     return ModelSpec(
-        theta_lower=float(spec["theta_lower"]),
-        t0=float(spec.get("t0", 1.0)),
+        theta_lower=float(spec["theta_lower"]), t0=t0,
         generator=make_generator(spec["generator"]),
         drift=terms(spec["drift"]),
         diffusion=terms(spec["diffusion"]),
-        initial_segment=_initial_from(spec.get("initial", 0.5)))
+        initial_segment=initial)
 
 
 def _initial_from(spec):

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import AllExploded, DegenerateWindow, InsufficientPaths
 from .integrator import SimulationBatch
+from .paths import _atol
 
 LOG_FLOOR = 1e-300
 MIN_PATHS = 100
@@ -107,7 +108,7 @@ def _window_mask(times: np.ndarray, t0: float, T: float,
     if window is None:
         window = (t0 + 0.5 * (T - t0), T)
     a, b = window
-    tol = 1e-9 * max(1.0, T - t0)
+    tol = _atol(T - t0)
     mask = (times >= a - tol) & (times <= b + tol)
     if mask.sum() < 2:
         raise DegenerateWindow(
@@ -141,6 +142,23 @@ def _per_path_slopes(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _quantile_summary(slopes: np.ndarray) -> Dict[float, float]:
     qs = np.quantile(slopes, QUANTILE_LEVELS)
     return {lvl: float(v) for lvl, v in zip(QUANTILE_LEVELS, qs)}
+
+
+def _pathwise_fit(kind, batch, p, window, min_paths, abscissa) -> RateReport:
+    """Report of the per-path OLS slopes of log|x(t)|^p on abscissa(t)."""
+    times, vals, n_used = _surviving_values(batch, min_paths)
+    logs = p * np.log(np.maximum(np.abs(vals), LOG_FLOOR))
+    mask = _window_mask(times, batch.t0, batch.T, window)
+    slopes = _per_path_slopes(abscissa(times[mask]), logs[:, mask])
+    stderr = (float(slopes.std(ddof=1)) / math.sqrt(n_used)
+              if n_used > 1 else float("nan"))
+    return RateReport(kind=kind, fitted_rate=float(slopes.max()),
+                      stderr=stderr,
+                      window=(float(times[mask][0]), float(times[mask][-1])),
+                      n_paths_used=n_used, n_exploded=batch.n_exploded,
+                      series_times=times.copy(),
+                      series_values=logs.mean(axis=0),
+                      quantiles=_quantile_summary(slopes))
 
 
 def estimate_moment_rate(batch: SimulationBatch, p: float,
@@ -183,19 +201,8 @@ def estimate_as_rate(batch: SimulationBatch, p: float,
     of the mean slope.  ``series_values`` holds the across-path mean of
     log|x(t)|^p.
     """
-    times, vals, n_used = _surviving_values(batch, min_paths)
-    logs = p * np.log(np.maximum(np.abs(vals), LOG_FLOOR))
-    mask = _window_mask(times, batch.t0, batch.T, window)
-    slopes = _per_path_slopes(times[mask], logs[:, mask])
-    stderr = (float(slopes.std(ddof=1)) / math.sqrt(n_used)
-              if n_used > 1 else float("nan"))
-    return RateReport(kind="as-exponential",
-                      fitted_rate=float(slopes.max()), stderr=stderr,
-                      window=(float(times[mask][0]), float(times[mask][-1])),
-                      n_paths_used=n_used, n_exploded=batch.n_exploded,
-                      series_times=times.copy(),
-                      series_values=logs.mean(axis=0),
-                      quantiles=_quantile_summary(slopes))
+    return _pathwise_fit("as-exponential", batch, p, window, min_paths,
+                         abscissa=lambda t: t)
 
 
 def estimate_time_average(batch: SimulationBatch, p: float,
@@ -248,16 +255,5 @@ def estimate_polynomial_rate(batch: SimulationBatch, p: float,
         raise DegenerateWindow(
             "log(1+T) = %.3f < 3; horizon too short for a log-log fit"
             % math.log1p(batch.T))
-    times, vals, n_used = _surviving_values(batch, min_paths)
-    logs = p * np.log(np.maximum(np.abs(vals), LOG_FLOOR))
-    mask = _window_mask(times, batch.t0, batch.T, window)
-    slopes = _per_path_slopes(np.log1p(times[mask]), logs[:, mask])
-    stderr = (float(slopes.std(ddof=1)) / math.sqrt(n_used)
-              if n_used > 1 else float("nan"))
-    return RateReport(kind="as-polynomial",
-                      fitted_rate=float(slopes.max()), stderr=stderr,
-                      window=(float(times[mask][0]), float(times[mask][-1])),
-                      n_paths_used=n_used, n_exploded=batch.n_exploded,
-                      series_times=times.copy(),
-                      series_values=logs.mean(axis=0),
-                      quantiles=_quantile_summary(slopes))
+    return _pathwise_fit("as-polynomial", batch, p, window, min_paths,
+                         abscissa=np.log1p)

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import NonFiniteState
 from .markov import sample_regime_path
-from .models import ModelSpec, _sum_terms
+from .models import ModelSpec, _cached, _sum_terms
 from .paths import DensePath, _interp, _lerp
 
 DEFAULT_BLOCK_SIZE = 1024
@@ -76,6 +76,10 @@ class IntegratorConfig:
     blowup_threshold: float = 1e8
 
     def __post_init__(self):
+        for name in ("dt", "T", "blowup_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r"
+                                 % (name, getattr(self, name)))
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.blowup_threshold <= 0:
@@ -237,22 +241,17 @@ def _sample_block_chains(m, u_times, rows, i0, root_seed):
     b = len(rows)
     k = len(u_times) - 1
     t0, T = float(u_times[0]), float(u_times[-1])
-    jumps = []
-    states = []
+    chains = [sample_regime_path(
+        m.generator, i0, t0, T,
+        np.random.default_rng(path_streams(root_seed, p)[0])) for p in rows]
     r_grid = np.empty((b, k + 1), dtype=np.int16)
-    for row, p in enumerate(rows):
-        chain_ss, _ = path_streams(root_seed, p)
-        rp = sample_regime_path(m.generator, i0, t0, T,
-                                np.random.default_rng(chain_ss))
-        jumps.append(rp.jump_times)
-        states.append(rp.states)
-        r_grid[row] = rp.states[np.searchsorted(rp.jump_times, u_times,
-                                                side="right")]
+    for row, rp in enumerate(chains):
+        r_grid[row] = rp.state_at(u_times)
 
     # jump times lie in (t0, T), so every step index is in [0, k)
-    time = np.concatenate(jumps)
-    row = np.repeat(np.arange(b), [len(j) for j in jumps])
-    regime = np.concatenate([s[1:] for s in states])
+    time = np.concatenate([rp.jump_times for rp in chains])
+    row = np.repeat(np.arange(b), [rp.n_jumps for rp in chains])
+    regime = np.concatenate([rp.states[1:] for rp in chains])
     step = np.searchsorted(u_times, time, side="right") - 1
     inside = np.flatnonzero(u_times[step] < time)
     order = inside[np.argsort(step[inside], kind="stable")]
@@ -262,8 +261,8 @@ def _sample_block_chains(m, u_times, rows, i0, root_seed):
     last = np.append(first[1:], True)
     end = np.where(last, u_times[step + 1], np.append(time[1:], T))
     bounds = np.searchsorted(step, np.arange(k + 1)).tolist()
-    return jumps, states, r_grid, _Switches(row, time, regime, first, last,
-                                            end, bounds)
+    return chains, r_grid, _Switches(row, time, regime, first, last, end,
+                                     bounds)
 
 
 def _draw_block_normals(rows, root_seed, n_steps, jump_counts):
@@ -277,22 +276,6 @@ def _draw_block_normals(rows, root_seed, n_steps, jump_counts):
         chunks.append(rng.standard_normal(need))
         offsets[row + 1] = offsets[row] + need
     return np.concatenate(chunks) if chunks else np.zeros(0), offsets
-
-
-def _cached(lookup):
-    """``lookup`` run once per theta set; the rows are read-only."""
-    cache = {}
-
-    def phi_at(thetas):
-        key = thetas.tobytes()
-        rows = cache.get(key)
-        if rows is None:
-            rows = lookup(thetas)
-            rows.setflags(write=False)
-            cache[key] = rows
-        return rows
-
-    return phi_at
 
 
 def _substep_lookup(hist_t, H, rows, t, a, node_t, node_x):
@@ -355,9 +338,9 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
     n_init = len(init_times)
     threshold = cfg.blowup_threshold
 
-    jumps, states, r_grid, sw = _sample_block_chains(
-        m, u_times, rows, i0, root_seed)
-    jump_counts = np.array([len(j) for j in jumps], dtype=np.int64)
+    chains, r_grid, sw = _sample_block_chains(m, u_times, rows, i0,
+                                              root_seed)
+    jump_counts = np.array([rp.n_jumps for rp in chains], dtype=np.int64)
     if wiener is None:
         normals, offsets = _draw_block_normals(rows, root_seed, k_steps,
                                                jump_counts)
@@ -472,13 +455,17 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
             reached = mine[~np.isnan(node_x[mine])]
             out["paths"][p] = _assemble_path(
                 m, u_times, init_times, init_vals, out["uniform_values"][p],
-                sw.time[reached], node_x[reached], jumps[row], states[row],
+                sw.time[reached], node_x[reached], chains[row],
                 exploded_at[row])
 
 
 def _assemble_path(m, u_times, init_times, init_vals, u_row, sw_t, sw_x,
-                   jumps, states, exploded_at):
-    """Merge uniform, initial and reached switch nodes into one DensePath."""
+                   chain, exploded_at):
+    """Merge uniform, initial and reached switch nodes into one DensePath.
+
+    Each node's regime is ``chain.state_at`` its time, so nodes before
+    t0 carry the initial regime and a switch node the regime it enters.
+    """
     exploded = not math.isnan(exploded_at)
     if exploded:
         u_keep = u_times <= exploded_at + 1e-15
@@ -489,9 +476,8 @@ def _assemble_path(m, u_times, init_times, init_vals, u_row, sw_t, sw_x,
     order = np.argsort(times, kind="stable")
     times = times[order]
     vals = vals[order]
-    regimes = states[np.searchsorted(jumps, times, side="right")]
     return DensePath(times=times, values=vals,
-                     regimes=regimes.astype(np.int64),
+                     regimes=chain.state_at(times).astype(np.int64),
                      theta_lower=m.theta_lower, t0=m.t0,
                      exploded_at=float(exploded_at) if exploded else None)
 

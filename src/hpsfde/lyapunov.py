@@ -38,7 +38,7 @@ import numpy as np
 
 from . import paths as paths_mod
 from .errors import DimensionMismatch, InsufficientPaths
-from .models import ModelSpec, _sum_terms
+from .models import ModelSpec, _cached, _sum_terms
 
 
 @dataclass(frozen=True)
@@ -221,13 +221,17 @@ class LVBreakdown:
             raise ValueError("LV parts do not sum to the stated value")
 
 
+def _check_regimes(V: LyapunovFamily, m: ModelSpec) -> None:
+    if V.n_regimes != m.n_regimes:
+        raise DimensionMismatch(
+            "V has %d regimes, model has %d" % (V.n_regimes, m.n_regimes))
+
+
 def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
             i: int) -> LVBreakdown:
     """Evaluate LV for a segment-like view at time t in regime i."""
     from .models import eval_diffusion, eval_drift
-    if len(V.regimes) != m.n_regimes:
-        raise DimensionMismatch(
-            "V has %d regimes, model has %d" % (len(V.regimes), m.n_regimes))
+    _check_regimes(V, m)
     x = float(view.point)
     f = eval_drift(m, view, t, i)
     g = eval_diffusion(m, view, t, i)
@@ -257,7 +261,7 @@ def _path_nodes(path, t_end: float):
     which carries the regime of the node before it.
     """
     times = path.times
-    tol = 1e-9 * max(1.0, abs(path.t_end))
+    tol = paths_mod._atol(path.t_end)
     a = int(np.searchsorted(times, path.t0 - tol, side="left"))
     b = int(np.searchsorted(times, t_end + tol, side="right"))
     if b <= a:
@@ -283,26 +287,20 @@ def _history(paths, offsets, times, x):
     ``x[offsets[k]:offsets[k + 1]]``.  The callback maps a theta vector
     to one row per theta, looked up by ``paths.eval`` on each path;
     theta == 1 takes the node's own state, which is what eval returns.
-    Rows are cached per theta set, which terms share, and read-only.
+    The lookup runs under ``models._cached``, so terms sharing a theta
+    set share its rows, which are read-only.
     """
-    cache = {}
+    def lookup(thetas):
+        rows = np.empty((len(thetas), len(times)))
+        own = thetas == 1.0
+        rows[own] = x
+        if not own.all():
+            delayed = thetas[~own, None]
+            for path, c, d in zip(paths, offsets[:-1], offsets[1:]):
+                rows[~own, c:d] = paths_mod.eval(path, delayed * times[c:d])
+        return rows
 
-    def phi_at(thetas):
-        key = thetas.tobytes()
-        if key not in cache:
-            rows = np.empty((len(thetas), len(times)))
-            own = thetas == 1.0
-            rows[own] = x
-            if not own.all():
-                delayed = thetas[~own, None]
-                for path, c, d in zip(paths, offsets[:-1], offsets[1:]):
-                    rows[~own, c:d] = paths_mod.eval(path,
-                                                     delayed * times[c:d])
-            rows.setflags(write=False)
-            cache[key] = rows
-        return cache[key]
-
-    return phi_at
+    return _cached(lookup)
 
 
 def _lv_chunk(V: LyapunovFamily, m: ModelSpec, paths, t_end: float):
@@ -321,9 +319,7 @@ def _lv_chunk(V: LyapunovFamily, m: ModelSpec, paths, t_end: float):
     the chunk's summed integrals of the time, drift, diffusion and
     coupling parts.
     """
-    if len(V.regimes) != m.n_regimes:
-        raise DimensionMismatch(
-            "V has %d regimes, model has %d" % (len(V.regimes), m.n_regimes))
+    _check_regimes(V, m)
     node_t, node_x, node_r, ends = zip(*[_path_nodes(path, t_end)
                                          for path in paths])
     offsets = np.cumsum([0] + [len(t) for t in node_t])

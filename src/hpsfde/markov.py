@@ -49,12 +49,15 @@ def make_generator(rates) -> GeneratorMatrix:
       GeneratorMatrix with a read-only float64 copy of the rates.
 
     Raises:
+      ValueError: not a square matrix, or some rate is NaN or infinite.
       NegativeOffDiagonal: some rate (i, j), i != j, is negative.
       RowSumNonZero: some row sum exceeds the tolerance.
     """
     q = np.array(rates, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
         raise ValueError("generator must be a square matrix with N >= 1")
+    if not np.isfinite(q).all():
+        raise ValueError("generator rates must be finite")
     n = q.shape[0]
     off = q[~np.eye(n, dtype=bool)]
     if off.size and off.min() < 0.0:
@@ -86,8 +89,8 @@ class RegimePath:
     def state_at(self, t):
         """Regime at time t (scalar or array), right-continuous.
 
-        Times are clipped to [t0, T]; querying slightly outside the
-        horizon returns the boundary regime.
+        Times outside [t0, T] return the boundary regime: the initial
+        state before t0 (the initial segment) and the last state after T.
         """
         idx = np.searchsorted(self.jump_times, t, side="right")
         out = self.states[idx]

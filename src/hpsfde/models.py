@@ -63,6 +63,8 @@ class Measure:
         atoms = tuple((float(t), float(w)) for t, w in atoms)
         if not atoms:
             raise UnsupportedMeasure("measure needs at least one atom")
+        if not all(math.isfinite(t) and math.isfinite(w) for t, w in atoms):
+            raise UnsupportedMeasure("atom thetas and weights must be finite")
         if any(w < 0 for _, w in atoms):
             raise UnsupportedMeasure("atom weights must be nonnegative")
         mass = sum(w for _, w in atoms)
@@ -84,6 +86,8 @@ class Measure:
         if len(edges) != len(values) + 1 or len(values) < 1:
             raise UnsupportedMeasure(
                 "need len(edges) == len(values) + 1 >= 2")
+        if not all(map(math.isfinite, edges + values)):
+            raise UnsupportedMeasure("edges and density values must be finite")
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise UnsupportedMeasure("edges must be strictly increasing")
         if any(v < 0 for v in values):
@@ -165,8 +169,9 @@ class Kernel:
     log_decay: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and nonnegative, got %r"
+                             % (self.beta,))
         if (self.lambda_at is None) != (self.log_decay is None):
             raise ValueError(
                 "custom kernels need both lambda_at and log_decay")
@@ -375,6 +380,22 @@ class ModelSpec:
             return np.interp(t_arr, np.asarray(knots, float),
                              np.asarray(kvals, float))
         return np.full(t_arr.shape, float(xi))
+
+
+def _cached(lookup):
+    """Any history ``lookup``, run once per theta set; rows are read-only."""
+    cache = {}
+
+    def phi_at(thetas):
+        key = thetas.tobytes()
+        rows = cache.get(key)
+        if rows is None:
+            rows = lookup(thetas)
+            rows.setflags(write=False)
+            cache[key] = rows
+        return rows
+
+    return phi_at
 
 
 def _sum_terms(terms, phi1, phi_at, t):

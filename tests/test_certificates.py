@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,11 @@ from hpsfde.certificates import (BISECTION_TOL, STRICTNESS_MARGIN,
                                  time_average_denominator)
 from hpsfde.errors import (Infeasible, NonPositiveDenominator, NotApplicable,
                            ZeroEpsilon)
-from hpsfde.presets import preset_certificate
+from hpsfde.lyapunov import eval_LV
+from hpsfde.models import PantographTerm
+from hpsfde.paths import ConstantSegment
+from hpsfde.presets import (PRESET_NAMES, preset, preset_certificate,
+                            preset_lyapunov)
 
 
 def simple_data(a=2.0, b_alpha=((0.5, 1.0),), theta=0.5, beta=None, a0=0.0):
@@ -59,6 +64,46 @@ def test_data_validation():
     ok = CertificateData(a0=0.0, rows=(row,), theta_lower=0.5, t0=1.0,
                          beta=1.0)
     assert ok.n_families == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["a", "b", "alpha", "a0", "t0", "beta"])
+def test_tables_reject_non_finite_numbers(field, bad):
+    # with a NaN b, min(beta, nan) would certify epsilon = beta
+    row = {"a": 2.0, "b": 0.5, "alpha": 0.5}
+    data = {"a0": 0.0, "t0": 1.0, "beta": 1.0}
+    (row if field in row else data)[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        CertificateData(rows=(CertificateRow(
+            a=row["a"], b_alpha=((row["b"], row["alpha"]),)),),
+            theta_lower=0.5, **data)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_certificate_is_tied_to_model_and_lyapunov(name):
+    m, fam = preset(name), preset_lyapunov(name)
+    cert = preset_certificate(name)
+    assert cert.theta_lower == m.theta_lower
+    kernels = [term.kernel for terms in m.drift + m.diffusion
+               for term in terms if isinstance(term, PantographTerm)
+               and term.kernel is not None]
+    assert (cert.beta is None) == (not kernels)
+    assert all(k.beta == cert.beta for k in kernels)
+    assert cert.u0_power == fam.u0_power
+    assert cert.moment_powers == fam.u_powers
+    # on a constant segment the kernel factor is at most 1, so the
+    # dissipation hypothesis implies LV <= a0 + sum_k (-a_k + sum_l b_kl)
+    # |c|^{u_k}; equality holds only at c = 0
+    for c in np.linspace(-3.0, 3.0, 61):
+        seg = ConstantSegment(c, m.theta_lower)
+        bound = cert.a0 + sum(
+            (-row.a + sum(b for b, _ in row.b_alpha)) * abs(c) ** u
+            for row, u in zip(cert.rows, cert.moment_powers))
+        for i in (1, 2):
+            for t in (1.0, 2.0, 5.0, 20.0):
+                lv = eval_LV(fam, m, seg, t, i).value
+                assert lv <= bound, (c, i, t, lv, bound)
+                assert lv < bound or c == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,38 @@ def test_certify_not_applicable_check_fails(tmp_path, capsys):
     assert "not applicable" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_nan_and_infinity_literals_are_rejected(tmp_path, capsys, command,
+                                                literal):
+    # Python's json module accepts these literals; JSON has no such numbers
+    text = ('{"model": {"preset": "exp_stable", "initial": %s}, '
+            '"simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}' % literal)
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(text)
+    with pytest.raises(ValueError, match=literal):
+        load_config(str(cfg))
+    assert main([command, "--config", str(cfg)]) == 2
+    assert literal in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    '{"a": 1e999, "b_alpha": [[1.0, 0.5]]}',
+    '{"a": 2.0, "b_alpha": [[-1e999, 0.5]]}',
+])
+def test_certify_rejects_non_finite_table(tmp_path, capsys, row):
+    # 1e999 is valid JSON and parses to inf; an infinite a_1 would
+    # certify epsilon = beta
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text('{"certificate": {"rows": [%s], "theta_lower": 0.5, '
+                   '"beta": 0.5, "checks": ["exponential", '
+                   '"time-average"]}}' % row)
+    assert main(["certify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert "overall" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------

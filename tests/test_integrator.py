@@ -43,6 +43,15 @@ def test_config_validation():
         IntegratorConfig(dt=0.1, T=2.0, blowup_threshold=0.0)
 
 
+@pytest.mark.parametrize("field", ["dt", "T", "blowup_threshold"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_non_finite_numbers(field, bad):
+    # a NaN threshold would switch off threshold crossings
+    values = {"dt": 0.1, "T": 2.0, "blowup_threshold": 1e8, field: bad}
+    with pytest.raises(ValueError, match="finite"):
+        IntegratorConfig(**values)
+
+
 def test_uniform_grid_exact_division():
     g = uniform_grid(1.0, 2.0, 0.1)
     assert len(g) == 11

@@ -41,6 +41,17 @@ def test_make_generator_tolerates_tiny_row_sum_error():
     assert g.n_states == 2
 
 
+@pytest.mark.parametrize("rates", [
+    [[-1.0, 1.0], [np.nan, np.nan]],
+    [[-np.inf, np.inf], [2.0, -2.0]],
+    [[np.nan]],
+])
+def test_make_generator_rejects_non_finite_rates(rates):
+    # sampling from a NaN rate never returns, so the raise must come first
+    with pytest.raises(ValueError, match="finite"):
+        make_generator(rates)
+
+
 def test_generator_rates_read_only():
     g = make_generator(TWO_STATE)
     with pytest.raises(ValueError):

@@ -52,6 +52,18 @@ def test_density_measure_validation():
         Measure.piecewise_density([0.5, 1.0], [-2.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_measures_reject_non_finite_numbers(bad):
+    # a NaN weight would make every path "explode" as non-finite
+    for atoms in ([(bad, 1.0)], [(0.5, bad)], [(0.5, 0.5), (1.0, bad)]):
+        with pytest.raises(UnsupportedMeasure, match="finite"):
+            Measure.from_atoms(atoms)
+    with pytest.raises(UnsupportedMeasure, match="finite"):
+        Measure.piecewise_density([0.5, bad], [2.0])
+    with pytest.raises(UnsupportedMeasure, match="finite"):
+        Measure.piecewise_density([0.5, 1.0], [bad])
+
+
 def test_uniform_density_trapezoid_exact_for_linear_integrand():
     # integral of theta over U(0.5, 1) is 0.75; trapezoid is exact on
     # linear integrands at any node count
@@ -125,6 +137,12 @@ def test_kernel_validate_rejects_sub_beta_rate():
                log_decay=lambda th, t: 0.0 * np.asarray(th) * t)
     with pytest.raises(ValueError):
         k.validate(0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kernel_rejects_non_finite_beta(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Kernel.linear(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +312,15 @@ def test_default_measure_support_matches_preset():
         lo, hi = nu.support_range()
         assert lo == m.theta_lower
         assert hi == 1.0
+
+
+def test_unknown_preset_name_raises_one_error():
+    with pytest.raises(ValueError) as from_preset:
+        preset("nope")
+    with pytest.raises(ValueError) as from_measure:
+        default_measure("nope")
+    assert str(from_measure.value) == str(from_preset.value)
+    assert "unknown preset 'nope'" in str(from_preset.value)
 
 
 def test_lipschitz_probe_runs_and_reports():
