@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -44,18 +43,14 @@ _ESTIMATORS = {
 }
 
 
-def _simulate_batch(cfg: dict, workers: Optional[int],
-                    need_paths: bool = False) -> SimulationBatch:
+def _simulate_batch(cfg: dict, keep_paths: bool = False) -> SimulationBatch:
     model = config_mod.build_model(cfg)
     sim = config_mod.simulation_params(cfg)
-    if workers is not None:
-        sim["workers"] = workers
     icfg = IntegratorConfig(dt=sim["dt"], T=sim["T"],
                             blowup_threshold=sim["blowup_threshold"])
-    keep = sim["keep_paths"] or need_paths
     return run_batch(model, icfg, sim["n_paths"], sim["i0"],
-                     sim["root_seed"], workers=sim["workers"],
-                     block_size=sim["block_size"], keep_paths=keep)
+                     sim["root_seed"], block_size=sim["block_size"],
+                     keep_paths=keep_paths)
 
 
 def _write_summary(batch: SimulationBatch, moments, dest: str) -> None:
@@ -88,7 +83,11 @@ def cmd_simulate(args) -> int:
     cfg = config_mod.load_config(args.config)
     out_spec = cfg.get("output", {})
     per_path = bool(out_spec.get("per_path", False))
-    batch = _simulate_batch(cfg, args.workers, need_paths=per_path)
+    limit = out_spec.get("per_path_limit")
+    if limit is not None and int(limit) < 0:
+        raise ValueError("output.per_path_limit must be >= 0, got %r"
+                         % (limit,))
+    batch = _simulate_batch(cfg, keep_paths=per_path)
     out_dir = args.out if args.out is not None else out_spec.get("dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     summary = os.path.join(out_dir, "summary.csv")
@@ -97,7 +96,6 @@ def cmd_simulate(args) -> int:
     if per_path:
         path_dir = os.path.join(out_dir, "paths")
         os.makedirs(path_dir, exist_ok=True)
-        limit = out_spec.get("per_path_limit")
         n_dump = batch.n_paths if limit is None else min(int(limit),
                                                          batch.n_paths)
         for p in range(n_dump):
@@ -114,7 +112,7 @@ def cmd_check_ito(args) -> int:
     fam = config_mod.build_lyapunov(cfg)
     sim = config_mod.simulation_params(cfg)
     t_end = float(cfg.get("lyapunov", {}).get("t_end", sim["T"]))
-    batch = _simulate_batch(cfg, args.workers, need_paths=True)
+    batch = _simulate_batch(cfg, keep_paths=True)
     stat = martingale_residual(fam, batch, t_end)
     name = cfg.get("model", {}).get("preset", "custom")
     print("preset,t_end,residual,stderr,z")
@@ -195,7 +193,7 @@ def cmd_estimate(args) -> int:
     power = args.power
     if power is None:
         power = float(cfg.get("estimate", {}).get("power", 2.0))
-    batch = _simulate_batch(cfg, args.workers)
+    batch = _simulate_batch(cfg)
     report = _ESTIMATORS[args.kind](batch, power)
     report.to_csv(args.out)
     print("kind=%s fitted_rate=%.17g stderr=%.17g window=[%.17g, %.17g] "
@@ -216,15 +214,11 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="integrate a batch of paths")
     p_sim.add_argument("--config", required=True, help="experiment JSON")
     p_sim.add_argument("--out", default=None, help="output directory")
-    p_sim.add_argument("--workers", type=int, default=None,
-                       help="override simulation.workers")
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_ito = sub.add_parser("check-ito",
                            help="martingale residual of the Ito identity")
     p_ito.add_argument("--config", required=True, help="experiment JSON")
-    p_ito.add_argument("--workers", type=int, default=None,
-                       help="override simulation.workers")
     p_ito.set_defaults(fn=cmd_check_ito)
 
     p_cert = sub.add_parser("certify",
@@ -241,8 +235,6 @@ def main(argv=None) -> int:
                        help="comparison power p (default from config)")
     p_est.add_argument("--out", default="report.csv",
                        help="report CSV destination")
-    p_est.add_argument("--workers", type=int, default=None,
-                       help="override simulation.workers")
     p_est.set_defaults(fn=cmd_estimate)
 
     args = parser.parse_args(argv)

@@ -18,7 +18,7 @@ since the targets are limsup statements and early transients bias the
 slopes.  Exploded paths are excluded from every statistic and counted
 in the report.  Reductions are plain sums over the path axis, so
 results do not depend on path ordering or on how the batch was
-partitioned across workers.
+partitioned into blocks.
 """
 
 from __future__ import annotations

@@ -494,6 +494,7 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
 
     Args:
       workers: thread count; blocks are distributed round-robin.
+        GIL-bound, slower than one thread; kept while bench/ times it.
       block_size: paths per vectorized block (tuning only, not results).
       keep_paths: retain full DensePath objects (required by the
         martingale residual test); switch off for large batches where
@@ -564,6 +565,6 @@ def integrate_path(m: ModelSpec, cfg: IntegratorConfig, i0: int,
     run_batch(..., n_paths=1, root_seed=s).paths[0] and
     integrate_path(..., seed=s) are the same path bit for bit.
     """
-    batch = run_batch(m, cfg, n_paths=1, i0=i0, root_seed=seed, workers=1,
+    batch = run_batch(m, cfg, n_paths=1, i0=i0, root_seed=seed,
                       keep_paths=True)
     return batch.paths[0]

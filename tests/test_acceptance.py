@@ -156,18 +156,18 @@ def test_criterion_08_polynomial_rate(capsys):
 
 
 def test_criterion_09_deterministic_output(capsys, tmp_path):
-    cfg_path = tmp_path / "experiment.json"
-    cfg_path.write_text(json.dumps({
-        "model": {"preset": "exp_stable"},
-        "simulation": {"dt": 0.02, "T": 2.0, "n_paths": 40, "root_seed": 7,
-                       "block_size": 8},
-        "output": {"moments": [2.0], "per_path": True, "per_path_limit": 5},
-    }))
     outs = []
-    for tag, workers in (("a", 1), ("b", 3), ("c", 3)):
+    for tag, block_size in (("a", 1), ("b", 3), ("c", 40)):
+        cfg_path = tmp_path / ("experiment_%s.json" % tag)
+        cfg_path.write_text(json.dumps({
+            "model": {"preset": "exp_stable"},
+            "simulation": {"dt": 0.02, "T": 2.0, "n_paths": 40,
+                           "root_seed": 7, "block_size": block_size},
+            "output": {"moments": [2.0], "per_path": True,
+                       "per_path_limit": 5},
+        }))
         out = tmp_path / tag
-        rc = main(["simulate", "--config", str(cfg_path), "--out", str(out),
-                   "--workers", str(workers)])
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 0
         outs.append(out)
     capsys.readouterr()
@@ -175,7 +175,7 @@ def test_criterion_09_deterministic_output(capsys, tmp_path):
     ok = all((outs[0] / f).read_bytes() == (other / f).read_bytes()
              for f in files for other in outs[1:])
     verdict(capsys, 9, "deterministic-output", ok,
-            "%d files byte-identical over workers 1/3/3" % len(files))
+            "%d files byte-identical over block_size 1/3/40" % len(files))
 
 
 def test_criterion_10_regime_occupation(capsys):

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,12 +162,13 @@ def test_simulation_params_defaults_and_validation():
     params = simulation_params({"simulation": {"dt": 0.01, "T": 5.0}})
     assert params["n_paths"] == 100
     assert params["i0"] == 1
-    assert params["workers"] == 1
-    assert params["keep_paths"] is False
     with pytest.raises(ValueError, match="dt and T"):
         simulation_params({"simulation": {"T": 5.0}})
     with pytest.raises(ValueError, match="dt and T"):
         simulation_params({})
+    with pytest.raises(ValueError, match="simulation.n_path\\b"):
+        simulation_params({"simulation": {"dt": 0.01, "T": 5.0,
+                                          "n_path": 10}})
 
 
 @pytest.mark.parametrize("block_size", [0, -2])
@@ -227,22 +229,24 @@ def test_simulate_honors_output_dir_from_config(tmp_path):
 
 
 def test_simulate_outputs_identical_across_workers(tmp_path):
-    spec = simulate_config(
-        simulation={"dt": 0.05, "T": 2.0, "n_paths": 40, "root_seed": 7,
-                    "block_size": 8},
-        output={"moments": [2.0], "per_path": True, "per_path_limit": 5})
-    cfg = write_config(tmp_path, spec)
-    out1 = tmp_path / "w1"
-    out4 = tmp_path / "w4"
-    assert main(["simulate", "--config", cfg, "--out", str(out1),
-                 "--workers", "1"]) == 0
-    assert main(["simulate", "--config", cfg, "--out", str(out4),
-                 "--workers", "4"]) == 0
-    assert (out1 / "summary.csv").read_bytes() == \
-        (out4 / "summary.csv").read_bytes()
-    for p in range(5):
-        name = "paths/path_%05d.csv" % p
-        assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
+    # partition invariance: the same files at every block size
+    outs = []
+    for block_size in (1, 3, 40):
+        spec = simulate_config(
+            simulation={"dt": 0.05, "T": 2.0, "n_paths": 40, "root_seed": 7,
+                        "block_size": block_size},
+            output={"moments": [2.0], "per_path": True, "per_path_limit": 5})
+        cfg = write_config(tmp_path, spec, "b%d.json" % block_size)
+        out = tmp_path / ("b%d" % block_size)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        outs.append(out)
+    out1, *others = outs
+    for other in others:
+        assert (out1 / "summary.csv").read_bytes() == \
+            (other / "summary.csv").read_bytes()
+        for p in range(5):
+            name = "paths/path_%05d.csv" % p
+            assert (out1 / name).read_bytes() == (other / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +413,91 @@ def test_missing_config_file_is_an_error(tmp_path, capsys):
     rc = main(["certify", "--config", str(tmp_path / "absent.json")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# removed options and malformed configs
+# ---------------------------------------------------------------------------
+
+SIMULATING = ("simulate", "check-ito", "estimate")
+
+
+def command_argv(command, cfg, tmp_path):
+    extra = {"simulate": ["--out", str(tmp_path / "runs")],
+             "check-ito": [],
+             "certify": [],
+             "estimate": ["--kind", "moment",
+                          "--out", str(tmp_path / "out.csv")]}
+    return [command, "--config", str(cfg)] + extra[command]
+
+
+@pytest.mark.parametrize("command", SIMULATING)
+def test_workers_flag_is_gone(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, simulate_config())
+    with pytest.raises(SystemExit) as exc:
+        main(command_argv(command, cfg, tmp_path) + ["--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", SIMULATING)
+@pytest.mark.parametrize("key", ["workers", "keep_paths", "blowup_treshold"])
+def test_unread_simulation_key_is_an_error(tmp_path, capsys, command, key):
+    sim = {"dt": 0.05, "T": 2.0, "n_paths": 4, key: 1}
+    cfg = write_config(tmp_path, simulate_config(simulation=sim))
+    assert main(command_argv(command, cfg, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert "error: unknown key simulation.%s " % key in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "runs").exists()
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command, text, named", [
+    ("certify",
+     '{"certificate": {"rows": [{"a": 2.0, "b_alpha": [[1.0, 0.5]]}]}}',
+     "certificate.theta_lower is required"),
+    ("certify", '[{"model": {"preset": "exp_stable"}}]',
+     "top level of an experiment file must be a JSON object"),
+    ("certify", '{"certificate": ["exp_stable"]}',
+     "section 'certificate' must be a JSON object"),
+    ("simulate", '{"simulation": [0.1, 2.0]}',
+     "section 'simulation' must be a JSON object"),
+    ("simulate",
+     json.dumps({"model": {k: v for k, v in EXPLICIT_MODEL.items()
+                           if k != "generator"},
+                 "simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}),
+     "model.generator is required"),
+], ids=["no-theta-lower", "top-level-array", "certificate-not-object",
+        "simulation-not-object", "no-generator"])
+def test_malformed_config_is_an_error(tmp_path, capsys, command, text, named):
+    cfg = tmp_path / "experiment.json"
+    cfg.write_text(text)
+    assert main(command_argv(command, cfg, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert "error: " in captured.err and named in captured.err
+    assert captured.out == ""
+
+
+def test_negative_per_path_limit_is_an_error(tmp_path, capsys):
+    spec = simulate_config(output={"moments": [2.0], "per_path": True,
+                                   "per_path_limit": -1})
+    cfg = write_config(tmp_path, spec)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "output.per_path_limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_example_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Experiment files", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = load_config(io.StringIO(block))
+    assert simulation_params(cfg)["n_paths"] == 10000
+    assert build_model(cfg).n_regimes == 2
+    assert build_lyapunov(cfg).n_regimes == 2
+    assert build_certificate(cfg).beta is not None
 
 
 def test_module_entry_point():
