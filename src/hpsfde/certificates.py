@@ -27,16 +27,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import (Infeasible, NonPositiveDenominator, NotApplicable,
-                     ZeroEpsilon)
+                     ZeroEpsilon, require_finite, require_index)
 
 STRICTNESS_MARGIN = 1e-9
 BISECTION_TOL = 1e-10
-
-
-def _require_finite(**values) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, value))
 
 
 @dataclass(frozen=True)
@@ -47,11 +41,11 @@ class CertificateRow:
     b_alpha: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self):
-        _require_finite(a_k=self.a)
+        require_finite(a_k=self.a)
         if self.a < 0:
             raise ValueError("a_k must be nonnegative")
         for b, alpha in self.b_alpha:
-            _require_finite(b_kl=b, alpha_kl=alpha)
+            require_finite(b_kl=b, alpha_kl=alpha)
             if b < 0:
                 raise ValueError("b_kl must be nonnegative")
             if not 0.0 <= alpha <= 1.0:
@@ -78,9 +72,9 @@ class CertificateData:
     moment_powers: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        _require_finite(a0=self.a0, t0=self.t0)
+        require_finite(a0=self.a0, t0=self.t0)
         if self.beta is not None:
-            _require_finite(beta=self.beta)
+            require_finite(beta=self.beta)
         if self.a0 < 0:
             raise ValueError("a0 must be nonnegative")
         if not self.rows:
@@ -150,13 +144,17 @@ def check_existence(c: CertificateData) -> CertificateVerdict:
                               margins=margins, detail=detail)
 
 
-def _require_strict(c: CertificateData) -> Tuple[float, ...]:
+def _exponential_sup(c: CertificateData) -> Tuple[Tuple[float, ...], float]:
+    """(existence margins, sup epsilon) of the exponential-rate checks."""
+    if c.beta is None:
+        raise NotApplicable(
+            "exponential rate needs the decaying-kernel form (beta)")
     margins = existence_margins(c)
     bad = [k + 1 for k, m in enumerate(margins) if m >= 0.0]
     if bad:
         raise NotApplicable(
             "strict dissipation margin fails for k=%s" % bad)
-    return margins
+    return margins, -margins[0]
 
 
 def solve_epsilon_exponential(c: CertificateData,
@@ -173,11 +171,7 @@ def solve_epsilon_exponential(c: CertificateData,
       NotApplicable: beta missing (kernel-free form) or some strict
         margin fails.
     """
-    if c.beta is None:
-        raise NotApplicable(
-            "exponential rate needs the decaying-kernel form (beta)")
-    margins = _require_strict(c)
-    sup = -margins[0]
+    margins, sup = _exponential_sup(c)
     eps = min(c.beta, sup - delta)
     if eps <= 0.0:
         return CertificateVerdict(
@@ -196,11 +190,7 @@ def solve_epsilon_exponential(c: CertificateData,
 def certify_epsilon_exponential(c: CertificateData, epsilon: float
                                 ) -> CertificateVerdict:
     """Check one specific exponential rate 0 < epsilon <= beta."""
-    if c.beta is None:
-        raise NotApplicable(
-            "exponential rate needs the decaying-kernel form (beta)")
-    margins = _require_strict(c)
-    sup = -margins[0]
+    margins, sup = _exponential_sup(c)
     room = sup - epsilon
     ok = 0.0 < epsilon <= c.beta and room > 0.0
     detail = (
@@ -226,8 +216,7 @@ def time_average_denominator(c: CertificateData, k: int) -> float:
     point and the delay sums; a missing beta degenerates to factor 1,
     which reproduces the negated existence margin.
     """
-    if not 1 <= k <= c.n_families:
-        raise ValueError("k must be in 1..%d" % c.n_families)
+    require_index("k", k, c.n_families)
     row = c.rows[k - 1]
     beta_eff = 0.0 if c.beta is None else c.beta
     factor = math.exp(-beta_eff * (1.0 - c.theta_lower) * c.t0)

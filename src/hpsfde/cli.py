@@ -33,7 +33,7 @@ from .estimators import (estimate_as_rate, estimate_moment_rate,
                          estimate_polynomial_rate, estimate_time_average)
 from .integrator import IntegratorConfig, SimulationBatch, run_batch
 from .lyapunov import martingale_residual
-from .paths import write_csv
+from .paths import write_csv, write_table
 
 _ESTIMATORS = {
     "moment": estimate_moment_rate,
@@ -53,7 +53,7 @@ def _simulate_batch(cfg: dict, keep_paths: bool = False) -> SimulationBatch:
                      keep_paths=keep_paths)
 
 
-def _write_summary(batch: SimulationBatch, moments, dest: str) -> None:
+def _write_summary(batch: SimulationBatch, moments, dest) -> None:
     """Batch summary CSV: time, regime occupancy, requested moments.
 
     Occupancy counts every path's regime chain; moment columns average
@@ -73,10 +73,7 @@ def _write_summary(batch: SimulationBatch, moments, dest: str) -> None:
                 (np.abs(batch.uniform_values[keep]) ** p).mean(axis=0))
         else:
             series.append(np.full(len(batch.uniform_times), np.nan))
-    with open(dest, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in zip(*series):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    write_table(dest, cols, series)
 
 
 def cmd_simulate(args) -> int:

@@ -1,23 +1,31 @@
 """JSON experiment configuration: loading and object construction.
 
 An experiment file is one JSON object with up to six sections, each
-itself an object:
+itself an object.  Each section accepts only the keys it reads:
 
-  model        preset name (plus options), or an explicit description:
-               theta_lower, t0, generator (array of arrays, row-major),
-               initial data, optional shared measure/kernel, and
-               per-regime drift/diffusion term lists.
-  simulation   dt, T, n_paths, i0, root_seed, block_size,
-               blowup_threshold; any other key is an error.
-  output       moments to tabulate, whether to dump per-path CSVs.
-  lyapunov     preset name or explicit per-regime polynomial V, the
-               comparison powers, and the horizon for residual checks.
-  certificate  preset name or an explicit coefficient table, which
-               checks to run, and an optional candidate epsilon.
-  estimate     the default comparison power of ``hpsfde estimate``.
+  model        preset (a preset name; the explicit keys below are then
+               unused), theta_lower, t0, generator (array of arrays,
+               row-major), initial (a constant or {"times", "values"}),
+               measure and kernel (the shared ones), drift and
+               diffusion (per-regime term lists), dim (must be 1).
+  simulation   dt and T (both required), n_paths, i0, root_seed,
+               block_size, blowup_threshold.
+  output       moments (powers to tabulate), per_path (dump per-path
+               CSVs), per_path_limit, dir.
+  lyapunov     preset, or regimes (per-regime [power, coeff] lists) with
+               u0_power, u_powers and strict; t_end, the horizon of the
+               residual check.
+  certificate  preset, or rows ({"a", "b_alpha"} objects) with
+               theta_lower, t0, a0, beta, u0_power and moment_powers;
+               checks (which to run) and epsilon (a candidate rate).
+  estimate     power, the default comparison power of ``hpsfde estimate``.
 
-A missing required key is a ValueError that names it, e.g.
-``certificate.theta_lower``.
+Defaults are those of the code that owns each setting: the preset
+builders (t0, initial), the integrator (block_size, blowup_threshold)
+and the measures (nodes).  An unknown key, a missing required key or a
+nested value of the wrong JSON type is a ValueError that names it, e.g.
+``unknown key output.per_paths`` or ``certificate.theta_lower is
+required``.
 
 Term objects look like
 
@@ -36,38 +44,93 @@ import json
 from typing import Optional
 
 from .certificates import CertificateData, CertificateRow
+from .integrator import DEFAULT_BLOCK_SIZE, IntegratorConfig
 from .lyapunov import LyapunovFamily, PolynomialV
 from .markov import make_generator
-from .models import (Kernel, Measure, ModelSpec, PantographTerm,
-                     PolynomialTerm)
-from .presets import preset, preset_certificate, preset_lyapunov
+from .models import (DEFAULT_DENSITY_NODES, Kernel, Measure, ModelSpec,
+                     PantographTerm, PolynomialTerm)
+from .presets import (DEFAULT_INITIAL, DEFAULT_T0, preset, preset_certificate,
+                      preset_lyapunov)
 
-
-_SECTIONS = ("model", "simulation", "output", "lyapunov", "certificate",
-             "estimate")
+# The keys of each section and the JSON type of the structured ones:
+# dict is an object, list an array, None a value checked where it is read.
+_KEYS = {
+    "model": {"preset": None, "dim": None, "theta_lower": None, "t0": None,
+              "generator": list, "initial": None, "measure": dict,
+              "kernel": dict, "drift": list, "diffusion": list},
+    "simulation": dict.fromkeys(("dt", "T", "n_paths", "i0", "root_seed",
+                                 "block_size", "blowup_threshold")),
+    "output": {"moments": list, "per_path": None, "per_path_limit": None,
+               "dir": None},
+    "lyapunov": {"preset": None, "regimes": list, "u0_power": None,
+                 "u_powers": list, "strict": None, "t_end": None},
+    "certificate": {"preset": None, "rows": list, "theta_lower": None,
+                    "t0": None, "a0": None, "beta": None, "u0_power": None,
+                    "moment_powers": list, "checks": list, "epsilon": None},
+    "estimate": {"power": None},
+}
+_JSON_NAMES = {dict: "object", list: "array"}
 
 
 def _reject_constant(name):
     raise ValueError("%s is not a JSON number" % name)
 
 
-def _required(spec: dict, name: str):
+def _typed(value, name: str, kind):
+    """``value``, or a ValueError naming ``name`` if it is not a ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError("%s must be a JSON %s, got %r"
+                         % (name, _JSON_NAMES[kind], value))
+    return value
+
+
+def _field(spec, name: str, kind=None):
     """``spec[key]``, ``key`` being the last part of the dotted ``name``.
 
-    Raises ValueError naming ``name`` when the key is absent.
+    Raises ValueError naming ``name`` when the key is absent or its
+    value is not a ``kind``, and naming the rest of ``name`` when
+    ``spec`` is not an object.
     """
-    key = name.rpartition(".")[2]
-    if key not in spec:
+    parent, _, key = name.rpartition(".")
+    if key not in _typed(spec, parent, dict):
         raise ValueError("%s is required" % name)
-    return spec[key]
+    return spec[key] if kind is None else _typed(spec[key], name, kind)
+
+
+def _pairs(value, name: str):
+    """``value`` if it is an array of two-element arrays."""
+    for pair in _typed(value, name, list):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError("%s must hold [x, y] pairs, got %r"
+                             % (name, pair))
+    return value
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """Section ``name`` of a config, {} when it is absent.
+
+    Raises ValueError when the section is not an object or holds a key
+    that nothing reads or a value of the wrong JSON type.
+    """
+    spec = cfg.get(name, {})
+    if not isinstance(spec, dict):
+        raise ValueError("section %r must be a JSON object" % name)
+    known = _KEYS[name]
+    for key, value in spec.items():
+        if key not in known:
+            raise ValueError("unknown key %s.%s (known: %s)"
+                             % (name, key, ", ".join(known)))
+        if known[key] is not None:
+            _typed(value, "%s.%s" % (name, key), known[key])
+    return spec
 
 
 def load_config(path) -> dict:
     """Read one experiment file; accepts a path or an open text file.
 
     NaN and Infinity literals, which Python's json module would accept,
-    are rejected: JSON has no such numbers.  So are a top level and
-    sections that are not JSON objects.
+    are rejected: JSON has no such numbers.  So are a top level that is
+    not a JSON object and sections that :func:`_section` rejects.
     """
     if hasattr(path, "read"):
         cfg = json.load(path, parse_constant=_reject_constant)
@@ -77,9 +140,8 @@ def load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError("the top level of an experiment file must be a "
                          "JSON object")
-    for name in _SECTIONS:
-        if not isinstance(cfg.get(name, {}), dict):
-            raise ValueError("section %r must be a JSON object" % name)
+    for name in _KEYS:
+        _section(cfg, name)
     return cfg
 
 
@@ -91,28 +153,30 @@ def build_measure(spec) -> Measure:
     "hi": b, "nodes": n}, {"kind": "density", "edges": [...],
     "values": [...], "nodes": n}.
     """
-    kind = spec.get("kind", "atoms")
+    kind = _typed(spec, "measure", dict).get("kind", "atoms")
     if kind == "atoms":
-        atoms = _required(spec, "measure.atoms")
+        atoms = _pairs(_field(spec, "measure.atoms"), "measure.atoms")
         return Measure.from_atoms([(a[0], a[1]) for a in atoms])
     if kind == "point":
         return Measure.point_mass(spec.get("theta", 1.0))
     if kind == "uniform":
-        return Measure.uniform(_required(spec, "measure.lo"),
-                               _required(spec, "measure.hi"),
-                               nodes=int(spec.get("nodes", 64)))
+        return Measure.uniform(
+            _field(spec, "measure.lo"), _field(spec, "measure.hi"),
+            nodes=int(spec.get("nodes", DEFAULT_DENSITY_NODES)))
     if kind == "density":
-        return Measure.piecewise_density(_required(spec, "measure.edges"),
-                                         _required(spec, "measure.values"),
-                                         nodes=int(spec.get("nodes", 64)))
+        return Measure.piecewise_density(
+            _field(spec, "measure.edges", kind=list),
+            _field(spec, "measure.values", kind=list),
+            nodes=int(spec.get("nodes", DEFAULT_DENSITY_NODES)))
     raise ValueError("unknown measure kind %r" % (kind,))
 
 
-def _build_term(spec, shared_measure: Optional[Measure],
+def _build_term(spec, name: str, shared_measure: Optional[Measure],
                 shared_kernel: Optional[Kernel]):
-    kind = _required(spec, "term.type")
+    """The term at ``name``, such as model.drift[0][1]."""
+    kind = _field(spec, name + ".type")
     if kind == "polynomial":
-        coeffs = _required(spec, "term.coeffs")
+        coeffs = _pairs(_field(spec, name + ".coeffs"), name + ".coeffs")
         return PolynomialTerm([(int(p), float(c)) for p, c in coeffs])
     if kind == "pantograph":
         mspec = spec.get("measure", "shared")
@@ -122,16 +186,16 @@ def _build_term(spec, shared_measure: Optional[Measure],
                     "term requests the shared measure but none is defined")
             measure = shared_measure
         else:
-            measure = build_measure(mspec)
+            measure = build_measure(_typed(mspec, name + ".measure", dict))
         kspec = spec.get("kernel", False)
         if kspec is True:
             kernel = shared_kernel
         elif kspec in (False, None):
             kernel = None
         else:
-            kernel = Kernel.linear(float(_required(kspec, "term.kernel.beta")))
+            kernel = Kernel.linear(float(_field(kspec, name + ".kernel.beta")))
         return PantographTerm(
-            coeff=float(_required(spec, "term.coeff")),
+            coeff=float(_field(spec, name + ".coeff")),
             measure=measure, kernel=kernel,
             point_exponent=float(spec.get("point_exponent", 0.0)),
             delay_exponent=float(spec.get("delay_exponent", 1.0)),
@@ -144,97 +208,94 @@ def build_model(cfg: dict) -> ModelSpec:
 
     The state is scalar: an optional ``"dim"`` key must be 1.
     """
-    spec = cfg.get("model", {})
+    spec = _section(cfg, "model")
     if spec.get("dim", 1) != 1:
         raise ValueError('model "dim" must be 1 (the state is scalar), got %r'
                          % (spec["dim"],))
     shared_measure = (build_measure(spec["measure"])
                       if "measure" in spec else None)
-    t0 = float(spec.get("t0", 1.0))
-    initial = _initial_from(spec.get("initial", 0.5))
+    t0 = float(spec.get("t0", DEFAULT_T0))
+    initial = _initial_from(spec.get("initial", DEFAULT_INITIAL))
     name = spec.get("preset")
     if name is not None:
         return preset(name, nu_choice=shared_measure, t0=t0, initial=initial)
     shared_kernel = (
-        Kernel.linear(float(_required(spec["kernel"], "model.kernel.beta")))
+        Kernel.linear(float(_field(spec["kernel"], "model.kernel.beta")))
         if "kernel" in spec else None)
 
-    def terms(regime_list):
+    def terms(part):
         return tuple(
-            tuple(_build_term(t, shared_measure, shared_kernel)
-                  for t in one_regime)
-            for one_regime in regime_list)
+            tuple(_build_term(t, "%s[%d][%d]" % (part, i, j), shared_measure,
+                              shared_kernel)
+                  for j, t in enumerate(_typed(one_regime,
+                                               "%s[%d]" % (part, i), list)))
+            for i, one_regime in enumerate(_field(spec, part)))
 
     return ModelSpec(
-        theta_lower=float(_required(spec, "model.theta_lower")), t0=t0,
-        generator=make_generator(_required(spec, "model.generator")),
-        drift=terms(_required(spec, "model.drift")),
-        diffusion=terms(_required(spec, "model.diffusion")),
+        theta_lower=float(_field(spec, "model.theta_lower")), t0=t0,
+        generator=make_generator(_field(spec, "model.generator")),
+        drift=terms("model.drift"), diffusion=terms("model.diffusion"),
         initial_segment=initial)
 
 
 def _initial_from(spec):
     if isinstance(spec, dict):
-        return (tuple(_required(spec, "model.initial.times")),
-                tuple(_required(spec, "model.initial.values")))
+        return (tuple(_field(spec, "model.initial.times", kind=list)),
+                tuple(_field(spec, "model.initial.values", kind=list)))
     return float(spec)
 
 
 def build_lyapunov(cfg: dict) -> LyapunovFamily:
     """LyapunovFamily from the ``lyapunov`` section (or model preset)."""
-    spec = cfg.get("lyapunov", {})
-    name = spec.get("preset", cfg.get("model", {}).get("preset"))
+    spec = _section(cfg, "lyapunov")
+    name = spec.get("preset", _section(cfg, "model").get("preset"))
     if "regimes" not in spec:
         if name is None:
             raise ValueError("lyapunov section needs a preset or regimes")
         return preset_lyapunov(name)
     regimes = tuple(
-        PolynomialV([(int(p), float(c)) for p, c in coeffs])
-        for coeffs in spec["regimes"])
+        PolynomialV([(int(p), float(c)) for p, c in
+                     _pairs(coeffs, "lyapunov.regimes[%d]" % i)])
+        for i, coeffs in enumerate(spec["regimes"]))
     return LyapunovFamily(
-        regimes=regimes, u0_power=int(_required(spec, "lyapunov.u0_power")),
-        u_powers=tuple(int(p) for p in _required(spec, "lyapunov.u_powers")),
+        regimes=regimes, u0_power=int(_field(spec, "lyapunov.u0_power")),
+        u_powers=tuple(int(p) for p in _field(spec, "lyapunov.u_powers")),
         strict=bool(spec.get("strict", False)))
 
 
 def build_certificate(cfg: dict) -> CertificateData:
     """CertificateData from the ``certificate`` section (or model preset)."""
-    spec = cfg.get("certificate", {})
-    name = spec.get("preset", cfg.get("model", {}).get("preset"))
+    spec = _section(cfg, "certificate")
+    model = _section(cfg, "model")
+    name = spec.get("preset", model.get("preset"))
+    model_t0 = model.get("t0", DEFAULT_T0)
     if "rows" not in spec:
         if name is None:
             raise ValueError("certificate section needs a preset or rows")
-        t0 = float(cfg.get("model", {}).get("t0", 1.0))
-        return preset_certificate(name, t0=t0)
+        return preset_certificate(name, t0=float(model_t0))
     rows = tuple(
-        CertificateRow(a=float(_required(r, "certificate.rows.a")),
-                       b_alpha=tuple((float(b), float(al)) for b, al in
-                                     _required(r, "certificate.rows.b_alpha")))
-        for r in spec["rows"])
+        CertificateRow(
+            a=float(_field(r, "certificate.rows[%d].a" % k)),
+            b_alpha=tuple((float(b), float(al)) for b, al in _pairs(
+                _field(r, "certificate.rows[%d].b_alpha" % k),
+                "certificate.rows[%d].b_alpha" % k)))
+        for k, r in enumerate(spec["rows"]))
     beta = spec.get("beta")
     return CertificateData(
         a0=float(spec.get("a0", 0.0)), rows=rows,
-        theta_lower=float(_required(spec, "certificate.theta_lower")),
-        t0=float(spec.get("t0", cfg.get("model", {}).get("t0", 1.0))),
+        theta_lower=float(_field(spec, "certificate.theta_lower")),
+        t0=float(spec.get("t0", model_t0)),
         beta=None if beta is None else float(beta),
         u0_power=int(spec.get("u0_power", 2)),
         moment_powers=tuple(int(p) for p in spec.get("moment_powers", ())))
 
 
-_SIMULATION_KEYS = ("dt", "T", "n_paths", "i0", "root_seed", "block_size",
-                    "blowup_threshold")
-
-
 def simulation_params(cfg: dict) -> dict:
     """Normalized ``simulation`` section with defaults filled in."""
-    spec = cfg.get("simulation", {})
-    for key in spec:
-        if key not in _SIMULATION_KEYS:
-            raise ValueError("unknown key simulation.%s (known: %s)"
-                             % (key, ", ".join(_SIMULATION_KEYS)))
+    spec = _section(cfg, "simulation")
     if "dt" not in spec or "T" not in spec:
         raise ValueError("simulation section must set dt and T")
-    block_size = int(spec.get("block_size", 1024))
+    block_size = int(spec.get("block_size", DEFAULT_BLOCK_SIZE))
     if block_size < 1:
         raise ValueError("simulation.block_size must be >= 1, got %d"
                          % block_size)
@@ -245,5 +306,6 @@ def simulation_params(cfg: dict) -> dict:
         "i0": int(spec.get("i0", 1)),
         "root_seed": int(spec.get("root_seed", 0)),
         "block_size": block_size,
-        "blowup_threshold": float(spec.get("blowup_threshold", 1e8)),
+        "blowup_threshold": float(spec.get(
+            "blowup_threshold", IntegratorConfig.blowup_threshold)),
     }

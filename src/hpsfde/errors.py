@@ -1,11 +1,27 @@
-"""Exception types shared across the package.
+"""Exception types and argument checks shared across the package.
 
 Every error raised by this package derives from :class:`Error`, so callers
 can catch the whole family with one except clause.  The subclasses mirror
 the distinct failure modes of the domain objects: generator matrices,
 dense paths, coefficient models, batch statistics, and certificate
-arithmetic.
+arithmetic.  The two argument checks that several modules share raise
+plain ValueError.
 """
+
+import math
+
+
+def require_finite(**values) -> None:
+    """ValueError naming the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+
+
+def require_index(name: str, value, n: int) -> None:
+    """ValueError unless ``value`` is a 1-based index in 1..n."""
+    if not 1 <= value <= n:
+        raise ValueError("%s must be in 1..%d, got %r" % (name, n, value))
 
 
 class Error(Exception):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import AllExploded, DegenerateWindow, InsufficientPaths
 from .integrator import SimulationBatch
-from .paths import _atol
+from .paths import _atol, write_table
 
 LOG_FLOOR = 1e-300
 MIN_PATHS = 100
@@ -72,23 +72,24 @@ class RateReport:
         """Write the series plus a footer block of fitted quantities.
 
         Data rows are ``t,statistic``; footer lines start with ``#``.
-        ``dest`` may be a filesystem path or an open text file.
+        ``dest`` is as for :func:`paths.write_table`.
         """
-        own = not hasattr(dest, "write")
-        fh = open(dest, "w", newline="") if own else dest
-        try:
-            fh.write("t,statistic\n")
-            for t, s in zip(self.series_times, self.series_values):
-                fh.write("%.17g,%.17g\n" % (t, s))
-            fh.write("# kind,%s\n" % self.kind)
-            fh.write("# fitted_rate,%.17g\n" % self.fitted_rate)
-            fh.write("# stderr,%.17g\n" % self.stderr)
-            fh.write("# window,%.17g,%.17g\n" % self.window)
-            fh.write("# n_exploded,%d\n" % self.n_exploded)
-            fh.write("# n_paths_used,%d\n" % self.n_paths_used)
-        finally:
-            if own:
-                fh.close()
+        write_table(dest, ("t", "statistic"),
+                    (self.series_times, self.series_values),
+                    footer=("# kind,%s" % self.kind,
+                            "# fitted_rate,%.17g" % self.fitted_rate,
+                            "# stderr,%.17g" % self.stderr,
+                            "# window,%.17g,%.17g" % self.window,
+                            "# n_exploded,%d" % self.n_exploded,
+                            "# n_paths_used,%d" % self.n_paths_used))
+
+
+def standard_error(samples: np.ndarray) -> float:
+    """Standard error of the mean of per-path samples; NaN below two."""
+    n = len(samples)
+    if n < 2:
+        return float("nan")
+    return float(samples.std(ddof=1)) / math.sqrt(n)
 
 
 def _surviving_values(batch: SimulationBatch, min_paths: int):
@@ -150,10 +151,8 @@ def _pathwise_fit(kind, batch, p, window, min_paths, abscissa) -> RateReport:
     logs = p * np.log(np.maximum(np.abs(vals), LOG_FLOOR))
     mask = _window_mask(times, batch.t0, batch.T, window)
     slopes = _per_path_slopes(abscissa(times[mask]), logs[:, mask])
-    stderr = (float(slopes.std(ddof=1)) / math.sqrt(n_used)
-              if n_used > 1 else float("nan"))
     return RateReport(kind=kind, fitted_rate=float(slopes.max()),
-                      stderr=stderr,
+                      stderr=standard_error(slopes),
                       window=(float(times[mask][0]), float(times[mask][-1])),
                       n_paths_used=n_used, n_exploded=batch.n_exploded,
                       series_times=times.copy(),
@@ -229,10 +228,8 @@ def estimate_time_average(batch: SimulationBatch, p: float,
     series[1:] = m_integral[1:] / denom[1:]
     span = times[-1] - batch.t0
     per_path_avg = per_path_integral[:, -1] / span
-    stderr = (float(per_path_avg.std(ddof=1)) / math.sqrt(n_used)
-              if n_used > 1 else float("nan"))
     return RateReport(kind="time-average", fitted_rate=float(series[-1]),
-                      stderr=stderr,
+                      stderr=standard_error(per_path_avg),
                       window=(float(batch.t0), float(batch.T)),
                       n_paths_used=n_used, n_exploded=batch.n_exploded,
                       series_times=times.copy(), series_values=series)

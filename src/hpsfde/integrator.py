@@ -54,9 +54,9 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NonFiniteState
+from .errors import NonFiniteState, require_finite, require_index
 from .markov import sample_regime_path
-from .models import ModelSpec, _cached, _sum_terms
+from .models import ModelSpec, _cached, coefficients
 from .paths import DensePath, _interp, _lerp
 
 DEFAULT_BLOCK_SIZE = 1024
@@ -76,10 +76,8 @@ class IntegratorConfig:
     blowup_threshold: float = 1e8
 
     def __post_init__(self):
-        for name in ("dt", "T", "blowup_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError("%s must be finite, got %r"
-                                 % (name, getattr(self, name)))
+        require_finite(dt=self.dt, T=self.T,
+                       blowup_threshold=self.blowup_threshold)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.blowup_threshold <= 0:
@@ -236,14 +234,14 @@ class _Switches(NamedTuple):
     bounds: list
 
 
-def _sample_block_chains(m, u_times, rows, i0, root_seed):
+def _sample_block_chains(m, u_times, chain_seeds, i0):
     """Regime paths, regime grid and switch table for one block."""
-    b = len(rows)
+    b = len(chain_seeds)
     k = len(u_times) - 1
     t0, T = float(u_times[0]), float(u_times[-1])
-    chains = [sample_regime_path(
-        m.generator, i0, t0, T,
-        np.random.default_rng(path_streams(root_seed, p)[0])) for p in rows]
+    chains = [sample_regime_path(m.generator, i0, t0, T,
+                                 np.random.default_rng(ss))
+              for ss in chain_seeds]
     r_grid = np.empty((b, k + 1), dtype=np.int16)
     for row, rp in enumerate(chains):
         r_grid[row] = rp.state_at(u_times)
@@ -265,12 +263,11 @@ def _sample_block_chains(m, u_times, rows, i0, root_seed):
                                      bounds)
 
 
-def _draw_block_normals(rows, root_seed, n_steps, jump_counts):
+def _draw_block_normals(noise_seeds, n_steps, jump_counts):
     """Flat normal pool with per-path offsets, in canonical stream order."""
     chunks = []
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    for row, p in enumerate(rows):
-        _, noise_ss = path_streams(root_seed, p)
+    offsets = np.zeros(len(noise_seeds) + 1, dtype=np.int64)
+    for row, noise_ss in enumerate(noise_seeds):
         rng = np.random.Generator(np.random.PCG64(noise_ss))
         need = n_steps + int(jump_counts[row])
         chunks.append(rng.standard_normal(need))
@@ -306,24 +303,6 @@ def _substep_lookup(hist_t, H, rows, t, a, node_t, node_x):
     return lookup
 
 
-def _coeffs(m, X, reg, phi_at, t):
-    """Drift and diffusion at states X, row i in regime reg[i].
-
-    Only the regimes present in ``reg`` are evaluated, each on all rows.
-    """
-    F = G = None
-    for i in np.flatnonzero(np.bincount(reg)):
-        f = _sum_terms(m.drift[i - 1], X, phi_at, t)
-        g = _sum_terms(m.diffusion[i - 1], X, phi_at, t)
-        if F is None:
-            F, G = f, g
-        else:
-            here = reg == i
-            F = np.where(here, f, F)
-            G = np.where(here, g, G)
-    return F, G
-
-
 def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
                      root_seed, wiener, keep_paths, out):
     """Integrate one block of paths and write results into ``out``.
@@ -338,11 +317,12 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
     n_init = len(init_times)
     threshold = cfg.blowup_threshold
 
-    chains, r_grid, sw = _sample_block_chains(m, u_times, rows, i0,
-                                              root_seed)
+    chain_seeds, noise_seeds = zip(*[path_streams(root_seed, p)
+                                     for p in rows])
+    chains, r_grid, sw = _sample_block_chains(m, u_times, chain_seeds, i0)
     jump_counts = np.array([rp.n_jumps for rp in chains], dtype=np.int64)
     if wiener is None:
-        normals, offsets = _draw_block_normals(rows, root_seed, k_steps,
+        normals, offsets = _draw_block_normals(noise_seeds, k_steps,
                                                jump_counts)
     else:
         if jump_counts.any():
@@ -372,7 +352,7 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
             hist_t = ht[:base_col + k + 1]
 
             phi_at = _cached(lambda thetas: _interp(hist_t, H, thetas * t))
-            F, G = _coeffs(m, X, r_grid[:, k], phi_at, t)
+            F, G = coefficients(m, X, r_grid[:, k], phi_at, t)
             if wiener is None:
                 z = normals[offsets[:-1] + cursors]
                 cursors += 1
@@ -407,7 +387,8 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
                         hist_t, H, R, t, a,
                         np.vstack((np.full(len(E), t), sw.time[ent])),
                         np.vstack((X[R], node_x[ent])))
-                    Fs, Gs = _coeffs(m, x, sw.regime[E], _cached(look), a)
+                    Fs, Gs = coefficients(m, x, sw.regime[E], _cached(look),
+                                          a)
                     zs = normals[offsets[R] + cursors[R]]
                     cursors[R] += 1
                 hs = c - a
@@ -463,14 +444,13 @@ def _assemble_path(m, u_times, init_times, init_vals, u_row, sw_t, sw_x,
                    chain, exploded_at):
     """Merge uniform, initial and reached switch nodes into one DensePath.
 
-    Each node's regime is ``chain.state_at`` its time, so nodes before
-    t0 carry the initial regime and a switch node the regime it enters.
+    The uniform nodes are those the batch recorded in ``u_row``, which
+    is NaN after an explosion.  Each node's regime is ``chain.state_at``
+    its time, so nodes before t0 carry the initial regime and a switch
+    node the regime it enters.
     """
     exploded = not math.isnan(exploded_at)
-    if exploded:
-        u_keep = u_times <= exploded_at + 1e-15
-    else:
-        u_keep = np.ones(len(u_times), dtype=bool)
+    u_keep = ~np.isnan(u_row)
     times = np.concatenate((init_times[:-1], u_times[u_keep], sw_t))
     vals = np.concatenate((init_vals[:-1], u_row[u_keep], sw_x))
     order = np.argsort(times, kind="stable")
@@ -505,8 +485,7 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    if not 1 <= i0 <= m.n_regimes:
-        raise ValueError("i0 must be in 1..%d" % m.n_regimes)
+    require_index("i0", i0, m.n_regimes)
     if block_size < 1:
         raise ValueError("block_size must be >= 1, got %r" % (block_size,))
 

@@ -31,6 +31,7 @@ not depend on the chunking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -38,7 +39,8 @@ import numpy as np
 
 from . import paths as paths_mod
 from .errors import DimensionMismatch, InsufficientPaths
-from .models import ModelSpec, _cached, _sum_terms
+from .estimators import standard_error
+from .models import ModelSpec, _cached, coefficients
 
 
 @dataclass(frozen=True)
@@ -65,40 +67,30 @@ class PolynomialV:
         object.__setattr__(self, "coeffs", tuple(norm))
         object.__setattr__(self, "time_weight", time_weight)
 
-    def _poly(self, x, shift: int = 0, factor=None):
+    def _weighted(self, x, t, shift: int = 0, weight: int = 0):
+        """time_weight[weight](t) times the shift-th x-derivative of V."""
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
         for p, c in self.coeffs:
-            q = p - shift
-            if factor is not None:
-                c = c * factor(p)
-            if q < 0:
-                continue
-            out = out + c * x ** q
-        return out
+            if p >= shift:
+                out = out + c * math.perm(p, shift) * x ** (p - shift)
+        if self.time_weight is None:
+            return out
+        return self.time_weight[weight](t) * out
 
     def value(self, x, t):
-        base = self._poly(x)
-        if self.time_weight is None:
-            return base
-        return self.time_weight[0](t) * base
+        return self._weighted(x, t)
 
     def dx(self, x, t):
-        base = self._poly(x, shift=1, factor=lambda p: p)
-        if self.time_weight is None:
-            return base
-        return self.time_weight[0](t) * base
+        return self._weighted(x, t, shift=1)
 
     def dxx(self, x, t):
-        base = self._poly(x, shift=2, factor=lambda p: p * (p - 1))
-        if self.time_weight is None:
-            return base
-        return self.time_weight[0](t) * base
+        return self._weighted(x, t, shift=2)
 
     def dt(self, x, t):
         if self.time_weight is None:
             return np.zeros_like(np.asarray(x, dtype=np.float64))
-        return self.time_weight[1](t) * self._poly(x)
+        return self._weighted(x, t, weight=1)
 
 
 @dataclass(frozen=True)
@@ -334,8 +326,7 @@ def _lv_chunk(V: LyapunovFamily, m: ModelSpec, paths, t_end: float):
     # in regime i at every node
     parts = np.empty((4, n, size))
     for i in range(1, n + 1):
-        f = _sum_terms(m.drift[i - 1], x, phi_at, times)
-        g = _sum_terms(m.diffusion[i - 1], x, phi_at, times)
+        f, g = coefficients(m, x, np.full(size, i), phi_at, times)
         coupling = np.zeros_like(x)
         rates = m.generator.rates[i - 1]
         for l in range(n):
@@ -459,7 +450,7 @@ def martingale_residual(V: LyapunovFamily, batch, t_end: float
         integrals.extend(chunk_integrals)
     d = np.asarray(deltas)
     residual = float(d.mean())
-    stderr = float(d.std(ddof=1) / np.sqrt(len(d)))
+    stderr = standard_error(d)
     if stderr == 0.0:
         z = 0.0 if residual == 0.0 else float(np.inf)
     else:

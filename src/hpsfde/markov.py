@@ -13,10 +13,12 @@ States are 1-based in every public interface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NegativeOffDiagonal, ReducibleChain, RowSumNonZero
+from .errors import (NegativeOffDiagonal, ReducibleChain, RowSumNonZero,
+                     require_index)
 
 ROW_SUM_TOL = 1e-12
 
@@ -35,6 +37,19 @@ class GeneratorMatrix:
     def exit_rate(self, i: int) -> float:
         """Total jump rate out of state i (1-based), i.e. -rates[i-1, i-1]."""
         return float(-self.rates[i - 1, i - 1])
+
+    @cached_property
+    def jump_table(self) -> np.ndarray:
+        """Row i-1: cumulative destination probabilities of a jump from i.
+
+        Built on first use, so a chain that never jumps never builds it.
+        Rows of absorbing states are never read.
+        """
+        off = np.where(np.eye(self.n_states, dtype=bool), 0.0, self.rates)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table = np.cumsum(off / -np.diag(self.rates)[:, None], axis=1)
+        table.setflags(write=False)
+        return table
 
 
 def make_generator(rates) -> GeneratorMatrix:
@@ -127,8 +142,7 @@ def sample_regime_path(g: GeneratorMatrix, i0: int, t0: float, T: float,
     Returns:
       RegimePath with strictly increasing jump times in (t0, T).
     """
-    if not 1 <= i0 <= g.n_states:
-        raise ValueError("i0 must be in 1..%d, got %r" % (g.n_states, i0))
+    require_index("i0", i0, g.n_states)
     if not t0 < T:
         raise ValueError("need t0 < T, got t0=%r T=%r" % (t0, T))
     rng = np.random.default_rng(seed)
@@ -144,11 +158,8 @@ def sample_regime_path(g: GeneratorMatrix, i0: int, t0: float, T: float,
         t = t + rng.exponential(1.0 / rate)
         if t >= T:
             break
-        row = q[i - 1].copy()
-        row[i - 1] = 0.0
-        cum = np.cumsum(row / rate)
         u = rng.random()
-        j = int(np.searchsorted(cum, u, side="right")) + 1
+        j = int(np.searchsorted(g.jump_table[i - 1], u, side="right")) + 1
         j = min(j, g.n_states)
         jumps.append(t)
         states.append(j)

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import QuadratureUnsupported, UnsupportedMeasure
+from .errors import QuadratureUnsupported, UnsupportedMeasure, require_index
 from .markov import GeneratorMatrix
 
 MASS_TOL = 1e-12
@@ -405,10 +405,28 @@ def _sum_terms(terms, phi1, phi_at, t):
     return out
 
 
+def coefficients(m: ModelSpec, X, reg, phi_at, t):
+    """Drift and diffusion at states X, row i in regime reg[i].
+
+    ``phi_at`` maps a theta vector to the delayed states, one row per
+    theta, and ``t`` is the anchor time, a number or one per row.  Only
+    the regimes present in ``reg`` are evaluated, each on all rows.
+    """
+    F = G = None
+    for i in np.flatnonzero(np.bincount(reg)):
+        f = _sum_terms(m.drift[i - 1], X, phi_at, t)
+        g = _sum_terms(m.diffusion[i - 1], X, phi_at, t)
+        if F is None:
+            F, G = f, g
+        else:
+            here = reg == i
+            F = np.where(here, f, F)
+            G = np.where(here, g, G)
+    return F, G
+
+
 def _eval_terms(m: ModelSpec, terms, view, t: float, regime: int) -> float:
-    if not 1 <= regime <= m.n_regimes:
-        raise ValueError("regime must be in 1..%d, got %r"
-                         % (m.n_regimes, regime))
+    require_index("regime", regime, m.n_regimes)
     return float(_sum_terms(terms[regime - 1], float(view.point), view, t))
 
 
@@ -434,8 +452,7 @@ def single_regime(m: ModelSpec, regime: int) -> ModelSpec:
     own (e.g. an unstable regime that the full chain stabilizes).
     """
     from .markov import make_generator
-    if not 1 <= regime <= m.n_regimes:
-        raise ValueError("regime must be in 1..%d" % m.n_regimes)
+    require_index("regime", regime, m.n_regimes)
     return ModelSpec(theta_lower=m.theta_lower, t0=m.t0,
                      generator=make_generator([[0.0]]),
                      drift=(m.drift[regime - 1],),

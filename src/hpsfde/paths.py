@@ -14,7 +14,6 @@ state.  Because theta <= 1, no segment lookup ever needs future data.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -225,20 +224,33 @@ class FunctionSegment:
 # CSV export
 # ---------------------------------------------------------------------------
 
+def write_table(dest, header, columns, footer=()) -> None:
+    """Write equal-length numeric columns as CSV.
+
+    One line of comma-joined ``header`` names, one row per entry with
+    every value written by ``%.17g`` (17 significant digits, so floats
+    round-trip exactly and integers print as integers), then the
+    ``footer`` lines as given.  Every line ends in a bare newline.
+    ``dest`` is a text file object, or a file path written as UTF-8.
+    """
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    lines = [",".join(header) + "\n"]
+    lines += [row % values
+              for values in zip(*(np.asarray(c).tolist() for c in columns))]
+    lines += [line + "\n" for line in footer]
+    text = "".join(lines)
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
 def write_csv(path: DensePath, dest) -> None:
     """Write a path as CSV with columns time, regime, x_1.
 
-    ``dest`` is a file path or a text file object.  Floats are written
-    with 17 significant digits so a rewrite of the same path is
-    byte-identical.
+    ``dest`` is as for :func:`write_table`; a rewrite of the same path
+    is byte-identical.
     """
-    lines = ["time,regime,x_1"]
-    for k in range(len(path.times)):
-        lines.append("%.17g,%d,%.17g" % (path.times[k], path.regimes[k],
-                                         path.values[k]))
-    text = "\n".join(lines) + "\n"
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        with io.open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)
+    write_table(dest, ("time", "regime", "x_1"),
+                (path.times, path.regimes, path.values))

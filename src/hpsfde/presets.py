@@ -73,6 +73,9 @@ _PRESETS = {
 }
 
 PRESET_NAMES = tuple(_PRESETS)
+# the start time and the constant initial segment unless a caller sets them
+DEFAULT_T0 = 1.0
+DEFAULT_INITIAL = 0.5
 
 
 def _record(name: str) -> _Preset:
@@ -90,8 +93,8 @@ def default_measure(name: str) -> Measure:
                                (1.0, 1.0 / 3.0)])
 
 
-def preset(name: str, nu_choice: Optional[Measure] = None, t0: float = 1.0,
-           initial=0.5) -> ModelSpec:
+def preset(name: str, nu_choice: Optional[Measure] = None,
+           t0: float = DEFAULT_T0, initial=DEFAULT_INITIAL) -> ModelSpec:
     """Build one of the named models.
 
     Args:
@@ -158,7 +161,7 @@ def preset_lyapunov(name: str) -> LyapunovFamily:
         u0_power=rec.u0_power, u_powers=rec.u_powers)
 
 
-def preset_certificate(name: str, t0: float = 1.0) -> CertificateData:
+def preset_certificate(name: str, t0: float = DEFAULT_T0) -> CertificateData:
     """The dissipation coefficient table for a preset."""
     rec = _record(name)
     return CertificateData(a0=0.0, rows=rec.rows,

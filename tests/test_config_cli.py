@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hpsfde.cli import main
+from hpsfde.cli import _write_summary, main
 from hpsfde.config import (build_certificate, build_lyapunov, build_measure,
                            build_model, load_config, simulation_params)
+from hpsfde.integrator import IntegratorConfig, run_batch
 from hpsfde.models import PantographTerm, PolynomialTerm, eval_drift
 from hpsfde.paths import ConstantSegment
+from hpsfde.presets import preset
 
 
 def write_config(tmp_path, cfg, name="experiment.json"):
@@ -205,6 +207,17 @@ def test_simulate_writes_summary(tmp_path, capsys):
     assert first[1] + first[2] == pytest.approx(1.0)
     assert first[3] == pytest.approx(0.25)  # initial value 0.5 squared
     assert "simulated 30 paths" in capsys.readouterr().out
+
+
+def test_summary_bytes_same_for_path_and_stream(tmp_path):
+    batch = run_batch(preset("exp_stable"), IntegratorConfig(dt=0.1, T=2.0),
+                      n_paths=5, i0=1, root_seed=2, keep_paths=False)
+    buf = io.StringIO()
+    _write_summary(batch, [2.0, 4.0], buf)
+    dest = tmp_path / "summary.csv"
+    _write_summary(batch, [2.0, 4.0], str(dest))
+    assert dest.read_bytes() == buf.getvalue().encode("utf-8")
+    assert buf.getvalue().startswith("time,occ_1,occ_2,moment_2,moment_4\n")
 
 
 def test_simulate_dumps_per_path_files(tmp_path):
@@ -468,8 +481,36 @@ def test_unread_simulation_key_is_an_error(tmp_path, capsys, command, key):
                            if k != "generator"},
                  "simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}),
      "model.generator is required"),
+    # a key that nothing reads, in each section but simulation
+    ("simulate", '{"output": {"per_paths": true}}',
+     "unknown key output.per_paths "),
+    ("check-ito", '{"lyapunov": {"t_ned": 2.0}}',
+     "unknown key lyapunov.t_ned "),
+    ("certify", '{"certificate": {"epsilom": 0.1}}',
+     "unknown key certificate.epsilom "),
+    ("estimate", '{"estimate": {"powr": 2.0}}', "unknown key estimate.powr "),
+    ("certify", '{"model": {"preset": "exp_stable", "thetalower": 0.5}}',
+     "unknown key model.thetalower "),
+    # a nested value of the wrong JSON type
+    ("simulate", '{"model": {"preset": "exp_stable", "measure": 3}}',
+     "model.measure must be a JSON object, got 3"),
+    ("simulate", '{"model": {"preset": "exp_stable", "initial": {"times": 3}}, '
+     '"simulation": {"dt": 0.1, "T": 2.0}}',
+     "model.initial.times must be a JSON array, got 3"),
+    ("certify", '{"certificate": {"rows": [3], "theta_lower": 0.5}}',
+     "certificate.rows[0] must be a JSON object, got 3"),
+    ("simulate",
+     json.dumps({"model": dict(EXPLICIT_MODEL, drift=[[3], []]),
+                 "simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}),
+     "model.drift[0][0] must be a JSON object, got 3"),
+    ("check-ito", '{"model": {"preset": "exp_stable"}, '
+     '"lyapunov": {"regimes": 3}}',
+     "lyapunov.regimes must be a JSON array, got 3"),
 ], ids=["no-theta-lower", "top-level-array", "certificate-not-object",
-        "simulation-not-object", "no-generator"])
+        "simulation-not-object", "no-generator", "output-key", "lyapunov-key",
+        "certificate-key", "estimate-key", "model-key", "measure-number",
+        "initial-times-number", "certificate-row-number", "term-number",
+        "regimes-number"])
 def test_malformed_config_is_an_error(tmp_path, capsys, command, text, named):
     cfg = tmp_path / "experiment.json"
     cfg.write_text(text)

@@ -240,12 +240,16 @@ def test_report_csv_round_trip(tmp_path):
     assert [float(w) for w in window] == [0.0, 10.0]
 
 
-def test_report_csv_accepts_file_objects():
+def test_report_csv_accepts_file_objects(tmp_path):
     rep = estimate_moment_rate(exp_batch(), p=1.0)
     buf = io.StringIO()
     rep.to_csv(buf)
     assert buf.getvalue().startswith("t,statistic\n")
     assert "# stderr," in buf.getvalue()
+    # a file path and a text stream get the same UTF-8 bytes
+    out = tmp_path / "report.csv"
+    rep.to_csv(str(out))
+    assert out.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_statistic_at_interpolates_and_validates():

@@ -183,3 +183,54 @@ def test_sampled_paths_respect_generator_support(rates, seed):
     # a state is only left through a positive rate
     for s_from, s_to in zip(rp.states[:-1], rp.states[1:]):
         assert g.rates[s_from - 1, s_to - 1] > 0.0
+
+
+THREE_STATE = [[-3.0, 1.0, 2.0], [0.5, -2.0, 1.5], [4.0, 1.0, -5.0]]
+
+
+def per_jump_reference(g, i0, t0, T, seed):
+    """sample_regime_path with the destination row rebuilt at each jump."""
+    rng = np.random.default_rng(seed)
+    q = g.rates
+    jumps, states, t, i = [], [i0], t0, i0
+    while True:
+        rate = float(-q[i - 1, i - 1])
+        if rate <= 1e-300:
+            break
+        t = t + rng.exponential(1.0 / rate)
+        if t >= T:
+            break
+        row = q[i - 1].copy()
+        row[i - 1] = 0.0
+        cum = np.cumsum(row / rate)
+        j = min(int(np.searchsorted(cum, rng.random(), side="right")) + 1,
+                g.n_states)
+        jumps.append(t)
+        states.append(j)
+        i = j
+    return np.asarray(jumps), np.asarray(states)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_jump_table_matches_per_jump_reference(seed):
+    g = make_generator(THREE_STATE)
+    rp = sample_regime_path(g, 2, 0.0, 40.0, seed)
+    jumps, states = per_jump_reference(g, 2, 0.0, 40.0, seed)
+    assert rp.n_jumps > 50
+    assert np.array_equal(rp.jump_times, jumps)
+    assert np.array_equal(rp.states, states)
+
+
+def test_jump_destinations_follow_embedded_chain():
+    g = make_generator(THREE_STATE)
+    rp = sample_regime_path(g, 1, 0.0, 7000.0, 11)
+    src, dst = rp.states[:-1], rp.states[1:]
+    assert rp.n_jumps > 20000
+    for i in range(1, 4):
+        n = int((src == i).sum())
+        for j in range(1, 4):
+            if j == i:
+                continue
+            prob = THREE_STATE[i - 1][j - 1] / -THREE_STATE[i - 1][i - 1]
+            freq = float((dst[src == i] == j).mean())
+            assert abs(freq - prob) < 4.0 * np.sqrt(prob * (1 - prob) / n)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from hpsfde.errors import OutOfDomain, PathExploded
 from hpsfde.paths import (ConstantSegment, DensePath, FunctionSegment,
-                          eval as path_eval, segment, sup_norm, write_csv)
+                          eval as path_eval, segment, sup_norm, write_csv,
+                          write_table)
 
 
 def make_path(times, values, theta_lower=0.5, t0=1.0, regimes=None,
@@ -166,8 +167,10 @@ def test_write_csv_layout_and_determinism(tmp_path):
     f1 = tmp_path / "a.csv"
     f2 = tmp_path / "b.csv"
     write_csv(p, str(f1))
-    write_csv(p, str(f2))
+    write_csv(p, f2)
     assert f1.read_bytes() == f2.read_bytes()
+    # a file path and a text stream get the same UTF-8 bytes
+    assert f1.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_csv_round_trip_is_value_exact(tmp_path):
@@ -179,3 +182,12 @@ def test_csv_round_trip_is_value_exact(tmp_path):
     back = np.loadtxt(str(dest), delimiter=",", skiprows=1)
     assert np.array_equal(back[:, 0], p.times)
     assert np.array_equal(back[:, 2], p.values)
+
+
+def test_write_table_layout():
+    buf = io.StringIO()
+    write_table(buf, ["t", "n", "x"],
+                [np.array([0.1, 2.0]), np.array([1, 12]),
+                 np.array([-0.0, np.nan])], footer=("# end,1",))
+    assert buf.getvalue() == ("t,n,x\n0.10000000000000001,1,-0\n"
+                              "2,12,nan\n# end,1\n")
