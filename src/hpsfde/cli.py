@@ -30,7 +30,8 @@ from .certificates import (CertificateData, check_existence,
                            solve_epsilon_polynomial, time_average_bound)
 from .errors import Error, NotApplicable
 from .estimators import (estimate_as_rate, estimate_moment_rate,
-                         estimate_polynomial_rate, estimate_time_average)
+                         estimate_polynomial_rate, estimate_time_average,
+                         moment_curve)
 from .integrator import IntegratorConfig, SimulationBatch, run_batch
 from .lyapunov import martingale_residual
 from .paths import write_csv, write_table
@@ -60,7 +61,6 @@ def _write_summary(batch: SimulationBatch, moments, dest) -> None:
     |x|^p over the non-exploded paths only.
     """
     n_regimes = batch.model.n_regimes
-    keep = ~batch.exploded_mask
     cols = ["time"]
     cols += ["occ_%d" % i for i in range(1, n_regimes + 1)]
     cols += ["moment_%g" % p for p in moments]
@@ -68,9 +68,8 @@ def _write_summary(batch: SimulationBatch, moments, dest) -> None:
     for i in range(1, n_regimes + 1):
         series.append((batch.regimes_uniform == i).mean(axis=0))
     for p in moments:
-        if keep.any():
-            series.append(
-                (np.abs(batch.uniform_values[keep]) ** p).mean(axis=0))
+        if batch.n_exploded < batch.n_paths:
+            series.append(moment_curve(batch, p))
         else:
             series.append(np.full(len(batch.uniform_times), np.nan))
     write_table(dest, cols, series)

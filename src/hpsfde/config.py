@@ -23,9 +23,11 @@ itself an object.  Each section accepts only the keys it reads:
 Defaults are those of the code that owns each setting: the preset
 builders (t0, initial), the integrator (block_size, blowup_threshold)
 and the measures (nodes).  An unknown key, a missing required key or a
-nested value of the wrong JSON type is a ValueError that names it, e.g.
-``unknown key output.per_paths`` or ``certificate.theta_lower is
-required``.
+value of the wrong JSON type is a ValueError that names it, e.g.
+``unknown key output.per_paths``, ``certificate.theta_lower is
+required`` or ``simulation.n_paths must be a JSON integer, got 2.5``.
+A number is never a boolean, and counts, seeds, indices, node counts
+and powers of x must be integral.
 
 Term objects look like
 
@@ -41,6 +43,7 @@ where "measure": "shared" refers to the model-level measure spec and
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Optional
 
 from .certificates import CertificateData, CertificateRow
@@ -52,57 +55,93 @@ from .models import (DEFAULT_DENSITY_NODES, Kernel, Measure, ModelSpec,
 from .presets import (DEFAULT_INITIAL, DEFAULT_T0, preset, preset_certificate,
                       preset_lyapunov)
 
-# The keys of each section and the JSON type of the structured ones:
-# dict is an object, list an array, None a value checked where it is read.
+_NULL = type(None)
+_REQUIRED = object()
+
+# The keys of each section and the JSON type of their values, as
+# ``_typed`` reads a kind; the items of nested objects are checked where
+# they are read.
 _KEYS = {
-    "model": {"preset": None, "dim": None, "theta_lower": None, "t0": None,
-              "generator": list, "initial": None, "measure": dict,
-              "kernel": dict, "drift": list, "diffusion": list},
-    "simulation": dict.fromkeys(("dt", "T", "n_paths", "i0", "root_seed",
-                                 "block_size", "blowup_threshold")),
-    "output": {"moments": list, "per_path": None, "per_path_limit": None,
-               "dir": None},
-    "lyapunov": {"preset": None, "regimes": list, "u0_power": None,
-                 "u_powers": list, "strict": None, "t_end": None},
-    "certificate": {"preset": None, "rows": list, "theta_lower": None,
-                    "t0": None, "a0": None, "beta": None, "u0_power": None,
-                    "moment_powers": list, "checks": list, "epsilon": None},
-    "estimate": {"power": None},
+    "model": {"preset": (str, _NULL), "dim": int, "theta_lower": float,
+              "t0": float, "generator": [[float]], "initial": (float, dict),
+              "measure": dict, "kernel": dict, "drift": [[dict]],
+              "diffusion": [[dict]]},
+    "simulation": {"dt": float, "T": float, "n_paths": int, "i0": int,
+                   "root_seed": int, "block_size": int,
+                   "blowup_threshold": float},
+    "output": {"moments": [float], "per_path": bool,
+               "per_path_limit": (int, _NULL), "dir": str},
+    "lyapunov": {"preset": (str, _NULL), "regimes": [list], "u0_power": int,
+                 "u_powers": [int], "strict": bool, "t_end": float},
+    "certificate": {"preset": (str, _NULL), "rows": [dict],
+                    "theta_lower": float, "t0": float, "a0": float,
+                    "beta": (float, _NULL), "u0_power": int,
+                    "moment_powers": [int], "checks": [str],
+                    "epsilon": (float, _NULL)},
+    "estimate": {"power": float},
 }
-_JSON_NAMES = {dict: "object", list: "array"}
+_JSON_NAMES = {dict: "object", list: "array", float: "number",
+               int: "integer", bool: "boolean", str: "string", _NULL: "null"}
 
 
 def _reject_constant(name):
     raise ValueError("%s is not a JSON number" % name)
 
 
+def _is_json(value, kind) -> bool:
+    if kind is float or kind is int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return False
+        return (kind is float or isinstance(value, numbers.Integral)
+                or float(value).is_integer())
+    return isinstance(value, kind)
+
+
 def _typed(value, name: str, kind):
-    """``value``, or a ValueError naming ``name`` if it is not a ``kind``."""
-    if not isinstance(value, kind):
-        raise ValueError("%s must be a JSON %s, got %r"
-                         % (name, _JSON_NAMES[kind], value))
-    return value
+    """``value`` as a ``kind``, or a ValueError naming ``name``.
+
+    A kind is a key of ``_JSON_NAMES`` (float is any number, int an
+    integral one, returned as a Python float or int), a tuple of them,
+    any of which will do, or ``[k]``: an array whose items are each a
+    ``k``, named ``name[i]``.
+    """
+    if isinstance(kind, list):
+        for i, item in enumerate(_typed(value, name, list)):
+            _typed(item, "%s[%d]" % (name, i), kind[0])
+        return value
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for k in kinds:
+        if _is_json(value, k):
+            return k(value) if k in (float, int) else value
+    raise ValueError("%s must be a JSON %s, got %r"
+                     % (name, " or ".join(_JSON_NAMES[k] for k in kinds),
+                        value))
 
 
-def _field(spec, name: str, kind=None):
+def _field(spec, name: str, kind=None, default=_REQUIRED):
     """``spec[key]``, ``key`` being the last part of the dotted ``name``.
 
-    Raises ValueError naming ``name`` when the key is absent or its
-    value is not a ``kind``, and naming the rest of ``name`` when
-    ``spec`` is not an object.
+    Returns ``default`` when the key is absent and a default is given.
+    Raises ValueError naming ``name`` when the key is required but
+    absent or its value is not a ``kind``, and naming the rest of
+    ``name`` when ``spec`` is not an object.
     """
     parent, _, key = name.rpartition(".")
     if key not in _typed(spec, parent, dict):
-        raise ValueError("%s is required" % name)
+        if default is _REQUIRED:
+            raise ValueError("%s is required" % name)
+        return default
     return spec[key] if kind is None else _typed(spec[key], name, kind)
 
 
-def _pairs(value, name: str):
-    """``value`` if it is an array of two-element arrays."""
-    for pair in _typed(value, name, list):
+def _pairs(value, name: str, kinds=(float, float)):
+    """``value`` if it is an array of [x, y] arrays of the two ``kinds``."""
+    for i, pair in enumerate(_typed(value, name, list)):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValueError("%s must hold [x, y] pairs, got %r"
                              % (name, pair))
+        for j, kind in enumerate(kinds):
+            _typed(pair[j], "%s[%d][%d]" % (name, i, j), kind)
     return value
 
 
@@ -120,8 +159,7 @@ def _section(cfg: dict, name: str) -> dict:
         if key not in known:
             raise ValueError("unknown key %s.%s (known: %s)"
                              % (name, key, ", ".join(known)))
-        if known[key] is not None:
-            _typed(value, "%s.%s" % (name, key), known[key])
+        _typed(value, "%s.%s" % (name, key), known[key])
     return spec
 
 
@@ -153,30 +191,30 @@ def build_measure(spec) -> Measure:
     "hi": b, "nodes": n}, {"kind": "density", "edges": [...],
     "values": [...], "nodes": n}.
     """
-    kind = _typed(spec, "measure", dict).get("kind", "atoms")
+    kind = _field(spec, "measure.kind", str, "atoms")
     if kind == "atoms":
         atoms = _pairs(_field(spec, "measure.atoms"), "measure.atoms")
         return Measure.from_atoms([(a[0], a[1]) for a in atoms])
     if kind == "point":
-        return Measure.point_mass(spec.get("theta", 1.0))
+        return Measure.point_mass(_field(spec, "measure.theta", float, 1.0))
+    nodes = _field(spec, "measure.nodes", int, DEFAULT_DENSITY_NODES)
     if kind == "uniform":
-        return Measure.uniform(
-            _field(spec, "measure.lo"), _field(spec, "measure.hi"),
-            nodes=int(spec.get("nodes", DEFAULT_DENSITY_NODES)))
+        return Measure.uniform(_field(spec, "measure.lo", float),
+                               _field(spec, "measure.hi", float), nodes=nodes)
     if kind == "density":
         return Measure.piecewise_density(
-            _field(spec, "measure.edges", kind=list),
-            _field(spec, "measure.values", kind=list),
-            nodes=int(spec.get("nodes", DEFAULT_DENSITY_NODES)))
+            _field(spec, "measure.edges", [float]),
+            _field(spec, "measure.values", [float]), nodes=nodes)
     raise ValueError("unknown measure kind %r" % (kind,))
 
 
 def _build_term(spec, name: str, shared_measure: Optional[Measure],
                 shared_kernel: Optional[Kernel]):
     """The term at ``name``, such as model.drift[0][1]."""
-    kind = _field(spec, name + ".type")
+    kind = _field(spec, name + ".type", str)
     if kind == "polynomial":
-        coeffs = _pairs(_field(spec, name + ".coeffs"), name + ".coeffs")
+        coeffs = _pairs(_field(spec, name + ".coeffs"), name + ".coeffs",
+                        (int, float))
         return PolynomialTerm([(int(p), float(c)) for p, c in coeffs])
     if kind == "pantograph":
         mspec = spec.get("measure", "shared")
@@ -187,19 +225,19 @@ def _build_term(spec, name: str, shared_measure: Optional[Measure],
             measure = shared_measure
         else:
             measure = build_measure(_typed(mspec, name + ".measure", dict))
-        kspec = spec.get("kernel", False)
+        kspec = _field(spec, name + ".kernel", (bool, _NULL, dict), False)
         if kspec is True:
             kernel = shared_kernel
         elif kspec in (False, None):
             kernel = None
         else:
-            kernel = Kernel.linear(float(_field(kspec, name + ".kernel.beta")))
+            kernel = Kernel.linear(_field(kspec, name + ".kernel.beta", float))
         return PantographTerm(
-            coeff=float(_field(spec, name + ".coeff")),
+            coeff=_field(spec, name + ".coeff", float),
             measure=measure, kernel=kernel,
-            point_exponent=float(spec.get("point_exponent", 0.0)),
-            delay_exponent=float(spec.get("delay_exponent", 1.0)),
-            signed=bool(spec.get("signed", False)))
+            point_exponent=_field(spec, name + ".point_exponent", float, 0.0),
+            delay_exponent=_field(spec, name + ".delay_exponent", float, 1.0),
+            signed=_field(spec, name + ".signed", bool, False))
     raise ValueError("unknown term type %r" % (kind,))
 
 
@@ -220,19 +258,18 @@ def build_model(cfg: dict) -> ModelSpec:
     if name is not None:
         return preset(name, nu_choice=shared_measure, t0=t0, initial=initial)
     shared_kernel = (
-        Kernel.linear(float(_field(spec["kernel"], "model.kernel.beta")))
+        Kernel.linear(_field(spec["kernel"], "model.kernel.beta", float))
         if "kernel" in spec else None)
 
     def terms(part):
         return tuple(
             tuple(_build_term(t, "%s[%d][%d]" % (part, i, j), shared_measure,
                               shared_kernel)
-                  for j, t in enumerate(_typed(one_regime,
-                                               "%s[%d]" % (part, i), list)))
+                  for j, t in enumerate(one_regime))
             for i, one_regime in enumerate(_field(spec, part)))
 
     return ModelSpec(
-        theta_lower=float(_field(spec, "model.theta_lower")), t0=t0,
+        theta_lower=_field(spec, "model.theta_lower", float), t0=t0,
         generator=make_generator(_field(spec, "model.generator")),
         drift=terms("model.drift"), diffusion=terms("model.diffusion"),
         initial_segment=initial)
@@ -240,8 +277,8 @@ def build_model(cfg: dict) -> ModelSpec:
 
 def _initial_from(spec):
     if isinstance(spec, dict):
-        return (tuple(_field(spec, "model.initial.times", kind=list)),
-                tuple(_field(spec, "model.initial.values", kind=list)))
+        return (tuple(_field(spec, "model.initial.times", [float])),
+                tuple(_field(spec, "model.initial.values", [float])))
     return float(spec)
 
 
@@ -255,10 +292,10 @@ def build_lyapunov(cfg: dict) -> LyapunovFamily:
         return preset_lyapunov(name)
     regimes = tuple(
         PolynomialV([(int(p), float(c)) for p, c in
-                     _pairs(coeffs, "lyapunov.regimes[%d]" % i)])
+                     _pairs(coeffs, "lyapunov.regimes[%d]" % i, (int, float))])
         for i, coeffs in enumerate(spec["regimes"]))
     return LyapunovFamily(
-        regimes=regimes, u0_power=int(_field(spec, "lyapunov.u0_power")),
+        regimes=regimes, u0_power=_field(spec, "lyapunov.u0_power", int),
         u_powers=tuple(int(p) for p in _field(spec, "lyapunov.u_powers")),
         strict=bool(spec.get("strict", False)))
 
@@ -275,7 +312,7 @@ def build_certificate(cfg: dict) -> CertificateData:
         return preset_certificate(name, t0=float(model_t0))
     rows = tuple(
         CertificateRow(
-            a=float(_field(r, "certificate.rows[%d].a" % k)),
+            a=_field(r, "certificate.rows[%d].a" % k, float),
             b_alpha=tuple((float(b), float(al)) for b, al in _pairs(
                 _field(r, "certificate.rows[%d].b_alpha" % k),
                 "certificate.rows[%d].b_alpha" % k)))
@@ -283,7 +320,7 @@ def build_certificate(cfg: dict) -> CertificateData:
     beta = spec.get("beta")
     return CertificateData(
         a0=float(spec.get("a0", 0.0)), rows=rows,
-        theta_lower=float(_field(spec, "certificate.theta_lower")),
+        theta_lower=_field(spec, "certificate.theta_lower", float),
         t0=float(spec.get("t0", model_t0)),
         beta=None if beta is None else float(beta),
         u0_power=int(spec.get("u0_power", 2)),

@@ -92,8 +92,12 @@ def standard_error(samples: np.ndarray) -> float:
     return float(samples.std(ddof=1)) / math.sqrt(n)
 
 
-def _surviving_values(batch: SimulationBatch, min_paths: int):
-    """Grid times and state values of the non-exploded paths."""
+def _surviving_abs(batch: SimulationBatch, min_paths: int):
+    """Grid times, |x| of the non-exploded paths and their count.
+
+    |x| is one fresh array, which the estimators overwrite in place;
+    ``batch.uniform_values`` is read, never copied or written.
+    """
     keep = ~batch.exploded_mask
     n_used = int(keep.sum())
     if n_used == 0:
@@ -101,7 +105,18 @@ def _surviving_values(batch: SimulationBatch, min_paths: int):
     if n_used < min_paths:
         raise InsufficientPaths(
             "%d non-exploded paths, need at least %d" % (n_used, min_paths))
-    return batch.uniform_times, batch.uniform_values[keep], n_used
+    if n_used == batch.n_paths:
+        return batch.uniform_times, np.abs(batch.uniform_values), n_used
+    vals = batch.uniform_values[keep]
+    return batch.uniform_times, np.abs(vals, out=vals), n_used
+
+
+def moment_curve(batch: SimulationBatch, p: float,
+                 min_paths: int = 1) -> np.ndarray:
+    """Mean of |x(t)|^p over the non-exploded paths on the uniform grid."""
+    stat = _surviving_abs(batch, min_paths)[1]
+    stat **= p
+    return stat.mean(axis=0)
 
 
 def _window_mask(times: np.ndarray, t0: float, T: float,
@@ -147,8 +162,10 @@ def _quantile_summary(slopes: np.ndarray) -> Dict[float, float]:
 
 def _pathwise_fit(kind, batch, p, window, min_paths, abscissa) -> RateReport:
     """Report of the per-path OLS slopes of log|x(t)|^p on abscissa(t)."""
-    times, vals, n_used = _surviving_values(batch, min_paths)
-    logs = p * np.log(np.maximum(np.abs(vals), LOG_FLOOR))
+    times, logs, n_used = _surviving_abs(batch, min_paths)
+    np.maximum(logs, LOG_FLOOR, out=logs)
+    np.log(logs, out=logs)
+    logs *= p
     mask = _window_mask(times, batch.t0, batch.T, window)
     slopes = _per_path_slopes(abscissa(times[mask]), logs[:, mask])
     return RateReport(kind=kind, fitted_rate=float(slopes.max()),
@@ -171,9 +188,9 @@ def estimate_moment_rate(batch: SimulationBatch, p: float,
     Returns a report with kind "moment-exponential"; ``series_values``
     holds the moment curve itself (not its log) on the full grid.
     """
-    times, vals, n_used = _surviving_values(batch, min_paths)
-    stat = np.abs(vals) ** p
-    m_t = stat.mean(axis=0)
+    m_t = moment_curve(batch, p, min_paths)
+    times = batch.uniform_times
+    n_used = batch.n_paths - batch.n_exploded
     mask = _window_mask(times, batch.t0, batch.T, window)
     y = np.log(np.maximum(m_t[mask], LOG_FLOOR))
     slope, stderr = _ols_slope(times[mask], y)
@@ -215,19 +232,18 @@ def estimate_time_average(batch: SimulationBatch, p: float,
 
     ``stderr`` is the standard error across per-path time averages.
     """
-    times, vals, n_used = _surviving_values(batch, min_paths)
-    stat = np.abs(vals) ** p
-    dt_seg = np.diff(times)
-    seg = 0.5 * (stat[:, 1:] + stat[:, :-1]) * dt_seg[None, :]
-    per_path_integral = np.concatenate(
-        (np.zeros((stat.shape[0], 1)), np.cumsum(seg, axis=1)), axis=1)
-    denom = times - batch.t0
-    m_integral = per_path_integral.mean(axis=0)
-    series = np.empty_like(m_integral)
+    times, stat, n_used = _surviving_abs(batch, min_paths)
+    stat **= p
+    series = np.empty(len(times))
     series[0] = stat[:, 0].mean()
-    series[1:] = m_integral[1:] / denom[1:]
-    span = times[-1] - batch.t0
-    per_path_avg = per_path_integral[:, -1] / span
+    # trapezoid areas; after the cumsum integral[:, j] is each path's
+    # integral over [t0, times[j + 1]]
+    integral = stat[:, 1:] + stat[:, :-1]
+    integral *= 0.5
+    integral *= np.diff(times)
+    np.cumsum(integral, axis=1, out=integral)
+    series[1:] = integral.mean(axis=0) / (times[1:] - batch.t0)
+    per_path_avg = integral[:, -1] / (times[-1] - batch.t0)
     return RateReport(kind="time-average", fitted_rate=float(series[-1]),
                       stderr=standard_error(per_path_avg),
                       window=(float(batch.t0), float(batch.T)),

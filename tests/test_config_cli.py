@@ -506,11 +506,33 @@ def test_unread_simulation_key_is_an_error(tmp_path, capsys, command, key):
     ("check-ito", '{"model": {"preset": "exp_stable"}, '
      '"lyapunov": {"regimes": 3}}',
      "lyapunov.regimes must be a JSON array, got 3"),
+    # a nested scalar of the wrong JSON type
+    ("simulate",
+     json.dumps({"model": dict(EXPLICIT_MODEL, drift=[
+         [{"type": "pantograph", "coeff": None}], []]),
+                 "simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}),
+     "model.drift[0][0].coeff must be a JSON number, got None"),
+    ("simulate",
+     json.dumps({"model": dict(EXPLICIT_MODEL,
+                               generator=[["-1", 1.0], [2.0, -2.0]]),
+                 "simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}),
+     "model.generator[0][0] must be a JSON number, got '-1'"),
+    ("simulate", '{"model": {"preset": "exp_stable", "measure": '
+     '{"kind": "uniform", "lo": 0.5, "hi": 1.0, "nodes": 8.5}}, '
+     '"simulation": {"dt": 0.1, "T": 2.0}}',
+     "measure.nodes must be a JSON integer, got 8.5"),
+    ("check-ito", '{"model": {"preset": "exp_stable"}, "lyapunov": '
+     '{"regimes": [[[2.5, 1.0]], [[2, 1.0]]], "u0_power": 2, '
+     '"u_powers": [2]}, "simulation": {"dt": 0.1, "T": 2.0}}',
+     "lyapunov.regimes[0][0][0] must be a JSON integer, got 2.5"),
+    ("certify", '{"certificate": {"preset": "exp_stable", "beta": true}}',
+     "certificate.beta must be a JSON number or null, got True"),
 ], ids=["no-theta-lower", "top-level-array", "certificate-not-object",
         "simulation-not-object", "no-generator", "output-key", "lyapunov-key",
         "certificate-key", "estimate-key", "model-key", "measure-number",
         "initial-times-number", "certificate-row-number", "term-number",
-        "regimes-number"])
+        "regimes-number", "coeff-null", "generator-string",
+        "nodes-fraction", "power-fraction", "beta-bool"])
 def test_malformed_config_is_an_error(tmp_path, capsys, command, text, named):
     cfg = tmp_path / "experiment.json"
     cfg.write_text(text)
@@ -518,6 +540,38 @@ def test_malformed_config_is_an_error(tmp_path, capsys, command, text, named):
     captured = capsys.readouterr()
     assert "error: " in captured.err and named in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("section, spec, named", [
+    ("simulation", {"dt": [0.1], "T": 2.0},
+     "simulation.dt must be a JSON number, got [0.1]"),
+    ("output", {"moments": ["two"]},
+     "output.moments[0] must be a JSON number, got 'two'"),
+    ("simulation", {"dt": 0.1, "T": "2.0"},
+     "simulation.T must be a JSON number, got '2.0'"),
+    ("simulation", {"dt": 0.1, "T": 2.0, "n_paths": 2.5},
+     "simulation.n_paths must be a JSON integer, got 2.5"),
+    ("simulation", {"dt": 0.1, "T": 2.0, "n_paths": True},
+     "simulation.n_paths must be a JSON integer, got True"),
+], ids=["dt-array", "moment-string", "T-string", "n_paths-fraction",
+        "n_paths-bool"])
+def test_scalar_of_wrong_json_type_is_an_error(tmp_path, capsys, section,
+                                               spec, named):
+    cfg = write_config(tmp_path, simulate_config(**{section: spec}))
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error: %s" % named in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_integral_float_counts_are_accepted():
+    params = simulation_params({"simulation": {
+        "dt": 1, "T": 5.0, "n_paths": 3.0, "block_size": 2e3}})
+    assert params["n_paths"] == 3 and isinstance(params["n_paths"], int)
+    assert params["block_size"] == 2000
+    assert params["dt"] == 1.0 and isinstance(params["dt"], float)
 
 
 def test_negative_per_path_limit_is_an_error(tmp_path, capsys):

@@ -1,17 +1,23 @@
 """Decay-rate estimators on synthetic ensembles with known rates."""
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hpsfde.cli import _write_summary
 from hpsfde.errors import AllExploded, DegenerateWindow, InsufficientPaths
-from hpsfde.estimators import (estimate_as_rate, estimate_moment_rate,
-                               estimate_polynomial_rate,
-                               estimate_time_average)
+from hpsfde.estimators import (LOG_FLOOR, RateReport, _ols_slope,
+                               _per_path_slopes, _quantile_summary,
+                               _window_mask, estimate_as_rate,
+                               estimate_moment_rate, estimate_polynomial_rate,
+                               estimate_time_average, standard_error)
 from hpsfde.integrator import IntegratorConfig, SimulationBatch, run_batch
+from hpsfde.paths import write_table
 from hpsfde.presets import preset
 
 TIMES_10 = np.linspace(0.0, 10.0, 201)
@@ -260,6 +266,119 @@ def test_statistic_at_interpolates_and_validates():
         rep.statistic_at(11.0)
     with pytest.raises(ValueError):
         rep.statistic_at(-0.1)
+
+
+# ---------------------------------------------------------------------------
+# in-place arithmetic against the copying expressions
+# ---------------------------------------------------------------------------
+
+# Peak traced allocation of one call, as a multiple of the value array,
+# when no path exploded; the copying expressions peaked at 3, 3, 3 and 5.
+PEAK_BOUNDS = {estimate_moment_rate: 1.25, estimate_as_rate: 1.75,
+               estimate_polynomial_rate: 1.75, estimate_time_average: 3.25}
+
+
+def wide_batch(n_exploded):
+    """2000 signed random-walk paths on [1, 21], some exploded, some zero."""
+    rng = np.random.default_rng(17)
+    times = np.linspace(1.0, 21.0, 1001)
+    walk = 0.02 * np.cumsum(rng.standard_normal((2000, len(times))), axis=1)
+    vals = np.exp(walk - 0.3 * times)
+    vals[::5] *= -1.0
+    vals[11, 600:] = 0.0
+    exploded_at = np.full(2000, np.nan)
+    for row, t in list(zip((4, 1000, 1999), (3.0, 9.5, 20.0)))[:n_exploded]:
+        exploded_at[row] = t
+        vals[row, times > t] = np.nan
+    return SimulationBatch.synthetic(times, vals, exploded_at=exploded_at)
+
+
+def copying_reference(batch, p):
+    """Each estimator's report fields, by the expressions that copied the
+    surviving values and every intermediate array."""
+    keep = ~batch.exploded_mask
+    times, vals = batch.uniform_times, batch.uniform_values[keep]
+    mask = _window_mask(times, batch.t0, batch.T, None)
+    window = (float(times[mask][0]), float(times[mask][-1]))
+    common = dict(n_paths_used=int(keep.sum()), n_exploded=batch.n_exploded,
+                  series_times=times)
+    stat = np.abs(vals) ** p
+    m_t = stat.mean(axis=0)
+    slope, stderr = _ols_slope(times[mask],
+                               np.log(np.maximum(m_t[mask], LOG_FLOOR)))
+    want = {estimate_moment_rate: dict(
+        kind="moment-exponential", fitted_rate=slope, stderr=stderr,
+        window=window, series_values=m_t, quantiles=None, **common)}
+    logs = p * np.log(np.maximum(np.abs(vals), LOG_FLOOR))
+    for est, kind, abscissa in (
+            (estimate_as_rate, "as-exponential", lambda t: t),
+            (estimate_polynomial_rate, "as-polynomial", np.log1p)):
+        slopes = _per_path_slopes(abscissa(times[mask]), logs[:, mask])
+        want[est] = dict(kind=kind, fitted_rate=float(slopes.max()),
+                         stderr=standard_error(slopes), window=window,
+                         series_values=logs.mean(axis=0),
+                         quantiles=_quantile_summary(slopes), **common)
+    seg = 0.5 * (stat[:, 1:] + stat[:, :-1]) * np.diff(times)[None, :]
+    integral = np.concatenate(
+        (np.zeros((stat.shape[0], 1)), np.cumsum(seg, axis=1)), axis=1)
+    m_integral = integral.mean(axis=0)
+    series = np.empty_like(m_integral)
+    series[0] = stat[:, 0].mean()
+    series[1:] = m_integral[1:] / (times - batch.t0)[1:]
+    want[estimate_time_average] = dict(
+        kind="time-average", fitted_rate=float(series[-1]),
+        stderr=standard_error(integral[:, -1] / (times[-1] - batch.t0)),
+        window=(float(batch.t0), float(batch.T)), series_values=series,
+        quantiles=None, **common)
+    return want
+
+
+@pytest.mark.parametrize("p", [2.0, 0.5, 3.0])
+@pytest.mark.parametrize("n_exploded", [0, 3])
+def test_estimators_match_copying_reference_in_place(n_exploded, p):
+    batch = wide_batch(n_exploded)
+    before = batch.uniform_values.tobytes()
+    nbytes = batch.uniform_values.nbytes
+    fields = {f.name for f in dataclasses.fields(RateReport)}
+    for est, want in copying_reference(batch, p).items():
+        assert set(want) == fields
+        tracemalloc.start()
+        try:
+            rep = est(batch, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for name, value in want.items():
+            got = getattr(rep, name)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype, (est.__name__, name)
+                assert np.array_equal(got, value), (est.__name__, name)
+            else:
+                assert got == value, (est.__name__, name)
+        assert batch.uniform_values.tobytes() == before, est.__name__
+        if n_exploded == 0:
+            assert peak <= PEAK_BOUNDS[est] * nbytes, (est.__name__,
+                                                       peak / nbytes)
+
+
+@pytest.mark.parametrize("n_exploded", [0, 3])
+def test_summary_moments_match_copying_reference(n_exploded):
+    batch = dataclasses.replace(wide_batch(n_exploded),
+                                model=preset("exp_stable"))
+    before = batch.uniform_values.tobytes()
+    moments = [2.0, 0.5, 3]
+    keep = ~batch.exploded_mask
+    want = io.StringIO()
+    write_table(want, ["time", "occ_1", "occ_2"]
+                + ["moment_%g" % p for p in moments],
+                [batch.uniform_times]
+                + [(batch.regimes_uniform == i).mean(axis=0) for i in (1, 2)]
+                + [(np.abs(batch.uniform_values[keep]) ** p).mean(axis=0)
+                   for p in moments])
+    got = io.StringIO()
+    _write_summary(batch, moments, got)
+    assert got.getvalue() == want.getvalue()
+    assert batch.uniform_values.tobytes() == before
 
 
 # ---------------------------------------------------------------------------

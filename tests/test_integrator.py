@@ -93,14 +93,27 @@ def test_initial_grid_merges_table_knots():
 
 def test_path_streams_are_distinct_and_stable():
     a0 = path_streams(1, 0)
-    a1 = path_streams(1, 1)
     b0 = path_streams(1, 0)
     assert a0[0].entropy == b0[0].entropy
     assert a0[0].spawn_key == b0[0].spawn_key
-    assert a0[1].spawn_key != a1[1].spawn_key or True  # distinct paths
-    r0 = np.random.Generator(np.random.PCG64(path_streams(1, 0)[1]))
-    r1 = np.random.Generator(np.random.PCG64(path_streams(1, 1)[1]))
-    assert r0.standard_normal() != r1.standard_normal()
+    noise = [path_streams(1, p)[1] for p in range(6)]
+    assert len({s.spawn_key for s in noise}) == len(noise)
+    assert a0[0].spawn_key != a0[1].spawn_key
+    draws = [np.random.Generator(np.random.PCG64(s)).standard_normal()
+             for s in noise]
+    assert len(set(draws)) == len(draws)
+
+
+@pytest.mark.parametrize("root_seed", [0, 1, 987654321, 2**64 + 7])
+def test_path_streams_are_spawned_seed_sequences(root_seed):
+    # the determinism contract: path p's streams are the two children of
+    # SeedSequence(root_seed, spawn_key=(p,))
+    for p in (0, 1, 1023, 4096):
+        want = np.random.SeedSequence(root_seed, spawn_key=(p,)).spawn(2)
+        got = path_streams(root_seed, p)
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            assert np.array_equal(g.generate_state(8), w.generate_state(8))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +371,23 @@ def test_workers_and_block_size_do_not_change_results():
                 assert np.array_equal(a.times, b.times)
                 assert np.array_equal(a.values, b.values)
                 assert np.array_equal(a.regimes, b.regimes)
+
+
+def test_block_split_across_the_old_default_does_not_change_results():
+    # 1100 rows: one block at the default, 1024 + 76 and 550 + 550 below it
+    m = preset("exp_stable")
+    cfg = IntegratorConfig(dt=0.05, T=1.5)
+    base = run_batch(m, cfg, n_paths=1100, i0=1, root_seed=4,
+                     keep_paths=False)
+    assert base.n_switches.sum() > 0
+    for block in (1024, 550):
+        other = run_batch(m, cfg, n_paths=1100, i0=1, root_seed=4,
+                          block_size=block, keep_paths=False)
+        assert np.array_equal(base.uniform_values, other.uniform_values,
+                              equal_nan=True)
+        assert np.array_equal(base.regimes_uniform, other.regimes_uniform)
+        assert np.array_equal(base.exploded_at, other.exploded_at,
+                              equal_nan=True)
 
 
 def test_paths_depend_only_on_their_index():
