@@ -14,7 +14,10 @@ rate floor beta.  The checkers below turn the table into:
   * the best exponential rate epsilon (capped by beta);
   * moment and time-average bounds;
   * the best polynomial rate, by bisection on a monotone feasibility
-    predicate.
+    predicate to within ``BISECTION_TOL``.
+
+Both rate solvers certify their supremum minus ``STRICTNESS_MARGIN``,
+so the certified rate satisfies the strict inequalities.
 
 All arithmetic is plain Python floats; no simulation is involved, so
 every verdict is reproducible to the digit.
@@ -59,8 +62,8 @@ class CertificateData:
     ``beta`` present means the decaying-kernel form (required for the
     exponential-rate results and constrained by 0 < beta < a_1);
     ``beta`` None means the kernel-free form used by the polynomial
-    results.  ``u0_power`` and ``moment_powers`` are metadata recording
-    which |x|^p monomials play U_0 and U_k.
+    results.  The table holds no powers: which |x|^p monomials play U_0
+    and U_k is the :class:`~hpsfde.lyapunov.LyapunovFamily`'s record.
     """
 
     a0: float
@@ -68,8 +71,6 @@ class CertificateData:
     theta_lower: float
     t0: float
     beta: Optional[float] = None
-    u0_power: int = 2
-    moment_powers: Tuple[int, ...] = ()
 
     def __post_init__(self):
         require_finite(a0=self.a0, t0=self.t0)
@@ -157,27 +158,25 @@ def _exponential_sup(c: CertificateData) -> Tuple[Tuple[float, ...], float]:
     return margins, -margins[0]
 
 
-def solve_epsilon_exponential(c: CertificateData,
-                              delta: float = STRICTNESS_MARGIN
-                              ) -> CertificateVerdict:
-    """Best exponential rate: min(beta, sup epsilon - delta).
+def solve_epsilon_exponential(c: CertificateData) -> CertificateVerdict:
+    """Best exponential rate: min(beta, sup epsilon - STRICTNESS_MARGIN).
 
     The admissible epsilon satisfies 0 < epsilon <= beta and
     a_1 - epsilon - sum b_1l alpha_1l - (1/theta_lower) sum b_1l
     (1 - alpha_1l) > 0, so the supremum is the k=1 strict margin negated
-    and the certified value backs off by the strictness margin ``delta``.
+    and the certified value backs off by ``STRICTNESS_MARGIN``.
 
     Raises:
       NotApplicable: beta missing (kernel-free form) or some strict
         margin fails.
     """
     margins, sup = _exponential_sup(c)
-    eps = min(c.beta, sup - delta)
+    eps = min(c.beta, sup - STRICTNESS_MARGIN)
     if eps <= 0.0:
         return CertificateVerdict(
             holds=False, margins=margins, epsilon=None, epsilon_sup=sup,
             detail=("sup epsilon %.12g leaves no room above the strictness "
-                    "margin %.3g" % (sup, delta),))
+                    "margin %.3g" % (sup, STRICTNESS_MARGIN),))
     detail = (
         "sup epsilon = %.12g from the k=1 margin; beta cap %.12g"
         % (sup, c.beta),
@@ -253,16 +252,16 @@ def polynomial_margins(c: CertificateData, epsilon: float
     return tuple(out)
 
 
-def solve_epsilon_polynomial(c: CertificateData,
-                             delta: float = STRICTNESS_MARGIN,
-                             tol: float = BISECTION_TOL
-                             ) -> CertificateVerdict:
+def solve_epsilon_polynomial(c: CertificateData) -> CertificateVerdict:
     """Best polynomial rate by bisection over the feasibility predicate.
 
-    Requires the kernel-free form with a0 = 0.  A supplied beta is
-    ignored (the polynomial result does not use it) and flagged in the
-    notes.  When no positive epsilon is feasible the verdict is
-    holds=False rather than an exception.
+    The bisection stops once its bracket is narrower than
+    ``BISECTION_TOL``, and the certified rate backs off from the
+    bracket's feasible end by ``STRICTNESS_MARGIN``.  Requires the
+    kernel-free form with a0 = 0.  A supplied beta is ignored (the
+    polynomial result does not use it) and flagged in the notes.  When
+    no positive epsilon is feasible the verdict is holds=False rather
+    than an exception.
 
     Raises:
       NotApplicable: a0 != 0.
@@ -284,19 +283,20 @@ def solve_epsilon_polynomial(c: CertificateData,
             holds=False, margins=polynomial_margins(c, lo), epsilon=None,
             detail=("infeasible already as epsilon -> 0+",), notes=notes)
     hi = c.rows[0].a + 1.0
-    while hi - lo > tol:
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
         else:
             hi = mid
-    eps = lo - delta
+    eps = lo - STRICTNESS_MARGIN
     if eps <= 0.0 or not feasible(eps):
         return CertificateVerdict(
             holds=False, margins=polynomial_margins(c, lo), epsilon=None,
             epsilon_sup=lo,
             detail=("sup epsilon %.12g leaves no room above the strictness "
-                    "margin %.3g" % (lo, delta),), notes=notes)
+                    "margin %.3g" % (lo, STRICTNESS_MARGIN),),
+            notes=notes)
     margins = polynomial_margins(c, eps)
     detail = tuple(
         "k=%d margin at epsilon=%.12g: %.12g (need < 0)"

@@ -44,8 +44,8 @@ _ESTIMATORS = {
 }
 
 
-def _simulate_batch(cfg: dict, keep_paths: bool = False) -> SimulationBatch:
-    model = config_mod.build_model(cfg)
+def _simulate_batch(cfg: dict, model, keep_paths: bool = False
+                    ) -> SimulationBatch:
     sim = config_mod.simulation_params(cfg)
     icfg = IntegratorConfig(dt=sim["dt"], T=sim["T"],
                             blowup_threshold=sim["blowup_threshold"])
@@ -83,14 +83,14 @@ def cmd_simulate(args) -> int:
     if limit is not None and int(limit) < 0:
         raise ValueError("output.per_path_limit must be >= 0, got %r"
                          % (limit,))
-    batch = _simulate_batch(cfg, keep_paths=per_path)
-    out_dir = args.out if args.out is not None else out_spec.get("dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    summary = os.path.join(out_dir, "summary.csv")
+    batch = _simulate_batch(cfg, config_mod.build_model(cfg),
+                            keep_paths=per_path)
+    os.makedirs(args.out, exist_ok=True)
+    summary = os.path.join(args.out, "summary.csv")
     _write_summary(batch, out_spec.get("moments", [2.0]), summary)
     written = [summary]
     if per_path:
-        path_dir = os.path.join(out_dir, "paths")
+        path_dir = os.path.join(args.out, "paths")
         os.makedirs(path_dir, exist_ok=True)
         n_dump = batch.n_paths if limit is None else min(int(limit),
                                                          batch.n_paths)
@@ -106,9 +106,13 @@ def cmd_simulate(args) -> int:
 def cmd_check_ito(args) -> int:
     cfg = config_mod.load_config(args.config)
     fam = config_mod.build_lyapunov(cfg)
-    sim = config_mod.simulation_params(cfg)
-    t_end = float(cfg.get("lyapunov", {}).get("t_end", sim["T"]))
-    batch = _simulate_batch(cfg, keep_paths=True)
+    model = config_mod.build_model(cfg)
+    T = config_mod.simulation_params(cfg)["T"]
+    t_end = float(cfg.get("lyapunov", {}).get("t_end", T))
+    if not model.t0 < t_end <= T:
+        raise ValueError("lyapunov.t_end must lie in (t0, T] = (%g, %g], "
+                         "got %r" % (model.t0, T, t_end))
+    batch = _simulate_batch(cfg, model, keep_paths=True)
     stat = martingale_residual(fam, batch, t_end)
     name = cfg.get("model", {}).get("preset", "custom")
     print("preset,t_end,residual,stderr,z")
@@ -149,7 +153,7 @@ def _run_certify_checks(data: CertificateData, checks, epsilon) -> bool:
                     lines.append("epsilon = %.17g" % v.epsilon)
                 _print_verdict("%s rate" % check, v.holds, lines)
                 all_hold &= v.holds
-            elif check == "time-average":
+            else:  # time-average; load_config rejects other names
                 lines = []
                 ok = True
                 for k in range(1, data.n_families + 1):
@@ -161,8 +165,6 @@ def _run_certify_checks(data: CertificateData, checks, epsilon) -> bool:
                         ok = False
                 _print_verdict("time averages", ok, lines)
                 all_hold &= ok
-            else:
-                raise ValueError("unknown check %r" % (check,))
         except NotApplicable as exc:
             _print_verdict(check, False, ["not applicable: %s" % exc])
             all_hold = False
@@ -186,10 +188,8 @@ def cmd_certify(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = config_mod.load_config(args.config)
-    power = args.power
-    if power is None:
-        power = float(cfg.get("estimate", {}).get("power", 2.0))
-    batch = _simulate_batch(cfg)
+    power = float(cfg.get("estimate", {}).get("power", 2.0))
+    batch = _simulate_batch(cfg, config_mod.build_model(cfg))
     report = _ESTIMATORS[args.kind](batch, power)
     report.to_csv(args.out)
     print("kind=%s fitted_rate=%.17g stderr=%.17g window=[%.17g, %.17g] "
@@ -200,7 +200,7 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hpsfde",
         description="Simulation and stability analysis of regime-switching "
@@ -209,7 +209,7 @@ def main(argv=None) -> int:
 
     p_sim = sub.add_parser("simulate", help="integrate a batch of paths")
     p_sim.add_argument("--config", required=True, help="experiment JSON")
-    p_sim.add_argument("--out", default=None, help="output directory")
+    p_sim.add_argument("--out", default=".", help="output directory")
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_ito = sub.add_parser("check-ito",
@@ -227,13 +227,14 @@ def main(argv=None) -> int:
     p_est.add_argument("--kind", required=True,
                        choices=sorted(_ESTIMATORS),
                        help="which rate to fit")
-    p_est.add_argument("--power", type=float, default=None,
-                       help="comparison power p (default from config)")
     p_est.add_argument("--out", default="report.csv",
                        help="report CSV destination")
     p_est.set_defaults(fn=cmd_estimate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (Error, ValueError, OSError) as exc:

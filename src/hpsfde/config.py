@@ -1,7 +1,8 @@
 """JSON experiment configuration: loading and object construction.
 
 An experiment file is one JSON object with up to six sections, each
-itself an object.  Each section accepts only the keys it reads:
+itself an object; any other top-level key is an error.  Each section
+accepts only the keys it reads:
 
   model        preset (a preset name; the explicit keys below are then
                unused), theta_lower, t0, generator (array of arrays,
@@ -11,21 +12,24 @@ itself an object.  Each section accepts only the keys it reads:
   simulation   dt and T (both required), n_paths, i0, root_seed,
                block_size, blowup_threshold.
   output       moments (powers to tabulate), per_path (dump per-path
-               CSVs), per_path_limit, dir.
+               CSVs), per_path_limit.  The directory is the command
+               line's ``--out``.
   lyapunov     preset, or regimes (per-regime [power, coeff] lists) with
                u0_power, u_powers and strict; t_end, the horizon of the
                residual check.
   certificate  preset, or rows ({"a", "b_alpha"} objects) with
-               theta_lower, t0, a0, beta, u0_power and moment_powers;
-               checks (which to run) and epsilon (a candidate rate).
+               theta_lower, t0, a0 and beta; checks (which to run, from
+               existence, exponential, polynomial and time-average) and
+               epsilon (a candidate rate).
   estimate     power, the default comparison power of ``hpsfde estimate``.
 
 Defaults are those of the code that owns each setting: the preset
 builders (t0, initial), the integrator (block_size, blowup_threshold)
-and the measures (nodes).  An unknown key, a missing required key or a
-value of the wrong JSON type is a ValueError that names it, e.g.
-``unknown key output.per_paths``, ``certificate.theta_lower is
-required`` or ``simulation.n_paths must be a JSON integer, got 2.5``.
+and the measures (nodes).  An unknown section or key, a missing
+required key, a value of the wrong JSON type or an unknown check is a
+ValueError that names it, e.g. ``unknown key output.per_paths``,
+``certificate.theta_lower is required`` or ``simulation.n_paths must
+be a JSON integer, got 2.5``.
 A number is never a boolean, and counts, seeds, indices, node counts
 and powers of x must be integral.
 
@@ -70,16 +74,17 @@ _KEYS = {
                    "root_seed": int, "block_size": int,
                    "blowup_threshold": float},
     "output": {"moments": [float], "per_path": bool,
-               "per_path_limit": (int, _NULL), "dir": str},
+               "per_path_limit": (int, _NULL)},
     "lyapunov": {"preset": (str, _NULL), "regimes": [list], "u0_power": int,
                  "u_powers": [int], "strict": bool, "t_end": float},
     "certificate": {"preset": (str, _NULL), "rows": [dict],
                     "theta_lower": float, "t0": float, "a0": float,
-                    "beta": (float, _NULL), "u0_power": int,
-                    "moment_powers": [int], "checks": [str],
+                    "beta": (float, _NULL), "checks": [str],
                     "epsilon": (float, _NULL)},
     "estimate": {"power": float},
 }
+CERTIFICATE_CHECKS = ("existence", "exponential", "polynomial",
+                      "time-average")
 _JSON_NAMES = {dict: "object", list: "array", float: "number",
                int: "integer", bool: "boolean", str: "string", _NULL: "null"}
 
@@ -168,7 +173,9 @@ def load_config(path) -> dict:
 
     NaN and Infinity literals, which Python's json module would accept,
     are rejected: JSON has no such numbers.  So are a top level that is
-    not a JSON object and sections that :func:`_section` rejects.
+    not a JSON object, a top-level key that is not a section, sections
+    that :func:`_section` rejects and a certificate check outside
+    ``CERTIFICATE_CHECKS``.
     """
     if hasattr(path, "read"):
         cfg = json.load(path, parse_constant=_reject_constant)
@@ -178,8 +185,16 @@ def load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError("the top level of an experiment file must be a "
                          "JSON object")
+    for name in cfg:
+        if name not in _KEYS:
+            raise ValueError("unknown section %s (known: %s)"
+                             % (name, ", ".join(_KEYS)))
     for name in _KEYS:
         _section(cfg, name)
+    for i, check in enumerate(cfg.get("certificate", {}).get("checks", ())):
+        if check not in CERTIFICATE_CHECKS:
+            raise ValueError("certificate.checks[%d] must be one of %s, got %r"
+                             % (i, ", ".join(CERTIFICATE_CHECKS), check))
     return cfg
 
 
@@ -322,9 +337,7 @@ def build_certificate(cfg: dict) -> CertificateData:
         a0=float(spec.get("a0", 0.0)), rows=rows,
         theta_lower=_field(spec, "certificate.theta_lower", float),
         t0=float(spec.get("t0", model_t0)),
-        beta=None if beta is None else float(beta),
-        u0_power=int(spec.get("u0_power", 2)),
-        moment_powers=tuple(int(p) for p in spec.get("moment_powers", ())))
+        beta=None if beta is None else float(beta))
 
 
 def simulation_params(cfg: dict) -> dict:

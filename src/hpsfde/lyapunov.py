@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -165,19 +165,19 @@ class SandwichReport:
     worst_upper: Tuple[float, float, int]
 
 
-def sandwich_report(fam: LyapunovFamily,
-                    x_grid: Optional[np.ndarray] = None,
-                    t_grid: Sequence[float] = (0.0, 1.0, 10.0)
-                    ) -> SandwichReport:
-    """Check the two-sided comparison on a grid of states and times."""
-    if x_grid is None:
-        x_grid = np.concatenate(([0.0], np.logspace(-3, 2, 26)))
+def sandwich_report(fam: LyapunovFamily) -> SandwichReport:
+    """Check the two-sided comparison on a fixed grid of states and times.
+
+    The states are 0 and 26 log-spaced points from 1e-3 to 100; the
+    times are 0, 1 and 10.
+    """
+    x_grid = np.concatenate(([0.0], np.logspace(-3, 2, 26)))
     worst_lo = (0.0, 0.0, 1)
     worst_hi = (0.0, 0.0, 1)
     u0 = np.abs(x_grid) ** fam.u0_power
     u1 = np.abs(x_grid) ** fam.u_powers[0]
     for i in range(1, fam.n_regimes + 1):
-        for t in t_grid:
+        for t in (0.0, 1.0, 10.0):
             v = fam.value(x_grid, t, i)
             lo_gap = u0 - v
             hi_gap = v - u1

@@ -483,22 +483,21 @@ class LipschitzProbeReport:
 
 
 def validate_local_lipschitz_probe(m: ModelSpec, radius: float, trials: int,
-                                   seed, times: Sequence[float] = None
-                                   ) -> LipschitzProbeReport:
+                                   seed) -> LipschitzProbeReport:
     """Estimate a local Lipschitz ratio for f and g by random probing.
 
     Random piecewise-linear segments with sup-norm <= radius are paired
     with perturbed copies at offsets spanning 1e-6..1 times the radius;
-    the worst difference quotient over the probe times and regimes is
-    reported.  Every 16th trial uses the zero segment as the base so
-    that non-Lipschitz behavior at the origin (e.g. square-root terms)
-    meets several offset scales, not just one.
+    the worst difference quotient over the probe times t0, t0 + 1 and
+    10 t0 and over the regimes is reported.  Every 16th trial uses the
+    zero segment as the base so that non-Lipschitz behavior at the
+    origin (e.g. square-root terms) meets several offset scales, not
+    just one.
     """
     from .paths import FunctionSegment
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if times is None:
-        times = (m.t0, m.t0 + 1.0, 10.0 * m.t0)
+    times = (m.t0, m.t0 + 1.0, 10.0 * m.t0)
     rng = np.random.default_rng(seed)
     grid = np.linspace(m.theta_lower, 1.0, 9)
     best = (0.0, "drift", 1, float(times[0]))

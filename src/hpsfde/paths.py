@@ -151,22 +151,19 @@ def segment(path: DensePath, t: float) -> SegmentView:
     return SegmentView(path=path, t=float(t))
 
 
-def sup_norm(view: SegmentView, nodes: int = 64) -> float:
+def sup_norm(view: SegmentView) -> float:
     """Supremum of |phi| over the segment [theta_lower, 1].
 
     For the piecewise-linear storage the maximum of |x| over each
     linear piece is attained at its endpoints, so evaluating at
     the stored breakpoints inside [theta_lower*t, t] plus the two segment
-    endpoints is exact.  ``nodes`` adds a uniform sampling fallback for
-    non-grid-aligned queries; it never lowers the result.
+    endpoints is exact; no other point is sampled.
     """
-    if nodes < 2:
-        raise ValueError("nodes must be >= 2")
     lo = view.path.theta_lower * view.t
     hi = view.t
     times = view.path.times
     inside = times[(times > lo) & (times < hi)]
-    cand = np.concatenate((np.linspace(lo, hi, nodes), inside))
+    cand = np.concatenate(([lo, hi], inside))
     return float(np.abs(eval(view.path, cand)).max())
 
 

@@ -165,5 +165,4 @@ def preset_certificate(name: str, t0: float = DEFAULT_T0) -> CertificateData:
     """The dissipation coefficient table for a preset."""
     rec = _record(name)
     return CertificateData(a0=0.0, rows=rec.rows,
-                           theta_lower=rec.theta_lower, t0=t0, beta=rec.beta,
-                           u0_power=rec.u0_power, moment_powers=rec.u_powers)
+                           theta_lower=rec.theta_lower, t0=t0, beta=rec.beta)

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpsfde.certificates import (BISECTION_TOL, STRICTNESS_MARGIN,
-                                 CertificateData, CertificateRow,
-                                 certify_epsilon_exponential, check_existence,
-                                 existence_margins, moment_bound,
+from hpsfde import certificates
+from hpsfde.certificates import (STRICTNESS_MARGIN, CertificateData,
+                                 CertificateRow, certify_epsilon_exponential,
+                                 check_existence, existence_margins,
+                                 moment_bound,
                                  polynomial_margins, require,
                                  solve_epsilon_exponential,
                                  solve_epsilon_polynomial,
@@ -89,8 +90,6 @@ def test_preset_certificate_is_tied_to_model_and_lyapunov(name):
                and term.kernel is not None]
     assert (cert.beta is None) == (not kernels)
     assert all(k.beta == cert.beta for k in kernels)
-    assert cert.u0_power == fam.u0_power
-    assert cert.moment_powers == fam.u_powers
     # on a constant segment the kernel factor is at most 1, so the
     # dissipation hypothesis implies LV <= a0 + sum_k (-a_k + sum_l b_kl)
     # |c|^{u_k}; equality holds only at c = 0
@@ -98,7 +97,7 @@ def test_preset_certificate_is_tied_to_model_and_lyapunov(name):
         seg = ConstantSegment(c, m.theta_lower)
         bound = cert.a0 + sum(
             (-row.a + sum(b for b, _ in row.b_alpha)) * abs(c) ** u
-            for row, u in zip(cert.rows, cert.moment_powers))
+            for row, u in zip(cert.rows, fam.u_powers))
         for i in (1, 2):
             for t in (1.0, 2.0, 5.0, 20.0):
                 lv = eval_LV(fam, m, seg, t, i).value
@@ -387,12 +386,13 @@ def test_polynomial_margins_nondecreasing_in_epsilon(a, b, alpha, theta,
         assert m_hi >= m_lo - 1e-12
 
 
-def test_bisection_tolerance_is_tight():
+def test_bisection_tolerance_is_tight(monkeypatch):
     # re-running at a coarser tolerance moves the root estimate by more
     # than the default tolerance does
     c = preset_certificate("poly_stable")
-    fine = solve_epsilon_polynomial(c, tol=BISECTION_TOL)
-    coarse = solve_epsilon_polynomial(c, tol=1e-4)
+    fine = solve_epsilon_polynomial(c)
+    monkeypatch.setattr(certificates, "BISECTION_TOL", 1e-4)
+    coarse = solve_epsilon_polynomial(c)
     assert abs(fine.epsilon_sup - coarse.epsilon_sup) < 1e-4
     assert fine.holds and coarse.holds
 

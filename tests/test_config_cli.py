@@ -3,20 +3,29 @@ from __future__ import annotations
 
 import io
 import json
+import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hpsfde.cli import _write_summary, main
+from hpsfde import cli
+from hpsfde.certificates import (solve_epsilon_exponential,
+                                 solve_epsilon_polynomial)
+from hpsfde.cli import _parser, _write_summary, main
 from hpsfde.config import (build_certificate, build_lyapunov, build_measure,
                            build_model, load_config, simulation_params)
 from hpsfde.integrator import IntegratorConfig, run_batch
-from hpsfde.models import PantographTerm, PolynomialTerm, eval_drift
-from hpsfde.paths import ConstantSegment
-from hpsfde.presets import preset
+from hpsfde.lyapunov import sandwich_report
+from hpsfde.models import (PantographTerm, PolynomialTerm, eval_drift,
+                           validate_local_lipschitz_probe)
+from hpsfde.paths import ConstantSegment, DensePath, segment, sup_norm
+from hpsfde.presets import preset, preset_certificate, preset_lyapunov
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, cfg, name="experiment.json"):
@@ -50,9 +59,10 @@ EXPLICIT_MODEL = {
 # ---------------------------------------------------------------------------
 
 def test_load_config_path_and_file(tmp_path):
-    path = write_config(tmp_path, {"a": 1})
-    assert load_config(path) == {"a": 1}
-    assert load_config(io.StringIO('{"b": 2}')) == {"b": 2}
+    path = write_config(tmp_path, {"estimate": {"power": 1.0}})
+    assert load_config(path) == {"estimate": {"power": 1.0}}
+    assert load_config(io.StringIO('{"output": {"per_path": true}}')) == {
+        "output": {"per_path": True}}
 
 
 def test_build_measure_kinds():
@@ -233,14 +243,6 @@ def test_simulate_dumps_per_path_files(tmp_path):
     assert header == "time,regime,x_1"
 
 
-def test_simulate_honors_output_dir_from_config(tmp_path):
-    target = tmp_path / "from_config"
-    spec = simulate_config(output={"moments": [2.0], "dir": str(target)})
-    cfg = write_config(tmp_path, spec)
-    assert main(["simulate", "--config", cfg]) == 0
-    assert (target / "summary.csv").exists()
-
-
 def test_simulate_outputs_identical_across_workers(tmp_path):
     # partition invariance: the same files at every block size
     outs = []
@@ -286,6 +288,24 @@ def test_check_ito_reports_residual(tmp_path, capsys):
     mean_integral, *parts = (float(v) for v in out[3].split(","))
     assert len(parts) == 4
     assert sum(parts) == pytest.approx(mean_integral, rel=1e-12)
+
+
+@pytest.mark.parametrize("t_end", [5.0, 0.5, 1.0])
+def test_check_ito_rejects_t_end_outside_horizon_before_simulating(
+        tmp_path, capsys, monkeypatch, t_end):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("check-ito simulated before checking t_end")
+
+    monkeypatch.setattr(cli, "run_batch", no_simulation)
+    cfg = write_config(tmp_path, {
+        "model": {"preset": "exp_stable"},
+        "simulation": {"dt": 0.05, "T": 2.0, "n_paths": 120},
+        "lyapunov": {"t_end": t_end}})
+    assert main(["check-ito", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert ("error: lyapunov.t_end must lie in (t0, T] = (1, 2], got %r"
+            % t_end) in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +486,65 @@ def test_unread_simulation_key_is_an_error(tmp_path, capsys, command, key):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command, override, flags, named", [
+    ("simulate", {"output": {"dir": "elsewhere"}}, [],
+     "error: unknown key output.dir "),
+    ("certify", {"certificate": {"u0_power": 2}}, [],
+     "error: unknown key certificate.u0_power "),
+    ("certify", {"certificate": {"moment_powers": [2, 6]}}, [],
+     "error: unknown key certificate.moment_powers "),
+    ("estimate", {}, ["--power", "2"], "unrecognized arguments: --power 2"),
+], ids=["output-dir", "u0-power", "moment-powers", "power-flag"])
+def test_removed_input_is_an_error(tmp_path, capsys, monkeypatch, command,
+                                   override, flags, named):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, simulate_config(**override))
+    try:
+        rc = main(command_argv(command, cfg, tmp_path) + flags)
+    except SystemExit as exc:  # argparse rejects a flag this way
+        rc = exc.code
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+    assert [f.name for f in tmp_path.iterdir()] == ["experiment.json"]
+
+
+def _segment():
+    path = DensePath(times=np.array([0.5, 1.0, 2.0]),
+                     values=np.array([0.0, 1.0, -3.0]),
+                     regimes=np.ones(3, dtype=np.int64), theta_lower=0.5,
+                     t0=1.0, exploded_at=None)
+    return segment(path, 2.0)
+
+
+@pytest.mark.parametrize("call, keyword", [
+    (lambda: sup_norm(_segment(), nodes=64), "nodes"),
+    (lambda: solve_epsilon_exponential(preset_certificate("exp_stable"),
+                                       delta=1e-9), "delta"),
+    (lambda: solve_epsilon_polynomial(preset_certificate("poly_stable"),
+                                      delta=1e-9), "delta"),
+    (lambda: solve_epsilon_polynomial(preset_certificate("poly_stable"),
+                                      tol=1e-10), "tol"),
+    (lambda: sandwich_report(preset_lyapunov("exp_stable"),
+                             x_grid=np.array([1.0])), "x_grid"),
+    (lambda: sandwich_report(preset_lyapunov("exp_stable"),
+                             t_grid=(0.0,)), "t_grid"),
+    (lambda: validate_local_lipschitz_probe(preset("exp_stable"), 1.0, 1, 0,
+                                            times=(1.0,)), "times"),
+    (lambda: replace(preset_certificate("exp_stable"), u0_power=2),
+     "u0_power"),
+    (lambda: replace(preset_certificate("exp_stable"), moment_powers=(2, 6)),
+     "moment_powers"),
+], ids=["sup_norm-nodes", "exponential-delta", "polynomial-delta",
+        "polynomial-tol", "sandwich-x_grid", "sandwich-t_grid",
+        "probe-times", "certificate-u0_power", "certificate-moment_powers"])
+def test_removed_keyword_argument_is_a_type_error(call, keyword):
+    with pytest.raises(TypeError, match="unexpected keyword argument '%s'"
+                       % keyword):
+        call()
+
+
 @pytest.mark.parametrize("command, text, named", [
     ("certify",
      '{"certificate": {"rows": [{"a": 2.0, "b_alpha": [[1.0, 0.5]]}]}}',
@@ -491,6 +570,15 @@ def test_unread_simulation_key_is_an_error(tmp_path, capsys, command, key):
     ("estimate", '{"estimate": {"powr": 2.0}}', "unknown key estimate.powr "),
     ("certify", '{"model": {"preset": "exp_stable", "thetalower": 0.5}}',
      "unknown key model.thetalower "),
+    # a top-level key that is not a section
+    ("simulate", '{"ouput": {"per_path": true}, "model": {"preset": '
+     '"exp_stable"}, "simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}',
+     "unknown section ouput "),
+    # a check that certify cannot run, rejected before any verdict
+    ("certify", '{"model": {"preset": "exp_stable"}, '
+     '"certificate": {"checks": ["existence", "bogus"]}}',
+     "certificate.checks[1] must be one of existence, exponential, "
+     "polynomial, time-average, got 'bogus'"),
     # a nested value of the wrong JSON type
     ("simulate", '{"model": {"preset": "exp_stable", "measure": 3}}',
      "model.measure must be a JSON object, got 3"),
@@ -529,7 +617,8 @@ def test_unread_simulation_key_is_an_error(tmp_path, capsys, command, key):
      "certificate.beta must be a JSON number or null, got True"),
 ], ids=["no-theta-lower", "top-level-array", "certificate-not-object",
         "simulation-not-object", "no-generator", "output-key", "lyapunov-key",
-        "certificate-key", "estimate-key", "model-key", "measure-number",
+        "certificate-key", "estimate-key", "model-key", "unknown-section",
+        "unknown-check", "measure-number",
         "initial-times-number", "certificate-row-number", "term-number",
         "regimes-number", "coeff-null", "generator-string",
         "nodes-fraction", "power-fraction", "beta-bool"])
@@ -585,7 +674,7 @@ def test_negative_per_path_limit_is_an_error(tmp_path, capsys):
 
 
 def test_readme_example_config_loads():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     section = readme.split("### Experiment files", 1)[1]
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     cfg = load_config(io.StringIO(block))
@@ -593,6 +682,18 @@ def test_readme_example_config_loads():
     assert build_model(cfg).n_regimes == 2
     assert build_lyapunov(cfg).n_regimes == 2
     assert build_certificate(cfg).beta is not None
+
+
+def test_readme_command_lines_parse():
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True)
+             for line in block.splitlines() if line.startswith("hpsfde ")]
+    assert [argv[1] for argv in lines] == ["simulate", "check-ito",
+                                           "certify", "estimate"]
+    for argv in lines:
+        args = _parser().parse_args(argv[1:])
+        assert args.config == "exp.json"
 
 
 def test_module_entry_point():

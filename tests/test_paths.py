@@ -104,11 +104,6 @@ def test_sup_norm_exact_over_breakpoints():
     assert sup_norm(view2) == 2.0
 
 
-def test_sup_norm_needs_two_nodes():
-    with pytest.raises(ValueError):
-        sup_norm(segment(SIMPLE, 2.0), nodes=1)
-
-
 @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=4,
                 max_size=12),
        st.floats(min_value=1.0, max_value=2.0))
