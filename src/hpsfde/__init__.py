@@ -36,9 +36,9 @@ from .markov import (GeneratorMatrix, RegimePath, make_generator,
                      sample_regime_path, stationary_distribution)
 from .models import (Kernel, Measure, ModelSpec, PantographTerm,
                      PolynomialTerm, CustomTerm, eval_diffusion, eval_drift,
-                     single_regime, validate_local_lipschitz_probe)
-from .paths import (ConstantSegment, DensePath, FunctionSegment, SegmentView,
-                    eval, segment, sup_norm, write_csv)
+                     single_regime)
+from .paths import (ConstantSegment, DensePath, SegmentView, eval, segment,
+                    write_csv)
 from .presets import (PRESET_NAMES, default_measure, preset,
                       preset_certificate, preset_lyapunov)
 
@@ -47,7 +47,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CertificateData", "CertificateRow", "CertificateVerdict",
     "ConstantSegment", "CustomTerm", "DensePath", "Error",
-    "FunctionSegment", "GeneratorMatrix", "IntegratorConfig", "Kernel",
+    "GeneratorMatrix", "IntegratorConfig", "Kernel",
     "LVBreakdown", "LyapunovFamily", "Measure", "ModelSpec",
     "PantographTerm", "PolynomialTerm", "PolynomialV", "PRESET_NAMES",
     "RateReport", "RegimePath", "ResidualStatistic", "SegmentView",
@@ -62,7 +62,6 @@ __all__ = [
     "preset_certificate", "preset_lyapunov", "require", "run_batch",
     "sample_regime_path", "sandwich_report", "segment", "single_regime",
     "solve_epsilon_exponential", "solve_epsilon_polynomial",
-    "stationary_distribution", "sup_norm", "time_average_bound",
-    "time_average_denominator", "uniform_grid",
-    "validate_local_lipschitz_probe", "write_csv",
+    "stationary_distribution", "time_average_bound",
+    "time_average_denominator", "uniform_grid", "write_csv",
 ]

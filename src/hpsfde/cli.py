@@ -83,6 +83,9 @@ def cmd_simulate(args) -> int:
     if limit is not None and int(limit) < 0:
         raise ValueError("output.per_path_limit must be >= 0, got %r"
                          % (limit,))
+    if limit is not None and not per_path:
+        raise ValueError("output.per_path_limit is set but output.per_path "
+                         "is not true, so no path file would be written")
     batch = _simulate_batch(cfg, config_mod.build_model(cfg),
                             keep_paths=per_path)
     os.makedirs(args.out, exist_ok=True)
@@ -114,7 +117,7 @@ def cmd_check_ito(args) -> int:
                          "got %r" % (model.t0, T, t_end))
     batch = _simulate_batch(cfg, model, keep_paths=True)
     stat = martingale_residual(fam, batch, t_end)
-    name = cfg.get("model", {}).get("preset", "custom")
+    name = cfg.get("model", {}).get("preset") or "custom"
     print("preset,t_end,residual,stderr,z")
     print("%s,%.17g,%.17g,%.17g,%.17g"
           % (name, stat.t_end, stat.residual, stat.stderr, stat.z))
@@ -176,12 +179,17 @@ def cmd_certify(args) -> int:
     data = config_mod.build_certificate(cfg)
     spec = cfg.get("certificate", {})
     checks = spec.get("checks")
-    if not checks:
+    if checks is None:
         if data.beta is not None:
             checks = ["existence", "exponential", "time-average"]
         else:
             checks = ["existence", "polynomial"]
-    all_hold = _run_certify_checks(data, checks, spec.get("epsilon"))
+    epsilon = spec.get("epsilon")
+    if epsilon is not None and "exponential" not in checks:
+        raise ValueError("certificate.epsilon is read only by the exponential "
+                         "check, which is not among the checks run (%s)"
+                         % ", ".join(checks))
+    all_hold = _run_certify_checks(data, checks, epsilon)
     print("overall: %s" % ("HOLDS" if all_hold else "FAILS"))
     return 0 if all_hold else 1
 

@@ -8,19 +8,20 @@ accepts only the keys it reads:
                unused), theta_lower, t0, generator (array of arrays,
                row-major), initial (a constant or {"times", "values"}),
                measure and kernel (the shared ones), drift and
-               diffusion (per-regime term lists), dim (must be 1).
+               diffusion (per-regime term lists).
   simulation   dt and T (both required), n_paths, i0, root_seed,
                block_size, blowup_threshold.
   output       moments (powers to tabulate), per_path (dump per-path
-               CSVs), per_path_limit.  The directory is the command
-               line's ``--out``.
+               CSVs), per_path_limit (only with per_path).  The
+               directory is the command line's ``--out``.
   lyapunov     preset, or regimes (per-regime [power, coeff] lists) with
-               u0_power, u_powers and strict; t_end, the horizon of the
-               residual check.
+               u0_power and u_powers; t_end, the horizon of the residual
+               check.
   certificate  preset, or rows ({"a", "b_alpha"} objects) with
                theta_lower, t0, a0 and beta; checks (which to run, from
-               existence, exponential, polynomial and time-average) and
-               epsilon (a candidate rate).
+               existence, exponential, polynomial and time-average; not
+               empty) and epsilon (a candidate rate for the exponential
+               check, which must be among those run).
   estimate     power, the default comparison power of ``hpsfde estimate``.
 
 Defaults are those of the code that owns each setting: the preset
@@ -66,8 +67,8 @@ _REQUIRED = object()
 # ``_typed`` reads a kind; the items of nested objects are checked where
 # they are read.
 _KEYS = {
-    "model": {"preset": (str, _NULL), "dim": int, "theta_lower": float,
-              "t0": float, "generator": [[float]], "initial": (float, dict),
+    "model": {"preset": (str, _NULL), "theta_lower": float, "t0": float,
+              "generator": [[float]], "initial": (float, dict),
               "measure": dict, "kernel": dict, "drift": [[dict]],
               "diffusion": [[dict]]},
     "simulation": {"dt": float, "T": float, "n_paths": int, "i0": int,
@@ -76,7 +77,7 @@ _KEYS = {
     "output": {"moments": [float], "per_path": bool,
                "per_path_limit": (int, _NULL)},
     "lyapunov": {"preset": (str, _NULL), "regimes": [list], "u0_power": int,
-                 "u_powers": [int], "strict": bool, "t_end": float},
+                 "u_powers": [int], "t_end": float},
     "certificate": {"preset": (str, _NULL), "rows": [dict],
                     "theta_lower": float, "t0": float, "a0": float,
                     "beta": (float, _NULL), "checks": [str],
@@ -174,8 +175,8 @@ def load_config(path) -> dict:
     NaN and Infinity literals, which Python's json module would accept,
     are rejected: JSON has no such numbers.  So are a top level that is
     not a JSON object, a top-level key that is not a section, sections
-    that :func:`_section` rejects and a certificate check outside
-    ``CERTIFICATE_CHECKS``.
+    that :func:`_section` rejects, an empty certificate check list and
+    a check outside ``CERTIFICATE_CHECKS``.
     """
     if hasattr(path, "read"):
         cfg = json.load(path, parse_constant=_reject_constant)
@@ -191,7 +192,10 @@ def load_config(path) -> dict:
                              % (name, ", ".join(_KEYS)))
     for name in _KEYS:
         _section(cfg, name)
-    for i, check in enumerate(cfg.get("certificate", {}).get("checks", ())):
+    checks = cfg.get("certificate", {}).get("checks")
+    if checks == []:
+        raise ValueError("certificate.checks must name at least one check")
+    for i, check in enumerate(checks or ()):
         if check not in CERTIFICATE_CHECKS:
             raise ValueError("certificate.checks[%d] must be one of %s, got %r"
                              % (i, ", ".join(CERTIFICATE_CHECKS), check))
@@ -257,14 +261,8 @@ def _build_term(spec, name: str, shared_measure: Optional[Measure],
 
 
 def build_model(cfg: dict) -> ModelSpec:
-    """ModelSpec from the ``model`` section of a config.
-
-    The state is scalar: an optional ``"dim"`` key must be 1.
-    """
+    """ModelSpec from the ``model`` section of a config."""
     spec = _section(cfg, "model")
-    if spec.get("dim", 1) != 1:
-        raise ValueError('model "dim" must be 1 (the state is scalar), got %r'
-                         % (spec["dim"],))
     shared_measure = (build_measure(spec["measure"])
                       if "measure" in spec else None)
     t0 = float(spec.get("t0", DEFAULT_T0))
@@ -311,8 +309,7 @@ def build_lyapunov(cfg: dict) -> LyapunovFamily:
         for i, coeffs in enumerate(spec["regimes"]))
     return LyapunovFamily(
         regimes=regimes, u0_power=_field(spec, "lyapunov.u0_power", int),
-        u_powers=tuple(int(p) for p in _field(spec, "lyapunov.u_powers")),
-        strict=bool(spec.get("strict", False)))
+        u_powers=tuple(int(p) for p in _field(spec, "lyapunov.u_powers")))
 
 
 def build_certificate(cfg: dict) -> CertificateData:

@@ -32,7 +32,7 @@ not depend on the chunking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -99,16 +99,12 @@ class LyapunovFamily:
 
     U_0 and each U_k are |x|^p monomials; ``u0_power`` and ``u_powers``
     hold the exponents.  Construction verifies U_0 <= V on a sample grid
-    and that every V is radially unbounded.  The upper comparison
-    V <= U_1 is recorded in ``sandwich_upper_ok`` rather than enforced
-    (pass strict=True to enforce it); see :func:`sandwich_report`.
+    (see :func:`sandwich_report`) and that every V is radially unbounded.
     """
 
     regimes: Tuple[PolynomialV, ...]
     u0_power: int
     u_powers: Tuple[int, ...]
-    strict: bool = False
-    sandwich_upper_ok: bool = field(init=False, default=True, compare=False)
 
     def __post_init__(self):
         if not self.regimes:
@@ -122,11 +118,6 @@ class LyapunovFamily:
             raise ValueError(
                 "U_0 <= V fails on the sample grid (worst gap %g at x=%g, "
                 "regime %d)" % report.worst_lower)
-        if self.strict and not report.upper_ok:
-            raise ValueError(
-                "V <= U_1 fails on the sample grid (worst gap %g at x=%g, "
-                "regime %d)" % report.worst_upper)
-        object.__setattr__(self, "sandwich_upper_ok", report.upper_ok)
 
     @property
     def n_regimes(self) -> int:
@@ -153,43 +144,32 @@ class LyapunovFamily:
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Grid check of U_0 <= V <= U_1.
+    """Grid check of the lower comparison U_0 <= V.
 
-    ``worst_lower``/``worst_upper`` are (gap, x, regime) with gap > 0
-    meaning violation by that amount.
+    ``worst_lower`` is (gap, x, regime) with gap > 0 meaning violation
+    by that amount.
     """
 
     lower_ok: bool
-    upper_ok: bool
     worst_lower: Tuple[float, float, int]
-    worst_upper: Tuple[float, float, int]
 
 
 def sandwich_report(fam: LyapunovFamily) -> SandwichReport:
-    """Check the two-sided comparison on a fixed grid of states and times.
+    """Check U_0 <= V on a fixed grid of states and times.
 
     The states are 0 and 26 log-spaced points from 1e-3 to 100; the
     times are 0, 1 and 10.
     """
     x_grid = np.concatenate(([0.0], np.logspace(-3, 2, 26)))
-    worst_lo = (0.0, 0.0, 1)
-    worst_hi = (0.0, 0.0, 1)
+    worst = (0.0, 0.0, 1)
     u0 = np.abs(x_grid) ** fam.u0_power
-    u1 = np.abs(x_grid) ** fam.u_powers[0]
     for i in range(1, fam.n_regimes + 1):
         for t in (0.0, 1.0, 10.0):
-            v = fam.value(x_grid, t, i)
-            lo_gap = u0 - v
-            hi_gap = v - u1
-            j = int(np.argmax(lo_gap))
-            if lo_gap[j] > worst_lo[0]:
-                worst_lo = (float(lo_gap[j]), float(x_grid[j]), i)
-            j = int(np.argmax(hi_gap))
-            if hi_gap[j] > worst_hi[0]:
-                worst_hi = (float(hi_gap[j]), float(x_grid[j]), i)
-    return SandwichReport(lower_ok=worst_lo[0] <= 1e-12,
-                          upper_ok=worst_hi[0] <= 1e-12,
-                          worst_lower=worst_lo, worst_upper=worst_hi)
+            gap = u0 - fam.value(x_grid, t, i)
+            j = int(np.argmax(gap))
+            if gap[j] > worst[0]:
+                worst = (float(gap[j]), float(x_grid[j]), i)
+    return SandwichReport(lower_ok=worst[0] <= 1e-12, worst_lower=worst)
 
 
 # ---------------------------------------------------------------------------

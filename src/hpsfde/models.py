@@ -13,8 +13,7 @@ sums of two structured term kinds:
     measure on [theta_lower, 1], and K an optional exponential decay
     kernel (absent kernel means K == 1).
 
-Arbitrary callables can be attached through CustomTerm, but only the two
-structured kinds are understood by the validation helpers.
+Arbitrary callables can be attached through CustomTerm.
 
 The state is scalar.  Terms are evaluated on batches of it: phi(1) may
 be one state, an array with one state per Monte Carlo path, or one per
@@ -108,13 +107,6 @@ class Measure:
                 nodes: int = DEFAULT_DENSITY_NODES) -> "Measure":
         return cls.piecewise_density([lo, hi], [1.0 / (hi - lo)], nodes=nodes)
 
-    def with_nodes(self, nodes: int) -> "Measure":
-        """Copy of a density measure with a different quadrature density."""
-        if self.kind != "density":
-            return self
-        return Measure.piecewise_density(self.edges, self.density_values,
-                                         nodes=nodes)
-
     def support_range(self) -> Tuple[float, float]:
         if self.kind == "atoms":
             ts = [t for t, _ in self.atoms]
@@ -155,51 +147,22 @@ class Measure:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Exponential decay factor exp(-integral_0^t lambda(theta, u) du).
-
-    The default form is lambda(theta, u) = beta * (1 - theta), giving the
-    closed-form factor exp(-beta (1 - theta) t).  A custom rate can be
-    supplied together with its time integral; it must satisfy
-    lambda(theta, u) >= beta (1 - theta), which :meth:`validate` spot
-    checks on a grid.
-    """
+    """Exponential decay factor exp(-beta (1 - theta) t), beta >= 0."""
 
     beta: float
-    lambda_at: Optional[Callable] = None
-    log_decay: Optional[Callable] = None
 
     def __post_init__(self):
         if not 0.0 <= self.beta < math.inf:
             raise ValueError("beta must be finite and nonnegative, got %r"
                              % (self.beta,))
-        if (self.lambda_at is None) != (self.log_decay is None):
-            raise ValueError(
-                "custom kernels need both lambda_at and log_decay")
 
     @classmethod
     def linear(cls, beta: float) -> "Kernel":
         return cls(beta=float(beta))
 
-    def rate(self, theta, u):
-        if self.lambda_at is not None:
-            return self.lambda_at(theta, u)
-        return self.beta * (1.0 - np.asarray(theta))
-
     def decay(self, theta, t):
         """The kernel value at delay fraction theta and time t."""
-        if self.log_decay is not None:
-            return np.exp(-np.asarray(self.log_decay(theta, t)))
         return np.exp(-self.beta * (1.0 - np.asarray(theta)) * np.asarray(t))
-
-    def validate(self, theta_lower: float) -> None:
-        """Spot-check lambda(theta, u) >= beta (1 - theta) on a grid."""
-        thetas = np.linspace(theta_lower, 1.0, 17)
-        for u in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0):
-            lam = np.asarray(self.rate(thetas, u), dtype=np.float64)
-            floor = self.beta * (1.0 - thetas)
-            if np.any(lam < floor - 1e-12):
-                raise ValueError(
-                    "kernel rate drops below beta*(1-theta) at u=%g" % u)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +263,7 @@ class CustomTerm:
     shape), a callback mapping a theta vector to delayed states with a
     leading theta axis, and the anchor time (scalar or an array matching
     phi1).  The delayed states may be shared with other terms and
-    read-only, so they must not be modified in place.  Custom terms are
-    integrated like any other but are invisible to the structural
-    validators.
+    read-only, so they must not be modified in place.
     """
 
     fn: Callable
@@ -358,8 +319,6 @@ class ModelSpec:
             raise UnsupportedMeasure(
                 "measure support [%g, %g] outside [%g, 1]"
                 % (lo, hi, self.theta_lower))
-        if term.kernel is not None:
-            term.kernel.validate(self.theta_lower)
 
     @property
     def n_regimes(self) -> int:
@@ -458,77 +417,3 @@ def single_regime(m: ModelSpec, regime: int) -> ModelSpec:
                      drift=(m.drift[regime - 1],),
                      diffusion=(m.diffusion[regime - 1],),
                      initial_segment=m.initial_segment)
-
-
-# ---------------------------------------------------------------------------
-# Local Lipschitz probe
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LipschitzProbeReport:
-    """Outcome of the randomized local Lipschitz probe.
-
-    ``max_ratio`` is the largest |F(phi) - F(phi')| / ||phi - phi'||
-    found; the remaining fields identify where it occurred.  This is a
-    diagnostic, not a proof: a huge ratio flags likely non-Lipschitz
-    coefficients, a moderate one is only evidence.
-    """
-
-    max_ratio: float
-    component: str
-    regime: int
-    t: float
-    trials: int
-    radius: float
-
-
-def validate_local_lipschitz_probe(m: ModelSpec, radius: float, trials: int,
-                                   seed) -> LipschitzProbeReport:
-    """Estimate a local Lipschitz ratio for f and g by random probing.
-
-    Random piecewise-linear segments with sup-norm <= radius are paired
-    with perturbed copies at offsets spanning 1e-6..1 times the radius;
-    the worst difference quotient over the probe times t0, t0 + 1 and
-    10 t0 and over the regimes is reported.  Every 16th trial uses the
-    zero segment as the base so that non-Lipschitz behavior at the
-    origin (e.g. square-root terms) meets several offset scales, not
-    just one.
-    """
-    from .paths import FunctionSegment
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    times = (m.t0, m.t0 + 1.0, 10.0 * m.t0)
-    rng = np.random.default_rng(seed)
-    grid = np.linspace(m.theta_lower, 1.0, 9)
-    best = (0.0, "drift", 1, float(times[0]))
-    for trial in range(trials):
-        if trial % 16 == 0:
-            base = np.zeros_like(grid)
-        else:
-            base = rng.uniform(-radius, radius, size=grid.shape)
-        delta = radius * 10.0 ** rng.uniform(-6.0, 0.0)
-        bump = rng.uniform(-1.0, 1.0, size=grid.shape)
-        bump /= max(np.abs(bump).max(), 1e-30)
-        other = np.clip(base + delta * bump, -radius, radius)
-        dist = float(np.abs(base - other).max())
-        if dist == 0.0:
-            continue
-        seg_a = FunctionSegment(lambda th, v=base: np.interp(th, grid, v),
-                                m.theta_lower, vectorized=True)
-        seg_b = FunctionSegment(lambda th, v=other: np.interp(th, grid, v),
-                                m.theta_lower, vectorized=True)
-        for t in times:
-            for regime in range(1, m.n_regimes + 1):
-                fa = eval_drift(m, seg_a, t, regime)
-                fb = eval_drift(m, seg_b, t, regime)
-                ratio = abs(fa - fb) / dist
-                if ratio > best[0]:
-                    best = (ratio, "drift", regime, float(t))
-                ga = eval_diffusion(m, seg_a, t, regime)
-                gb = eval_diffusion(m, seg_b, t, regime)
-                ratio = abs(ga - gb) / dist
-                if ratio > best[0]:
-                    best = (ratio, "diffusion", regime, float(t))
-    return LipschitzProbeReport(max_ratio=best[0], component=best[1],
-                                regime=best[2], t=best[3], trials=trials,
-                                radius=radius)

@@ -4,8 +4,7 @@ A solution trajectory is stored as values on a strictly increasing time
 grid covering [theta_lower * t0, T], with the initial segment populated
 from the initial data before integration starts.  Evaluation between
 grid points is piecewise linear, which matches the strong order of the
-Euler scheme and makes segment sup-norms exact on the stored
-representation.
+Euler scheme.
 
 The segment of a path at anchor time t is the function
 phi(theta) = x(theta * t) on [theta_lower, 1]; phi(1) is the current
@@ -15,7 +14,7 @@ state.  Because theta <= 1, no segment lookup ever needs future data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -151,22 +150,6 @@ def segment(path: DensePath, t: float) -> SegmentView:
     return SegmentView(path=path, t=float(t))
 
 
-def sup_norm(view: SegmentView) -> float:
-    """Supremum of |phi| over the segment [theta_lower, 1].
-
-    For the piecewise-linear storage the maximum of |x| over each
-    linear piece is attained at its endpoints, so evaluating at
-    the stored breakpoints inside [theta_lower*t, t] plus the two segment
-    endpoints is exact; no other point is sampled.
-    """
-    lo = view.path.theta_lower * view.t
-    hi = view.t
-    times = view.path.times
-    inside = times[(times > lo) & (times < hi)]
-    cand = np.concatenate(([lo, hi], inside))
-    return float(np.abs(eval(view.path, cand)).max())
-
-
 # ---------------------------------------------------------------------------
 # Synthetic segments (no underlying path)
 # ---------------------------------------------------------------------------
@@ -188,33 +171,6 @@ class ConstantSegment:
 
     def __call__(self, theta):
         return np.full(np.shape(theta), self.value)
-
-
-class FunctionSegment:
-    """Segment defined by an arbitrary function of theta on [theta_lower, 1].
-
-    Args:
-      fn: maps a scalar theta to a scalar state.
-      theta_lower: lower bound of the segment domain.
-      vectorized: set True when fn already accepts theta arrays and
-        returns an array of the same shape.
-    """
-
-    def __init__(self, fn: Callable, theta_lower: float, vectorized: bool = False):
-        self.fn = fn
-        self.theta_lower = float(theta_lower)
-        self.vectorized = vectorized
-
-    @property
-    def point(self) -> float:
-        return float(self.fn(1.0))
-
-    def __call__(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        if self.vectorized:
-            return np.asarray(self.fn(theta), dtype=np.float64)
-        return np.array([float(self.fn(float(th))) for th in theta.ravel()]
-                        ).reshape(theta.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hpsfde import cli
+import hpsfde
+from hpsfde import cli, models, paths
 from hpsfde.certificates import (solve_epsilon_exponential,
                                  solve_epsilon_polynomial)
 from hpsfde.cli import _parser, _write_summary, main
 from hpsfde.config import (build_certificate, build_lyapunov, build_measure,
                            build_model, load_config, simulation_params)
 from hpsfde.integrator import IntegratorConfig, run_batch
-from hpsfde.lyapunov import sandwich_report
-from hpsfde.models import (PantographTerm, PolynomialTerm, eval_drift,
-                           validate_local_lipschitz_probe)
-from hpsfde.paths import ConstantSegment, DensePath, segment, sup_norm
+from hpsfde.lyapunov import LyapunovFamily, PolynomialV, sandwich_report
+from hpsfde.models import Kernel, PantographTerm, PolynomialTerm, eval_drift
+from hpsfde.paths import ConstantSegment
 from hpsfde.presets import preset, preset_certificate, preset_lyapunov
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -122,16 +122,11 @@ def test_build_model_table_initial():
     assert float(m.initial_value(0.75)) == pytest.approx(0.4)
 
 
-def test_build_model_accepts_dim_one():
-    for model in (dict(EXPLICIT_MODEL, dim=1), {"preset": "exp_stable",
-                                                "dim": 1}):
-        assert build_model({"model": model}).n_regimes == 2
-
-
 def test_build_model_rejects_other_dims():
+    # the state is scalar, so there is no dim key to set
     for model in (dict(EXPLICIT_MODEL, dim=2), {"preset": "exp_stable",
                                                 "dim": 3}):
-        with pytest.raises(ValueError, match='"dim"'):
+        with pytest.raises(ValueError, match="unknown key model.dim "):
             build_model({"model": model})
 
 
@@ -288,6 +283,20 @@ def test_check_ito_reports_residual(tmp_path, capsys):
     mean_integral, *parts = (float(v) for v in out[3].split(","))
     assert len(parts) == 4
     assert sum(parts) == pytest.approx(mean_integral, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [
+    dict(EXPLICIT_MODEL, preset=None),
+    EXPLICIT_MODEL,
+], ids=["preset-null", "preset-absent"])
+def test_check_ito_names_an_explicit_model_custom(tmp_path, capsys, model):
+    cfg = write_config(tmp_path, {
+        "model": model,
+        "simulation": {"dt": 0.05, "T": 2.0, "n_paths": 100},
+        "lyapunov": {"regimes": [[[2, 1.0]], [[2, 1.0]]], "u0_power": 2,
+                     "u_powers": [2]}})
+    assert main(["check-ito", "--config", cfg]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("custom,")
 
 
 @pytest.mark.parametrize("t_end", [5.0, 0.5, 1.0])
@@ -494,7 +503,12 @@ def test_unread_simulation_key_is_an_error(tmp_path, capsys, command, key):
     ("certify", {"certificate": {"moment_powers": [2, 6]}}, [],
      "error: unknown key certificate.moment_powers "),
     ("estimate", {}, ["--power", "2"], "unrecognized arguments: --power 2"),
-], ids=["output-dir", "u0-power", "moment-powers", "power-flag"])
+    ("simulate", {"model": {"preset": "exp_stable", "dim": 1}}, [],
+     "error: unknown key model.dim "),
+    ("check-ito", {"lyapunov": {"strict": True}}, [],
+     "error: unknown key lyapunov.strict "),
+], ids=["output-dir", "u0-power", "moment-powers", "power-flag", "model-dim",
+        "lyapunov-strict"])
 def test_removed_input_is_an_error(tmp_path, capsys, monkeypatch, command,
                                    override, flags, named):
     monkeypatch.chdir(tmp_path)
@@ -510,16 +524,7 @@ def test_removed_input_is_an_error(tmp_path, capsys, monkeypatch, command,
     assert [f.name for f in tmp_path.iterdir()] == ["experiment.json"]
 
 
-def _segment():
-    path = DensePath(times=np.array([0.5, 1.0, 2.0]),
-                     values=np.array([0.0, 1.0, -3.0]),
-                     regimes=np.ones(3, dtype=np.int64), theta_lower=0.5,
-                     t0=1.0, exploded_at=None)
-    return segment(path, 2.0)
-
-
 @pytest.mark.parametrize("call, keyword", [
-    (lambda: sup_norm(_segment(), nodes=64), "nodes"),
     (lambda: solve_epsilon_exponential(preset_certificate("exp_stable"),
                                        delta=1e-9), "delta"),
     (lambda: solve_epsilon_polynomial(preset_certificate("poly_stable"),
@@ -530,19 +535,52 @@ def _segment():
                              x_grid=np.array([1.0])), "x_grid"),
     (lambda: sandwich_report(preset_lyapunov("exp_stable"),
                              t_grid=(0.0,)), "t_grid"),
-    (lambda: validate_local_lipschitz_probe(preset("exp_stable"), 1.0, 1, 0,
-                                            times=(1.0,)), "times"),
+    (lambda: Kernel(beta=1.0, lambda_at=lambda th, u: 1.0), "lambda_at"),
+    (lambda: Kernel(beta=1.0, log_decay=lambda th, t: t), "log_decay"),
+    (lambda: LyapunovFamily(regimes=(PolynomialV([(2, 1.0)]),), u0_power=2,
+                            u_powers=(2,), strict=True), "strict"),
     (lambda: replace(preset_certificate("exp_stable"), u0_power=2),
      "u0_power"),
     (lambda: replace(preset_certificate("exp_stable"), moment_powers=(2, 6)),
      "moment_powers"),
-], ids=["sup_norm-nodes", "exponential-delta", "polynomial-delta",
-        "polynomial-tol", "sandwich-x_grid", "sandwich-t_grid",
-        "probe-times", "certificate-u0_power", "certificate-moment_powers"])
+], ids=["exponential-delta", "polynomial-delta", "polynomial-tol",
+        "sandwich-x_grid", "sandwich-t_grid", "kernel-lambda_at",
+        "kernel-log_decay", "family-strict", "certificate-u0_power",
+        "certificate-moment_powers"])
 def test_removed_keyword_argument_is_a_type_error(call, keyword):
     with pytest.raises(TypeError, match="unexpected keyword argument '%s'"
                        % keyword):
         call()
+
+
+@pytest.mark.parametrize("owners, name", [
+    ((hpsfde, paths), "sup_norm"),
+    ((hpsfde, paths), "FunctionSegment"),
+    ((hpsfde, models), "validate_local_lipschitz_probe"),
+    ((hpsfde, models), "LipschitzProbeReport"),
+    ((hpsfde.Measure,), "with_nodes"),
+    ((hpsfde.Kernel,), "rate"),
+    ((hpsfde.Kernel,), "validate"),
+], ids=["sup_norm", "FunctionSegment", "validate_local_lipschitz_probe",
+        "LipschitzProbeReport", "Measure.with_nodes", "Kernel.rate",
+        "Kernel.validate"])
+def test_removed_name_is_gone(owners, name):
+    for owner in owners:
+        with pytest.raises(AttributeError):
+            getattr(owner, name)
+    if owners[0] is hpsfde:
+        with pytest.raises(ImportError):
+            exec("from hpsfde import %s" % name, {})
+
+
+def test_package_exports_resolve():
+    names = hpsfde.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(hpsfde, name), name
+    namespace = {}
+    exec("from hpsfde import *", namespace)
+    assert set(names) <= set(namespace)
 
 
 @pytest.mark.parametrize("command, text, named", [
@@ -579,6 +617,19 @@ def test_removed_keyword_argument_is_a_type_error(call, keyword):
      '"certificate": {"checks": ["existence", "bogus"]}}',
      "certificate.checks[1] must be one of existence, exponential, "
      "polynomial, time-average, got 'bogus'"),
+    ("certify", '{"model": {"preset": "exp_stable"}, '
+     '"certificate": {"checks": []}}',
+     "certificate.checks must name at least one check"),
+    # a candidate rate that no check run reads
+    ("certify", '{"model": {"preset": "poly_stable"}, '
+     '"certificate": {"epsilon": 0.05}}',
+     "certificate.epsilon is read only by the exponential check"),
+    ("certify", '{"model": {"preset": "exp_stable"}, '
+     '"certificate": {"epsilon": 0.05, "checks": ["polynomial"]}}',
+     "certificate.epsilon is read only by the exponential check"),
+    ("certify", '{"model": {"preset": "exp_stable"}, "certificate": '
+     '{"epsilon": 0.05, "checks": ["existence", "time-average"]}}',
+     "certificate.epsilon is read only by the exponential check"),
     # a nested value of the wrong JSON type
     ("simulate", '{"model": {"preset": "exp_stable", "measure": 3}}',
      "model.measure must be a JSON object, got 3"),
@@ -618,7 +669,8 @@ def test_removed_keyword_argument_is_a_type_error(call, keyword):
 ], ids=["no-theta-lower", "top-level-array", "certificate-not-object",
         "simulation-not-object", "no-generator", "output-key", "lyapunov-key",
         "certificate-key", "estimate-key", "model-key", "unknown-section",
-        "unknown-check", "measure-number",
+        "unknown-check", "no-checks", "epsilon-poly-default",
+        "epsilon-exp-polynomial", "epsilon-exp-no-rate", "measure-number",
         "initial-times-number", "certificate-row-number", "term-number",
         "regimes-number", "coeff-null", "generator-string",
         "nodes-fraction", "power-fraction", "beta-bool"])
@@ -661,6 +713,25 @@ def test_integral_float_counts_are_accepted():
     assert params["n_paths"] == 3 and isinstance(params["n_paths"], int)
     assert params["block_size"] == 2000
     assert params["dt"] == 1.0 and isinstance(params["dt"], float)
+
+
+@pytest.mark.parametrize("output", [
+    {"per_path_limit": 3},
+    {"per_path": False, "per_path_limit": 0},
+], ids=["no-per-path", "per-path-false"])
+def test_per_path_limit_without_per_path_is_an_error(tmp_path, capsys,
+                                                     monkeypatch, output):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulate ran before checking per_path_limit")
+
+    monkeypatch.setattr(cli, "run_batch", no_simulation)
+    cfg = write_config(tmp_path, simulate_config(output=output))
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error: output.per_path_limit " in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_negative_per_path_limit_is_an_error(tmp_path, capsys):

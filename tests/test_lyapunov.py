@@ -119,14 +119,6 @@ def test_family_enforces_lower_comparison():
                        u_powers=(2,))
 
 
-def test_family_upper_comparison_is_advisory_by_default():
-    v = PolynomialV([(2, 1.0), (4, 1.0)])
-    fam = LyapunovFamily(regimes=(v,), u0_power=2, u_powers=(2,))
-    assert not fam.sandwich_upper_ok
-    with pytest.raises(ValueError, match="V <= U_1"):
-        LyapunovFamily(regimes=(v,), u0_power=2, u_powers=(2,), strict=True)
-
-
 def test_family_comparison_helpers():
     fam = preset_lyapunov("poly_stable")
     xs = np.array([-2.0, 0.5, 3.0])
@@ -139,13 +131,13 @@ def test_family_comparison_helpers():
 def test_sandwich_report_locates_worst_gap():
     rep = sandwich_report(preset_lyapunov("exp_stable"))
     assert rep.lower_ok
-    # regime 2 carries the extra x^6 term, so V <= U_1 = x^2 fails and
-    # the worst gap sits at the largest grid point
-    assert not rep.upper_ok
-    gap, x, regime = rep.worst_upper
-    assert regime == 2
-    assert x == pytest.approx(100.0)
-    assert gap == pytest.approx(100.0 ** 2 + 2 * 100.0 ** 6, rel=1e-9)
+    # regime 2's V = 0.5 x^2 falls short of U_0 = x^2 by the most at the
+    # largest grid point, x = 100
+    with pytest.raises(ValueError,
+                       match=r"worst gap 5000 at x=100, regime 2\)"):
+        LyapunovFamily(regimes=(PolynomialV([(2, 1.0)]),
+                                PolynomialV([(2, 0.5)])),
+                       u0_power=2, u_powers=(2,))
 
 
 def test_preset_families_satisfy_lower_comparison():
@@ -153,7 +145,6 @@ def test_preset_families_satisfy_lower_comparison():
         fam = preset_lyapunov(name)
         rep = sandwich_report(fam)
         assert rep.lower_ok
-        assert not fam.sandwich_upper_ok
 
 
 # ---------------------------------------------------------------------------

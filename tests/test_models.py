@@ -12,9 +12,8 @@ from hpsfde.errors import UnsupportedMeasure
 from hpsfde.markov import make_generator
 from hpsfde.models import (Kernel, Measure, ModelSpec, PantographTerm,
                            PolynomialTerm, CustomTerm, eval_diffusion,
-                           eval_drift, single_regime,
-                           validate_local_lipschitz_probe)
-from hpsfde.paths import ConstantSegment, FunctionSegment
+                           eval_drift, single_regime)
+from hpsfde.paths import ConstantSegment
 from hpsfde.presets import default_measure, preset
 
 THREE_ATOMS = Measure.from_atoms([(0.5, 1 / 3), (0.75, 1 / 3), (1.0, 1 / 3)])
@@ -82,7 +81,7 @@ def test_density_quadrature_halving_converged():
         return float((w * th ** 2).sum())
 
     coarse = integral(nu)
-    fine = integral(nu.with_nodes(4096))
+    fine = integral(Measure.uniform(0.5, 1.0, nodes=4096))
     assert abs(coarse - fine) < 1e-8
     assert abs(fine - exact) < 1e-8
 
@@ -117,28 +116,6 @@ def test_linear_kernel_decay_closed_form():
     assert arr.shape == (2,)
 
 
-def test_custom_kernel_needs_both_callables():
-    with pytest.raises(ValueError):
-        Kernel(beta=0.5, lambda_at=lambda th, u: 1.0)
-
-
-def test_custom_kernel_used_for_decay():
-    k = Kernel(beta=0.5,
-               lambda_at=lambda th, u: 1.0 + 0.0 * np.asarray(th),
-               log_decay=lambda th, t: 1.0 * np.asarray(t)
-               + 0.0 * np.asarray(th))
-    assert k.decay(0.7, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
-    k.validate(0.5)  # constant rate 1 >= 0.5*(1-theta) everywhere
-
-
-def test_kernel_validate_rejects_sub_beta_rate():
-    k = Kernel(beta=2.0,
-               lambda_at=lambda th, u: 0.0 * np.asarray(th),
-               log_decay=lambda th, t: 0.0 * np.asarray(th) * t)
-    with pytest.raises(ValueError):
-        k.validate(0.5)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_kernel_rejects_non_finite_beta(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -165,7 +142,7 @@ def test_polynomial_term_rejects_bad_powers():
 
 def test_pantograph_term_plain_average():
     term = PantographTerm(coeff=2.0, measure=THREE_ATOMS)
-    phi_at = FunctionSegment(lambda th: th, 0.5, vectorized=True)
+    phi_at = lambda th: np.asarray(th)
     want = 2.0 * (0.5 + 0.75 + 1.0) / 3.0
     assert term.value(1.0, phi_at, 1.0) == pytest.approx(want, rel=1e-14)
 
@@ -173,7 +150,7 @@ def test_pantograph_term_plain_average():
 def test_pantograph_term_absolute_value_by_default():
     term = PantographTerm(coeff=1.0, measure=THREE_ATOMS)
     signed = PantographTerm(coeff=1.0, measure=THREE_ATOMS, signed=True)
-    phi_at = FunctionSegment(lambda th: -th, 0.5, vectorized=True)
+    phi_at = lambda th: -np.asarray(th)
     avg = (0.5 + 0.75 + 1.0) / 3.0
     assert term.value(1.0, phi_at, 1.0) == pytest.approx(avg, rel=1e-14)
     assert signed.value(1.0, phi_at, 1.0) == pytest.approx(-avg, rel=1e-14)
@@ -182,7 +159,7 @@ def test_pantograph_term_absolute_value_by_default():
 def test_pantograph_term_exponents():
     term = PantographTerm(coeff=1.0, measure=THREE_ATOMS,
                           point_exponent=2.0, delay_exponent=3.0)
-    phi_at = FunctionSegment(lambda th: th, 0.5, vectorized=True)
+    phi_at = lambda th: np.asarray(th)
     want = 4.0 * (0.5 ** 3 + 0.75 ** 3 + 1.0) / 3.0  # |phi1|^2 = 4
     assert term.value(2.0, phi_at, 1.0) == pytest.approx(want, rel=1e-14)
 
@@ -321,32 +298,3 @@ def test_unknown_preset_name_raises_one_error():
         default_measure("nope")
     assert str(from_measure.value) == str(from_preset.value)
     assert "unknown preset 'nope'" in str(from_preset.value)
-
-
-def test_lipschitz_probe_runs_and_reports():
-    m = preset("exp_stable")
-    rep = validate_local_lipschitz_probe(m, radius=1.0, trials=40, seed=0)
-    assert rep.trials == 40
-    assert rep.radius == 1.0
-    assert math.isfinite(rep.max_ratio)
-    assert rep.max_ratio > 0.0
-    assert rep.component in ("drift", "diffusion")
-    rep2 = validate_local_lipschitz_probe(m, radius=1.0, trials=40, seed=0)
-    assert rep2.max_ratio == rep.max_ratio
-
-
-def test_lipschitz_probe_flags_square_root_growth():
-    # |x|^(1/2) has unbounded difference quotients near 0; the probe's
-    # ratio should blow past any moderate local slope
-    rough = ModelSpec(
-        theta_lower=0.5, t0=1.0, generator=one_state(),
-        drift=((CustomTerm(lambda p, pa, t: np.abs(p) ** 0.5),),),
-        diffusion=((),), initial_segment=0.0)
-    smooth = ModelSpec(
-        theta_lower=0.5, t0=1.0, generator=one_state(),
-        drift=((PolynomialTerm([(1, 1.0)]),),),
-        diffusion=((),), initial_segment=0.0)
-    r_rough = validate_local_lipschitz_probe(rough, 1.0, 200, seed=1)
-    r_smooth = validate_local_lipschitz_probe(smooth, 1.0, 200, seed=1)
-    assert r_rough.max_ratio > 50.0
-    assert r_smooth.max_ratio < 1.5

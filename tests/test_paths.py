@@ -1,4 +1,4 @@
-"""Dense path evaluation, segment views, sup-norms, CSV export."""
+"""Dense path evaluation, segment views, CSV export."""
 from __future__ import annotations
 
 import io
@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpsfde.errors import OutOfDomain, PathExploded
-from hpsfde.paths import (ConstantSegment, DensePath, FunctionSegment,
-                          eval as path_eval, segment, sup_norm, write_csv,
-                          write_table)
+from hpsfde.paths import (ConstantSegment, DensePath, eval as path_eval,
+                          segment, write_csv, write_table)
 
 
 def make_path(times, values, theta_lower=0.5, t0=1.0, regimes=None,
@@ -95,36 +94,6 @@ def test_segment_view_theta_domain():
     assert view(1.0 + 1e-13) == 3.0
 
 
-def test_sup_norm_exact_over_breakpoints():
-    view = segment(SIMPLE, 2.0)
-    # max |x| over [1, 2] is at the node x(2) = 3
-    assert sup_norm(view) == 3.0
-    view2 = segment(SIMPLE, 1.5)
-    # over [0.75, 1.5]: nodes 1.0 (2.0) and 1.5 (1.0), endpoint 0.75 (1.0)
-    assert sup_norm(view2) == 2.0
-
-
-@given(st.lists(st.floats(min_value=-10, max_value=10), min_size=4,
-                max_size=12),
-       st.floats(min_value=1.0, max_value=2.0))
-@settings(max_examples=60, deadline=None)
-def test_sup_norm_matches_dense_sampling(vals, anchor):
-    times = np.linspace(0.5, 2.0, len(vals))
-    p = make_path(times, vals)
-    view = segment(p, anchor)
-    got = sup_norm(view)
-    lo, hi = 0.5 * anchor, anchor
-    # independent truth: a piecewise-linear |x| attains its max at a
-    # breakpoint or a segment endpoint
-    cands = np.concatenate(([lo, hi], times[(times > lo) & (times < hi)]))
-    truth = np.abs(path_eval(p, cands)).max()
-    assert got == pytest.approx(truth, abs=1e-12)
-    # dense sampling can only under-estimate a piecewise-linear sup
-    dense = np.linspace(lo, hi, 4001)
-    brute = np.abs(path_eval(p, dense)).max()
-    assert got >= brute - 1e-12
-
-
 def test_constant_segment():
     seg = ConstantSegment(0.5, 0.7)
     assert seg.point == 0.5
@@ -132,22 +101,6 @@ def test_constant_segment():
     out = seg(np.array([0.7, 1.0]))
     assert out.shape == (2,)
     assert np.all(out == 0.5)
-
-
-def test_function_segment_scalar_fn():
-    seg = FunctionSegment(lambda th: th ** 2, 0.5)
-    assert seg.point == 1.0
-    assert seg(0.5) == 0.25
-    out = seg(np.array([0.5, 1.0]))
-    assert out.shape == (2,)
-    assert out[0] == 0.25
-
-
-def test_function_segment_vectorized_fn():
-    seg = FunctionSegment(lambda th: th ** 2, 0.5, vectorized=True)
-    out = seg(np.array([0.5, 1.0]))
-    assert out.shape == (2,)
-    assert np.allclose(out, [0.25, 1.0])
 
 
 def test_write_csv_layout_and_determinism(tmp_path):
