@@ -40,7 +40,7 @@ import numpy as np
 from . import paths as paths_mod
 from .errors import DimensionMismatch, InsufficientPaths
 from .estimators import standard_error
-from .models import ModelSpec, _cached, coefficients
+from .models import ModelSpec, _cached, _Pass
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,10 @@ class LyapunovFamily:
     """Per-regime V functions plus the comparison monomials U_0, U_k.
 
     U_0 and each U_k are |x|^p monomials; ``u0_power`` and ``u_powers``
-    hold the exponents.  Construction verifies U_0 <= V on a sample grid
-    (see :func:`sandwich_report`) and that every V is radially unbounded.
+    hold the exponents.  Construction rejects a family in which some
+    regime's V has no power >= ``u0_power`` with a positive coefficient,
+    since then U_0 > V for all large |x|, and otherwise checks U_0 <= V
+    on a sample grid (see :func:`sandwich_report`).
     """
 
     regimes: Tuple[PolynomialV, ...]
@@ -113,6 +115,13 @@ class LyapunovFamily:
             raise ValueError("u0_power must be a positive even integer")
         if not self.u_powers or any(p <= 0 or p % 2 for p in self.u_powers):
             raise ValueError("u_powers must be positive even integers")
+        for i, V in enumerate(self.regimes, 1):
+            top = max(p for p, c in V.coeffs if c > 0)
+            if top < self.u0_power:
+                raise ValueError(
+                    "U_0 <= V fails for large |x|: regime %d's highest "
+                    "power with a positive coefficient is %d, below "
+                    "u0_power %d" % (i, top, self.u0_power))
         report = sandwich_report(self)
         if not report.lower_ok:
             raise ValueError(
@@ -280,8 +289,9 @@ def _lv_chunk(V: LyapunovFamily, m: ModelSpec, paths, t_end: float):
 
     The paths' nodes are concatenated; ``offsets[k]:offsets[k + 1]``
     is path k's slice.  Each regime's coefficients are evaluated once
-    over the whole chunk, and the history lookup once per distinct
-    quadrature-node set.  Each interval is integrated by trapezoid in
+    over the whole chunk, all regimes in one pass of the model's plan,
+    so each pantograph integral is computed once per chunk and the
+    history lookup once per distinct quadrature-node set.  Each interval is integrated by trapezoid in
     the regime of its left node (switch times are nodes, so LV is
     continuous inside every interval), and each path's integral is the
     sum over its own slice, so it does not depend on the chunk.
@@ -305,8 +315,9 @@ def _lv_chunk(V: LyapunovFamily, m: ModelSpec, paths, t_end: float):
     # parts[k, i - 1]: LV's time, drift, diffusion and coupling parts
     # in regime i at every node
     parts = np.empty((4, n, size))
+    ev = _Pass(m, x, phi_at, times)
     for i in range(1, n + 1):
-        f, g = coefficients(m, x, np.full(size, i), phi_at, times)
+        f, g = ev.regime(i)
         coupling = np.zeros_like(x)
         rates = m.generator.rates[i - 1]
         for l in range(n):

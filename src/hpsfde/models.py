@@ -20,6 +20,14 @@ be one state, an array with one state per Monte Carlo path, or one per
 time point, and the delayed values are supplied by a callback, so the
 same code serves the public segment-based API, the path-parallel
 integrator, and time-vectorized operator evaluation.
+
+Each ModelSpec compiles its terms once into a plan: per regime, the
+coefficients times shared bases, a basis being a power of phi(1) or a
+pantograph integral (times a power of |phi(1)|).  One coefficient pass
+computes each basis at most once for all terms and regimes that read it,
+sums each regime present in term order on all rows and merges the
+regimes row by row, so every value has the bits of summing the terms'
+``value`` in term order.  ``Term.value`` stays the per-term method.
 """
 
 from __future__ import annotations
@@ -231,6 +239,23 @@ class PantographTerm:
 
     def value(self, phi1, phi_at, t):
         phi1 = np.asarray(phi1, dtype=np.float64)
+        out = self._integral(phi_at, t, phi1.ndim)
+        if self.point_exponent != 0.0:
+            out = out * np.abs(phi1) ** self.point_exponent
+        return self.coeff * out
+
+    def _integral_key(self):
+        """What the integral depends on besides the state and the time."""
+        return (self._thetas.tobytes(), self._weights.tobytes(), self.kernel,
+                float(self.delay_exponent), self.signed)
+
+    def _integral(self, phi_at, t, ndim: int):
+        """integral K(theta, t) D(phi(theta)) dnu(theta) by quadrature.
+
+        ``ndim`` is the number of state axes.  Terms with equal
+        :meth:`_integral_key` share this value, so a coefficient pass
+        computes it once for all of them.
+        """
         thetas = self._thetas
         delayed = np.asarray(phi_at(thetas), dtype=np.float64)
         if self.signed:
@@ -239,7 +264,7 @@ class PantographTerm:
             d = np.abs(delayed)
         else:
             d = np.abs(delayed) ** self.delay_exponent
-        w = self._weights.reshape((len(thetas),) + (1,) * phi1.ndim)
+        w = self._weights.reshape((len(thetas),) + (1,) * ndim)
         if self.kernel is not None:
             th = thetas.reshape(w.shape)
             w = w * self.kernel.decay(th, t)
@@ -250,9 +275,7 @@ class PantographTerm:
         out = wd[0]
         for row in wd[1:]:
             out = out + row
-        if self.point_exponent != 0.0:
-            out = out * np.abs(phi1) ** self.point_exponent
-        return self.coeff * out
+        return out
 
 
 @dataclass(frozen=True)
@@ -298,6 +321,8 @@ class ModelSpec:
     drift: Tuple[Tuple[Term, ...], ...]
     diffusion: Tuple[Tuple[Term, ...], ...]
     initial_segment: Union[float, Tuple, Callable]
+    _plan: "_Plan" = field(init=False, default=None, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.theta_lower < 1.0:
@@ -308,10 +333,7 @@ class ModelSpec:
         if len(self.drift) != n or len(self.diffusion) != n:
             raise ValueError(
                 "drift/diffusion need one term list per regime (%d)" % n)
-        for terms in tuple(self.drift) + tuple(self.diffusion):
-            for term in terms:
-                if isinstance(term, PantographTerm):
-                    self._check_pantograph(term)
+        object.__setattr__(self, "_plan", _Plan(self))
 
     def _check_pantograph(self, term: PantographTerm) -> None:
         lo, hi = term.measure.support_range()
@@ -357,24 +379,126 @@ def _cached(lookup):
     return phi_at
 
 
-def _sum_terms(terms, phi1, phi_at, t):
-    out = np.zeros_like(np.asarray(phi1, dtype=np.float64))
-    for term in terms:
-        out = out + term.value(phi1, phi_at, t)
-    return out
+class _Plan:
+    """A model's drift and diffusion as coefficients times shared bases.
+
+    ``drift[i - 1]`` holds regime i's drift terms in term order, each
+    either a CustomTerm or the term's (coeff, basis key) products.  A
+    basis key is ("x", p) for x**p, ("I", g) for the integral of group g,
+    or ("P", g, pe) for that integral times |x|**pe.  A group is the
+    pantograph terms with one integral (quadrature, kernel, delay
+    exponent, signedness); ``integrals[g]`` is its first term.
+    """
+
+    def __init__(self, m: ModelSpec):
+        self.integrals = []
+        groups = {}
+
+        def compile_terms(terms, regime, part):
+            out = []
+            for pos, term in enumerate(terms, 1):
+                if isinstance(term, PolynomialTerm):
+                    out.append(tuple((c, ("x", p)) for p, c in term.coeffs))
+                elif isinstance(term, PantographTerm):
+                    m._check_pantograph(term)
+                    shape = term._integral_key()
+                    if shape not in groups:
+                        groups[shape] = len(self.integrals)
+                        self.integrals.append(term)
+                    g = groups[shape]
+                    key = (("I", g) if term.point_exponent == 0.0
+                           else ("P", g, term.point_exponent))
+                    out.append(((term.coeff, key),))
+                elif isinstance(term, CustomTerm):
+                    out.append(term)
+                else:
+                    raise TypeError(
+                        "regime %d %s term %d is a %s, not a PolynomialTerm, "
+                        "PantographTerm or CustomTerm"
+                        % (regime, part, pos, type(term).__name__))
+            return tuple(out)
+
+        self.drift = tuple(compile_terms(terms, i, "drift")
+                           for i, terms in enumerate(m.drift, 1))
+        self.diffusion = tuple(compile_terms(terms, i, "diffusion")
+                               for i, terms in enumerate(m.diffusion, 1))
+
+
+class _Pass:
+    """A model's coefficients at states X and time t, regime by regime.
+
+    Each basis of the model's plan is computed at most once per pass and
+    shared by every term and regime that reads it.  A regime's sum has
+    the bits of summing its terms' ``value`` in term order from zeros.
+    """
+
+    def __init__(self, m: ModelSpec, X, phi_at, t):
+        self._plan = m._plan
+        self._raw = X
+        self._X = np.asarray(X, dtype=np.float64)
+        self._phi_at = phi_at
+        self._t = t
+        # x**1 has the bits of x
+        self._memo = {("x", 1): self._X}
+
+    def _basis(self, key):
+        v = self._memo.get(key)
+        if v is None:
+            if key[0] == "x":
+                v = self._X ** key[1]
+            elif key[0] == "I":
+                v = self._plan.integrals[key[1]]._integral(
+                    self._phi_at, self._t, self._X.ndim)
+            else:
+                v = self._basis(("I", key[1])) * np.abs(self._X) ** key[2]
+            self._memo[key] = v
+        return v
+
+    def sum(self, terms):
+        """The sum of compiled terms, such as ``plan.drift[i - 1]``."""
+        # A term's products are summed without the zero start of
+        # Term.value, which can turn its +0.0 into -0.0 and nothing else.
+        # The running sum starts at 0.0 + v, so it is never -0.0, and
+        # adding +0.0 or -0.0 to it gives the same bits.
+        memo = self._memo
+        out = None
+        for term in terms:
+            if type(term) is tuple:
+                v = None
+                for c, key in term:
+                    # reading the memo inline saves a call per product
+                    cb = c * (memo[key] if key in memo else self._basis(key))
+                    v = cb if v is None else v + cb
+                if v is None:
+                    continue
+            else:
+                v = term.value(self._raw, self._phi_at, self._t)
+                if out is None:
+                    out = np.zeros_like(self._X)
+            out = 0.0 + v if out is None else out + v
+        return np.zeros_like(self._X) if out is None else out
+
+    def regime(self, i: int):
+        """Regime i's drift and diffusion."""
+        return (self.sum(self._plan.drift[i - 1]),
+                self.sum(self._plan.diffusion[i - 1]))
 
 
 def coefficients(m: ModelSpec, X, reg, phi_at, t):
     """Drift and diffusion at states X, row i in regime reg[i].
 
     ``phi_at`` maps a theta vector to the delayed states, one row per
-    theta, and ``t`` is the anchor time, a number or one per row.  Only
-    the regimes present in ``reg`` are evaluated, each on all rows.
+    theta, and ``t`` is the anchor time, a number or one per row.  One
+    pass of the model's plan serves all regimes, so each power of X and
+    each pantograph integral shared by several terms is computed once.
+    Only the regimes present in ``reg`` are summed, each on all rows in
+    term order, and merged by ``np.where``: the result has the bits of
+    the per-term sum of ``Term.value``.
     """
+    ev = _Pass(m, X, phi_at, t)
     F = G = None
     for i in np.flatnonzero(np.bincount(reg)):
-        f = _sum_terms(m.drift[i - 1], X, phi_at, t)
-        g = _sum_terms(m.diffusion[i - 1], X, phi_at, t)
+        f, g = ev.regime(i)
         if F is None:
             F, G = f, g
         else:
@@ -384,9 +508,9 @@ def coefficients(m: ModelSpec, X, reg, phi_at, t):
     return F, G
 
 
-def _eval_terms(m: ModelSpec, terms, view, t: float, regime: int) -> float:
+def _one_row(m: ModelSpec, view, t: float, regime: int) -> _Pass:
     require_index("regime", regime, m.n_regimes)
-    return float(_sum_terms(terms[regime - 1], float(view.point), view, t))
+    return _Pass(m, float(view.point), view, t)
 
 
 def eval_drift(m: ModelSpec, view, t: float, regime: int) -> float:
@@ -395,12 +519,13 @@ def eval_drift(m: ModelSpec, view, t: float, regime: int) -> float:
     ``view`` must provide ``point`` (current state) and be callable on a
     theta vector; both SegmentView and the synthetic segments qualify.
     """
-    return _eval_terms(m, m.drift, view, t, regime)
+    return float(_one_row(m, view, t, regime).sum(m._plan.drift[regime - 1]))
 
 
 def eval_diffusion(m: ModelSpec, view, t: float, regime: int) -> float:
     """Diffusion g(phi, t, i) for a segment-like view."""
-    return _eval_terms(m, m.diffusion, view, t, regime)
+    return float(_one_row(m, view, t, regime).sum(
+        m._plan.diffusion[regime - 1]))
 
 
 def single_regime(m: ModelSpec, regime: int) -> ModelSpec:

@@ -119,6 +119,15 @@ def test_family_enforces_lower_comparison():
                        u_powers=(2,))
 
 
+@pytest.mark.parametrize("coeffs", [[(0, 1e5)], [(0, 1e5), (4, 0.0)]])
+def test_family_rejects_v_below_u0_beyond_the_grid(coeffs):
+    # 1e5 >= x**2 on the whole grid (x <= 100), but not for |x| > 316
+    with pytest.raises(ValueError, match="regime 2's highest power with a "
+                       "positive coefficient is 0, below u0_power 2"):
+        LyapunovFamily(regimes=(PolynomialV([(2, 1.0)]), PolynomialV(coeffs)),
+                       u0_power=2, u_powers=(2,))
+
+
 def test_family_comparison_helpers():
     fam = preset_lyapunov("poly_stable")
     xs = np.array([-2.0, 0.5, 3.0])

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpsfde.errors import UnsupportedMeasure
+from hpsfde.integrator import IntegratorConfig, run_batch
+from hpsfde.lyapunov import eval_LV, martingale_residual
 from hpsfde.markov import make_generator
 from hpsfde.models import (Kernel, Measure, ModelSpec, PantographTerm,
-                           PolynomialTerm, CustomTerm, eval_diffusion,
-                           eval_drift, single_regime)
+                           PolynomialTerm, CustomTerm, coefficients,
+                           eval_diffusion, eval_drift, single_regime)
 from hpsfde.paths import ConstantSegment
-from hpsfde.presets import default_measure, preset
+from hpsfde.presets import default_measure, preset, preset_lyapunov
 
 THREE_ATOMS = Measure.from_atoms([(0.5, 1 / 3), (0.75, 1 / 3), (1.0, 1 / 3)])
 
@@ -298,3 +300,105 @@ def test_unknown_preset_name_raises_one_error():
         default_measure("nope")
     assert str(from_measure.value) == str(from_preset.value)
     assert "unknown preset 'nope'" in str(from_preset.value)
+
+
+def test_model_rejects_coefficients_that_are_not_terms():
+    with pytest.raises(TypeError, match="regime 1 drift term 1 is a function"):
+        ModelSpec(theta_lower=0.5, t0=1.0, generator=one_state(),
+                  drift=((lambda x: x,),), diffusion=((),),
+                  initial_segment=0.0)
+    g = make_generator([[-1.0, 1.0], [2.0, -2.0]])
+    with pytest.raises(TypeError, match="regime 2 diffusion term 2 is a "
+                       "float, not a PolynomialTerm, PantographTerm or "
+                       "CustomTerm"):
+        ModelSpec(theta_lower=0.5, t0=1.0, generator=g,
+                  drift=((), ()),
+                  diffusion=((), (PolynomialTerm([(1, 1.0)]), 0.1)),
+                  initial_segment=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the compiled plan against the per-term sum
+# ---------------------------------------------------------------------------
+
+_PLAN_MEASURES = (THREE_ATOMS, Measure.from_atoms([(1.0, 1.0)]),
+                  Measure.uniform(0.5, 1.0))  # 64 trapezoid nodes
+_PLAN_KERNELS = (None, Kernel.linear(0.5), Kernel.linear(0.0))
+_PLAN_INTEGRANDS = ((1.0, False), (1.0, True), (2.0, False), (0.5, False))
+
+
+def _history_lookup(thetas):
+    # a delayed state of either sign, one column per row
+    return np.cos(np.outer(thetas, np.arange(1.0, 8.0)) * 3.0) * 2.0
+
+
+_pantograph_terms = st.builds(
+    lambda coeff, nu, kernel, pe, integrand: PantographTerm(
+        coeff=coeff, measure=_PLAN_MEASURES[nu], kernel=_PLAN_KERNELS[kernel],
+        point_exponent=pe, delay_exponent=integrand[0],
+        signed=integrand[1]),
+    st.floats(-3.0, 3.0), st.integers(0, len(_PLAN_MEASURES) - 1),
+    st.integers(0, len(_PLAN_KERNELS) - 1),
+    st.sampled_from((0.0, 1.0, 1.5, 2.0)),
+    st.sampled_from(_PLAN_INTEGRANDS))
+_polynomial_terms = st.builds(
+    PolynomialTerm,
+    st.lists(st.tuples(st.integers(0, 7), st.floats(-5.0, 5.0)),
+             max_size=4))
+_custom_term = CustomTerm(lambda phi1, phi_at, t: 0.5 * phi1
+                          - phi_at(np.array([1.0]))[0] * np.sqrt(t))
+_term_lists = st.lists(st.one_of(_pantograph_terms, _polynomial_terms,
+                                 st.just(_custom_term)), max_size=5)
+# 1e200 overflows every power above 1 and every |x|**pe with pe > 1
+_states = st.sampled_from((0.0, -0.0, 1e200, -1e200, 0.3, -1.7, 2.5))
+
+
+def _per_term_sum(terms, X, phi_at, t):
+    out = np.zeros_like(X)
+    for term in terms:
+        out = out + term.value(X, phi_at, t)
+    return out
+
+
+@given(st.lists(_term_lists, min_size=4, max_size=4),
+       st.lists(_states, min_size=7, max_size=7),
+       st.lists(st.integers(1, 2), min_size=7, max_size=7),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_plan_matches_per_term_sum_bit_for_bit(lists, states, regimes,
+                                               one_t_per_row):
+    m = ModelSpec(theta_lower=0.5, t0=1.0,
+                  generator=make_generator([[-1.0, 1.0], [2.0, -2.0]]),
+                  drift=(tuple(lists[0]), tuple(lists[1])),
+                  diffusion=(tuple(lists[2]), tuple(lists[3])),
+                  initial_segment=0.0)
+    X = np.array(states)
+    reg = np.array(regimes)
+    t = np.linspace(1.0, 3.0, len(X)) if one_t_per_row else 2.0
+    with np.errstate(all="ignore"):
+        F, G = coefficients(m, X, reg, _history_lookup, t)
+        want = [np.where(reg == 2,
+                         _per_term_sum(part[1], X, _history_lookup, t),
+                         _per_term_sum(part[0], X, _history_lookup, t))
+                for part in (m.drift, m.diffusion)]
+    assert F.tobytes() == want[0].tobytes()
+    assert G.tobytes() == want[1].tobytes()
+
+
+def test_structured_terms_have_one_evaluation_path(monkeypatch):
+    def refuse(self, phi1, phi_at, t):
+        raise AssertionError("Term.value called outside the plan")
+
+    m = preset("exp_stable")
+    batch = run_batch(m, IntegratorConfig(dt=0.05, T=2.0), 100, i0=1,
+                      root_seed=3, keep_paths=True)
+    monkeypatch.setattr(PolynomialTerm, "value", refuse)
+    monkeypatch.setattr(PantographTerm, "value", refuse)
+    again = run_batch(m, IntegratorConfig(dt=0.05, T=2.0), 100, i0=1,
+                      root_seed=3, keep_paths=True)
+    assert again.uniform_values.tobytes() == batch.uniform_values.tobytes()
+    fam = preset_lyapunov("exp_stable")
+    martingale_residual(fam, again, 2.0)
+    seg = ConstantSegment(0.5, m.theta_lower)
+    eval_drift(m, seg, 1.0, 2)
+    eval_LV(fam, m, seg, 1.0, 1)
