@@ -19,7 +19,7 @@ def build_model():
     # regime 1: strong cubic damping plus a delayed feedback read at
     # theta = 0.6; regime 2: mild linear growth with delayed noise
     nu = Measure.point_mass(0.6)
-    kern = Kernel.linear(0.5)
+    kern = Kernel(0.5)
     drift = (
         (PolynomialTerm([(1, -2.0), (3, -1.0)]),
          PantographTerm(0.4, nu, kernel=kern, signed=True)),

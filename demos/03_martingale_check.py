@@ -1,8 +1,8 @@
 """Validating a simulation against the generator identity.
 
-For a smooth V(x, t, i) the process V(x(t), t, r(t)) minus the running
-integral of LV is a local martingale, where LV collects the time
-derivative, drift, diffusion-trace, and regime-coupling parts.  Averaged
+For a smooth V(x, i) the process V(x(t), r(t)) minus the running
+integral of LV is a local martingale, where LV collects the drift,
+diffusion-trace, and regime-coupling parts.  Averaged
 over an ensemble the residual
 
     E[V(end)] - E[V(start)] - E[int LV dt]
@@ -29,9 +29,8 @@ def main():
           % (values[0], values[-1], integral))
     view = segment(path, 2.0)
     bd = eval_LV(fam, m, view, 2.0, path.regimes[-1])
-    print("breakdown at T: time %.4f drift %.4f diffusion %.4f "
-          "coupling %.4f" % (bd.time_part, bd.drift_part, bd.diffusion_part,
-                             bd.coupling_part))
+    print("breakdown at T: drift %.4f diffusion %.4f coupling %.4f"
+          % (bd.drift_part, bd.diffusion_part, bd.coupling_part))
 
     # ensemble residual at two step sizes; the bias shrinks linearly
     print("\nensemble residual (2000 paths, [1, 2]):")

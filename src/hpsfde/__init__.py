@@ -18,8 +18,7 @@ from . import errors
 from .certificates import (CertificateData, CertificateRow,
                            CertificateVerdict, certify_epsilon_exponential,
                            check_existence, existence_margins, moment_bound,
-                           polynomial_margins, require,
-                           solve_epsilon_exponential,
+                           polynomial_margins, solve_epsilon_exponential,
                            solve_epsilon_polynomial, time_average_bound,
                            time_average_denominator)
 from .config import (build_certificate, build_lyapunov, build_measure,
@@ -59,7 +58,7 @@ __all__ = [
     "eval_LV", "eval_diffusion", "eval_drift", "existence_margins",
     "integrate_path", "load_config", "lv_profile", "make_generator",
     "martingale_residual", "moment_bound", "polynomial_margins", "preset",
-    "preset_certificate", "preset_lyapunov", "require", "run_batch",
+    "preset_certificate", "preset_lyapunov", "run_batch",
     "sample_regime_path", "sandwich_report", "segment", "single_regime",
     "solve_epsilon_exponential", "solve_epsilon_polynomial",
     "stationary_distribution", "time_average_bound",

@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import (Infeasible, NonPositiveDenominator, NotApplicable,
-                     ZeroEpsilon, require_finite, require_index)
+from .errors import (NonPositiveDenominator, NotApplicable, ZeroEpsilon,
+                     require_finite, require_index)
 
 STRICTNESS_MARGIN = 1e-9
 BISECTION_TOL = 1e-10
@@ -303,10 +303,3 @@ def solve_epsilon_polynomial(c: CertificateData) -> CertificateVerdict:
         % (k + 1, eps, mgn) for k, mgn in enumerate(margins))
     return CertificateVerdict(holds=True, margins=margins, epsilon=eps,
                               epsilon_sup=lo, detail=detail, notes=notes)
-
-
-def require(verdict: CertificateVerdict, what: str = "certificate") -> None:
-    """Raise Infeasible when a verdict does not hold (CLI convenience)."""
-    if not verdict.holds:
-        raise Infeasible("%s does not hold: margins=%s"
-                         % (what, list(verdict.margins)))

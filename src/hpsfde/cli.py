@@ -6,7 +6,7 @@ Four subcommands, all driven by a JSON experiment file:
              per-path) CSVs
   check-ito  Monte Carlo residual of the hybrid Ito identity for the
              configured Lyapunov family, and the mean LV integral
-             split into its time, drift, diffusion and coupling parts
+             split into its drift, diffusion and coupling parts
   certify    evaluate stability certificates from coefficient data;
              exit code 0 iff every requested check holds
   estimate   fit a decay rate from a simulated batch and write the
@@ -122,10 +122,10 @@ def cmd_check_ito(args) -> int:
     print("%s,%.17g,%.17g,%.17g,%.17g"
           % (name, stat.t_end, stat.residual, stat.stderr, stat.z))
     parts = stat.parts
-    print("mean_integral,time_part,drift_part,diffusion_part,coupling_part")
-    print("%.17g,%.17g,%.17g,%.17g,%.17g"
-          % (stat.mean_integral, parts.time_part, parts.drift_part,
-             parts.diffusion_part, parts.coupling_part))
+    print("mean_integral,drift_part,diffusion_part,coupling_part")
+    print("%.17g,%.17g,%.17g,%.17g"
+          % (stat.mean_integral, parts.drift_part, parts.diffusion_part,
+             parts.coupling_part))
     return 0
 
 

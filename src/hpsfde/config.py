@@ -250,7 +250,7 @@ def _build_term(spec, name: str, shared_measure: Optional[Measure],
         elif kspec in (False, None):
             kernel = None
         else:
-            kernel = Kernel.linear(_field(kspec, name + ".kernel.beta", float))
+            kernel = Kernel(_field(kspec, name + ".kernel.beta", float))
         return PantographTerm(
             coeff=_field(spec, name + ".coeff", float),
             measure=measure, kernel=kernel,
@@ -271,7 +271,7 @@ def build_model(cfg: dict) -> ModelSpec:
     if name is not None:
         return preset(name, nu_choice=shared_measure, t0=t0, initial=initial)
     shared_kernel = (
-        Kernel.linear(_field(spec["kernel"], "model.kernel.beta", float))
+        Kernel(_field(spec["kernel"], "model.kernel.beta", float))
         if "kernel" in spec else None)
 
     def terms(part):

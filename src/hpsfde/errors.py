@@ -107,7 +107,3 @@ class NonPositiveDenominator(Error):
 
 class ZeroEpsilon(Error):
     """A rate bound was requested with a non-positive epsilon."""
-
-
-class Infeasible(Error):
-    """A requested certificate does not hold for the supplied data."""

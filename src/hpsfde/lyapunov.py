@@ -1,19 +1,19 @@
 """Numeric evaluation of the operator LV and the martingale residual test.
 
-For a per-regime Lyapunov function V(x, t, i) the operator is
+For a per-regime Lyapunov function V(x, i) the operator is
 
-    LV(phi, t, i) = V_t(phi(1), t, i)
-                  + V_x(phi(1), t, i) * f(phi, t, i)
-                  + 1/2 * g(phi, t, i)^2 * V_xx(phi(1), t, i)
-                  + sum_l rates[i, l] * V(phi(1), t, l).
+    LV(phi, t, i) = V_x(phi(1), i) * f(phi, t, i)
+                  + 1/2 * g(phi, t, i)^2 * V_xx(phi(1), i)
+                  + sum_l rates[i, l] * V(phi(1), l),
 
-V is restricted to even-power polynomials in |x| with nonnegative
-coefficients (optionally carrying a scalar time weight), so all
-derivatives are exact.
+its drift, diffusion and coupling parts.  V is restricted to time-free
+even-power polynomials in |x| with nonnegative coefficients, so all
+derivatives are exact, and one function writes out the sum for a single
+segment and for every node of a path alike.
 
 The residual test checks the identity
 
-    E[V(x(t_end), t_end, r(t_end))] - E[V(x(t0), t0, r(t0))]
+    E[V(x(t_end), r(t_end))] - E[V(x(t0), r(t0))]
         = E[ integral_{t0}^{t_end} LV(x_s, s, r(s)) ds ]
 
 on a simulated batch.  It holds exactly in law, so a z-score far from 0
@@ -33,64 +33,52 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import paths as paths_mod
-from .errors import DimensionMismatch, InsufficientPaths
+from .errors import DimensionMismatch, InsufficientPaths, require_finite
 from .estimators import standard_error
-from .models import ModelSpec, _cached, _Pass
+from .models import ModelSpec, _cached, _one_row, _Pass
 
 
 @dataclass(frozen=True)
 class PolynomialV:
-    """One regime's V as a polynomial with even powers and coeffs >= 0.
-
-    ``time_weight`` is an optional (w, w') pair of callables; the value
-    is w(t) * sum c x^p and the time derivative uses w'.
-    """
+    """One regime's V as a polynomial with even powers and coeffs >= 0."""
 
     coeffs: Tuple[Tuple[int, float], ...]
-    time_weight: Optional[Tuple[Callable, Callable]] = None
 
-    def __init__(self, coeffs, time_weight=None):
+    def __init__(self, coeffs):
         norm = []
         for p, c in coeffs:
             if float(p) != int(p) or int(p) < 0 or int(p) % 2 != 0:
                 raise ValueError("V powers must be even nonnegative integers")
+            require_finite(coeff=c)
             if c < 0:
                 raise ValueError("V coefficients must be nonnegative")
             norm.append((int(p), float(c)))
         if not norm or max(c for _, c in norm) <= 0:
             raise ValueError("V needs at least one positive coefficient")
         object.__setattr__(self, "coeffs", tuple(norm))
-        object.__setattr__(self, "time_weight", time_weight)
 
-    def _weighted(self, x, t, shift: int = 0, weight: int = 0):
-        """time_weight[weight](t) times the shift-th x-derivative of V."""
+    def _derivative(self, x, shift: int):
+        """The shift-th x-derivative of V at x."""
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
         for p, c in self.coeffs:
             if p >= shift:
                 out = out + c * math.perm(p, shift) * x ** (p - shift)
-        if self.time_weight is None:
-            return out
-        return self.time_weight[weight](t) * out
+        return out
 
-    def value(self, x, t):
-        return self._weighted(x, t)
+    def value(self, x):
+        return self._derivative(x, 0)
 
-    def dx(self, x, t):
-        return self._weighted(x, t, shift=1)
+    def dx(self, x):
+        return self._derivative(x, 1)
 
-    def dxx(self, x, t):
-        return self._weighted(x, t, shift=2)
-
-    def dt(self, x, t):
-        if self.time_weight is None:
-            return np.zeros_like(np.asarray(x, dtype=np.float64))
-        return self._weighted(x, t, weight=1)
+    def dxx(self, x):
+        return self._derivative(x, 2)
 
 
 @dataclass(frozen=True)
@@ -132,23 +120,14 @@ class LyapunovFamily:
     def n_regimes(self) -> int:
         return len(self.regimes)
 
-    def value(self, x, t, i: int):
-        return self.regimes[i - 1].value(x, t)
+    def value(self, x, i: int):
+        return self.regimes[i - 1].value(x)
 
-    def dx(self, x, t, i: int):
-        return self.regimes[i - 1].dx(x, t)
+    def dx(self, x, i: int):
+        return self.regimes[i - 1].dx(x)
 
-    def dxx(self, x, t, i: int):
-        return self.regimes[i - 1].dxx(x, t)
-
-    def dt(self, x, t, i: int):
-        return self.regimes[i - 1].dt(x, t)
-
-    def u0(self, x):
-        return np.abs(np.asarray(x, dtype=np.float64)) ** self.u0_power
-
-    def u(self, k: int, x):
-        return np.abs(np.asarray(x, dtype=np.float64)) ** self.u_powers[k - 1]
+    def dxx(self, x, i: int):
+        return self.regimes[i - 1].dxx(x)
 
 
 @dataclass(frozen=True)
@@ -164,20 +143,18 @@ class SandwichReport:
 
 
 def sandwich_report(fam: LyapunovFamily) -> SandwichReport:
-    """Check U_0 <= V on a fixed grid of states and times.
+    """Check U_0 <= V in every regime on a fixed grid of states.
 
-    The states are 0 and 26 log-spaced points from 1e-3 to 100; the
-    times are 0, 1 and 10.
+    The states are 0 and 26 log-spaced points from 1e-3 to 100.
     """
     x_grid = np.concatenate(([0.0], np.logspace(-3, 2, 26)))
     worst = (0.0, 0.0, 1)
     u0 = np.abs(x_grid) ** fam.u0_power
     for i in range(1, fam.n_regimes + 1):
-        for t in (0.0, 1.0, 10.0):
-            gap = u0 - fam.value(x_grid, t, i)
-            j = int(np.argmax(gap))
-            if gap[j] > worst[0]:
-                worst = (float(gap[j]), float(x_grid[j]), i)
+        gap = u0 - fam.value(x_grid, i)
+        j = int(np.argmax(gap))
+        if gap[j] > worst[0]:
+            worst = (float(gap[j]), float(x_grid[j]), i)
     return SandwichReport(lower_ok=worst[0] <= 1e-12, worst_lower=worst)
 
 
@@ -187,17 +164,15 @@ def sandwich_report(fam: LyapunovFamily) -> SandwichReport:
 
 @dataclass(frozen=True)
 class LVBreakdown:
-    """Value of LV together with its four constituent parts."""
+    """Value of LV together with its drift, diffusion and coupling parts."""
 
     value: float
-    time_part: float
     drift_part: float
     diffusion_part: float
     coupling_part: float
 
     def __post_init__(self):
-        total = (self.time_part + self.drift_part + self.diffusion_part
-                 + self.coupling_part)
+        total = self.drift_part + self.diffusion_part + self.coupling_part
         if abs(total - self.value) > 1e-10 * max(1.0, abs(self.value)):
             raise ValueError("LV parts do not sum to the stated value")
 
@@ -208,23 +183,30 @@ def _check_regimes(V: LyapunovFamily, m: ModelSpec) -> None:
             "V has %d regimes, model has %d" % (V.n_regimes, m.n_regimes))
 
 
+def _lv_parts(V: LyapunovFamily, m: ModelSpec, ev: _Pass, x, v, i: int):
+    """LV's drift, diffusion and coupling parts in regime i at states x.
+
+    ``ev`` is a coefficient pass at x and ``v[l]`` is V(x, l + 1).
+    """
+    f, g = ev.regime(i)
+    coupling = np.zeros_like(x)
+    rates = m.generator.rates[i - 1]
+    for l in range(m.n_regimes):
+        coupling = coupling + rates[l] * v[l]
+    return V.dx(x, i) * f, 0.5 * g * g * V.dxx(x, i), coupling
+
+
 def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
             i: int) -> LVBreakdown:
     """Evaluate LV for a segment-like view at time t in regime i."""
-    from .models import eval_diffusion, eval_drift
     _check_regimes(V, m)
     x = float(view.point)
-    f = eval_drift(m, view, t, i)
-    g = eval_diffusion(m, view, t, i)
-    vt = float(V.dt(x, t, i))
-    vxf = float(V.dx(x, t, i)) * f
-    trace = 0.5 * g * g * float(V.dxx(x, t, i))
-    rates = m.generator.rates[i - 1]
-    coupling = float(sum(rates[l] * float(V.value(x, t, l + 1))
-                         for l in range(m.n_regimes)))
-    value = vt + vxf + trace + coupling
-    return LVBreakdown(value=value, time_part=vt, drift_part=vxf,
-                       diffusion_part=trace, coupling_part=coupling)
+    v = [V.value(x, l + 1) for l in range(m.n_regimes)]
+    drift, diffusion, coupling = (
+        float(part) for part in _lv_parts(V, m, _one_row(m, view, t, i),
+                                          x, v, i))
+    return LVBreakdown(value=drift + diffusion + coupling, drift_part=drift,
+                       diffusion_part=diffusion, coupling_part=coupling)
 
 
 # Upper bound on the nodes that one pass of LV along paths holds.  The
@@ -298,8 +280,8 @@ def _lv_chunk(V: LyapunovFamily, m: ModelSpec, paths, t_end: float):
 
     Returns (times, point_values, integrals, ends, part_sums): ends
     holds each path's (x(t0), r(t0), x(t_end), r(t_end)), and part_sums
-    the chunk's summed integrals of the time, drift, diffusion and
-    coupling parts.
+    the chunk's summed integrals of the drift, diffusion and coupling
+    parts.
     """
     _check_regimes(V, m)
     node_t, node_x, node_r, ends = zip(*[_path_nodes(path, t_end)
@@ -311,21 +293,15 @@ def _lv_chunk(V: LyapunovFamily, m: ModelSpec, paths, t_end: float):
     phi_at = _history(paths, offsets, times, x)
     n = m.n_regimes
     size = len(times)
-    v = [V.value(x, times, l + 1) for l in range(n)]
-    # parts[k, i - 1]: LV's time, drift, diffusion and coupling parts
-    # in regime i at every node
-    parts = np.empty((4, n, size))
+    v = [V.value(x, l + 1) for l in range(n)]
+    # parts[k, i - 1]: LV's drift, diffusion and coupling parts in
+    # regime i at every node
+    parts = np.empty((3, n, size))
     ev = _Pass(m, x, phi_at, times)
     for i in range(1, n + 1):
-        f, g = ev.regime(i)
-        coupling = np.zeros_like(x)
-        rates = m.generator.rates[i - 1]
-        for l in range(n):
-            coupling = coupling + rates[l] * v[l]
-        parts[:, i - 1] = (V.dt(x, times, i), V.dx(x, times, i) * f,
-                           0.5 * g * g * V.dxx(x, times, i), coupling)
-    parts = parts.reshape(4, n * size)
-    lv = parts[0] + parts[1] + parts[2] + parts[3]
+        parts[:, i - 1] = _lv_parts(V, m, ev, x, v, i)
+    parts = parts.reshape(3, n * size)
+    lv = parts[0] + parts[1] + parts[2]
     h = np.diff(times)
     # no interval joins one path's last node to the next path's first
     h[offsets[1:-1] - 1] = 0.0
@@ -372,8 +348,8 @@ class ResidualStatistic:
     and ``z`` the plain ratio.  ``mean_integral`` supports an O(dt) bias
     allowance: :meth:`z_with_allowance` shrinks the residual by the
     allowance before standardizing.  ``parts`` splits the mean integral
-    into LV's time, drift, diffusion and coupling parts; its ``value``
-    is their sum, equal to ``mean_integral`` up to rounding.
+    into LV's drift, diffusion and coupling parts; its ``value`` is
+    their sum, equal to ``mean_integral`` up to rounding.
     """
 
     residual: float
@@ -428,16 +404,15 @@ def martingale_residual(V: LyapunovFamily, batch, t_end: float
             "residual test needs >= 100 paths, have %d" % len(kept))
     deltas = []
     integrals = []
-    part_sums = np.zeros(4)
+    part_sums = np.zeros(3)
     for chunk in _chunks(kept):
         _, _, chunk_integrals, ends, chunk_parts = _lv_chunk(
             V, batch.model, chunk, t_end)
         part_sums += chunk_parts
         for path, (x0, i0, x_end, r_end), integral in zip(
                 chunk, ends, chunk_integrals):
-            v_end = float(V.value(x_end, t_end, r_end))
-            v0 = float(V.value(x0, path.t0, i0))
-            deltas.append(v_end - v0 - integral)
+            deltas.append(float(V.value(x_end, r_end))
+                          - float(V.value(x0, i0)) - integral)
         integrals.extend(chunk_integrals)
     d = np.asarray(deltas)
     residual = float(d.mean())
@@ -446,12 +421,11 @@ def martingale_residual(V: LyapunovFamily, batch, t_end: float
         z = 0.0 if residual == 0.0 else float(np.inf)
     else:
         z = residual / stderr
-    time_part, drift_part, diffusion_part, coupling_part = (
+    drift_part, diffusion_part, coupling_part = (
         float(s) / len(d) for s in part_sums)
-    parts = LVBreakdown(
-        value=time_part + drift_part + diffusion_part + coupling_part,
-        time_part=time_part, drift_part=drift_part,
-        diffusion_part=diffusion_part, coupling_part=coupling_part)
+    parts = LVBreakdown(value=drift_part + diffusion_part + coupling_part,
+                        drift_part=drift_part, diffusion_part=diffusion_part,
+                        coupling_part=coupling_part)
     return ResidualStatistic(residual=residual, stderr=stderr, z=z,
                              mean_integral=float(np.mean(integrals)),
                              t_end=float(t_end), n_paths_used=len(d),

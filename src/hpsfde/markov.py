@@ -34,10 +34,6 @@ class GeneratorMatrix:
     n_states: int
     rates: np.ndarray
 
-    def exit_rate(self, i: int) -> float:
-        """Total jump rate out of state i (1-based), i.e. -rates[i-1, i-1]."""
-        return float(-self.rates[i - 1, i - 1])
-
     @cached_property
     def jump_table(self) -> np.ndarray:
         """Row i-1: cumulative destination probabilities of a jump from i.

@@ -38,7 +38,8 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import QuadratureUnsupported, UnsupportedMeasure, require_index
+from .errors import (QuadratureUnsupported, UnsupportedMeasure,
+                     require_finite, require_index)
 from .markov import GeneratorMatrix
 
 MASS_TOL = 1e-12
@@ -164,10 +165,6 @@ class Kernel:
             raise ValueError("beta must be finite and nonnegative, got %r"
                              % (self.beta,))
 
-    @classmethod
-    def linear(cls, beta: float) -> "Kernel":
-        return cls(beta=float(beta))
-
     def decay(self, theta, t):
         """The kernel value at delay fraction theta and time t."""
         return np.exp(-self.beta * (1.0 - np.asarray(theta)) * np.asarray(t))
@@ -195,6 +192,7 @@ class PolynomialTerm:
                 raise ValueError(
                     "polynomial powers must be nonnegative integers, got %r"
                     % (p,))
+            require_finite(coeff=c)
             norm.append((int(p), float(c)))
         object.__setattr__(self, "coeffs", tuple(norm))
 
@@ -229,6 +227,8 @@ class PantographTerm:
                                  compare=False)
 
     def __post_init__(self):
+        require_finite(coeff=self.coeff, point_exponent=self.point_exponent,
+                       delay_exponent=self.delay_exponent)
         if self.point_exponent < 0 or self.delay_exponent < 0:
             raise ValueError("exponents must be nonnegative")
         if self.signed and self.delay_exponent != 1.0:

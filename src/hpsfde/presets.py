@@ -106,7 +106,7 @@ def preset(name: str, nu_choice: Optional[Measure] = None,
     """
     rec = _record(name)
     nu = nu_choice if nu_choice is not None else default_measure(name)
-    kern = None if rec.beta is None else Kernel.linear(rec.beta)
+    kern = None if rec.beta is None else Kernel(rec.beta)
     delta_1 = Measure.point_mass(1.0)
 
     if name == "exp_stable":

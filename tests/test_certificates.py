@@ -13,14 +13,12 @@ from hpsfde import certificates
 from hpsfde.certificates import (STRICTNESS_MARGIN, CertificateData,
                                  CertificateRow, certify_epsilon_exponential,
                                  check_existence, existence_margins,
-                                 moment_bound,
-                                 polynomial_margins, require,
+                                 moment_bound, polynomial_margins,
                                  solve_epsilon_exponential,
                                  solve_epsilon_polynomial,
                                  time_average_bound,
                                  time_average_denominator)
-from hpsfde.errors import (Infeasible, NonPositiveDenominator, NotApplicable,
-                           ZeroEpsilon)
+from hpsfde.errors import NonPositiveDenominator, NotApplicable, ZeroEpsilon
 from hpsfde.lyapunov import eval_LV
 from hpsfde.models import PantographTerm
 from hpsfde.paths import ConstantSegment
@@ -395,11 +393,3 @@ def test_bisection_tolerance_is_tight(monkeypatch):
     coarse = solve_epsilon_polynomial(c)
     assert abs(fine.epsilon_sup - coarse.epsilon_sup) < 1e-4
     assert fine.holds and coarse.holds
-
-
-def test_require_raises_on_failure():
-    good = check_existence(preset_certificate("exp_stable"))
-    require(good)  # no exception
-    bad = check_existence(simple_data(a=0.5, b_alpha=((1.0, 0.5),)))
-    with pytest.raises(Infeasible):
-        require(bad, "existence")

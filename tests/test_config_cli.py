@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 import hpsfde
-from hpsfde import cli, models, paths
+from hpsfde import certificates, cli, errors, models, paths
 from hpsfde.certificates import (solve_epsilon_exponential,
                                  solve_epsilon_polynomial)
 from hpsfde.cli import _parser, _write_summary, main
 from hpsfde.config import (build_certificate, build_lyapunov, build_measure,
                            build_model, load_config, simulation_params)
 from hpsfde.integrator import IntegratorConfig, run_batch
-from hpsfde.lyapunov import LyapunovFamily, PolynomialV, sandwich_report
+from hpsfde.lyapunov import (LVBreakdown, LyapunovFamily, PolynomialV,
+                             sandwich_report)
 from hpsfde.models import Kernel, PantographTerm, PolynomialTerm, eval_drift
 from hpsfde.paths import ConstantSegment
 from hpsfde.presets import preset, preset_certificate, preset_lyapunov
@@ -147,7 +148,7 @@ def test_build_lyapunov_fallback_and_explicit():
         "lyapunov": {"regimes": [[[2, 1.0]], [[2, 2.0], [4, 1.0]]],
                      "u0_power": 2, "u_powers": [2, 4]}})
     assert explicit.n_regimes == 2
-    assert explicit.value(2.0, 0.0, 2) == pytest.approx(24.0)
+    assert explicit.value(2.0, 2) == pytest.approx(24.0)
     with pytest.raises(ValueError, match="preset or regimes"):
         build_lyapunov({})
 
@@ -278,10 +279,9 @@ def test_check_ito_reports_residual(tmp_path, capsys):
     assert fields[0] == "exp_stable"
     assert float(fields[1]) == 2.0
     assert abs(float(fields[4])) < 5.0
-    assert out[2] == ("mean_integral,time_part,drift_part,diffusion_part,"
-                      "coupling_part")
+    assert out[2] == "mean_integral,drift_part,diffusion_part,coupling_part"
     mean_integral, *parts = (float(v) for v in out[3].split(","))
-    assert len(parts) == 4
+    assert len(parts) == 3
     assert sum(parts) == pytest.approx(mean_integral, rel=1e-12)
 
 
@@ -543,10 +543,13 @@ def test_removed_input_is_an_error(tmp_path, capsys, monkeypatch, command,
      "u0_power"),
     (lambda: replace(preset_certificate("exp_stable"), moment_powers=(2, 6)),
      "moment_powers"),
+    (lambda: PolynomialV([(2, 1.0)], time_weight=(abs, abs)), "time_weight"),
+    (lambda: LVBreakdown(value=0.0, time_part=0.0, drift_part=0.0,
+                         diffusion_part=0.0, coupling_part=0.0), "time_part"),
 ], ids=["exponential-delta", "polynomial-delta", "polynomial-tol",
         "sandwich-x_grid", "sandwich-t_grid", "kernel-lambda_at",
         "kernel-log_decay", "family-strict", "certificate-u0_power",
-        "certificate-moment_powers"])
+        "certificate-moment_powers", "v-time_weight", "breakdown-time_part"])
 def test_removed_keyword_argument_is_a_type_error(call, keyword):
     with pytest.raises(TypeError, match="unexpected keyword argument '%s'"
                        % keyword):
@@ -561,9 +564,19 @@ def test_removed_keyword_argument_is_a_type_error(call, keyword):
     ((hpsfde.Measure,), "with_nodes"),
     ((hpsfde.Kernel,), "rate"),
     ((hpsfde.Kernel,), "validate"),
+    ((hpsfde, certificates), "require"),
+    ((errors,), "Infeasible"),
+    ((hpsfde.GeneratorMatrix,), "exit_rate"),
+    ((hpsfde.Kernel,), "linear"),
+    ((hpsfde.PolynomialV,), "dt"),
+    ((hpsfde.LyapunovFamily,), "dt"),
+    ((hpsfde.LyapunovFamily,), "u0"),
+    ((hpsfde.LyapunovFamily,), "u"),
 ], ids=["sup_norm", "FunctionSegment", "validate_local_lipschitz_probe",
         "LipschitzProbeReport", "Measure.with_nodes", "Kernel.rate",
-        "Kernel.validate"])
+        "Kernel.validate", "require", "Infeasible",
+        "GeneratorMatrix.exit_rate", "Kernel.linear", "PolynomialV.dt",
+        "LyapunovFamily.dt", "LyapunovFamily.u0", "LyapunovFamily.u"])
 def test_removed_name_is_gone(owners, name):
     for owner in owners:
         with pytest.raises(AttributeError):
@@ -666,6 +679,16 @@ def test_package_exports_resolve():
      "lyapunov.regimes[0][0][0] must be a JSON integer, got 2.5"),
     ("certify", '{"certificate": {"preset": "exp_stable", "beta": true}}',
      "certificate.beta must be a JSON number or null, got True"),
+    # 1e999 is valid JSON and parses to inf
+    ("check-ito", '{"model": {"preset": "exp_stable"}, "lyapunov": '
+     '{"regimes": [[[2, 1e999]], [[2, 1.0]]], "u0_power": 2, '
+     '"u_powers": [2]}, "simulation": {"dt": 0.1, "T": 2.0}}',
+     "coeff must be finite, got inf"),
+    ("simulate", '{"model": {"theta_lower": 0.5, "generator": [[0.0]], '
+     '"drift": [[{"type": "pantograph", "coeff": 1e999, "measure": '
+     '{"kind": "point", "theta": 1.0}}]], "diffusion": [[]]}, '
+     '"simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}',
+     "coeff must be finite, got inf"),
 ], ids=["no-theta-lower", "top-level-array", "certificate-not-object",
         "simulation-not-object", "no-generator", "output-key", "lyapunov-key",
         "certificate-key", "estimate-key", "model-key", "unknown-section",
@@ -673,7 +696,8 @@ def test_package_exports_resolve():
         "epsilon-exp-polynomial", "epsilon-exp-no-rate", "measure-number",
         "initial-times-number", "certificate-row-number", "term-number",
         "regimes-number", "coeff-null", "generator-string",
-        "nodes-fraction", "power-fraction", "beta-bool"])
+        "nodes-fraction", "power-fraction", "beta-bool", "v-coeff-infinite",
+        "term-coeff-infinite"])
 def test_malformed_config_is_an_error(tmp_path, capsys, command, text, named):
     cfg = tmp_path / "experiment.json"
     cfg.write_text(text)

@@ -263,7 +263,7 @@ def fast_switching_model():
     # switches; the atom at 0.999 looks up between a step's own nodes
     nu = Measure.from_atoms([(0.5, 0.2), (0.9, 0.3), (0.999, 0.3),
                              (1.0, 0.2)])
-    kern = Kernel.linear(0.5)
+    kern = Kernel(0.5)
     return ModelSpec(
         theta_lower=0.5, t0=1.0,
         generator=make_generator([[-40.0, 40.0], [60.0, -60.0]]),
@@ -344,7 +344,7 @@ def density_model():
                      generator=make_generator([[-3.0, 3.0], [4.0, -4.0]]),
                      drift=((PolynomialTerm([(1, -1.0), (3, -1.0)]),
                              PantographTerm(coeff=0.4, measure=nu,
-                                            kernel=Kernel.linear(0.5))),
+                                            kernel=Kernel(0.5))),
                             (PantographTerm(coeff=0.2, measure=nu,
                                             signed=True),)),
                      diffusion=((PantographTerm(coeff=0.3, measure=nu),),

@@ -61,38 +61,30 @@ def test_polynomial_v_rejects_bad_input():
         PolynomialV([(2, 0.0)])  # no positive coefficient
     with pytest.raises(ValueError):
         PolynomialV([])
+    # an infinite coefficient passes the U_0 <= V check and makes every
+    # residual NaN
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="coeff must be finite"):
+            PolynomialV([(2, 1.0), (4, bad)])
 
 
 def test_polynomial_v_closed_form_derivatives():
     V = PolynomialV([(2, 2.0), (6, 0.5)])
     xs = np.array([-1.7, -0.3, 0.0, 0.4, 2.2])
-    assert np.allclose(V.value(xs, 0.0), 2 * xs ** 2 + 0.5 * xs ** 6)
-    assert np.allclose(V.dx(xs, 0.0), 4 * xs + 3 * xs ** 5)
-    assert np.allclose(V.dxx(xs, 0.0), 4 + 15 * xs ** 4)
-    assert np.array_equal(V.dt(xs, 0.0), np.zeros(5))
+    assert np.allclose(V.value(xs), 2 * xs ** 2 + 0.5 * xs ** 6)
+    assert np.allclose(V.dx(xs), 4 * xs + 3 * xs ** 5)
+    assert np.allclose(V.dxx(xs), 4 + 15 * xs ** 4)
 
 
 def test_polynomial_v_derivatives_match_finite_differences():
     V = PolynomialV([(2, 1.0), (4, 0.3), (8, 0.05)])
     for x in (0.7, 1.9):
         h = 1e-6
-        num_dx = (V.value(x + h, 0.0) - V.value(x - h, 0.0)) / (2 * h)
-        assert num_dx == pytest.approx(V.dx(x, 0.0), rel=1e-8)
+        num_dx = (V.value(x + h) - V.value(x - h)) / (2 * h)
+        assert num_dx == pytest.approx(V.dx(x), rel=1e-8)
         h = 1e-4
-        num_dxx = (V.value(x + h, 0.0) - 2 * V.value(x, 0.0)
-                   + V.value(x - h, 0.0)) / h ** 2
-        assert num_dxx == pytest.approx(V.dxx(x, 0.0), rel=1e-6)
-
-
-def test_polynomial_v_time_weight():
-    w = (lambda t: np.exp(-0.3 * t), lambda t: -0.3 * np.exp(-0.3 * t))
-    V = PolynomialV([(2, 1.0)], time_weight=w)
-    x, t = 1.5, 2.0
-    s = np.exp(-0.6)
-    assert V.value(x, t) == pytest.approx(s * 2.25)
-    assert V.dx(x, t) == pytest.approx(s * 3.0)
-    assert V.dxx(x, t) == pytest.approx(s * 2.0)
-    assert V.dt(x, t) == pytest.approx(-0.3 * s * 2.25)
+        num_dxx = (V.value(x + h) - 2 * V.value(x) + V.value(x - h)) / h ** 2
+        assert num_dxx == pytest.approx(V.dxx(x), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +122,11 @@ def test_family_rejects_v_below_u0_beyond_the_grid(coeffs):
 
 def test_family_comparison_helpers():
     fam = preset_lyapunov("poly_stable")
-    xs = np.array([-2.0, 0.5, 3.0])
-    assert np.allclose(fam.u0(xs), np.abs(xs) ** 4)
-    assert np.allclose(fam.u(1, xs), np.abs(xs) ** 4)
-    assert np.allclose(fam.u(2, xs), np.abs(xs) ** 10)
-    assert fam.value(0.5, 0.0, 2) == pytest.approx(2 * 0.5 ** 4 + 3 * 0.5 ** 10)
+    assert fam.u0_power == 4 and fam.u_powers == (4, 10)
+    # regime 2's V is 2 x^4 + 3 x^10
+    assert fam.value(0.5, 2) == pytest.approx(2 * 0.5 ** 4 + 3 * 0.5 ** 10)
+    assert fam.dx(0.5, 2) == pytest.approx(8 * 0.5 ** 3 + 30 * 0.5 ** 9)
+    assert fam.dxx(0.5, 2) == pytest.approx(24 * 0.5 ** 2 + 270 * 0.5 ** 8)
 
 
 def test_sandwich_report_locates_worst_gap():
@@ -161,11 +153,11 @@ def test_preset_families_satisfy_lower_comparison():
 # ---------------------------------------------------------------------------
 
 def test_lv_breakdown_checks_part_sum():
-    LVBreakdown(value=1.0, time_part=0.25, drift_part=0.25,
-                diffusion_part=0.25, coupling_part=0.25)
+    LVBreakdown(value=1.0, drift_part=0.5, diffusion_part=0.25,
+                coupling_part=0.25)
     with pytest.raises(ValueError):
-        LVBreakdown(value=1.0, time_part=0.3, drift_part=0.25,
-                    diffusion_part=0.25, coupling_part=0.25)
+        LVBreakdown(value=1.0, drift_part=0.55, diffusion_part=0.25,
+                    coupling_part=0.25)
 
 
 def test_lv_gbm_closed_form():
@@ -176,7 +168,8 @@ def test_lv_gbm_closed_form():
     for x in (0.3, 1.0, 2.5):
         got = eval_LV(fam, m, ConstantSegment(x, 0.5), 2.0, 1)
         assert got.value == pytest.approx(0.15 * x * x, rel=1e-12)
-        assert got.time_part == 0.0
+        assert got.drift_part == pytest.approx(0.14 * x * x, rel=1e-12)
+        assert got.diffusion_part == pytest.approx(0.01 * x * x, rel=1e-12)
         assert got.coupling_part == 0.0
 
 
@@ -288,28 +281,32 @@ def test_lv_profile_closes_off_grid_t_end():
 
 
 def test_lv_profile_matches_pointwise_lv_across_switch_lookups():
-    m = preset("exp_stable")
-    fam = preset_lyapunov("exp_stable")
-    path = integrate_path(m, IntegratorConfig(dt=0.01, T=3.0), i0=1, seed=1)
-    # on the grid, and with an interpolated endpoint between two nodes
-    for t_end in (3.0, 2.5053):
-        times, values, _ = lv_profile(fam, m, path, t_end)
-        node = np.searchsorted(path.times, times, side="right") - 1
-        expect = [eval_LV(fam, m, segment(path, t), t, r).value
-                  for t, r in zip(times, path.regimes[node])]
-        np.testing.assert_allclose(values, expect, rtol=1e-12, atol=0.0)
-    assert times[-1] == 2.5053
-    # some delayed lookup theta * t falls between the two neighbours of
-    # a switch node, so its interpolation reads the switch node
-    switch = np.flatnonzero(np.diff(path.regimes)) + 1
-    assert len(switch) >= 1
-    thetas = np.unique(np.concatenate(
-        [term._thetas for terms in m.drift + m.diffusion for term in terms
-         if isinstance(term, PantographTerm)]))
-    lookups = (thetas[:, None] * times[None, :]).ravel()
-    assert any(np.any((lookups > path.times[k - 1])
-                      & (lookups < path.times[k + 1])
-                      & (lookups != path.times[k])) for k in switch)
+    # eval_LV at one node and lv_profile at every node share one formula,
+    # so they agree bit for bit
+    for name in PRESET_NAMES:
+        m = preset(name)
+        fam = preset_lyapunov(name)
+        path = integrate_path(m, IntegratorConfig(dt=0.01, T=3.0), i0=1,
+                              seed=1)
+        # on the grid, and with an interpolated endpoint between two nodes
+        for t_end in (3.0, 2.5053):
+            times, values, _ = lv_profile(fam, m, path, t_end)
+            node = np.searchsorted(path.times, times, side="right") - 1
+            expect = [eval_LV(fam, m, segment(path, t), t, r).value
+                      for t, r in zip(times, path.regimes[node])]
+            assert values.tobytes() == np.array(expect).tobytes(), name
+        assert times[-1] == 2.5053
+        # some delayed lookup theta * t falls between the two neighbours
+        # of a switch node, so its interpolation reads the switch node
+        switch = np.flatnonzero(np.diff(path.regimes)) + 1
+        assert len(switch) >= 1
+        thetas = np.unique(np.concatenate(
+            [term._thetas for terms in m.drift + m.diffusion
+             for term in terms if isinstance(term, PantographTerm)]))
+        lookups = (thetas[:, None] * times[None, :]).ravel()
+        assert any(np.any((lookups > path.times[k - 1])
+                          & (lookups < path.times[k + 1])
+                          & (lookups != path.times[k])) for k in switch), name
 
 
 def test_lv_profile_history_lookups_are_checked_and_read_only():
@@ -420,8 +417,8 @@ def test_residual_chunks_match_per_path_profiles():
             r_end = int(path.regimes[min(idx, len(path.regimes) - 1)])
             x0 = float(paths_mod.eval(path, path.t0))
             i0 = int(path.regimes[np.searchsorted(path.times, path.t0)])
-            deltas.append(float(fam.value(x_end, t_end, r_end))
-                          - float(fam.value(x0, path.t0, i0)) - integral)
+            deltas.append(float(fam.value(x_end, r_end))
+                          - float(fam.value(x0, i0)) - integral)
             integrals.append(integral)
         d = np.asarray(deltas)
         stderr = float(d.std(ddof=1) / np.sqrt(len(d)))
@@ -448,8 +445,7 @@ def test_residual_parts_match_pointwise_breakdown():
     batch = types.SimpleNamespace(paths=[path] * 100, model=m)
     stat = martingale_residual(fam, batch, 1.75)
     point = eval_LV(fam, m, ConstantSegment(c, 0.75), 1.0, 2)
-    for name in ("time_part", "drift_part", "diffusion_part",
-                 "coupling_part"):
+    for name in ("drift_part", "diffusion_part", "coupling_part"):
         assert getattr(stat.parts, name) == pytest.approx(
             0.75 * getattr(point, name), rel=1e-12, abs=1e-15)
     assert stat.mean_integral == pytest.approx(0.75 * point.value, rel=1e-12)

@@ -17,8 +17,7 @@ def test_make_generator_accepts_valid_matrix():
     g = make_generator(TWO_STATE)
     assert isinstance(g, GeneratorMatrix)
     assert g.n_states == 2
-    assert g.exit_rate(1) == 1.0
-    assert g.exit_rate(2) == 2.0
+    assert np.array_equal(g.rates, TWO_STATE)
 
 
 def test_make_generator_rejects_non_square():

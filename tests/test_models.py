@@ -111,7 +111,7 @@ def test_atom_quadrature_weights_normalized(raw):
 # ---------------------------------------------------------------------------
 
 def test_linear_kernel_decay_closed_form():
-    k = Kernel.linear(0.5)
+    k = Kernel(0.5)
     assert k.decay(1.0, 7.0) == 1.0
     assert k.decay(0.5, 2.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
     arr = k.decay(np.array([0.5, 1.0]), 2.0)
@@ -121,7 +121,7 @@ def test_linear_kernel_decay_closed_form():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_kernel_rejects_non_finite_beta(bad):
     with pytest.raises(ValueError, match="finite"):
-        Kernel.linear(bad)
+        Kernel(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +140,17 @@ def test_polynomial_term_rejects_bad_powers():
         PolynomialTerm([(-1, 1.0)])
     with pytest.raises(ValueError):
         PolynomialTerm([(1.5, 1.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_terms_reject_non_finite_numbers(bad):
+    with pytest.raises(ValueError, match="coeff must be finite"):
+        PolynomialTerm([(1, -1.0), (3, bad)])
+    for field in ("coeff", "point_exponent", "delay_exponent"):
+        numbers = {"coeff": 1.0, "point_exponent": 1.0,
+                   "delay_exponent": 2.0, field: bad}
+        with pytest.raises(ValueError, match="%s must be finite" % field):
+            PantographTerm(measure=THREE_ATOMS, **numbers)
 
 
 def test_pantograph_term_plain_average():
@@ -168,7 +179,7 @@ def test_pantograph_term_exponents():
 
 def test_pantograph_term_kernel_decay():
     term = PantographTerm(coeff=0.05, measure=THREE_ATOMS,
-                          kernel=Kernel.linear(0.5))
+                          kernel=Kernel(0.5))
     phi_at = lambda th: np.ones_like(np.asarray(th))
     want = 0.05 * (math.exp(-0.25) + math.exp(-0.125) + 1.0) / 3.0
     assert term.value(1.0, phi_at, 1.0) == pytest.approx(want, rel=1e-14)
@@ -323,7 +334,7 @@ def test_model_rejects_coefficients_that_are_not_terms():
 
 _PLAN_MEASURES = (THREE_ATOMS, Measure.from_atoms([(1.0, 1.0)]),
                   Measure.uniform(0.5, 1.0))  # 64 trapezoid nodes
-_PLAN_KERNELS = (None, Kernel.linear(0.5), Kernel.linear(0.0))
+_PLAN_KERNELS = (None, Kernel(0.5), Kernel(0.0))
 _PLAN_INTEGRANDS = ((1.0, False), (1.0, True), (2.0, False), (0.5, False))
 
 
