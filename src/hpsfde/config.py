@@ -48,6 +48,7 @@ where "measure": "shared" refers to the model-level measure spec and
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from typing import Optional
 
@@ -109,7 +110,7 @@ def _typed(value, name: str, kind):
     A kind is a key of ``_JSON_NAMES`` (float is any number, int an
     integral one, returned as a Python float or int), a tuple of them,
     any of which will do, or ``[k]``: an array whose items are each a
-    ``k``, named ``name[i]``.
+    ``k``, named ``name[i]``.  A number must be finite.
     """
     if isinstance(kind, list):
         for i, item in enumerate(_typed(value, name, list)):
@@ -118,7 +119,16 @@ def _typed(value, name: str, kind):
     kinds = kind if isinstance(kind, tuple) else (kind,)
     for k in kinds:
         if _is_json(value, k):
-            return k(value) if k in (float, int) else value
+            if k not in (float, int):
+                return value
+            try:
+                number = k(value)
+            except OverflowError:  # an integer past the float range
+                number = math.inf
+            # 1e999 is valid JSON and parses to inf
+            if isinstance(number, float) and not math.isfinite(number):
+                raise ValueError("%s must be finite, got %r" % (name, number))
+            return number
     raise ValueError("%s must be a JSON %s, got %r"
                      % (name, " or ".join(_JSON_NAMES[k] for k in kinds),
                         value))

@@ -13,19 +13,27 @@ Step kernel: a block of paths advances one uniform step [t, t+h] at a
 time in array passes.  The first pass takes the whole step for every
 row.  Each row with switches s_1 < ... < s_q inside the step then
 replaces it by substeps, one pass per substep index over the alive rows
-that have one: [t, s_1] with the f and g already computed (same left
-endpoint), then for j >= 1 the substep starting at s_j, evaluating only
-the regimes present.  The switches come from a per-block table ordered
-by (step, row, time).  A whole step adds f h + g (sqrt(h) z), a substep
-f h_s + (g sqrt(h_s)) z.
+that have one: [t, s_1] with the step's f, g and normal (same left
+endpoint), then for j >= 1 the substep starting at s_j, evaluating
+only the regimes present.  A whole step adds f h + g (sqrt(h) z), a
+substep f h_s + (g sqrt(h_s)) z.
 
 Delayed lookups x(theta * a) interpolate piecewise linearly, by the
-rule of ``paths._interp``, and run once per theta set per pass.  Times
-at or before the step's left end t (within 1e-15) read the uniform grid
-plus the initial-segment nodes; later times, which a substep starting
-at a > t meets for theta > t/a, read the row's own nodes in the step:
-t and its switches up to a.  The finished DensePath carries the states
-at switch times as nodes too.
+rule of ``paths._interp``.  Times at or before the step's left end t
+(within 1e-15) read the uniform grid plus the initial-segment nodes;
+later times, which a substep starting at a > t meets for theta > t/a,
+read the row's own nodes in the step: t and its switches up to a.  The
+finished DensePath carries the states at switch times as nodes too.
+
+Before its step loop, a block compiles what the grid and its sampled
+switch table fix: per theta set, each uniform step's history piece and
+weights, and each switch's two lookup sources in one buffer that holds
+the history followed by the switch-node states; per switch, its
+substep lengths, their square roots, its normal and the slot its end
+state goes to; per kernel group, the weighted kernel at every uniform
+and switch time.  A pass only gathers, multiplies, adds and writes.
+Each state is written once, into the history, and the block's grid
+values are filled from it once at the end.
 
 Determinism contract: path p draws all its randomness from
 SeedSequence(root_seed, spawn_key=(p,)), split once into a regime-chain
@@ -56,8 +64,8 @@ import numpy as np
 
 from .errors import NonFiniteState, require_finite, require_index
 from .markov import sample_regime_path
-from .models import ModelSpec, _cached, coefficients
-from .paths import DensePath, _interp, _lerp
+from .models import ModelSpec, _cached, _Pass
+from .paths import DensePath, _interp
 
 # Measured: 3000 paths ran 25% faster as one block than as three of 1024.
 DEFAULT_BLOCK_SIZE = 4096
@@ -219,20 +227,26 @@ class SimulationBatch:
 class _Switches(NamedTuple):
     """Regime switches strictly inside a uniform step, for one block.
 
-    Entries are ordered by (step, row, time), so one row's switches in
-    one step are consecutive, from ``first`` to ``last``.  ``regime``
-    is the regime a switch enters and ``end`` the end of the substep it
-    starts: the row's next switch in the step, or the step's right end
-    when ``last``.  Step k owns entries ``bounds[k]:bounds[k + 1]``.
+    Entries are in pass order: by step, then by the switch's rank among
+    its row's switches in the step, then by row.  ``regime`` is the
+    regime a switch enters, ``end`` the end of the substep it starts:
+    the row's next switch in the step (entry ``nxt``), or the step's
+    right end when ``nxt`` is -1.  ``prv`` is the row's previous switch
+    in the step, or -1.  ``rank`` counts the row's earlier switches in
+    the block and ``count`` its switches in the step.  ``passes[k]``
+    lists step k's entries by rank as (lo, hi) ranges.
     """
 
+    step: np.ndarray
     row: np.ndarray
     time: np.ndarray
     regime: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
     end: np.ndarray
-    bounds: list
+    nxt: np.ndarray
+    prv: np.ndarray
+    rank: np.ndarray
+    count: np.ndarray
+    passes: dict
 
 
 def _sample_block_chains(m, u_times, chain_seeds, i0):
@@ -253,67 +267,157 @@ def _sample_block_chains(m, u_times, chain_seeds, i0):
     regime = np.concatenate([rp.states[1:] for rp in chains])
     step = np.searchsorted(u_times, time, side="right") - 1
     inside = np.flatnonzero(u_times[step] < time)
+    # by (step, row, time): one row's switches in a step are consecutive
     order = inside[np.argsort(step[inside], kind="stable")]
     step, row, time, regime = (v[order] for v in (step, row, time, regime))
-    first = np.ones(len(order), dtype=bool)
+    n = len(order)
+    idx = np.arange(n)
+    first = np.ones(n, dtype=bool)
     first[1:] = (step[1:] != step[:-1]) | (row[1:] != row[:-1])
     last = np.append(first[1:], True)
-    end = np.where(last, u_times[step + 1], np.append(time[1:], T))
-    bounds = np.searchsorted(step, np.arange(k + 1)).tolist()
-    return chains, r_grid, _Switches(row, time, regime, first, last, end,
-                                     bounds)
+    group = np.cumsum(first) - 1
+    in_step = idx - np.flatnonzero(first)[group]
+    # a row's switches in stream order are its switches in step order
+    by_row = np.argsort(row, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_row] = idx - np.searchsorted(row[by_row], row[by_row])
+    perm = np.lexsort((row, in_step, step))
+    pos = np.empty(n, dtype=np.int64)
+    pos[perm] = idx
+    fields = (step, row, time, regime,
+              np.where(last, u_times[step + 1], np.roll(time, -1)),
+              np.where(last, -1, np.roll(pos, -1)),
+              np.where(first, -1, np.roll(pos, 1)),
+              rank, np.bincount(group)[group])
+    sw = _Switches(*(v[perm] for v in fields), passes={})
+    in_step = in_step[perm]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (np.diff(sw.step) != 0) | (np.diff(in_step) != 0)
+    starts = np.flatnonzero(starts).tolist()
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        sw.passes.setdefault(int(sw.step[lo]), []).append((lo, hi))
+    return chains, r_grid, sw
 
 
 def _draw_block_normals(noise_seeds, n_steps, jump_counts):
     """Flat normal pool with per-path offsets, in canonical stream order."""
-    chunks = []
     offsets = np.zeros(len(noise_seeds) + 1, dtype=np.int64)
+    np.cumsum(n_steps + jump_counts, out=offsets[1:])
+    normals = np.empty(offsets[-1])
     for row, noise_ss in enumerate(noise_seeds):
         rng = np.random.Generator(np.random.PCG64(noise_ss))
-        need = n_steps + int(jump_counts[row])
-        chunks.append(rng.standard_normal(need))
-        offsets[row + 1] = offsets[row] + need
-    return np.concatenate(chunks) if chunks else np.zeros(0), offsets
+        rng.standard_normal(out=normals[offsets[row]:offsets[row + 1]])
+    return normals, offsets
 
 
-def _substep_lookup(hist_t, H, rows, t, a, node_t, node_x):
-    """Delayed states x(theta * a) for substeps starting inside a step.
+class _Lookups:
+    """A block's delayed lookups, compiled once per theta set.
 
-    Row i's substep starts at a[i] in the step [t, t + h].  Lookups at
-    or before t (within 1e-15) interpolate the history H on hist_t;
-    later ones interpolate the row's nodes in the step, node_t[:, i]
-    (t, then its switches up to a[i]) with states node_x[:, i].  Both
-    follow ``paths._interp``.  The result has shape (len(thetas), R).
+    ``buf`` holds the history H, one row per time of ``ht`` and one
+    column per row of the block, followed by the state at each switch
+    node in the table's order.  Each lookup is a piece of the rule of
+    ``paths._interp``: two sources and the weights (1 - w, w).
+
+    - Uniform step k reads x(theta t_k) from H rows J[k] and J[k] + 1.
+      The piece index is capped at the history's last piece, so theta
+      == 1 reads x(t_k) and never H[k + 1].
+    - The substep starting at switch a reads x(theta a) from two flat
+      sources in ``buf``.  A time at or before the step's left end t
+      (within 1e-15) reads H; a later one reads the row's nodes in the
+      step: t, then its switches up to a.
     """
-    col = np.arange(len(rows))
 
-    def lookup(thetas):
-        lt = thetas[:, None] * a
-        j = np.searchsorted(hist_t[1:-1], lt, side="right")
-        t_l, t_r = hist_t[j], hist_t[j + 1]
-        x_l, x_r = H[j, rows], H[j + 1, rows]
+    def __init__(self, ht, base_col, u_times, sw, b):
+        self.buf = np.empty(len(ht) * b + len(sw.time))
+        self.H = self.buf[:len(ht) * b].reshape(len(ht), b)
+        self.nodes = self.buf[len(ht) * b:]
+        self._ht, self._base_col, self._u_times = ht, base_col, u_times
+        self._sw, self._b = sw, b
+        self._sets = {}
+
+    def _tables(self, thetas):
+        """The step and switch tables of a theta set, compiled on first use."""
+        key = thetas.tobytes()
+        tables = self._sets.get(key)
+        if tables is None:
+            tables = self._sets[key] = (self._step_tables(thetas),
+                                        self._switch_tables(thetas))
+        return tables
+
+    def _piece(self, lt, cap):
+        """Index and weight of the history piece holding each time lt."""
+        ht = self._ht
+        j = np.minimum(np.searchsorted(ht[1:], lt, side="right"), cap)
+        w = (lt - ht[j]) / (ht[j + 1] - ht[j])
+        return j, w
+
+    def _step_tables(self, thetas):
+        t = self._u_times[:-1, None]
+        j, w = self._piece(thetas * t,
+                           self._base_col + np.arange(len(t))[:, None] - 1)
+        return j, j + 1, (1.0 - w)[..., None], w[..., None]
+
+    def _switch_tables(self, thetas):
+        sw, b, ht = self._sw, self._b, self._ht
+        col = self._base_col + sw.step
+        lt = thetas[:, None] * sw.time
+        j, w = self._piece(lt, col - 1)
+        left, right = j * b + sw.row, (j + 1) * b + sw.row
+        t = self._u_times[sw.step]
         late = lt > t + 1e-15
         if late.any():
-            i = (node_t[1:-1, None] <= lt).sum(axis=0)
-            t_l = np.where(late, node_t[i, col], t_l)
-            t_r = np.where(late, node_t[i + 1, col], t_r)
-            x_l = np.where(late, node_x[i, col], x_l)
-            x_r = np.where(late, node_x[i + 1, col], x_r)
-        return _lerp(lt, t_l, t_r, x_l, x_r)
+            # walk back from the substep's own node to the piece [s, s']
+            # of the row's nodes in the step that holds lt
+            node = len(ht) * b
+            s_right = np.broadcast_to(np.arange(len(sw.time)), lt.shape)
+            s_left = np.broadcast_to(sw.prv, lt.shape)
+            for _ in range(int(sw.count.max())):
+                back = (s_left >= 0) & (sw.time[s_left] > lt)
+                if not back.any():
+                    break
+                s_right = np.where(back, s_left, s_right)
+                s_left = np.where(back, sw.prv[s_left], s_left)
+            at_t = s_left < 0
+            t_l = np.where(at_t, t, sw.time[s_left])
+            t_r = sw.time[s_right]
+            w = np.where(late, (lt - t_l) / (t_r - t_l), w)
+            left = np.where(late, np.where(at_t, col * b + sw.row,
+                                           node + s_left), left)
+            right = np.where(late, node + s_right, right)
+        return left, right, 1.0 - w, w
 
-    return lookup
+    def at_step(self, k):
+        """The history lookup of uniform step k, once per theta set."""
+        H = self.H
+
+        def lookup(thetas):
+            j, j1, w_l, w_r = self._tables(thetas)[0]
+            return H[j[k]] * w_l[k] + H[j1[k]] * w_r[k]
+
+        return _cached(lookup)
+
+    def at_switches(self, sel):
+        """The lookups of the substeps starting at switch entries sel."""
+        buf = self.buf
+
+        def lookup(thetas):
+            left, right, w_l, w_r = self._tables(thetas)[1]
+            return (buf[left[:, sel]] * w_l[:, sel]
+                    + buf[right[:, sel]] * w_r[:, sel])
+
+        return _cached(lookup)
 
 
 def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
                      root_seed, wiener, keep_paths, out):
     """Integrate one block of paths and write results into ``out``.
 
-    ``out`` is a dict of preallocated batch arrays; this function only
-    touches the slices belonging to ``rows``, so concurrent blocks never
-    overlap.
+    ``rows`` is a range of path indices.  ``out`` is a dict of
+    preallocated batch arrays; this function only touches the slices
+    belonging to ``rows``, so concurrent blocks never overlap.
     """
     b = len(rows)
-    rows_arr = np.asarray(rows, dtype=np.int64)
+    block = slice(rows.start, rows.stop)
     k_steps = len(u_times) - 1
     n_init = len(init_times)
     threshold = cfg.blowup_threshold
@@ -325,110 +429,129 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
     if wiener is None:
         normals, offsets = _draw_block_normals(noise_seeds, k_steps,
                                                jump_counts)
+        # the normal of row r's uniform step k is z_row[r] + k
+        z_row = offsets[:-1].copy()
+        z_switch = offsets[sw.row] + sw.step + 1 + sw.rank
     else:
         if jump_counts.any():
             raise ValueError(
                 "a Wiener table requires a switching-free model")
-        normals, offsets = None, None
 
-    # history, one row per time: initial nodes, then the uniform grid
+    # history, one row per time: initial nodes, then the uniform grid;
+    # the switch-node states follow it in one buffer
     ht = np.concatenate((init_times[:-1], u_times))
-    H = np.empty((len(ht), b))
-    H[:n_init] = init_vals[:, None]
     base_col = n_init - 1
-    X = H[base_col].copy()
-    alive = np.ones(b, dtype=bool)
-    exploded_at = np.full(b, np.nan)
-    cursors = np.zeros(b, dtype=np.int64)
-    node_x = np.full(len(sw.time), np.nan)
+    look = _Lookups(ht, base_col, u_times, sw, b)
+    H, buf, node_x = look.H, look.buf, look.nodes
+    H[:n_init] = init_vals[:, None]
+    node_x[:] = np.nan
 
-    u_vals = out["uniform_values"]
-    u_vals[rows_arr, 0] = X
+    # substep geometry: [t, s] ending at switch s, and [s, end] from it;
+    # a substep's end state goes to the next switch's node, or to H
+    h_to = sw.time - u_times[sw.step]
+    sq_to = np.sqrt(h_to)
+    h_from = sw.end - sw.time
+    sq_from = np.sqrt(h_from)
+    to_node = H.size + np.arange(len(sw.time))
+    from_dst = np.where(sw.nxt < 0, (base_col + sw.step + 1) * b + sw.row,
+                        H.size + sw.nxt)
+    w_step = m._plan.weights(u_times[:-1])
+    w_switch = m._plan.weights(sw.time)
+    h_list = np.diff(u_times).tolist()
+    sqrt_h = np.sqrt(np.diff(u_times)).tolist()
+    t_list = u_times.tolist()
+
+    alive = np.ones(b, dtype=bool)
+    dead = np.zeros(0, dtype=np.int64)
+    exploded_at = np.full(b, np.nan)
+    # the uniform column a row died in, and its state there if it
+    # crossed the threshold at that grid time
+    death_col = np.zeros(b, dtype=np.int64)
+    crossed = np.full(b, np.nan)
+
+    def blow_up(R, xn, start, stop, at_grid, k):
+        """Date and freeze the rows R whose states xn fail |x| <= threshold.
+
+        A non-finite state is dated at its (sub)step's start, a crossing
+        at its end; ``at_grid`` marks ends at the step's right end.
+        Returns the rows dead so far.
+        """
+        ok = np.isfinite(xn)
+        over = ok & ~(np.abs(xn) <= threshold)
+        exploded_at[R[~ok]] = start[~ok]
+        exploded_at[R[over]] = stop[over]
+        at_end = over & at_grid
+        crossed[R[at_end]] = xn[at_end]
+        bad = R[over | ~ok]
+        alive[bad] = False
+        death_col[bad] = k + 1
+        return np.flatnonzero(~alive)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(k_steps):
-            t = float(u_times[k])
-            t_next = float(u_times[k + 1])
-            h = t_next - t
-            hist_t = ht[:base_col + k + 1]
-
-            phi_at = _cached(lambda thetas: _interp(hist_t, H, thetas * t))
-            F, G = coefficients(m, X, r_grid[:, k], phi_at, t)
+            t, t_next = t_list[k], t_list[k + 1]
+            X, Xn = H[base_col + k], H[base_col + k + 1]
+            F, G = _Pass(m, X, look.at_step(k), t,
+                         [w[:, k:k + 1] for w in w_step]
+                         ).merged(r_grid[:, k])
             if wiener is None:
-                z = normals[offsets[:-1] + cursors]
-                cursors += 1
-                dW = math.sqrt(h) * z
+                z = normals[z_row + k]
+                dW = sqrt_h[k] * z
             else:
-                dW = wiener.increment(t, t_next)[rows_arr]
-            Xn = X + F * h + G * dW
+                dW = wiener.increment(t, t_next)[block]
+            np.add(X + F * h_list[k], G * dW, out=Xn)
 
-            # Switch substeps, one masked pass per substep index over the
-            # alive rows with that many switches in the step: j == 0 ends
-            # at the row's first switch and reuses F and G, j >= 1 starts
-            # at its j-th switch.
-            lo, hi = sw.bounds[k], sw.bounds[k + 1]
-            E = lo + np.flatnonzero(sw.first[lo:hi])
-            E = E[alive[sw.row[E]]]
-            j = 0
-            while len(E):
-                R = sw.row[E]
-                if j == 0:
-                    a = np.full(len(E), t)
-                    c = sw.time[E]
-                    node = E
-                    x = X[R]
-                    Fs, Gs, zs = F[R], G[R], z[R]
+            # Switch substeps, one pass per substep index over the alive
+            # rows with that many switches in the step: the first ends
+            # at the row's first switch and reuses F, G and z; each
+            # later one starts at a switch and ends at the next switch
+            # or at t_next, where its state goes to H.
+            passes = sw.passes.get(k, [])
+            for i, (lo, hi) in enumerate(passes[:1] + passes):
+                sel = slice(lo, hi)
+                if len(dead):
+                    sel = lo + np.flatnonzero(alive[sw.row[lo:hi]])
+                R = sw.row[sel]
+                if i == 0:
+                    z_row[R] += sw.count[sel]
+                    xn = X[R] + F[R] * h_to[sel] + G[R] * sq_to[sel] * z[R]
+                    dst = to_node[sel]
                 else:
-                    a = sw.time[E]
-                    c = sw.end[E]
-                    node = np.where(sw.last[E], -1, E + 1)
-                    x = Xn[R]
-                    ent = E + np.arange(1 - j, 1)[:, None]
-                    look = _substep_lookup(
-                        hist_t, H, R, t, a,
-                        np.vstack((np.full(len(E), t), sw.time[ent])),
-                        np.vstack((X[R], node_x[ent])))
-                    Fs, Gs = coefficients(m, x, sw.regime[E], _cached(look),
-                                          a)
-                    zs = normals[offsets[R] + cursors[R]]
-                    cursors[R] += 1
-                hs = c - a
-                xn = x + Fs * hs + Gs * np.sqrt(hs) * zs
-                Xn[R] = xn
+                    x = node_x[sel]
+                    Fs, Gs = _Pass(m, x, look.at_switches(sel), sw.time[sel],
+                                   [w[:, sel] for w in w_switch]
+                                   ).merged(sw.regime[sel])
+                    xn = (x + Fs * h_from[sel]
+                          + Gs * sq_from[sel] * normals[z_switch[sel]])
+                    dst = from_dst[sel]
+                if (np.abs(xn) <= threshold).all():
+                    buf[dst] = xn
+                    continue
                 ok = np.isfinite(xn)
-                has_node = node >= 0
-                node_x[node[ok & has_node]] = xn[ok & has_node]
-                over = ok & (np.abs(xn) > threshold)
-                if over.any() or not ok.all():
-                    exploded_at[R[~ok]] = a[~ok]
-                    exploded_at[R[over]] = c[over]
-                    at_end = over & ~has_node
-                    u_vals[rows_arr[R[at_end]], k + 1] = xn[at_end]
-                    alive[R[over | ~ok]] = False
-                if j:
-                    E = E[~sw.last[E]] + 1
-                E = E[alive[sw.row[E]]]
-                j += 1
+                buf[dst[ok]] = xn[ok]
+                if i == 0:
+                    dead = blow_up(R, xn, np.full(len(R), t), sw.time[sel],
+                                   False, k)
+                else:
+                    dead = blow_up(R, xn, sw.time[sel], sw.end[sel],
+                                   sw.nxt[sel] < 0, k)
 
-            finite = np.isfinite(Xn)
-            over = finite & (np.abs(Xn) > threshold)
-            newly_bad = alive & ~finite
-            newly_over = alive & over
-            if newly_bad.any():
-                exploded_at[newly_bad] = t
-                alive[newly_bad] = False
-            if newly_over.any():
-                sel = rows_arr[newly_over]
-                u_vals[sel, k + 1] = Xn[newly_over]
-                exploded_at[newly_over] = t_next
-                alive[newly_over] = False
-            X = np.where(alive, Xn, 0.0)
-            H[base_col + k + 1] = X
-            u_vals[rows_arr[alive], k + 1] = X[alive]
+            if not (np.abs(Xn) <= threshold).all():
+                R = np.flatnonzero(alive)
+                dead = blow_up(R, Xn[R], np.full(len(R), t),
+                               np.full(len(R), t_next), True, k)
+            Xn[dead] = 0.0
 
-    out["regimes_uniform"][rows_arr] = r_grid
-    out["exploded_at"][rows_arr] = exploded_at
-    out["n_switches"][rows_arr] = jump_counts
+    # one pass over the history fills the block's grid values; a dead
+    # row keeps NaN from its death on, but its crossing state
+    u_block = out["uniform_values"][block]
+    u_block[...] = H[base_col:].T
+    for row in dead.tolist():
+        u_block[row, death_col[row]:] = np.nan
+        u_block[row, death_col[row]] = crossed[row]
+    out["regimes_uniform"][block] = r_grid
+    out["exploded_at"][block] = exploded_at
+    out["n_switches"][block] = jump_counts
     if keep_paths:
         by_row = np.argsort(sw.row, kind="stable")
         starts = np.searchsorted(sw.row[by_row], np.arange(b + 1))
@@ -514,7 +637,7 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
         "n_switches": np.zeros(n_paths, dtype=np.int64),
         "paths": [None] * n_paths if keep_paths else None,
     }
-    blocks = [list(range(s, min(s + block_size, n_paths)))
+    blocks = [range(s, min(s + block_size, n_paths))
               for s in range(0, n_paths, block_size)]
 
     def work(rows):

@@ -28,6 +28,10 @@ computes each basis at most once for all terms and regimes that read it,
 sums each regime present in term order on all rows and merges the
 regimes row by row, so every value has the bits of summing the terms'
 ``value`` in term order.  ``Term.value`` stays the per-term method.
+The weighted kernel w_j K(theta_j, t) is computed once per quadrature
+and kernel, shared by integrals that differ in the delay exponent or
+signedness; the integrator computes it once per block for all its
+times and hands each pass its columns.
 """
 
 from __future__ import annotations
@@ -239,35 +243,45 @@ class PantographTerm:
 
     def value(self, phi1, phi_at, t):
         phi1 = np.asarray(phi1, dtype=np.float64)
-        out = self._integral(phi_at, t, phi1.ndim)
+        out = self._integral(phi_at, self._weighted(t, phi1.ndim))
         if self.point_exponent != 0.0:
             out = out * np.abs(phi1) ** self.point_exponent
         return self.coeff * out
 
+    def _kernel_key(self):
+        """What the weighted quadrature :meth:`_weighted` depends on."""
+        return (self._thetas.tobytes(), self._weights.tobytes(), self.kernel)
+
     def _integral_key(self):
         """What the integral depends on besides the state and the time."""
-        return (self._thetas.tobytes(), self._weights.tobytes(), self.kernel,
-                float(self.delay_exponent), self.signed)
+        return self._kernel_key() + (float(self.delay_exponent), self.signed)
 
-    def _integral(self, phi_at, t, ndim: int):
+    def _weighted(self, t, ndim: int):
+        """The quadrature weights times K(theta, t), one row per theta.
+
+        ``ndim`` is the number of axes the weights broadcast over after
+        the theta axis: the state's, or the time's for a table of times.
+        Terms with equal :meth:`_kernel_key` share this value.
+        """
+        w = self._weights.reshape((len(self._thetas),) + (1,) * ndim)
+        if self.kernel is not None:
+            w = w * self.kernel.decay(self._thetas.reshape(w.shape), t)
+        return w
+
+    def _integral(self, phi_at, w):
         """integral K(theta, t) D(phi(theta)) dnu(theta) by quadrature.
 
-        ``ndim`` is the number of state axes.  Terms with equal
+        ``w`` is :meth:`_weighted` at the anchor time.  Terms with equal
         :meth:`_integral_key` share this value, so a coefficient pass
         computes it once for all of them.
         """
-        thetas = self._thetas
-        delayed = np.asarray(phi_at(thetas), dtype=np.float64)
+        delayed = np.asarray(phi_at(self._thetas), dtype=np.float64)
         if self.signed:
             d = delayed
         elif self.delay_exponent == 1.0:
             d = np.abs(delayed)
         else:
             d = np.abs(delayed) ** self.delay_exponent
-        w = self._weights.reshape((len(thetas),) + (1,) * ndim)
-        if self.kernel is not None:
-            th = thetas.reshape(w.shape)
-            w = w * self.kernel.decay(th, t)
         wd = w * d
         # one theta at a time, in quadrature order: numpy would sum
         # pairwise along a contiguous theta axis (a single state), which
@@ -387,12 +401,19 @@ class _Plan:
     basis key is ("x", p) for x**p, ("I", g) for the integral of group g,
     or ("P", g, pe) for that integral times |x|**pe.  A group is the
     pantograph terms with one integral (quadrature, kernel, delay
-    exponent, signedness); ``integrals[g]`` is its first term.
+    exponent, signedness); ``integrals[g]`` is its first term.  Groups
+    that differ only in the delay exponent or signedness share one
+    weighted quadrature, the basis ("W", q) of a pass:
+    ``kernels[kernel_of[g]]`` is the first term with group g's
+    quadrature and kernel.
     """
 
     def __init__(self, m: ModelSpec):
         self.integrals = []
+        self.kernels = []
+        self.kernel_of = []
         groups = {}
+        kernel_groups = {}
 
         def compile_terms(terms, regime, part):
             out = []
@@ -405,6 +426,11 @@ class _Plan:
                     if shape not in groups:
                         groups[shape] = len(self.integrals)
                         self.integrals.append(term)
+                        kernel = term._kernel_key()
+                        if kernel not in kernel_groups:
+                            kernel_groups[kernel] = len(self.kernels)
+                            self.kernels.append(term)
+                        self.kernel_of.append(kernel_groups[kernel])
                     g = groups[shape]
                     key = (("I", g) if term.point_exponent == 0.0
                            else ("P", g, term.point_exponent))
@@ -423,6 +449,16 @@ class _Plan:
         self.diffusion = tuple(compile_terms(terms, i, "diffusion")
                                for i, terms in enumerate(m.diffusion, 1))
 
+    def weights(self, t):
+        """Each kernel group's weighted quadrature at the times ``t``.
+
+        One array of shape (quadrature nodes, len(t)) per group, in the
+        order of ``kernels``; a kernel-free group's is a broadcast view.
+        """
+        return [np.broadcast_to(term._weighted(t, 1),
+                                (len(term._thetas), len(t)))
+                for term in self.kernels]
+
 
 class _Pass:
     """A model's coefficients at states X and time t, regime by regime.
@@ -430,9 +466,12 @@ class _Pass:
     Each basis of the model's plan is computed at most once per pass and
     shared by every term and regime that reads it.  A regime's sum has
     the bits of summing its terms' ``value`` in term order from zeros.
+    ``weights``, when given, holds each kernel group's weighted
+    quadrature at t, shaped to broadcast against the delayed states;
+    otherwise a group's is computed from t when a basis first needs it.
     """
 
-    def __init__(self, m: ModelSpec, X, phi_at, t):
+    def __init__(self, m: ModelSpec, X, phi_at, t, weights=None):
         self._plan = m._plan
         self._raw = X
         self._X = np.asarray(X, dtype=np.float64)
@@ -440,15 +479,21 @@ class _Pass:
         self._t = t
         # x**1 has the bits of x
         self._memo = {("x", 1): self._X}
+        for q, w in enumerate(weights or ()):
+            self._memo[("W", q)] = w
 
     def _basis(self, key):
         v = self._memo.get(key)
         if v is None:
             if key[0] == "x":
                 v = self._X ** key[1]
+            elif key[0] == "W":
+                v = self._plan.kernels[key[1]]._weighted(self._t,
+                                                         self._X.ndim)
             elif key[0] == "I":
                 v = self._plan.integrals[key[1]]._integral(
-                    self._phi_at, self._t, self._X.ndim)
+                    self._phi_at,
+                    self._basis(("W", self._plan.kernel_of[key[1]])))
             else:
                 v = self._basis(("I", key[1])) * np.abs(self._X) ** key[2]
             self._memo[key] = v
@@ -483,6 +528,23 @@ class _Pass:
         return (self.sum(self._plan.drift[i - 1]),
                 self.sum(self._plan.diffusion[i - 1]))
 
+    def merged(self, reg):
+        """Drift and diffusion with row i in regime reg[i].
+
+        Only the regimes present in ``reg`` are summed, each on all rows,
+        and merged by ``np.where``.
+        """
+        F = G = None
+        for i in np.flatnonzero(np.bincount(reg)):
+            f, g = self.regime(i)
+            if F is None:
+                F, G = f, g
+            else:
+                here = reg == i
+                F = np.where(here, f, F)
+                G = np.where(here, g, G)
+        return F, G
+
 
 def coefficients(m: ModelSpec, X, reg, phi_at, t):
     """Drift and diffusion at states X, row i in regime reg[i].
@@ -495,17 +557,7 @@ def coefficients(m: ModelSpec, X, reg, phi_at, t):
     term order, and merged by ``np.where``: the result has the bits of
     the per-term sum of ``Term.value``.
     """
-    ev = _Pass(m, X, phi_at, t)
-    F = G = None
-    for i in np.flatnonzero(np.bincount(reg)):
-        f, g = ev.regime(i)
-        if F is None:
-            F, G = f, g
-        else:
-            here = reg == i
-            F = np.where(here, f, F)
-            G = np.where(here, g, G)
-    return F, G
+    return _Pass(m, X, phi_at, t).merged(reg)
 
 
 def _one_row(m: ModelSpec, view, t: float, regime: int) -> _Pass:

@@ -683,12 +683,15 @@ def test_package_exports_resolve():
     ("check-ito", '{"model": {"preset": "exp_stable"}, "lyapunov": '
      '{"regimes": [[[2, 1e999]], [[2, 1.0]]], "u0_power": 2, '
      '"u_powers": [2]}, "simulation": {"dt": 0.1, "T": 2.0}}',
-     "coeff must be finite, got inf"),
+     "lyapunov.regimes[0][0][1] must be finite, got inf"),
     ("simulate", '{"model": {"theta_lower": 0.5, "generator": [[0.0]], '
      '"drift": [[{"type": "pantograph", "coeff": 1e999, "measure": '
      '{"kind": "point", "theta": 1.0}}]], "diffusion": [[]]}, '
      '"simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}',
-     "coeff must be finite, got inf"),
+     "model.drift[0][0].coeff must be finite, got inf"),
+    ("simulate", '{"model": {"preset": "exp_stable"}, "simulation": '
+     '{"dt": 1%s, "T": 2.0, "n_paths": 2}}' % ("0" * 400),
+     "simulation.dt must be finite, got inf"),
 ], ids=["no-theta-lower", "top-level-array", "certificate-not-object",
         "simulation-not-object", "no-generator", "output-key", "lyapunov-key",
         "certificate-key", "estimate-key", "model-key", "unknown-section",
@@ -697,7 +700,7 @@ def test_package_exports_resolve():
         "initial-times-number", "certificate-row-number", "term-number",
         "regimes-number", "coeff-null", "generator-string",
         "nodes-fraction", "power-fraction", "beta-bool", "v-coeff-infinite",
-        "term-coeff-infinite"])
+        "term-coeff-infinite", "dt-past-float-range"])
 def test_malformed_config_is_an_error(tmp_path, capsys, command, text, named):
     cfg = tmp_path / "experiment.json"
     cfg.write_text(text)

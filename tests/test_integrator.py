@@ -12,8 +12,8 @@ from hpsfde.integrator import (IntegratorConfig, SimulationBatch,
                                TabulatedWiener, initial_grid, integrate_path,
                                path_streams, run_batch, uniform_grid)
 from hpsfde.markov import make_generator, sample_regime_path
-from hpsfde.models import (Kernel, Measure, ModelSpec, PantographTerm,
-                           PolynomialTerm)
+from hpsfde.models import (CustomTerm, Kernel, Measure, ModelSpec,
+                           PantographTerm, PolynomialTerm)
 from hpsfde.paths import eval as path_eval
 from hpsfde.presets import PRESET_NAMES, preset
 
@@ -258,11 +258,16 @@ def _reference_path(m, cfg, p, i0, root_seed):
     return uniform, exploded, nodes
 
 
-def fast_switching_model():
+FOUR_ATOMS = Measure.from_atoms([(0.5, 0.2), (0.9, 0.3), (0.999, 0.3),
+                                 (1.0, 0.2)])
+# many theta nodes in (t / a, 1] look up between a step's own nodes
+UNIFORM_16 = Measure.uniform(0.5, 1.0, nodes=16)
+
+
+def fast_switching_model(nu=FOUR_ATOMS):
     # rates 40 and 60 against dt = 0.05: most steps hold several
-    # switches; the atom at 0.999 looks up between a step's own nodes
-    nu = Measure.from_atoms([(0.5, 0.2), (0.9, 0.3), (0.999, 0.3),
-                             (1.0, 0.2)])
+    # switches, up to 9; the atom at 0.999 looks up between a step's own
+    # nodes
     kern = Kernel(0.5)
     return ModelSpec(
         theta_lower=0.5, t0=1.0,
@@ -277,12 +282,16 @@ def fast_switching_model():
         initial_segment=1.2)
 
 
-@pytest.mark.parametrize("threshold, blow_ups", [
-    (50.0, {"over at a switch", "over at the end of a switch step"}),
-    (1e300, {"non-finite after a switch"}),
+@pytest.mark.parametrize("threshold, blow_ups, nu", [
+    pytest.param(50.0, {"over at a switch",
+                        "over at the end of a switch step"}, FOUR_ATOMS,
+                 id="50.0-blow_ups0"),
+    pytest.param(1e300, {"non-finite after a switch"}, FOUR_ATOMS,
+                 id="1e+300-blow_ups1"),
+    pytest.param(50.0, {"over at a switch"}, UNIFORM_16, id="uniform-16"),
 ])
-def test_switch_substeps_match_per_path_reference(threshold, blow_ups):
-    m = fast_switching_model()
+def test_switch_substeps_match_per_path_reference(threshold, blow_ups, nu):
+    m = fast_switching_model(nu)
     cfg = IntegratorConfig(dt=0.05, T=3.0, blowup_threshold=threshold)
     batch = run_batch(m, cfg, n_paths=16, i0=1, root_seed=7, block_size=6)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -314,6 +323,82 @@ def test_switch_substeps_match_per_path_reference(threshold, blow_ups):
                      else "non-finite at a switch step's start")
     assert busiest >= 2
     assert blow_ups <= seen
+
+
+def test_custom_term_lookups_match_per_path_reference():
+    # a custom term's theta set is not in the model's plan; the block
+    # compiles its lookups on first use, also for in-step nodes
+    custom = CustomTerm(lambda phi1, phi_at, t: -0.5 * phi1 + 0.3 * phi_at(
+        np.array([0.6, 0.97, 1.0]))[1] * np.sqrt(t))
+    m = ModelSpec(theta_lower=0.5, t0=1.0,
+                  generator=make_generator([[-40.0, 40.0], [60.0, -60.0]]),
+                  drift=((custom,), (PolynomialTerm([(1, 0.5)]), custom)),
+                  diffusion=((PolynomialTerm([(1, 0.3)]),), (custom,)),
+                  initial_segment=1.2)
+    cfg = IntegratorConfig(dt=0.05, T=3.0)
+    batch = run_batch(m, cfg, n_paths=8, i0=1, root_seed=7, block_size=3)
+    assert batch.n_switches.sum() > 0
+    for p in range(8):
+        uniform, exploded, nodes = _reference_path(m, cfg, p, 1, 7)
+        assert batch.uniform_values[p].tobytes() == uniform.tobytes()
+        assert batch.paths[p].values.tolist() == [x for _, x in nodes]
+
+
+def dying_model():
+    # regime 1 is a random walk that crosses the threshold at grid
+    # times; entering regime 2 makes the drift 1e308 + 1e308 = inf, so
+    # the state turns non-finite; entering regime 3 crosses at the end
+    # of the substep, which is a switch node when regime 1 returns
+    # within the step
+    return ModelSpec(
+        theta_lower=0.5, t0=1.0,
+        generator=make_generator([[-3.0, 1.0, 2.0], [5.0, -5.0, 0.0],
+                                  [30.0, 0.0, -30.0]]),
+        drift=((), (PolynomialTerm([(0, 1e308)]),
+                    PolynomialTerm([(0, 1e308)])),
+               (PolynomialTerm([(0, 1e6)]),)),
+        diffusion=((PolynomialTerm([(0, 1.0)]),), (), ()),
+        initial_segment=0.0)
+
+
+def test_dead_rows_match_per_path_reference():
+    # rows die at the first and the last uniform step, at switch nodes
+    # and non-finite inside step 0; the grid values are filled from the
+    # history once per block
+    m = dying_model()
+    cfg = IntegratorConfig(dt=0.1, T=1.4, blowup_threshold=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = [_reference_path(m, cfg, p, 1, 1) for p in range(40)]
+    u = uniform_grid(m.t0, cfg.T, cfg.dt)
+    seen = set()
+    for uniform, exploded, nodes in ref:
+        if np.isnan(exploded):
+            seen.add("survived")
+            continue
+        over = abs(nodes[-1][1]) > cfg.blowup_threshold
+        k = np.searchsorted(u, exploded, side="left" if over else "right")
+        if not over and k == 1:
+            seen.add("non-finite in step 0")
+        if over and exploded not in u:
+            seen.add("over at a switch")
+        if k == 1:
+            seen.add("first step")
+        if k == len(u) - 1:
+            seen.add("last step")
+    assert seen == {"survived", "non-finite in step 0", "over at a switch",
+                    "first step", "last step"}
+
+    for block in (1, 3, 7):
+        batch = run_batch(m, cfg, n_paths=40, i0=1, root_seed=1,
+                          block_size=block)
+        for p, (uniform, exploded, nodes) in enumerate(ref):
+            assert batch.uniform_values[p].tobytes() == uniform.tobytes()
+            assert batch.exploded_at[p].tobytes() == np.float64(
+                exploded).tobytes()
+            path = batch.paths[p]
+            assert path.times.tolist() == [t for t, _ in nodes]
+            assert path.values.tobytes() == np.array(
+                [x for _, x in nodes]).tobytes()
 
 
 def test_uniform_values_match_kept_paths():

@@ -413,3 +413,21 @@ def test_structured_terms_have_one_evaluation_path(monkeypatch):
     seg = ConstantSegment(0.5, m.theta_lower)
     eval_drift(m, seg, 1.0, 2)
     eval_LV(fam, m, seg, 1.0, 1)
+
+
+def test_one_kernel_factor_per_quadrature_and_kernel(monkeypatch):
+    # switch_stabilized's three pantograph integrals use two quadratures
+    # (nu and the point mass at 1) under one kernel, so a pass over both
+    # regimes computes exp(-beta (1 - theta) t) twice
+    calls = []
+    decay = Kernel.decay
+
+    def counted(self, theta, t):
+        calls.append(np.asarray(theta).size)
+        return decay(self, theta, t)
+
+    monkeypatch.setattr(Kernel, "decay", counted)
+    m = preset("switch_stabilized")
+    X = np.linspace(-1.0, 1.0, 7)
+    coefficients(m, X, np.array([1, 2, 1, 2, 1, 2, 1]), _history_lookup, 2.0)
+    assert sorted(calls) == [1, 3]
