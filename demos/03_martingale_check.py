@@ -43,6 +43,11 @@ def main():
               "z after O(dt) allowance=%.2f"
               % (dt, stat.residual, stat.stderr, stat.z,
                  stat.z_with_allowance(allow)))
+        # the mean LV integral over the intervals spent in each regime
+        for i, part in enumerate(stat.regime_parts, 1):
+            print("    regime %d: drift %9.5f diffusion %8.5f coupling %8.5f"
+                  % (i, part.drift_part, part.diffusion_part,
+                     part.coupling_part))
     print("\nthe raw z drifts negative as dt grows (Euler bias); the "
           "allowance 5*dt*|E int LV| absorbs exactly that part.")
 

@@ -6,7 +6,8 @@ Four subcommands, all driven by a JSON experiment file:
              per-path) CSVs
   check-ito  Monte Carlo residual of the hybrid Ito identity for the
              configured Lyapunov family, and the mean LV integral
-             split into its drift, diffusion and coupling parts
+             split into its drift, diffusion and coupling parts, in
+             total and by regime
   certify    evaluate stability certificates from coefficient data;
              exit code 0 iff every requested check holds
   estimate   fit a decay rate from a simulated batch and write the
@@ -33,7 +34,7 @@ from .estimators import (estimate_as_rate, estimate_moment_rate,
                          estimate_polynomial_rate, estimate_time_average,
                          moment_curve)
 from .integrator import IntegratorConfig, SimulationBatch, run_batch
-from .lyapunov import martingale_residual
+from .lyapunov import martingale_residual, require_t_end
 from .paths import write_csv, write_table
 
 _ESTIMATORS = {
@@ -112,9 +113,7 @@ def cmd_check_ito(args) -> int:
     model = config_mod.build_model(cfg)
     T = config_mod.simulation_params(cfg)["T"]
     t_end = float(cfg.get("lyapunov", {}).get("t_end", T))
-    if not model.t0 < t_end <= T:
-        raise ValueError("lyapunov.t_end must lie in (t0, T] = (%g, %g], "
-                         "got %r" % (model.t0, T, t_end))
+    require_t_end(t_end, model.t0, T, name="lyapunov.t_end")
     batch = _simulate_batch(cfg, model, keep_paths=True)
     stat = martingale_residual(fam, batch, t_end)
     name = cfg.get("model", {}).get("preset") or "custom"
@@ -126,6 +125,11 @@ def cmd_check_ito(args) -> int:
     print("%.17g,%.17g,%.17g,%.17g"
           % (stat.mean_integral, parts.drift_part, parts.diffusion_part,
              parts.coupling_part))
+    print("regime,drift_part,diffusion_part,coupling_part")
+    for i, part in enumerate(stat.regime_parts, 1):
+        print("%d,%.17g,%.17g,%.17g" % (i, part.drift_part,
+                                        part.diffusion_part,
+                                        part.coupling_part))
     return 0
 
 

@@ -22,8 +22,9 @@ Delayed lookups x(theta * a) interpolate piecewise linearly, by the
 rule of ``paths._interp``.  Times at or before the step's left end t
 (within 1e-15) read the uniform grid plus the initial-segment nodes;
 later times, which a substep starting at a > t meets for theta > t/a,
-read the row's own nodes in the step: t and its switches up to a.  The
-finished DensePath carries the states at switch times as nodes too.
+read the row's own nodes in the step: t and its switches up to a.  A
+batch that keeps its paths keeps the states at switch times as nodes
+too, in one store with the grid values (``paths.PathStore``).
 
 Before its step loop, a block compiles what the grid and its sampled
 switch table fix: per theta set, each uniform step's history piece and
@@ -58,14 +59,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import NonFiniteState, require_finite, require_index
 from .markov import sample_regime_path
 from .models import ModelSpec, _cached, _Pass
-from .paths import DensePath, _interp
+from .paths import DensePath, PathStore, _interp, _piece
 
 # Measured: 3000 paths ran 25% faster as one block than as three of 1024.
 DEFAULT_BLOCK_SIZE = 4096
@@ -170,8 +171,10 @@ class SimulationBatch:
     ``uniform_values`` holds every path's state on the shared uniform
     grid (NaN after a path explodes); ``regimes_uniform`` the regime at
     each grid time; ``exploded_at`` the blow-up time per path (NaN when
-    none).  ``paths`` carries full DensePath objects including switch
-    times when the batch was run with keep_paths=True, else None.
+    none).  When the batch was run with keep_paths=True, ``paths`` is a
+    read-only :class:`~hpsfde.paths.PathStore` over these arrays plus
+    the switch nodes: ``paths[p]`` builds path p's DensePath, switch
+    times included, on demand.  Otherwise it is None.
     """
 
     model: Optional[ModelSpec]
@@ -186,7 +189,7 @@ class SimulationBatch:
     regimes_uniform: np.ndarray = field(repr=False)
     exploded_at: np.ndarray = field(repr=False)
     n_switches: np.ndarray = field(repr=False)
-    paths: Optional[List[DensePath]] = field(default=None, repr=False)
+    paths: Optional[PathStore] = field(default=None, repr=False)
 
     @property
     def exploded_mask(self) -> np.ndarray:
@@ -344,24 +347,17 @@ class _Lookups:
                                         self._switch_tables(thetas))
         return tables
 
-    def _piece(self, lt, cap):
-        """Index and weight of the history piece holding each time lt."""
-        ht = self._ht
-        j = np.minimum(np.searchsorted(ht[1:], lt, side="right"), cap)
-        w = (lt - ht[j]) / (ht[j + 1] - ht[j])
-        return j, w
-
     def _step_tables(self, thetas):
         t = self._u_times[:-1, None]
-        j, w = self._piece(thetas * t,
-                           self._base_col + np.arange(len(t))[:, None] - 1)
+        j, w = _piece(self._ht, thetas * t,
+                      self._base_col + np.arange(len(t))[:, None] - 1)
         return j, j + 1, (1.0 - w)[..., None], w[..., None]
 
     def _switch_tables(self, thetas):
         sw, b, ht = self._sw, self._b, self._ht
         col = self._base_col + sw.step
         lt = thetas[:, None] * sw.time
-        j, w = self._piece(lt, col - 1)
+        j, w = _piece(ht, lt, col - 1)
         left, right = j * b + sw.row, (j + 1) * b + sw.row
         t = self._u_times[sw.step]
         late = lt > t + 1e-15
@@ -553,37 +549,13 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
     out["exploded_at"][block] = exploded_at
     out["n_switches"][block] = jump_counts
     if keep_paths:
+        # the reached switch nodes by row and time; a row's entries in
+        # pass order are in time order
         by_row = np.argsort(sw.row, kind="stable")
-        starts = np.searchsorted(sw.row[by_row], np.arange(b + 1))
-        for row, p in enumerate(rows):
-            mine = by_row[starts[row]:starts[row + 1]]
-            reached = mine[~np.isnan(node_x[mine])]
-            out["paths"][p] = _assemble_path(
-                m, u_times, init_times, init_vals, out["uniform_values"][p],
-                sw.time[reached], node_x[reached], chains[row],
-                exploded_at[row])
-
-
-def _assemble_path(m, u_times, init_times, init_vals, u_row, sw_t, sw_x,
-                   chain, exploded_at):
-    """Merge uniform, initial and reached switch nodes into one DensePath.
-
-    The uniform nodes are those the batch recorded in ``u_row``, which
-    is NaN after an explosion.  Each node's regime is ``chain.state_at``
-    its time, so nodes before t0 carry the initial regime and a switch
-    node the regime it enters.
-    """
-    exploded = not math.isnan(exploded_at)
-    u_keep = ~np.isnan(u_row)
-    times = np.concatenate((init_times[:-1], u_times[u_keep], sw_t))
-    vals = np.concatenate((init_vals[:-1], u_row[u_keep], sw_x))
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    vals = vals[order]
-    return DensePath(times=times, values=vals,
-                     regimes=chain.state_at(times).astype(np.int64),
-                     theta_lower=m.theta_lower, t0=m.t0,
-                     exploded_at=float(exploded_at) if exploded else None)
+        reached = by_row[~np.isnan(node_x[by_row])]
+        out["nodes"][rows.start] = (sw.row[reached] + rows.start,
+                                    sw.time[reached], node_x[reached],
+                                    sw.regime[reached])
 
 
 def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
@@ -600,9 +572,9 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
       workers: thread count; blocks are distributed round-robin.
         GIL-bound, slower than one thread; kept while bench/ times it.
       block_size: paths per vectorized block (tuning only, not results).
-      keep_paths: retain full DensePath objects (required by the
-        martingale residual test); switch off for large batches where
-        only the uniform-grid values are needed.
+      keep_paths: keep the switch nodes too, so that ``paths`` holds
+        every path (the martingale residual test reads them); switch
+        off when only the uniform-grid values are needed.
       wiener: optional Brownian table replacing the per-path noise
         streams; switching-free models only.  It must cover [t0, T] and
         hold at least ``n_paths`` rows.
@@ -635,7 +607,7 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
         "regimes_uniform": np.empty((n_paths, k1), dtype=np.int16),
         "exploded_at": np.full(n_paths, np.nan),
         "n_switches": np.zeros(n_paths, dtype=np.int64),
-        "paths": [None] * n_paths if keep_paths else None,
+        "nodes": {},
     }
     blocks = [range(s, min(s + block_size, n_paths))
               for s in range(0, n_paths, block_size)]
@@ -651,13 +623,24 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, blocks))
 
+    paths = None
+    if keep_paths:
+        row, time, value, regime = (
+            np.concatenate(column) for column in zip(
+                *(out["nodes"][rows.start] for rows in blocks)))
+        paths = PathStore(
+            theta_lower=m.theta_lower, t0=m.t0, init_times=init_times[:-1],
+            init_values=init_vals[:-1], times=u_times,
+            values=out["uniform_values"], regimes=out["regimes_uniform"],
+            exploded_at=out["exploded_at"], node_row=row, node_time=time,
+            node_value=value, node_regime=regime)
     return SimulationBatch(
         model=m, config=cfg, n_paths=n_paths, i0=i0, root_seed=root_seed,
         t0=m.t0, T=float(cfg.T), uniform_times=u_times,
         uniform_values=out["uniform_values"],
         regimes_uniform=out["regimes_uniform"],
         exploded_at=out["exploded_at"], n_switches=out["n_switches"],
-        paths=out["paths"])
+        paths=paths)
 
 
 def integrate_path(m: ModelSpec, cfg: IntegratorConfig, i0: int,

@@ -20,25 +20,28 @@ on a simulated batch.  It holds exactly in law, so a z-score far from 0
 (beyond the Euler scheme's O(dt) weak bias) indicates a bug in the
 integrator, the coefficient model, or the LV implementation.
 
-The integral runs by trapezoid over each path's grid on [t0, t_end]; a
-t_end between two grid points closes it with the interpolated endpoint
-(t_end, x(t_end)).  One routine evaluates LV along a chunk of paths in a
-single array pass, with a fixed bound on the nodes a chunk holds: the
-residual runs it chunk by chunk, and :func:`lv_profile` is its one-path
-case.  Each path's integral is summed over its own nodes, so results do
-not depend on the chunking.
+The integral runs by trapezoid over each path's nodes on [t0, t_end]; a
+t_end between two nodes closes it with the interpolated endpoint
+(t_end, x(t_end)).  One routine evaluates LV along the rows of a batch's
+path store (``paths.PathStore``) without building a path: it reads the
+grid values and the switch-node table directly, in passes over blocks
+of rows with a fixed bound on the nodes a block holds, and the delayed
+lookups of the grid nodes share tables compiled once per batch.
+:func:`lv_profile` is its one-row case.  Each path's integral sums its
+own trapezoids in time order, so results do not depend on the blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import paths as paths_mod
-from .errors import DimensionMismatch, InsufficientPaths, require_finite
+from .errors import (DimensionMismatch, InsufficientPaths, OutOfDomain,
+                     require_finite)
 from .estimators import standard_error
 from .models import ModelSpec, _cached, _one_row, _Pass
 
@@ -210,111 +213,281 @@ def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
 
 
 # Upper bound on the nodes that one pass of LV along paths holds.  The
-# history lookup builds (quadrature nodes x chunk nodes) arrays, so one
+# history lookup builds (quadrature nodes x block nodes) arrays, so one
 # pass over a whole batch would multiply the peak memory of the check.
+# A block takes as many rows as fit when each has the most nodes of any.
 _CHUNK_NODES = 1 << 14
 
 
-def _path_nodes(path, t_end: float):
-    """The nodes of ``path`` on [t0, t_end] and the states at both ends.
+def require_t_end(t_end, t0: float, T: float, name: str = "t_end") -> None:
+    """ValueError unless t0 < t_end <= T, T within the grid tolerance."""
+    t_end = float(t_end)
+    if t0 < t_end <= T + paths_mod._atol(T):
+        return
+    why = ("not a number" if math.isnan(t_end) else "before t0"
+           if t_end < t0 else "t0 itself" if t_end == t0 else "past T")
+    raise ValueError("%s must lie in (t0, T] = (%g, %g], got %r, which is %s"
+                     % (name, t0, T, t_end, why))
 
-    Returns (times, x, regimes, ends), where ends is (x(t0), r(t0),
-    x(t_end), r(t_end)).  A t_end further than the grid tolerance from
-    every node closes the last interval with the node (t_end, x(t_end)),
-    which carries the regime of the node before it.
+
+def _lv_table(V: LyapunovFamily, m: ModelSpec, ev: _Pass, x):
+    """LV's drift, diffusion and coupling parts at the states x in every
+    regime, regime 1 first."""
+    v = [V.value(x, l + 1) for l in range(m.n_regimes)]
+    return [_lv_parts(V, m, ev, x, v, i) for i in range(1, m.n_regimes + 1)]
+
+
+class _LVAlong:
+    """LV along the rows ``rows`` (ascending) of a path store on [t0, t_end].
+
+    A row's nodes are its grid and switch nodes up to t_end, within the
+    grid tolerance at T, in time order.  When the last of them lies
+    further than the tolerance before t_end, the node (t_end, x(t_end))
+    closes the row; it carries the regime of the node before it.
+    ``x_end`` and ``r_end`` are each row's state at t_end and the regime
+    of its last node at or before t_end.
+
+    LV runs in two kinds of pass.  The grid nodes of a block of rows
+    (``blocks`` lists them as (lo, hi) ranges of ``rows``) make one
+    pass; its delayed lookups read each theta set's grid pieces and
+    weights (1 - w, w), compiled once for the store, and recompute only
+    the (row, node) pairs whose piece holds switch nodes of the row.
+    The switch and closing nodes of all rows make one pass of their own.
+    The kernel weights come from the model's plan once per grid time.
     """
-    times = path.times
-    tol = paths_mod._atol(path.t_end)
-    a = int(np.searchsorted(times, path.t0 - tol, side="left"))
-    b = int(np.searchsorted(times, t_end + tol, side="right"))
-    if b <= a:
-        raise ValueError("t_end=%g is before t0=%g" % (t_end, path.t0))
-    t, x, r = times[a:b], path.values[a:b], path.regimes[a:b]
-    # at a node, paths.eval returns the node's own value
-    x0 = x[0] if t[0] == path.t0 else paths_mod.eval(path, path.t0)
-    x_end = x[-1] if t[-1] == t_end else paths_mod.eval(path, t_end)
-    ends = (float(x0), int(path.regimes[np.searchsorted(times, path.t0)]),
-            float(x_end),
-            int(path.regimes[np.searchsorted(times, t_end, side="right") - 1]))
-    if t[-1] < t_end - tol:
-        t = np.append(t, t_end)
-        x = np.append(x, x_end)
-        r = np.append(r, r[-1])
-    return t, x, r, ends
 
+    def __init__(self, V: LyapunovFamily, m: ModelSpec, store, rows,
+                 t_end: float):
+        _check_regimes(V, m)
+        self.V, self.m, self.store, self.rows = V, m, store, rows
+        times = store.times
+        tol = paths_mod._atol(times[-1])
+        self.n_g = n_g = int(np.searchsorted(times, t_end + tol,
+                                             side="right"))
+        # a kept row lacks a grid node on [t0, t_end] only when it
+        # exploded within the tolerance after t_end: then it is the last
+        grid_n = n_g - np.isnan(store.values[rows, n_g - 1])
+        self.kept = np.zeros(len(store), dtype=bool)
+        self.kept[rows] = True
+        sel = np.flatnonzero(self.kept[store.node_row]
+                             & (store.node_time <= t_end + tol))
+        self.sw_pos = np.searchsorted(rows, store.node_row[sel])
+        self.sw_step = np.searchsorted(times, store.node_time[sel],
+                                       side="right") - 1
+        q = np.bincount(self.sw_pos, minlength=len(rows))
+        first = np.cumsum(q) - q
+        self.sw_rank = np.arange(len(sel)) - first[self.sw_pos]
 
-def _history(paths, offsets, times, x):
-    """Callback giving x(theta * s) of its own path at every chunk node s.
+        # each row's last node, and whether t_end closes the row
+        last_t = times[grid_n - 1]
+        last_x = store.values[rows, grid_n - 1]
+        last_r = store.regimes[rows, grid_n - 1].astype(np.int64)
+        has = np.flatnonzero(q)
+        s = sel[first[has] + q[has] - 1]
+        later = store.node_time[s] > last_t[has]
+        has, s = has[later], s[later]
+        last_t[has] = store.node_time[s]
+        last_x[has] = store.node_value[s]
+        last_r[has] = store.node_regime[s]
+        close = last_t < t_end - tol
+        self.end_pos = np.flatnonzero(close)
+        self.counts = grid_n + q + close
+        self.grid_n = grid_n
 
-    Path k's nodes are ``times[offsets[k]:offsets[k + 1]]`` with states
-    ``x[offsets[k]:offsets[k + 1]]``.  The callback maps a theta vector
-    to one row per theta, looked up by ``paths.eval`` on each path;
-    theta == 1 takes the node's own state, which is what eval returns.
-    The lookup runs under ``models._cached``, so terms sharing a theta
-    set share its rows, which are read-only.
-    """
-    def lookup(thetas):
-        rows = np.empty((len(thetas), len(times)))
+        # at a node x(t_end) is the node's state; between nodes it is
+        # interpolated, at T past the end of the grid
+        t = np.full(len(rows), min(t_end, times[-1]))
+        t_l, x_l, r_l, t_r, x_r = store._around(rows, t)
+        self.x_end = np.where(last_t == t_end, last_x,
+                              paths_mod._lerp(t, t_l, t_r, x_l, x_r))
+        self.r_end = (store.regimes[rows, -1] if t_end >= times[-1]
+                      else r_l)
+
+        size = max(1, _CHUNK_NODES // int(self.counts.max()))
+        self.blocks = [(lo, min(lo + size, len(rows)))
+                       for lo in range(0, len(rows), size)]
+
+        # one pass over the switch nodes, then the closing nodes
+        sp_row = np.concatenate((store.node_row[sel], rows[close]))
+        sp_t = np.concatenate((store.node_time[sel],
+                               np.full(len(self.end_pos), t_end)))
+        sp_x = np.concatenate((store.node_value[sel], self.x_end[close]))
+        self.sp_t = sp_t
+        self.sp_r = np.concatenate((store.node_regime[sel], last_r[close]))
+
+        def sparse(thetas):
+            tq, own = self._delayed(thetas, sp_t[None, :])
+            out = np.empty((len(thetas), len(sp_t)))
+            out[own] = sp_x
+            out[~own] = store._eval(np.tile(sp_row, len(tq)),
+                                     tq.ravel()).reshape(tq.shape)
+            return out
+
+        ev = _Pass(m, sp_x, _cached(sparse), sp_t, m._plan.weights(sp_t))
+        self.sp_parts = np.array(_lv_table(V, m, ev, sp_x))
+        self.w_grid = m._plan.weights(times[:n_g])
+        self._tables = {}
+
+    def _delayed(self, thetas, t):
+        """The lookup times theta * t of the thetas other than 1.
+
+        Thetas outside [theta_lower, 1] by more than 1e-12 raise
+        OutOfDomain; the rest are clipped to it, as by SegmentView.
+        Returns (times, own), ``own`` marking the thetas equal to 1.
+        """
+        lo = self.store.theta_lower
+        if thetas.size and (thetas.min() < lo - 1e-12
+                            or thetas.max() > 1.0 + 1e-12):
+            raise OutOfDomain("theta must lie in [%g, 1], got range [%g, %g]"
+                              % (lo, thetas.min(), thetas.max()))
+        thetas = np.clip(thetas, lo, 1.0)
         own = thetas == 1.0
-        rows[own] = x
-        if not own.all():
-            delayed = thetas[~own, None]
-            for path, c, d in zip(paths, offsets[:-1], offsets[1:]):
-                rows[~own, c:d] = paths_mod.eval(path, delayed * times[c:d])
-        return rows
+        tq = thetas[~own, None] * t
+        start = self.store._history[0]
+        if tq.size and tq.min() < start - paths_mod._atol(
+                self.store.times[-1]):
+            raise OutOfDomain("lookup at t=%g before the paths start at %g"
+                              % (tq.min(), start))
+        return np.maximum(tq, start), own
 
-    return _cached(lookup)
+    def _grid_tables(self, thetas):
+        """A theta set's grid lookups, compiled once for all rows.
 
+        Returns (own, J, 1 - w, w, fix): grid node k of every row reads
+        x(theta_i t_k) from history rows J[i, k] and J[i, k] + 1, except
+        the pairs in ``fix`` = (position in rows, i, k, value), sorted
+        by position, whose piece holds switch nodes of the row.
+        """
+        key = thetas.tobytes()
+        if key in self._tables:
+            return self._tables[key]
+        store, rows = self.store, self.rows
+        tq, own = self._delayed(thetas, store.times[None, :self.n_g])
+        n0 = len(store.init_times)
+        J, w = paths_mod._piece(store._history, tq)
+        # the (row, step) pairs with switch nodes; J is ascending in k,
+        # so the nodes of a row whose piece is step j form one range
+        keys = store._steps[0]
+        g_row, g_step = np.divmod(keys, len(store.times))
+        mine = self.kept[g_row] & (g_step < self.n_g)
+        g_pos = np.searchsorted(rows, g_row[mine])
+        g_col = n0 + g_step[mine]
+        pos, th, k = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
+        for i, Ji in enumerate(J):
+            lo = np.searchsorted(Ji, g_col, side="left")
+            n = np.searchsorted(Ji, g_col, side="right") - lo
+            at = np.repeat(np.arange(len(lo)), n)
+            pos.append(g_pos[at])
+            th.append(np.full(len(at), i))
+            k.append(lo[at] + np.arange(len(at)) - (np.cumsum(n) - n)[at])
+        pos, th, k = (np.concatenate(v) for v in (pos, th, k))
+        order = np.argsort(pos, kind="stable")
+        pos, th, k = pos[order], th[order], k[order]
+        fix = (pos, np.flatnonzero(~own)[th], k,
+               store._eval(rows[pos], tq[th, k]))
+        tables = self._tables[key] = (own, J, (1.0 - w)[..., None],
+                                      w[..., None], fix)
+        return tables
 
-def _lv_chunk(V: LyapunovFamily, m: ModelSpec, paths, t_end: float):
-    """LV along several paths on [t0, t_end] in one array pass.
+    def block(self, lo: int, hi: int):
+        """LV along rows[lo:hi].
 
-    The paths' nodes are concatenated; ``offsets[k]:offsets[k + 1]``
-    is path k's slice.  Each regime's coefficients are evaluated once
-    over the whole chunk, all regimes in one pass of the model's plan,
-    so each pantograph integral is computed once per chunk and the
-    history lookup once per distinct quadrature-node set.  Each interval is integrated by trapezoid in
-    the regime of its left node (switch times are nodes, so LV is
-    continuous inside every interval), and each path's integral is the
-    sum over its own slice, so it does not depend on the chunk.
+        Returns (integrals, part_sums, times, values, offsets): each
+        row's integral, ``part_sums[i - 1]`` the drift, diffusion and
+        coupling parts integrated over the intervals whose left node is
+        in regime i, summed over the rows; and LV at every node in the
+        node's regime, row r's nodes at ``offsets[r]:offsets[r + 1]``.
+        """
+        store, m, n_g = self.store, self.m, self.n_g
+        rows = self.rows[lo:hi]
+        b = len(rows)
+        n0 = len(store.init_times)
+        # the history, one row per time and one column per path
+        H = np.empty((n0 + n_g, b))
+        H[:n0] = store.init_values[:, None]
+        H[n0:] = store.values[rows, :n_g].T
+        X = H[n0:]
 
-    Returns (times, point_values, integrals, ends, part_sums): ends
-    holds each path's (x(t0), r(t0), x(t_end), r(t_end)), and part_sums
-    the chunk's summed integrals of the drift, diffusion and coupling
-    parts.
-    """
-    _check_regimes(V, m)
-    node_t, node_x, node_r, ends = zip(*[_path_nodes(path, t_end)
-                                         for path in paths])
-    offsets = np.cumsum([0] + [len(t) for t in node_t])
-    times = np.concatenate(node_t)
-    x = np.concatenate(node_x)
-    regimes = np.concatenate(node_r)
-    phi_at = _history(paths, offsets, times, x)
-    n = m.n_regimes
-    size = len(times)
-    v = [V.value(x, l + 1) for l in range(n)]
-    # parts[k, i - 1]: LV's drift, diffusion and coupling parts in
-    # regime i at every node
-    parts = np.empty((3, n, size))
-    ev = _Pass(m, x, phi_at, times)
-    for i in range(1, n + 1):
-        parts[:, i - 1] = _lv_parts(V, m, ev, x, v, i)
-    parts = parts.reshape(3, n * size)
-    lv = parts[0] + parts[1] + parts[2]
-    h = np.diff(times)
-    # no interval joins one path's last node to the next path's first
-    h[offsets[1:-1] - 1] = 0.0
-    half = 0.5 * h
-    # flat (regime, node) index of each interval's left end, in the
-    # interval's regime
-    left = (regimes[:-1] - 1) * size + np.arange(size - 1)
-    point_values = lv[(regimes - 1) * size + np.arange(size)]
-    trapezoids = half * (lv[left] + lv[left + 1])
-    integrals = [float(trapezoids[start:stop - 1].sum())
-                 for start, stop in zip(offsets[:-1], offsets[1:])]
-    part_sums = (half * (parts[:, left] + parts[:, left + 1])).sum(axis=1)
-    return times, point_values, integrals, ends, part_sums
+        def grid(thetas):
+            own, J, w_l, w_r, (pos, th, k, val) = self._grid_tables(thetas)
+            out = np.empty((len(thetas), n_g, b))
+            out[own] = X
+            out[~own] = H[J] * w_l + H[J + 1] * w_r
+            a, z = np.searchsorted(pos, (lo, hi))
+            out[th[a:z], k[a:z], pos[a:z] - lo] = val[a:z]
+            return out
+
+        t_grid = np.broadcast_to(store.times[:n_g, None], X.shape)
+        ev = _Pass(m, X, _cached(grid), t_grid,
+                   [w[..., None] for w in self.w_grid])
+        s_lo, s_hi = np.searchsorted(self.sw_pos, (lo, hi))
+        e_lo, e_hi = np.searchsorted(self.end_pos, (lo, hi))
+        sparse = np.concatenate((np.arange(s_lo, s_hi),
+                                 len(self.sw_pos) + np.arange(e_lo, e_hi)))
+        # the block's nodes: the grid nodes (node k of row r at k * b + r),
+        # then its switch nodes, then its closing nodes
+        n_grid = n_g * b
+        grid_parts = [[part.ravel() for part in parts]
+                      for parts in _lv_table(self.V, m, ev, X)]
+        sparse_parts = self.sp_parts[..., sparse]
+        # LV in regime 1 at every node, then in regime 2, ...
+        lv = np.concatenate([p[0] + p[1] + p[2] for parts in zip(
+            grid_parts, sparse_parts) for p in parts])
+        size = n_grid + len(sparse)
+        t_all = np.concatenate((np.repeat(store.times[:n_g], b),
+                                self.sp_t[sparse]))
+        r_all = np.concatenate((store.regimes[rows, :n_g].T.ravel(),
+                                self.sp_r[sparse]), dtype=np.int64) - 1
+
+        # src[j]: the node at position j of the rows' nodes in time order;
+        # a row's grid nodes fill the places its other nodes leave
+        counts = self.counts[lo:hi]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        src = np.empty(offsets[-1], dtype=np.int64)
+        sw_row = self.sw_pos[s_lo:s_hi] - lo
+        sw_at = (offsets[sw_row] + self.sw_step[s_lo:s_hi] + 1
+                 + self.sw_rank[s_lo:s_hi])
+        end_at = offsets[self.end_pos[e_lo:e_hi] - lo + 1] - 1
+        on_grid = np.ones(len(src), dtype=bool)
+        on_grid[sw_at] = False
+        on_grid[end_at] = False
+        node = np.arange(n_grid).reshape(n_g, b).T
+        grid_n = self.grid_n[lo:hi]
+        src[on_grid] = (node[np.arange(n_g) < grid_n[:, None]]
+                        if (grid_n < n_g).any() else node.ravel())
+        src[sw_at] = n_grid + np.arange(len(sw_at))
+        src[end_at] = n_grid + len(sw_at) + np.arange(len(end_at))
+
+        # trapezoids in the regime of each interval's left node; no
+        # interval joins one row's last node to the next row's first
+        t = t_all[src]
+        r = r_all[src]
+        h = np.diff(t)
+        h[offsets[1:-1] - 1] = 0.0
+        half = 0.5 * h
+        left = r[:-1] * size + src[:-1]
+        right = r[:-1] * size + src[1:]
+        lv_left = lv[left]
+        trapezoids = half * (lv_left + lv[right])
+        # the parts' integrals: weight[i, k] is the sum of the half
+        # lengths of the intervals in regime i that end at node k
+        weight = np.zeros(lv.size)
+        weight[left] = half
+        weight[right] += half
+        weight = weight.reshape(-1, size)
+        part_sums = np.array([[g @ w[:n_grid] + s @ w[n_grid:]
+                               for g, s in zip(g_parts, s_parts)]
+                              for g_parts, s_parts, w in zip(
+                                  grid_parts, sparse_parts, weight)])
+        # each row's integral sums its trapezoids in time order; rows of
+        # one node count share one C-contiguous table
+        integrals = np.empty(b)
+        for c in np.unique(counts).tolist():
+            same = np.flatnonzero(counts == c)
+            integrals[same] = trapezoids[offsets[same, None]
+                                         + np.arange(c - 1)].sum(axis=1)
+        values = np.append(lv_left, lv[r[-1] * size + src[-1]])
+        return integrals, part_sums, t, values, offsets
 
 
 def lv_profile(V: LyapunovFamily, m: ModelSpec, path,
@@ -325,14 +498,31 @@ def lv_profile(V: LyapunovFamily, m: ModelSpec, path,
     [t0, t_end] and integrates by trapezoid over each grid interval with
     that interval's regime (switch times are grid points, so the
     integrand is continuous inside every interval).  A t_end between
-    grid points adds the interpolated endpoint (t_end, x(t_end)).
+    grid points adds the interpolated endpoint (t_end, x(t_end)).  This
+    is the residual's pass on a store of one row, whose grid is the
+    path's nodes from t0 on.
 
     Returns (times, values, integral).
+
+    Raises:
+      ValueError: t_end outside (t0, last node of the path].
     """
     if t_end is None:
         t_end = path.t_end
-    times, values, integrals, _, _ = _lv_chunk(V, m, [path], t_end)
-    return times, values, integrals[0]
+    require_t_end(t_end, path.t0, path.t_end)
+    a = int(np.searchsorted(path.times, path.t0 - paths_mod._atol(
+        path.t_end), side="left"))
+    none = np.zeros(0, dtype=np.int64)
+    store = paths_mod.PathStore(
+        theta_lower=path.theta_lower, t0=path.t0,
+        init_times=path.times[:a], init_values=path.values[:a],
+        times=path.times[a:], values=path.values[None, a:],
+        regimes=path.regimes[None, a:], exploded_at=np.full(1, np.nan),
+        node_row=none, node_time=none * 1.0, node_value=none * 1.0,
+        node_regime=none)
+    integrals, _, times, values, _ = _LVAlong(
+        V, m, store, np.zeros(1, dtype=np.int64), t_end).block(0, 1)
+    return times, values, float(integrals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +540,10 @@ class ResidualStatistic:
     allowance before standardizing.  ``parts`` splits the mean integral
     into LV's drift, diffusion and coupling parts; its ``value`` is
     their sum, equal to ``mean_integral`` up to rounding.
+    ``regime_parts[i - 1]`` holds the parts integrated over the intervals
+    whose left node is in regime i, as the integral takes them; they sum
+    to ``parts`` up to rounding.  Like ``parts``, they are diagnostics,
+    and they are left out of comparisons.
     """
 
     residual: float
@@ -360,6 +554,7 @@ class ResidualStatistic:
     n_paths_used: int
     n_excluded: int
     parts: Optional[LVBreakdown] = None
+    regime_parts: Tuple[LVBreakdown, ...] = field(default=(), compare=False)
 
     def z_with_allowance(self, allowance: float) -> float:
         if self.stderr == 0.0:
@@ -367,20 +562,13 @@ class ResidualStatistic:
         return max(0.0, abs(self.residual) - abs(allowance)) / self.stderr
 
 
-def _chunks(paths):
-    """Consecutive runs of paths holding at most _CHUNK_NODES nodes each.
-
-    A path longer than the bound makes a chunk of its own.
-    """
-    chunk, size = [], 0
-    for path in paths:
-        if chunk and size + len(path.times) > _CHUNK_NODES:
-            yield chunk
-            chunk, size = [], 0
-        chunk.append(path)
-        size += len(path.times)
-    if chunk:
-        yield chunk
+def _v_at(V: LyapunovFamily, x, r):
+    """V(x[k], r[k]) for every k, in one call per regime."""
+    out = np.empty(len(x))
+    for i in range(1, V.n_regimes + 1):
+        here = r == i
+        out[here] = V.value(x[here], i)
+    return out
 
 
 def martingale_residual(V: LyapunovFamily, batch, t_end: float
@@ -388,46 +576,49 @@ def martingale_residual(V: LyapunovFamily, batch, t_end: float
     """Run the hybrid Ito residual test on a simulated batch.
 
     Paths that exploded at or before t_end are excluded and counted.
-    Requires the batch to retain full paths (keep_paths=True).  LV is
-    evaluated over chunks of paths at once; a t_end between grid points
-    closes each path's integral at the interpolated state x(t_end).
+    Requires the batch to retain its paths (keep_paths=True).  LV is
+    evaluated in passes over blocks of rows of the batch's path store;
+    a t_end between grid points closes each path's integral at the
+    interpolated state x(t_end).
 
     Raises:
+      ValueError: t_end outside (t0, T].
       InsufficientPaths: fewer than 100 usable paths.
     """
-    if batch.paths is None:
+    store = batch.paths
+    if store is None:
         raise ValueError("batch was run without keep_paths=True")
-    kept = [path for path in batch.paths
-            if path.exploded_at is None or path.exploded_at > t_end]
+    require_t_end(t_end, store.t0, store.times[-1])
+    kept = np.flatnonzero(~(store.exploded_at <= t_end))
     if len(kept) < 100:
         raise InsufficientPaths(
             "residual test needs >= 100 paths, have %d" % len(kept))
-    deltas = []
-    integrals = []
-    part_sums = np.zeros(3)
-    for chunk in _chunks(kept):
-        _, _, chunk_integrals, ends, chunk_parts = _lv_chunk(
-            V, batch.model, chunk, t_end)
-        part_sums += chunk_parts
-        for path, (x0, i0, x_end, r_end), integral in zip(
-                chunk, ends, chunk_integrals):
-            deltas.append(float(V.value(x_end, r_end))
-                          - float(V.value(x0, i0)) - integral)
-        integrals.extend(chunk_integrals)
-    d = np.asarray(deltas)
+    along = _LVAlong(V, batch.model, store, kept, t_end)
+    integrals = np.empty(len(kept))
+    part_sums = 0.0
+    for lo, hi in along.blocks:
+        integrals[lo:hi], block_sums, _, _, _ = along.block(lo, hi)
+        part_sums = part_sums + block_sums
+    v = _v_at(V, np.concatenate((store.values[kept, 0], along.x_end)),
+              np.concatenate((store.regimes[kept, 0], along.r_end)))
+    d = (v[len(kept):] - v[:len(kept)]) - integrals
     residual = float(d.mean())
     stderr = standard_error(d)
     if stderr == 0.0:
         z = 0.0 if residual == 0.0 else float(np.inf)
     else:
         z = residual / stderr
-    drift_part, diffusion_part, coupling_part = (
-        float(s) / len(d) for s in part_sums)
-    parts = LVBreakdown(value=drift_part + diffusion_part + coupling_part,
-                        drift_part=drift_part, diffusion_part=diffusion_part,
-                        coupling_part=coupling_part)
-    return ResidualStatistic(residual=residual, stderr=stderr, z=z,
-                             mean_integral=float(np.mean(integrals)),
-                             t_end=float(t_end), n_paths_used=len(d),
-                             n_excluded=len(batch.paths) - len(kept),
-                             parts=parts)
+
+    def breakdown(drift, diffusion, coupling):
+        return LVBreakdown(value=drift + diffusion + coupling,
+                           drift_part=drift, diffusion_part=diffusion,
+                           coupling_part=coupling)
+
+    # the parts are the sums of the regimes' parts, in regime order
+    by_regime = [[float(s) / len(d) for s in sums] for sums in part_sums]
+    return ResidualStatistic(
+        residual=residual, stderr=stderr, z=z,
+        mean_integral=float(np.mean(integrals)), t_end=float(t_end),
+        n_paths_used=len(d), n_excluded=len(store) - len(kept),
+        parts=breakdown(*(sum(column) for column in zip(*by_regime))),
+        regime_parts=tuple(breakdown(*sums) for sums in by_regime))

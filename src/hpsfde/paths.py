@@ -13,7 +13,11 @@ state.  Because theta <= 1, no segment lookup ever needs future data.
 
 from __future__ import annotations
 
+import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,6 +62,20 @@ def _lerp(t, t_left, t_right, x_left, x_right):
     return x_left * (1.0 - w) + x_right * w
 
 
+def _piece(times, t, last=None):
+    """Index j and weight w of the piece [times[j], times[j + 1]] at t.
+
+    j indexes the last time at or before t, capped at ``last`` (by
+    default the second to last time), and w = (t - times[j]) /
+    (times[j + 1] - times[j]), so the rule of :func:`_lerp` reads
+    x[j] (1 - w) + x[j + 1] w.
+    """
+    if last is None:
+        last = len(times) - 2
+    j = np.minimum(np.searchsorted(times[1:], t, side="right"), last)
+    return j, (t - times[j]) / (times[j + 1] - times[j])
+
+
 def _interp(times, values, t):
     """Piecewise-linear interpolation of ``values`` over ``times`` at t.
 
@@ -73,6 +91,131 @@ def _interp(times, values, t):
     if values.ndim == 2:
         j, t = j[..., None], np.asarray(t)[..., None]
     return _lerp(t, times[j], times[j + 1], left, right)
+
+
+@dataclass(frozen=True, eq=False)
+class PathStore(Sequence):
+    """The paths of one batch in one store; ``store[p]`` builds path p.
+
+    Every path shares the nodes ``init_times`` before t0, with states
+    ``init_values``, and the grid ``times``, which starts at t0.  Row p
+    holds its states on the grid in ``values[p]``, NaN where the path
+    has no node (after it exploded at ``exploded_at[p]``, which is NaN
+    when it did not), and its regimes there in ``regimes[p]``.  The
+    switch nodes lie strictly inside grid steps; entry i is at
+    ``node_time[i]`` on row ``node_row[i]`` with state ``node_value[i]``
+    and the regime it enters, ``node_regime[i]``, sorted by row and time.
+
+    ``store[p]`` is a DensePath with the initial, grid and switch nodes
+    of row p in time order.  A node's regime is the row's regime there;
+    the initial nodes carry the regime at t0.
+    """
+
+    theta_lower: float
+    t0: float
+    init_times: np.ndarray
+    init_values: np.ndarray
+    times: np.ndarray
+    values: np.ndarray
+    regimes: np.ndarray
+    exploded_at: np.ndarray
+    node_row: np.ndarray
+    node_time: np.ndarray
+    node_value: np.ndarray
+    node_regime: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, p) -> DensePath:
+        p = operator.index(p)
+        n = len(self)
+        if not -n <= p < n:
+            raise IndexError("path %d of a store of %d paths" % (p, n))
+        p %= n
+        lo, hi = np.searchsorted(self.node_row, (p, p + 1))
+        row = self.values[p]
+        keep = ~np.isnan(row)
+        times = np.concatenate((self.init_times, self.times[keep],
+                                self.node_time[lo:hi]))
+        order = np.argsort(times, kind="stable")
+        vals = np.concatenate((self.init_values, row[keep],
+                               self.node_value[lo:hi]))
+        regs = np.concatenate((np.full(len(self.init_times),
+                                       self.regimes[p, 0]),
+                               self.regimes[p, keep],
+                               self.node_regime[lo:hi])).astype(np.int64)
+        e = float(self.exploded_at[p])
+        return DensePath(times=times[order], values=vals[order],
+                         regimes=regs[order], theta_lower=self.theta_lower,
+                         t0=self.t0,
+                         exploded_at=None if math.isnan(e) else e)
+
+    @cached_property
+    def _history(self) -> np.ndarray:
+        """The times of the initial nodes followed by the grid."""
+        return np.concatenate((self.init_times, self.times))
+
+    @cached_property
+    def _steps(self):
+        """(key, first, count) of each (row, grid step) with switch nodes.
+
+        ``key`` is row * len(times) + step, ascending; ``first`` indexes
+        the step's first switch node and ``count`` counts them.
+        """
+        step = np.searchsorted(self.times, self.node_time, side="right") - 1
+        key = self.node_row * len(self.times) + step
+        first = np.flatnonzero(np.diff(key, prepend=-1) != 0)
+        return key[first], first, np.diff(first, append=len(key))
+
+    def _around(self, rows, t):
+        """The piece of each row's path that holds time t.
+
+        Returns (t_left, x_left, r_left, t_right, x_right): the row's
+        last node at or before t and the node after it, the last piece
+        for a t at or past the end of the grid, and the left node's
+        regime.  Reads the rule of :func:`_interp` off the store, so
+        ``_lerp(t, t_left, t_right, x_left, x_right)`` is
+        ``eval(store[row], t)`` bit for bit inside the row's nodes.
+        """
+        ht = self._history
+        n0 = len(self.init_times)
+        j, _ = _piece(ht, t)
+
+        def node(col):
+            lead = col < n0
+            x = np.empty(len(col))
+            x[lead] = self.init_values[col[lead]]
+            x[~lead] = self.values[rows[~lead], col[~lead] - n0]
+            return x
+
+        t_l, x_l, t_r, x_r = ht[j], node(j), ht[j + 1], node(j + 1)
+        r_l = self.regimes[rows, np.maximum(j - n0, 0)]
+        keys, firsts, counts = self._steps
+        step = j - n0
+        if len(keys) and (step >= 0).any():
+            key = rows * len(self.times) + step
+            at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            hit = np.flatnonzero((step >= 0) & (keys[at] == key))
+            f, q, th = firsts[at[hit]], counts[at[hit]], t[hit]
+            # the row's switch nodes in the step at or before t
+            m = np.zeros(len(hit), dtype=np.int64)
+            for i in range(int(q.max(initial=0))):
+                m += (i < q) & (self.node_time[np.minimum(f + i, len(
+                    self.node_time) - 1)] <= th)
+            left = hit[m > 0]
+            s = (f + m - 1)[m > 0]
+            t_l[left], x_l[left] = self.node_time[s], self.node_value[s]
+            r_l[left] = self.node_regime[s]
+            right = hit[m < q]
+            s = (f + m)[m < q]
+            t_r[right], x_r[right] = self.node_time[s], self.node_value[s]
+        return t_l, x_l, r_l, t_r, x_r
+
+    def _eval(self, rows, t):
+        """Each row's path at time t, by the rule of :func:`eval`."""
+        t_l, x_l, _, t_r, x_r = self._around(rows, t)
+        return _lerp(t, t_l, t_r, x_l, x_r)
 
 
 def eval(path: DensePath, t):

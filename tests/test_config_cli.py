@@ -283,6 +283,25 @@ def test_check_ito_reports_residual(tmp_path, capsys):
     mean_integral, *parts = (float(v) for v in out[3].split(","))
     assert len(parts) == 3
     assert sum(parts) == pytest.approx(mean_integral, rel=1e-12)
+    # then the parts by the regime of each interval's left node
+    assert out[4] == "regime,drift_part,diffusion_part,coupling_part"
+    assert [line.split(",")[0] for line in out[5:]] == ["1", "2"]
+    by_regime = [[float(v) for v in line.split(",")[1:]] for line in out[5:]]
+    for part, column in zip(parts, zip(*by_regime)):
+        assert sum(column) == pytest.approx(part, rel=1e-12)
+
+
+def test_check_ito_builds_no_dense_path(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DensePath was built")
+
+    monkeypatch.setattr(paths, "DensePath", refuse)
+    cfg = write_config(tmp_path, {
+        "model": {"preset": "switch_stabilized"},
+        "simulation": {"dt": 0.01, "T": 2.0, "n_paths": 100,
+                       "root_seed": 3}})
+    assert main(["check-ito", "--config", cfg]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 7
 
 
 @pytest.mark.parametrize("model", [

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from hpsfde.errors import NonFiniteState, PathExploded
-from hpsfde.integrator import (IntegratorConfig, SimulationBatch,
-                               TabulatedWiener, initial_grid, integrate_path,
-                               path_streams, run_batch, uniform_grid)
+from hpsfde.integrator import (DEFAULT_BLOCK_SIZE, IntegratorConfig,
+                               SimulationBatch, TabulatedWiener,
+                               initial_grid, integrate_path, path_streams,
+                               run_batch, uniform_grid)
 from hpsfde.markov import make_generator, sample_regime_path
 from hpsfde.models import (CustomTerm, Kernel, Measure, ModelSpec,
                            PantographTerm, PolynomialTerm)
@@ -399,6 +400,50 @@ def test_dead_rows_match_per_path_reference():
             assert path.times.tolist() == [t for t, _ in nodes]
             assert path.values.tobytes() == np.array(
                 [x for _, x in nodes]).tobytes()
+
+
+def test_path_store_builds_each_path_on_demand():
+    # the store builds path p by the rule the batch once applied to every
+    # path eagerly: initial, grid and reached switch nodes in time order,
+    # each in the regime of the path's chain at its time
+    m = dying_model()
+    cfg = IntegratorConfig(dt=0.1, T=1.4, blowup_threshold=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = [_reference_path(m, cfg, p, 1, 1) for p in range(40)]
+    chains = [sample_regime_path(m.generator, 1, m.t0, cfg.T,
+                                 np.random.default_rng(path_streams(1, p)[0]))
+              for p in range(40)]
+    for block in (1, 3, DEFAULT_BLOCK_SIZE):
+        batch = run_batch(m, cfg, n_paths=40, i0=1, root_seed=1,
+                          block_size=block)
+        store = batch.paths
+        # rows that switch, rows that die non-finite, rows that cross
+        assert batch.n_switches.sum() > 0
+        dead = [store[p] for p in np.flatnonzero(batch.exploded_mask)]
+        assert any(abs(path.values[-1]) > 1.0 for path in dead)
+        assert any(abs(path.values[-1]) <= 1.0 for path in dead)
+        assert len(store) == 40
+        for p, (uniform, exploded, nodes) in enumerate(ref):
+            path = store[p]
+            times = np.array([t for t, _ in nodes])
+            assert path.times.tobytes() == times.tobytes()
+            assert path.values.tobytes() == np.array(
+                [x for _, x in nodes]).tobytes()
+            assert path.regimes.dtype == np.int64
+            assert path.regimes.tolist() == chains[p].state_at(
+                times).tolist()
+            assert path.exploded_at == (None if np.isnan(exploded)
+                                        else exploded)
+        last = store[-1]
+        assert last.times.tobytes() == store[39].times.tobytes()
+        assert last.values.tobytes() == store[39].values.tobytes()
+        for p in (40, -41):
+            with pytest.raises(IndexError):
+                store[p]
+        listed = list(store)
+        assert len(listed) == 40
+        assert all(a.values.tobytes() == store[p].values.tobytes()
+                   for p, a in enumerate(listed))
 
 
 def test_uniform_values_match_kept_paths():

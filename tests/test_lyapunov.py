@@ -12,13 +12,13 @@ from hpsfde.errors import (DimensionMismatch, InsufficientPaths,
                            OutOfDomain)
 from hpsfde.integrator import IntegratorConfig, integrate_path, run_batch
 from hpsfde.lyapunov import (LVBreakdown, LyapunovFamily, PolynomialV,
-                             ResidualStatistic, _chunks, eval_LV,
+                             ResidualStatistic, _LVAlong, eval_LV,
                              lv_profile, martingale_residual,
                              sandwich_report)
 from hpsfde.markov import make_generator
 from hpsfde.models import (CustomTerm, ModelSpec, PantographTerm,
                            PolynomialTerm)
-from hpsfde.paths import ConstantSegment, DensePath, segment
+from hpsfde.paths import ConstantSegment, DensePath, PathStore, segment
 from hpsfde.presets import PRESET_NAMES, preset, preset_lyapunov
 
 SINGLE = make_generator([[0.0]])
@@ -378,8 +378,8 @@ def test_residual_counts_exploded_paths():
 
 def test_residual_chunks_match_per_path_profiles():
     # a two-regime version of the exploding model above: some paths
-    # switch, some explode, and the kept paths fill several chunks, the
-    # last one partly
+    # switch, some explode, and the kept paths fill several row blocks,
+    # the last one partly
     gen = make_generator([[-1.0, 1.0], [1.0, -1.0]])
     m = ModelSpec(theta_lower=0.5, t0=1.0, generator=gen,
                   drift=((PolynomialTerm([(3, 0.2)]),),
@@ -395,7 +395,9 @@ def test_residual_chunks_match_per_path_profiles():
                       keep_paths=True)
     kept = [p for p in batch.paths
             if p.exploded_at is None or p.exploded_at > 2.0]
-    sizes = [len(chunk) for chunk in _chunks(kept)]
+    rows = np.flatnonzero(~(batch.exploded_at <= 2.0))
+    sizes = [hi - lo for lo, hi in _LVAlong(fam, m, batch.paths, rows,
+                                             2.0).blocks]
     assert batch.n_exploded > 0 and batch.n_switches.sum() > 0
     assert len(sizes) >= 2 and sizes[-1] < sizes[0]
 
@@ -434,6 +436,54 @@ def test_residual_chunks_match_per_path_profiles():
                                                  rel=1e-12)
 
 
+@pytest.mark.parametrize("t_end, why", [
+    (float("nan"), "not a number"), (1.0, "t0 itself"),
+    (0.5, "before t0"), (2.5, "past T"), (2.0 + 1e-8, "past T")])
+def test_residual_rejects_t_end_outside_horizon(t_end, why):
+    batch = run_batch(gbm_model(), IntegratorConfig(dt=0.01, T=2.0),
+                      n_paths=100, i0=1, root_seed=1, keep_paths=True)
+    with pytest.raises(ValueError) as err:
+        martingale_residual(gbm_family(), batch, t_end)
+    assert str(err.value) == ("t_end must lie in (t0, T] = (1, 2], got %r, "
+                              "which is %s" % (t_end, why))
+    # T itself, and a time within the grid tolerance past it, are inside
+    at_T = martingale_residual(gbm_family(), batch, 2.0)
+    near = martingale_residual(gbm_family(), batch, 2.0 + 1e-10)
+    assert dataclasses.replace(near, t_end=2.0) == at_T
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_residual_regime_parts_sum_to_parts(name):
+    m = preset(name)
+    batch = run_batch(m, IntegratorConfig(dt=0.01, T=2.0), n_paths=150,
+                      i0=1, root_seed=4, keep_paths=True)
+    assert batch.n_switches.sum() > 0
+    stat = martingale_residual(preset_lyapunov(name), batch, 1.8765)
+    assert len(stat.regime_parts) == m.n_regimes
+    for field in ("drift_part", "diffusion_part", "coupling_part", "value"):
+        total = getattr(stat.parts, field)
+        assert sum(getattr(part, field) for part in stat.regime_parts) == \
+            pytest.approx(total, rel=1e-12)
+    # the chain starts in regime 1 and leaves it, so both regimes count
+    assert all(part.value != 0.0 for part in stat.regime_parts)
+
+
+def test_residual_builds_no_dense_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DensePath was built")
+
+    batch = run_batch(preset("switch_stabilized"),
+                      IntegratorConfig(dt=0.01, T=2.0), n_paths=120, i0=1,
+                      root_seed=2, keep_paths=True)
+    assert batch.n_switches.sum() > 0
+    monkeypatch.setattr(paths_mod, "DensePath", refuse)
+    stat = martingale_residual(preset_lyapunov("switch_stabilized"), batch,
+                               1.95)
+    assert stat.n_paths_used == 120
+    with pytest.raises(AssertionError, match="DensePath"):
+        batch.paths[0]
+
+
 def test_residual_parts_match_pointwise_breakdown():
     # 100 copies of a constant path: each part's mean integral is the
     # pointwise part times the length of [t0, t_end]
@@ -442,7 +492,16 @@ def test_residual_parts_match_pointwise_breakdown():
     c = 0.8
     path = constant_path(c, [0.75, 1.0, 1.5, 2.0, 3.0], [2, 2, 2, 2, 2],
                          0.75, 1.0)
-    batch = types.SimpleNamespace(paths=[path] * 100, model=m)
+    store = PathStore(
+        theta_lower=0.75, t0=1.0, init_times=path.times[:1],
+        init_values=path.values[:1], times=path.times[1:],
+        values=np.tile(path.values[1:], (100, 1)),
+        regimes=np.tile(path.regimes[1:], (100, 1)),
+        exploded_at=np.full(100, np.nan), node_row=np.zeros(0, int),
+        node_time=np.zeros(0), node_value=np.zeros(0),
+        node_regime=np.zeros(0, int))
+    assert [p.times.tolist() for p in store] == [path.times.tolist()] * 100
+    batch = types.SimpleNamespace(paths=store, model=m)
     stat = martingale_residual(fam, batch, 1.75)
     point = eval_LV(fam, m, ConstantSegment(c, 0.75), 1.0, 2)
     for name in ("drift_part", "diffusion_part", "coupling_part"):
