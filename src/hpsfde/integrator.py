@@ -36,17 +36,27 @@ and switch time.  A pass only gathers, multiplies, adds and writes.
 Each state is written once, into the history, and the block's grid
 values are filled from it once at the end.
 
-Determinism contract: path p draws all its randomness from
-SeedSequence(root_seed, spawn_key=(p,)), split once into a regime-chain
-stream and a noise stream.  Paths are processed in fixed-size blocks
-whose composition depends only on the path index; workers own whole
-blocks and write into disjoint preallocated slices.  Each row's result
-depends only on its own streams, so rerunning with the same root seed
-reproduces every output bit at any block size or worker count.
+Determinism contract: path p draws all its randomness from the two
+children of SeedSequence(root_seed, spawn_key=(p,)), a regime-chain
+stream and a noise stream.  They are built directly from their spawn
+keys (p, 0) and (p, 1); the chain stream only when the start regime is
+not absorbing, since an absorbing chain draws nothing.  Paths are
+processed in fixed-size blocks whose composition depends only on the
+path index; workers own whole blocks and write into disjoint
+preallocated slices.  Each row's result depends only on its own
+streams, so rerunning with the same root seed reproduces every output
+bit at any block size or worker count.
 
-Noise stream order: each path pre-draws one standard normal per uniform
-step plus one per regime switch, consumed in time order (a step
-containing q switches consumes q+1).
+Noise stream order: each path draws one standard normal per uniform
+step plus one per regime switch inside a step, in time order: a step
+containing q switches consumes its step normal, used by the whole step
+or by its first substep, then one normal per substep that starts at a
+switch.  A jump exactly at a grid time starts no substep and reads no
+normal.  A block draws its paths' normals in that order into a buffer
+of a few dozen rows at a time and splits each chunk into a time-major
+table Z[k, row] of step normals, which the step loop reads as one
+contiguous row per step, and the switch normals in the switch table's
+order.
 
 Blow-up is data, not failure: a path whose state exceeds the threshold
 (or turns non-finite) is marked exploded and frozen; the batch always
@@ -70,6 +80,8 @@ from .paths import DensePath, PathStore, _interp, _piece
 
 # Measured: 3000 paths ran 25% faster as one block than as three of 1024.
 DEFAULT_BLOCK_SIZE = 4096
+# rows per chunk of the buffer that a block draws its normals into
+_NORMAL_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -120,10 +132,23 @@ def initial_grid(m: ModelSpec, h: float) -> np.ndarray:
     return times
 
 
+# the two streams of a path, by their index among the spawned children
+_CHAIN, _NOISE = 0, 1
+
+
+def _stream(root_seed: int, p: int, c: int) -> np.random.SeedSequence:
+    """Stream c of path p: child c of SeedSequence(root_seed, (p,))."""
+    return np.random.SeedSequence(root_seed, spawn_key=(p, c))
+
+
 def path_streams(root_seed: int, p: int):
-    """(chain, noise) seed sequences for path index p under a root seed."""
-    base = np.random.SeedSequence(entropy=root_seed, spawn_key=(p,))
-    return tuple(base.spawn(2))
+    """(chain, noise) seed sequences for path index p under a root seed.
+
+    They are the two children that ``SeedSequence(root_seed,
+    spawn_key=(p,)).spawn(2)`` returns, built directly from their spawn
+    keys (p, 0) and (p, 1) without the parent.
+    """
+    return _stream(root_seed, p, _CHAIN), _stream(root_seed, p, _NOISE)
 
 
 class TabulatedWiener:
@@ -153,8 +178,8 @@ class TabulatedWiener:
         values[:, 0] = 0.0
         h = times[1] - times[0]
         for p in range(n_paths):
-            _, noise_ss = path_streams(root_seed, p)
-            rng = np.random.Generator(np.random.PCG64(noise_ss))
+            rng = np.random.Generator(np.random.PCG64(
+                _stream(root_seed, p, _NOISE)))
             values[p, 1:] = np.cumsum(
                 math.sqrt(h) * rng.standard_normal(k))
         return cls(times, values)
@@ -252,22 +277,30 @@ class _Switches(NamedTuple):
     passes: dict
 
 
-def _sample_block_chains(m, u_times, chain_seeds, i0):
-    """Regime paths, regime grid and switch table for one block."""
-    b = len(chain_seeds)
-    k = len(u_times) - 1
-    t0, T = float(u_times[0]), float(u_times[-1])
-    chains = [sample_regime_path(m.generator, i0, t0, T,
-                                 np.random.default_rng(ss))
-              for ss in chain_seeds]
-    r_grid = np.empty((b, k + 1), dtype=np.int16)
-    for row, rp in enumerate(chains):
-        r_grid[row] = rp.state_at(u_times)
+def _sample_block_chains(m, u_times, rows, root_seed, i0):
+    """Regime grid, jump counts and switch table for one block.
+
+    A block whose start regime is absorbing samples no chain: its grid
+    is i0 throughout and its switch table is empty.
+    """
+    b = len(rows)
+    r_grid = np.full((b, len(u_times)), i0, dtype=np.int16)
+    jump_counts = np.zeros(b, dtype=np.int64)
+    time, regime = np.zeros(0), np.zeros(0, dtype=np.int64)
+    if not m.generator.absorbing(i0):
+        t0, T = float(u_times[0]), float(u_times[-1])
+        chains = [sample_regime_path(m.generator, i0, t0, T,
+                                     np.random.default_rng(
+                                         _stream(root_seed, p, _CHAIN)))
+                  for p in rows]
+        jump_counts[:] = [rp.n_jumps for rp in chains]
+        for row in np.flatnonzero(jump_counts).tolist():
+            r_grid[row] = chains[row].state_at(u_times)
+        time = np.concatenate([rp.jump_times for rp in chains])
+        regime = np.concatenate([rp.states[1:] for rp in chains])
+    row = np.repeat(np.arange(b), jump_counts)
 
     # jump times lie in (t0, T), so every step index is in [0, k)
-    time = np.concatenate([rp.jump_times for rp in chains])
-    row = np.repeat(np.arange(b), [rp.n_jumps for rp in chains])
-    regime = np.concatenate([rp.states[1:] for rp in chains])
     step = np.searchsorted(u_times, time, side="right") - 1
     inside = np.flatnonzero(u_times[step] < time)
     # by (step, row, time): one row's switches in a step are consecutive
@@ -299,18 +332,47 @@ def _sample_block_chains(m, u_times, chain_seeds, i0):
     starts = np.flatnonzero(starts).tolist()
     for lo, hi in zip(starts, starts[1:] + [n]):
         sw.passes.setdefault(int(sw.step[lo]), []).append((lo, hi))
-    return chains, r_grid, sw
+    return r_grid, jump_counts, sw
 
 
-def _draw_block_normals(noise_seeds, n_steps, jump_counts):
-    """Flat normal pool with per-path offsets, in canonical stream order."""
-    offsets = np.zeros(len(noise_seeds) + 1, dtype=np.int64)
-    np.cumsum(n_steps + jump_counts, out=offsets[1:])
-    normals = np.empty(offsets[-1])
-    for row, noise_ss in enumerate(noise_seeds):
-        rng = np.random.Generator(np.random.PCG64(noise_ss))
-        rng.standard_normal(out=normals[offsets[row]:offsets[row + 1]])
-    return normals, offsets
+def _draw_block_normals(rows, root_seed, n_steps, sw):
+    """The block's normals, split into uniform steps and switches.
+
+    Row r draws n_steps normals plus one per switch of its own in the
+    table from its noise stream, in stream order, into a buffer that
+    holds one chunk of ``_NORMAL_ROWS`` rows; a jump at a grid time
+    starts no substep and reads no normal.  Each chunk is split: the
+    normal of uniform step k goes to ``Z[k, r]``, a time-major table,
+    and the normal of the substep that starts at switch entry e goes to
+    ``z_sw[e]``, in the switch table's order.  In a row's stream, each
+    step's normal is followed by one per switch inside the step, so
+    entry e is at position step + 1 + rank.
+    """
+    b = len(rows)
+    Z = np.empty((n_steps, b))
+    z_sw = np.empty(len(sw.time))
+    by_row = np.argsort(sw.row, kind="stable")
+    row_sorted = sw.row[by_row]
+    for c0 in range(0, b, _NORMAL_ROWS):
+        c1 = min(c0 + _NORMAL_ROWS, b)
+        e = by_row[np.searchsorted(row_sorted, c0):
+                   np.searchsorted(row_sorted, c1)]
+        offsets = np.zeros(c1 - c0 + 1, dtype=np.int64)
+        np.cumsum(n_steps + np.bincount(sw.row[e] - c0, minlength=c1 - c0),
+                  out=offsets[1:])
+        buf = np.empty(offsets[-1])
+        for i, p in enumerate(rows[c0:c1]):
+            rng = np.random.Generator(np.random.PCG64(
+                _stream(root_seed, p, _NOISE)))
+            rng.standard_normal(out=buf[offsets[i]:offsets[i + 1]])
+        if len(e):
+            at = offsets[sw.row[e] - c0] + sw.step[e] + 1 + sw.rank[e]
+            z_sw[e] = buf[at]
+            keep = np.ones(len(buf), dtype=bool)
+            keep[at] = False
+            buf = buf[keep]
+        Z[:, c0:c1] = buf.reshape(c1 - c0, n_steps).T
+    return Z, z_sw
 
 
 class _Lookups:
@@ -418,20 +480,12 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
     n_init = len(init_times)
     threshold = cfg.blowup_threshold
 
-    chain_seeds, noise_seeds = zip(*[path_streams(root_seed, p)
-                                     for p in rows])
-    chains, r_grid, sw = _sample_block_chains(m, u_times, chain_seeds, i0)
-    jump_counts = np.array([rp.n_jumps for rp in chains], dtype=np.int64)
+    r_grid, jump_counts, sw = _sample_block_chains(m, u_times, rows,
+                                                   root_seed, i0)
     if wiener is None:
-        normals, offsets = _draw_block_normals(noise_seeds, k_steps,
-                                               jump_counts)
-        # the normal of row r's uniform step k is z_row[r] + k
-        z_row = offsets[:-1].copy()
-        z_switch = offsets[sw.row] + sw.step + 1 + sw.rank
-    else:
-        if jump_counts.any():
-            raise ValueError(
-                "a Wiener table requires a switching-free model")
+        Z, z_sw = _draw_block_normals(rows, root_seed, k_steps, sw)
+    elif jump_counts.any():
+        raise ValueError("a Wiener table requires a switching-free model")
 
     # history, one row per time: initial nodes, then the uniform grid;
     # the switch-node states follow it in one buffer
@@ -491,7 +545,7 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
                          [w[:, k:k + 1] for w in w_step]
                          ).merged(r_grid[:, k])
             if wiener is None:
-                z = normals[z_row + k]
+                z = Z[k]
                 dW = sqrt_h[k] * z
             else:
                 dW = wiener.increment(t, t_next)[block]
@@ -509,7 +563,6 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
                     sel = lo + np.flatnonzero(alive[sw.row[lo:hi]])
                 R = sw.row[sel]
                 if i == 0:
-                    z_row[R] += sw.count[sel]
                     xn = X[R] + F[R] * h_to[sel] + G[R] * sq_to[sel] * z[R]
                     dst = to_node[sel]
                 else:
@@ -518,7 +571,7 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
                                    [w[:, sel] for w in w_switch]
                                    ).merged(sw.regime[sel])
                     xn = (x + Fs * h_from[sel]
-                          + Gs * sq_from[sel] * normals[z_switch[sel]])
+                          + Gs * sq_from[sel] * z_sw[sel])
                     dst = from_dst[sel]
                 if (np.abs(xn) <= threshold).all():
                     buf[dst] = xn

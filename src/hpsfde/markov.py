@@ -12,6 +12,7 @@ States are 1-based in every public interface.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,6 +22,9 @@ from .errors import (NegativeOffDiagonal, ReducibleChain, RowSumNonZero,
                      require_index)
 
 ROW_SUM_TOL = 1e-12
+# a state that leaves at a total rate this small never jumps: its mean
+# holding time is beyond any horizon
+ABSORBING_RATE = 1e-300
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,20 @@ class GeneratorMatrix:
             table = np.cumsum(off / -np.diag(self.rates)[:, None], axis=1)
         table.setflags(write=False)
         return table
+
+    @cached_property
+    def _holding(self) -> list:
+        """Total jump rate out of each state, as Python floats."""
+        return (-np.diag(self.rates)).tolist()
+
+    @cached_property
+    def _jump_rows(self) -> list:
+        """The jump table's rows as Python lists, for the sampler."""
+        return self.jump_table.tolist()
+
+    def absorbing(self, i: int) -> bool:
+        """Whether state i (1-based) never jumps."""
+        return self._holding[i - 1] <= ABSORBING_RATE
 
 
 def make_generator(rates) -> GeneratorMatrix:
@@ -142,21 +160,17 @@ def sample_regime_path(g: GeneratorMatrix, i0: int, t0: float, T: float,
     if not t0 < T:
         raise ValueError("need t0 < T, got t0=%r T=%r" % (t0, T))
     rng = np.random.default_rng(seed)
-    q = g.rates
     jumps = []
     states = [i0]
     t = t0
     i = i0
-    while True:
-        rate = float(-q[i - 1, i - 1])
-        if rate <= 1e-300:
-            break  # absorbing (mean holding time beyond any horizon)
-        t = t + rng.exponential(1.0 / rate)
+    while not g.absorbing(i):
+        t = t + rng.exponential(1.0 / g._holding[i - 1])
         if t >= T:
             break
+        # the row is cumulative: bisect_right is searchsorted's side="right"
         u = rng.random()
-        j = int(np.searchsorted(g.jump_table[i - 1], u, side="right")) + 1
-        j = min(j, g.n_states)
+        j = min(bisect_right(g._jump_rows[i - 1], u) + 1, g.n_states)
         jumps.append(t)
         states.append(j)
         i = j

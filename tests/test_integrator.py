@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import hpsfde.integrator
 from hpsfde.errors import NonFiniteState, PathExploded
 from hpsfde.integrator import (DEFAULT_BLOCK_SIZE, IntegratorConfig,
                                SimulationBatch, TabulatedWiener,
@@ -362,14 +364,34 @@ def dying_model():
         initial_segment=0.0)
 
 
+# block sizes around the normal buffer's chunk: one row, a partial
+# chunk, blocks that span several chunks and end partway through one,
+# and the default, where 160 rows are one block of five chunks
+CHUNKED_BLOCKS = (1, 3, 67, 150, DEFAULT_BLOCK_SIZE)
+
+
+def _assert_matches_reference(batch, ref):
+    for p, (uniform, exploded, nodes) in enumerate(ref):
+        assert batch.uniform_values[p].tobytes() == uniform.tobytes()
+        assert batch.exploded_at[p].tobytes() == np.float64(
+            exploded).tobytes()
+        path = batch.paths[p]
+        assert path.times.tolist() == [t for t, _ in nodes]
+        assert path.values.tobytes() == np.array(
+            [x for _, x in nodes]).tobytes()
+
+
 def test_dead_rows_match_per_path_reference():
     # rows die at the first and the last uniform step, at switch nodes
     # and non-finite inside step 0; the grid values are filled from the
-    # history once per block
+    # history once per block, and each block splits its rows' streams
+    # chunk by chunk into step and switch normals
+    chunk = hpsfde.integrator._NORMAL_ROWS
+    assert 67 > 2 * chunk and 67 % chunk and 150 % chunk
     m = dying_model()
     cfg = IntegratorConfig(dt=0.1, T=1.4, blowup_threshold=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = [_reference_path(m, cfg, p, 1, 1) for p in range(40)]
+        ref = [_reference_path(m, cfg, p, 1, 1) for p in range(160)]
     u = uniform_grid(m.t0, cfg.T, cfg.dt)
     seen = set()
     for uniform, exploded, nodes in ref:
@@ -389,17 +411,92 @@ def test_dead_rows_match_per_path_reference():
     assert seen == {"survived", "non-finite in step 0", "over at a switch",
                     "first step", "last step"}
 
-    for block in (1, 3, 7):
-        batch = run_batch(m, cfg, n_paths=40, i0=1, root_seed=1,
+    for block in (7,) + CHUNKED_BLOCKS:
+        batch = run_batch(m, cfg, n_paths=160, i0=1, root_seed=1,
                           block_size=block)
-        for p, (uniform, exploded, nodes) in enumerate(ref):
-            assert batch.uniform_values[p].tobytes() == uniform.tobytes()
-            assert batch.exploded_at[p].tobytes() == np.float64(
-                exploded).tobytes()
-            path = batch.paths[p]
-            assert path.times.tolist() == [t for t, _ in nodes]
-            assert path.values.tobytes() == np.array(
-                [x for _, x in nodes]).tobytes()
+        assert batch.n_switches.max() >= 3
+        _assert_matches_reference(batch, ref)
+
+
+def test_switch_normals_match_reference_across_chunks():
+    # rows with up to 9 switches in one step and threshold crossings at
+    # and after switches read every switch normal; the blocks cut the
+    # normal buffer's chunks at other rows
+    m = fast_switching_model()
+    cfg = IntegratorConfig(dt=0.05, T=3.0, blowup_threshold=50.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = [_reference_path(m, cfg, p, 1, 7) for p in range(160)]
+    for block in CHUNKED_BLOCKS:
+        batch = run_batch(m, cfg, n_paths=160, i0=1, root_seed=7,
+                          block_size=block)
+        assert 0 < batch.n_exploded < 80
+        _assert_matches_reference(batch, ref)
+
+
+def test_absorbing_start_samples_no_chain(monkeypatch):
+    # regime 1 never leaves, regime 2 jumps to it at rate 1: a batch that
+    # starts in 1 samples no chain, one that starts in 2 samples each
+    m = dataclasses.replace(
+        fast_switching_model(),
+        generator=make_generator([[0.0, 0.0], [1.0, -1.0]]))
+    cfg = IntegratorConfig(dt=0.1, T=3.0)
+    refs = {i0: [_reference_path(m, cfg, p, i0, 5) for p in range(150)]
+            for i0 in (1, 2)}
+    sampled = []
+
+    def refuse(*args):
+        raise AssertionError("sampled a chain from an absorbing start")
+
+    def count(*args):
+        sampled.append(args[1])
+        return sample_regime_path(*args)
+
+    for block in CHUNKED_BLOCKS:
+        monkeypatch.setattr(hpsfde.integrator, "sample_regime_path", refuse)
+        batch = run_batch(m, cfg, n_paths=150, i0=1, root_seed=5,
+                          block_size=block)
+        assert not batch.n_switches.any()
+        assert (batch.regimes_uniform == 1).all()
+        _assert_matches_reference(batch, refs[1])
+
+        monkeypatch.setattr(hpsfde.integrator, "sample_regime_path", count)
+        sampled.clear()
+        batch = run_batch(m, cfg, n_paths=150, i0=2, root_seed=5,
+                          block_size=block)
+        assert sampled == [2] * 150
+        assert 0 < np.count_nonzero(batch.n_switches) < 150
+        _assert_matches_reference(batch, refs[2])
+
+
+def test_jump_at_a_grid_time_reads_no_normal(monkeypatch):
+    # a jump exactly at a grid time changes the regime of the next step
+    # and starts no substep; the rows after it in the chunk still read
+    # their own normals
+    m = fast_switching_model()
+    cfg = IntegratorConfig(dt=0.05, T=3.0)
+    u = uniform_grid(m.t0, cfg.T, cfg.dt)
+    real = sample_regime_path
+
+    def snapped(g, i0, t0, T, seed):
+        rp = real(g, i0, t0, T, seed)
+        jumps = rp.jump_times.copy()
+        k = np.searchsorted(u, jumps[:1])
+        if len(jumps) == 1 or len(jumps) and jumps[1] > u[k[0]]:
+            jumps[0] = u[k[0]]
+        return dataclasses.replace(rp, jump_times=jumps)
+
+    monkeypatch.setattr(hpsfde.integrator, "sample_regime_path", snapped)
+    monkeypatch.setitem(globals(), "sample_regime_path", snapped)
+    on_grid = [np.isin(snapped(m.generator, 1, m.t0, cfg.T,
+                               np.random.default_rng(
+                                   path_streams(7, p)[0])).jump_times,
+                       u).any() for p in range(40)]
+    assert sum(on_grid) >= 5
+    ref = [_reference_path(m, cfg, p, 1, 7) for p in range(40)]
+    for block in (3, DEFAULT_BLOCK_SIZE):
+        batch = run_batch(m, cfg, n_paths=40, i0=1, root_seed=7,
+                          block_size=block)
+        _assert_matches_reference(batch, ref)
 
 
 def test_path_store_builds_each_path_on_demand():

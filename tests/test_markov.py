@@ -104,6 +104,16 @@ def test_absorbing_state_stops_jumping():
     assert rp.state_at(999.0) == 2
 
 
+def test_absorbing_threshold():
+    # a state that leaves at rate 1e-300 would jump long before 1e308,
+    # but the sampler treats it as absorbing
+    g = make_generator([[-1e-300, 1e-300], [1.0, -1.0]])
+    assert g.absorbing(1) and not g.absorbing(2)
+    assert sample_regime_path(g, 1, 0.0, 1e308, seed=3).n_jumps == 0
+    rp = sample_regime_path(g, 2, 0.0, 1e308, seed=3)
+    assert rp.states.tolist() == [2, 1]
+
+
 def test_occupation_fractions_sum_to_one():
     g = make_generator(TWO_STATE)
     rp = sample_regime_path(g, 1, 1.0, 30.0, seed=11)
