@@ -4,15 +4,18 @@ The state obeys dx = f dt + g dB where both coefficients may read the
 whole segment x(theta*t) for theta in [theta_lower, 1], and switch with
 the Markov regime.  This script builds a small two-regime model from the
 coefficient building blocks, integrates it, and pokes at the resulting
-dense paths: pointwise values, segment views, and CSV export.
+dense paths: pointwise values, a segment, and CSV export.  A path is
+read piecewise linearly between its nodes, as ``np.interp`` does.
 
 Run:  python3 demos/02_hybrid_paths.py
 """
 import io
 
+import numpy as np
+
 from hpsfde import (IntegratorConfig, Kernel, Measure, ModelSpec,
-                    PantographTerm, PolynomialTerm, eval, integrate_path,
-                    make_generator, run_batch, segment, write_csv)
+                    PantographTerm, PolynomialTerm, integrate_path,
+                    make_generator, run_batch, write_csv)
 
 
 def build_model():
@@ -39,21 +42,21 @@ def main():
     m = build_model()
     path = integrate_path(m, IntegratorConfig(dt=0.005, T=6.0), i0=1, seed=11)
 
+    def x(t):
+        return np.interp(t, path.times, path.values)
+
     print("one path on [1, 6], %d stored nodes" % len(path.times))
     for t in (1.0, 2.0, 4.0, 6.0):
-        print("  x(%g) = %9.5f" % (t, eval(path, t)))
+        print("  x(%g) = %9.5f" % (t, x(t)))
 
-    # segment view at t = 4: the delayed state the coefficients see
-    view = segment(path, 4.0)
+    # the segment at t = 4: the delayed states the coefficients see
     print("\nsegment anchored at t=4 (covers [%g, 4]):"
           % (path.theta_lower * 4.0))
     for theta in (0.5, 0.6, 0.8, 1.0):
-        print("  x(%.1f * 4) = %9.5f" % (theta, view(theta)))
-    print("  current state via view.point = %9.5f" % view.point)
+        print("  x(%.1f * 4) = %9.5f" % (theta, x(theta * 4.0)))
 
     # the pre-history is part of the path too
-    print("\ninitial segment: x(0.6) = %.5f (constant 0.5)"
-          % eval(path, 0.6))
+    print("\ninitial segment: x(0.6) = %.5f (constant 0.5)" % x(0.6))
 
     # ensembles: same model, many paths, deterministic in the root seed
     batch = run_batch(m, IntegratorConfig(dt=0.005, T=6.0), n_paths=400,

@@ -11,11 +11,10 @@ must vanish up to Monte Carlo noise and an O(dt) scheme bias.  This is a
 sharp end-to-end check: it catches wrong coefficients, wrong regime
 bookkeeping, and wrong LV algebra alike.
 
-Run:  python3 demos/03_martingale_check.py  (about half a minute)
+Run:  python3 demos/03_martingale_check.py  (under a second)
 """
-from hpsfde import (IntegratorConfig, eval, lv_profile, integrate_path,
-                    martingale_residual, preset, preset_lyapunov, run_batch,
-                    segment, eval_LV)
+from hpsfde import (IntegratorConfig, lv_profile, integrate_path,
+                    martingale_residual, preset, preset_lyapunov, run_batch)
 
 
 def main():
@@ -27,10 +26,6 @@ def main():
     times, values, integral = lv_profile(fam, m, path)
     print("one path: LV at t0 = %.4f, at T = %.4f, integral = %.4f"
           % (values[0], values[-1], integral))
-    view = segment(path, 2.0)
-    bd = eval_LV(fam, m, view, 2.0, path.regimes[-1])
-    print("breakdown at T: drift %.4f diffusion %.4f coupling %.4f"
-          % (bd.drift_part, bd.diffusion_part, bd.coupling_part))
 
     # ensemble residual at two step sizes; the bias shrinks linearly
     print("\nensemble residual (2000 paths, [1, 2]):")

@@ -34,10 +34,8 @@ from .lyapunov import (LVBreakdown, LyapunovFamily, PolynomialV,
 from .markov import (GeneratorMatrix, RegimePath, make_generator,
                      sample_regime_path, stationary_distribution)
 from .models import (Kernel, Measure, ModelSpec, PantographTerm,
-                     PolynomialTerm, CustomTerm, eval_diffusion, eval_drift,
-                     single_regime)
-from .paths import (ConstantSegment, DensePath, SegmentView, eval, segment,
-                    write_csv)
+                     PolynomialTerm, CustomTerm, single_regime)
+from .paths import ConstantSegment, DensePath, write_csv
 from .presets import (PRESET_NAMES, default_measure, preset,
                       preset_certificate, preset_lyapunov)
 
@@ -46,20 +44,19 @@ __version__ = "0.1.0"
 __all__ = [
     "CertificateData", "CertificateRow", "CertificateVerdict",
     "ConstantSegment", "CustomTerm", "DensePath", "Error",
-    "GeneratorMatrix", "IntegratorConfig", "Kernel",
-    "LVBreakdown", "LyapunovFamily", "Measure", "ModelSpec",
-    "PantographTerm", "PolynomialTerm", "PolynomialV", "PRESET_NAMES",
-    "RateReport", "RegimePath", "ResidualStatistic", "SegmentView",
-    "SimulationBatch", "TabulatedWiener", "build_certificate",
-    "build_lyapunov", "build_measure", "build_model",
-    "certify_epsilon_exponential", "check_existence", "default_measure",
-    "errors", "estimate_as_rate", "estimate_moment_rate",
-    "estimate_polynomial_rate", "estimate_time_average", "eval",
-    "eval_LV", "eval_diffusion", "eval_drift", "existence_margins",
+    "GeneratorMatrix", "IntegratorConfig", "Kernel", "LVBreakdown",
+    "LyapunovFamily", "Measure", "ModelSpec", "PantographTerm",
+    "PolynomialTerm", "PolynomialV", "PRESET_NAMES", "RateReport",
+    "RegimePath", "ResidualStatistic", "SimulationBatch",
+    "TabulatedWiener", "build_certificate", "build_lyapunov",
+    "build_measure", "build_model", "certify_epsilon_exponential",
+    "check_existence", "default_measure", "errors", "estimate_as_rate",
+    "estimate_moment_rate", "estimate_polynomial_rate",
+    "estimate_time_average", "eval_LV", "existence_margins",
     "integrate_path", "load_config", "lv_profile", "make_generator",
     "martingale_residual", "moment_bound", "polynomial_margins", "preset",
     "preset_certificate", "preset_lyapunov", "run_batch",
-    "sample_regime_path", "sandwich_report", "segment", "single_regime",
+    "sample_regime_path", "sandwich_report", "single_regime",
     "solve_epsilon_exponential", "solve_epsilon_polynomial",
     "stationary_distribution", "time_average_bound",
     "time_average_denominator", "uniform_grid", "write_csv",

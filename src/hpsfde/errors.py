@@ -3,12 +3,13 @@
 Every error raised by this package derives from :class:`Error`, so callers
 can catch the whole family with one except clause.  The subclasses mirror
 the distinct failure modes of the domain objects: generator matrices,
-dense paths, coefficient models, batch statistics, and certificate
-arithmetic.  The two argument checks that several modules share raise
-plain ValueError.
+path states and delayed lookups, coefficient models, batch statistics,
+and certificate arithmetic.  The two argument checks that several
+modules share raise plain ValueError.
 """
 
 import math
+import operator
 
 
 def require_finite(**values) -> None:
@@ -19,9 +20,18 @@ def require_finite(**values) -> None:
 
 
 def require_index(name: str, value, n: int) -> None:
-    """ValueError unless ``value`` is a 1-based index in 1..n."""
-    if not 1 <= value <= n:
-        raise ValueError("%s must be in 1..%d, got %r" % (name, n, value))
+    """ValueError unless ``value`` is a 1-based integer index in 1..n.
+
+    Python and numpy integers qualify; bools and floats do not, even
+    integral ones.
+    """
+    try:
+        ok = not isinstance(value, bool) and 1 <= operator.index(value) <= n
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError("%s must be an integer in 1..%d, got %r"
+                         % (name, n, value))
 
 
 class Error(Exception):
@@ -46,15 +56,12 @@ class ReducibleChain(Error):
 
 
 # ---------------------------------------------------------------------------
-# Dense paths and segments
+# Path states and delayed lookups
 # ---------------------------------------------------------------------------
 
 class OutOfDomain(Error):
-    """A path or segment was evaluated outside its stored time range."""
-
-
-class PathExploded(Error):
-    """A path was evaluated past the time its blow-up guard tripped."""
+    """A delayed lookup of LV along paths falls outside the segment
+    [theta_lower, 1] or before the paths start."""
 
 
 class NonFiniteState(Error):

@@ -225,14 +225,16 @@ class SimulationBatch:
         return int(self.exploded_mask.sum())
 
     @classmethod
-    def synthetic(cls, times, values, t0: Optional[float] = None,
+    def synthetic(cls, times, values,
                   exploded_at: Optional[np.ndarray] = None
                   ) -> "SimulationBatch":
         """Wrap externally produced trajectories for the estimators.
 
-        ``times`` is the shared grid, ``values`` an (n_paths, len(times))
-        array.  Useful for analyzing data from other integrators or
-        closed-form paths.
+        ``times`` is the shared grid, which starts at t0, and ``values``
+        an (n_paths, len(times)) array.  ``exploded_at``, one blow-up
+        time per path (NaN when none), defaults to no explosions.
+        Useful for analyzing data from other integrators or closed-form
+        paths.
         """
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
@@ -241,13 +243,16 @@ class SimulationBatch:
         n_paths = values.shape[0]
         if exploded_at is None:
             exploded_at = np.full(n_paths, np.nan)
+        exploded_at = np.asarray(exploded_at, dtype=np.float64)
+        if exploded_at.shape != (n_paths,):
+            raise ValueError("exploded_at must have shape (n_paths,) = (%d,),"
+                             " got %s" % (n_paths, exploded_at.shape))
         return cls(model=None, config=None, n_paths=n_paths, i0=1,
-                   root_seed=None,
-                   t0=float(times[0] if t0 is None else t0), T=float(times[-1]),
+                   root_seed=None, t0=float(times[0]), T=float(times[-1]),
                    uniform_times=times, uniform_values=values,
                    regimes_uniform=np.ones((n_paths, len(times)),
                                            dtype=np.int16),
-                   exploded_at=np.asarray(exploded_at, dtype=np.float64),
+                   exploded_at=exploded_at,
                    n_switches=np.zeros(n_paths, dtype=np.int64),
                    paths=None)
 

@@ -41,9 +41,9 @@ import numpy as np
 
 from . import paths as paths_mod
 from .errors import (DimensionMismatch, InsufficientPaths, OutOfDomain,
-                     require_finite)
+                     require_finite, require_index)
 from .estimators import standard_error
-from .models import ModelSpec, _cached, _one_row, _Pass
+from .models import ModelSpec, _cached, _Pass
 
 
 @dataclass(frozen=True)
@@ -201,12 +201,17 @@ def _lv_parts(V: LyapunovFamily, m: ModelSpec, ev: _Pass, x, v, i: int):
 
 def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
             i: int) -> LVBreakdown:
-    """Evaluate LV for a segment-like view at time t in regime i."""
+    """Evaluate LV for a segment-like view at time t in regime i.
+
+    ``view`` provides ``point``, the current state, and maps a theta
+    vector to the delayed states, as :class:`paths.ConstantSegment` does.
+    """
     _check_regimes(V, m)
+    require_index("regime", i, m.n_regimes)
     x = float(view.point)
     v = [V.value(x, l + 1) for l in range(m.n_regimes)]
     drift, diffusion, coupling = (
-        float(part) for part in _lv_parts(V, m, _one_row(m, view, t, i),
+        float(part) for part in _lv_parts(V, m, _Pass(m, x, view, t),
                                           x, v, i))
     return LVBreakdown(value=drift + diffusion + coupling, drift_part=drift,
                        diffusion_part=diffusion, coupling_part=coupling)
@@ -332,7 +337,7 @@ class _LVAlong:
         """The lookup times theta * t of the thetas other than 1.
 
         Thetas outside [theta_lower, 1] by more than 1e-12 raise
-        OutOfDomain; the rest are clipped to it, as by SegmentView.
+        OutOfDomain; the rest are clipped to it.
         Returns (times, own), ``own`` marking the thetas equal to 1.
         """
         lo = self.store.theta_lower

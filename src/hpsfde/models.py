@@ -18,8 +18,8 @@ Arbitrary callables can be attached through CustomTerm.
 The state is scalar.  Terms are evaluated on batches of it: phi(1) may
 be one state, an array with one state per Monte Carlo path, or one per
 time point, and the delayed values are supplied by a callback, so the
-same code serves the public segment-based API, the path-parallel
-integrator, and time-vectorized operator evaluation.
+same code serves LV at one segment (``lyapunov.eval_LV``), the
+path-parallel integrator and LV along the nodes of kept paths.
 
 Each ModelSpec compiles its terms once into a plan: per regime, the
 coefficients times shared bases, a basis being a power of phi(1) or a
@@ -45,6 +45,7 @@ import numpy as np
 from .errors import (QuadratureUnsupported, UnsupportedMeasure,
                      require_finite, require_index)
 from .markov import GeneratorMatrix
+from .paths import _atol
 
 MASS_TOL = 1e-12
 DEFAULT_DENSITY_NODES = 64
@@ -347,7 +348,33 @@ class ModelSpec:
         if len(self.drift) != n or len(self.diffusion) != n:
             raise ValueError(
                 "drift/diffusion need one term list per regime (%d)" % n)
+        if isinstance(self.initial_segment, tuple):
+            self._check_initial_table()
         object.__setattr__(self, "_plan", _Plan(self))
+
+    def _check_initial_table(self) -> None:
+        """ValueError unless the initial (times, values) table is usable.
+
+        Its times and values are finite and of equal length, the times
+        strictly increasing, and they cover [theta_lower*t0, t0] within
+        the grid tolerance.
+        """
+        times, values = (np.asarray(a, dtype=np.float64)
+                         for a in self.initial_segment)
+        lo, tol = self.theta_lower * self.t0, _atol(self.t0)
+        if times.ndim != 1 or times.shape != values.shape:
+            why = "times and values must be flat and of equal length"
+        elif not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+            why = "times must be finite and strictly increasing"
+        elif not np.isfinite(values).all():
+            why = "values must be finite"
+        elif not (len(times) and times[0] <= lo + tol
+                  and times[-1] >= self.t0 - tol):
+            why = "times must cover [theta_lower*t0, t0] = [%g, %g]" % (
+                lo, self.t0)
+        else:
+            return
+        raise ValueError("initial table: " + why)
 
     def _check_pantograph(self, term: PantographTerm) -> None:
         lo, hi = term.measure.support_range()
@@ -544,40 +571,6 @@ class _Pass:
                 F = np.where(here, f, F)
                 G = np.where(here, g, G)
         return F, G
-
-
-def coefficients(m: ModelSpec, X, reg, phi_at, t):
-    """Drift and diffusion at states X, row i in regime reg[i].
-
-    ``phi_at`` maps a theta vector to the delayed states, one row per
-    theta, and ``t`` is the anchor time, a number or one per row.  One
-    pass of the model's plan serves all regimes, so each power of X and
-    each pantograph integral shared by several terms is computed once.
-    Only the regimes present in ``reg`` are summed, each on all rows in
-    term order, and merged by ``np.where``: the result has the bits of
-    the per-term sum of ``Term.value``.
-    """
-    return _Pass(m, X, phi_at, t).merged(reg)
-
-
-def _one_row(m: ModelSpec, view, t: float, regime: int) -> _Pass:
-    require_index("regime", regime, m.n_regimes)
-    return _Pass(m, float(view.point), view, t)
-
-
-def eval_drift(m: ModelSpec, view, t: float, regime: int) -> float:
-    """Drift f(phi, t, i) for a segment-like view.
-
-    ``view`` must provide ``point`` (current state) and be callable on a
-    theta vector; both SegmentView and the synthetic segments qualify.
-    """
-    return float(_one_row(m, view, t, regime).sum(m._plan.drift[regime - 1]))
-
-
-def eval_diffusion(m: ModelSpec, view, t: float, regime: int) -> float:
-    """Diffusion g(phi, t, i) for a segment-like view."""
-    return float(_one_row(m, view, t, regime).sum(
-        m._plan.diffusion[regime - 1]))
 
 
 def single_regime(m: ModelSpec, regime: int) -> ModelSpec:

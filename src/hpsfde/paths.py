@@ -1,14 +1,16 @@
-"""Dense solution paths and the proportional-delay segment accessor.
+"""Dense solution paths, the batch path store and CSV export.
 
 A solution trajectory is stored as values on a strictly increasing time
 grid covering [theta_lower * t0, T], with the initial segment populated
-from the initial data before integration starts.  Evaluation between
-grid points is piecewise linear, which matches the strong order of the
-Euler scheme.
+from the initial data before integration starts.  Between grid points a
+path is read piecewise linearly (:func:`_interp`), which matches the
+strong order of the Euler scheme.
 
 The segment of a path at anchor time t is the function
 phi(theta) = x(theta * t) on [theta_lower, 1]; phi(1) is the current
 state.  Because theta <= 1, no segment lookup ever needs future data.
+A batch keeps its paths in one :class:`PathStore`, which the integrator
+fills and the LV residual reads row block by row block.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-
-from .errors import OutOfDomain, PathExploded
 
 
 def _atol(scale: float) -> float:
@@ -41,7 +41,7 @@ class DensePath:
       theta_lower: proportional-delay bound in (0, 1).
       t0: integration start time (> 0).
       exploded_at: time the blow-up guard tripped, or None.  When set,
-        the grid ends at exploded_at and later times cannot be evaluated.
+        the grid ends at exploded_at.
     """
 
     times: np.ndarray
@@ -175,8 +175,8 @@ class PathStore(Sequence):
         last node at or before t and the node after it, the last piece
         for a t at or past the end of the grid, and the left node's
         regime.  Reads the rule of :func:`_interp` off the store, so
-        ``_lerp(t, t_left, t_right, x_left, x_right)`` is
-        ``eval(store[row], t)`` bit for bit inside the row's nodes.
+        ``_lerp(t, t_left, t_right, x_left, x_right)`` is ``_interp`` over
+        the nodes of ``store[row]`` bit for bit inside them.
         """
         ht = self._history
         n0 = len(self.init_times)
@@ -213,84 +213,9 @@ class PathStore(Sequence):
         return t_l, x_l, r_l, t_r, x_r
 
     def _eval(self, rows, t):
-        """Each row's path at time t, by the rule of :func:`eval`."""
+        """Each row's path at time t, by the rule of :func:`_interp`."""
         t_l, x_l, _, t_r, x_r = self._around(rows, t)
         return _lerp(t, t_l, t_r, x_l, x_r)
-
-
-def eval(path: DensePath, t):
-    """Evaluate a path at time(s) t by piecewise-linear interpolation.
-
-    Exact at grid points.  t may be a scalar or an array; the result has
-    the shape of t.
-
-    Raises:
-      OutOfDomain: t outside [theta_lower*t0, last grid time].
-      PathExploded: t past the blow-up time.
-    """
-    times = path.times
-    t_arr = np.asarray(t, dtype=np.float64)
-    lo, hi = times[0], times[-1]
-    tol = _atol(hi)
-    tmin = float(t_arr.min()) if t_arr.size else lo
-    tmax = float(t_arr.max()) if t_arr.size else lo
-    if path.exploded_at is not None and tmax > path.exploded_at + tol:
-        raise PathExploded(
-            "path exploded at t=%g, queried t=%g" % (path.exploded_at, tmax))
-    if tmin < lo - tol or tmax > hi + tol:
-        raise OutOfDomain(
-            "t must lie in [%g, %g], got range [%g, %g]" % (lo, hi, tmin, tmax))
-    return _interp(times, path.values, np.clip(t_arr, lo, hi))
-
-
-@dataclass(frozen=True)
-class SegmentView:
-    """Read-only view of a path's segment at anchor time t.
-
-    Calling the view with theta in [theta_lower, 1] returns
-    x(theta * t); the ``point`` property is the current state x(t).
-    """
-
-    path: DensePath
-    t: float
-
-    @property
-    def theta_lower(self) -> float:
-        return self.path.theta_lower
-
-    @property
-    def point(self) -> float:
-        return eval(self.path, self.t)
-
-    def __call__(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        lo = self.path.theta_lower
-        tol = 1e-12
-        if theta.size and (theta.min() < lo - tol or theta.max() > 1.0 + tol):
-            raise OutOfDomain(
-                "theta must lie in [%g, 1], got range [%g, %g]"
-                % (lo, theta.min(), theta.max()))
-        return eval(self.path, np.clip(theta, lo, 1.0) * self.t)
-
-
-def segment(path: DensePath, t: float) -> SegmentView:
-    """Segment view of ``path`` anchored at time t >= t0.
-
-    Raises:
-      OutOfDomain: t before t0 or past the stored horizon.
-      PathExploded: t past the blow-up time.
-    """
-    tol = _atol(path.t_end)
-    if t < path.t0 - tol:
-        raise OutOfDomain("segment anchor t=%g is before t0=%g" % (t, path.t0))
-    if path.exploded_at is not None and t > path.exploded_at + tol:
-        raise PathExploded(
-            "path exploded at t=%g, anchor t=%g" % (path.exploded_at, t))
-    if t > path.t_end + tol:
-        raise OutOfDomain(
-            "segment anchor t=%g is past the stored horizon %g"
-            % (t, path.t_end))
-    return SegmentView(path=path, t=float(t))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from hpsfde.certificates import (solve_epsilon_exponential,
 from hpsfde.cli import _parser, _write_summary, main
 from hpsfde.config import (build_certificate, build_lyapunov, build_measure,
                            build_model, load_config, simulation_params)
-from hpsfde.integrator import IntegratorConfig, run_batch
+from hpsfde.integrator import IntegratorConfig, SimulationBatch, run_batch
 from hpsfde.lyapunov import (LVBreakdown, LyapunovFamily, PolynomialV,
                              sandwich_report)
-from hpsfde.models import Kernel, PantographTerm, PolynomialTerm, eval_drift
+from hpsfde.models import Kernel, PantographTerm, PolynomialTerm, _Pass
 from hpsfde.paths import ConstantSegment
 from hpsfde.presets import preset, preset_certificate, preset_lyapunov
 
@@ -110,7 +110,7 @@ def test_build_model_explicit_branch():
     assert m.drift[0][1].kernel is not None
     assert m.diffusion[0][0].kernel is None
     # phi == 1 at t = t0: poly gives -2, pantograph 0.5 * exp(0) = 0.5
-    f = eval_drift(m, ConstantSegment(1.0, 0.5), 1.0, 1)
+    f, _ = _Pass(m, 1.0, ConstantSegment(1.0, 0.5), 1.0).regime(1)
     assert f == pytest.approx(-1.5)
     assert np.array_equal(m.generator.rates,
                           [[-1.0, 1.0], [2.0, -2.0]])
@@ -565,10 +565,13 @@ def test_removed_input_is_an_error(tmp_path, capsys, monkeypatch, command,
     (lambda: PolynomialV([(2, 1.0)], time_weight=(abs, abs)), "time_weight"),
     (lambda: LVBreakdown(value=0.0, time_part=0.0, drift_part=0.0,
                          diffusion_part=0.0, coupling_part=0.0), "time_part"),
+    (lambda: SimulationBatch.synthetic(np.linspace(0.0, 1.0, 3),
+                                       np.ones((2, 3)), t0=1.0), "t0"),
 ], ids=["exponential-delta", "polynomial-delta", "polynomial-tol",
         "sandwich-x_grid", "sandwich-t_grid", "kernel-lambda_at",
         "kernel-log_decay", "family-strict", "certificate-u0_power",
-        "certificate-moment_powers", "v-time_weight", "breakdown-time_part"])
+        "certificate-moment_powers", "v-time_weight", "breakdown-time_part",
+        "synthetic-t0"])
 def test_removed_keyword_argument_is_a_type_error(call, keyword):
     with pytest.raises(TypeError, match="unexpected keyword argument '%s'"
                        % keyword):
@@ -591,11 +594,21 @@ def test_removed_keyword_argument_is_a_type_error(call, keyword):
     ((hpsfde.LyapunovFamily,), "dt"),
     ((hpsfde.LyapunovFamily,), "u0"),
     ((hpsfde.LyapunovFamily,), "u"),
+    ((hpsfde, paths), "eval"),
+    ((hpsfde, paths), "segment"),
+    ((hpsfde, paths), "SegmentView"),
+    ((hpsfde, models), "eval_drift"),
+    ((hpsfde, models), "eval_diffusion"),
+    ((models,), "coefficients"),
+    ((models,), "_one_row"),
+    ((errors,), "PathExploded"),
 ], ids=["sup_norm", "FunctionSegment", "validate_local_lipschitz_probe",
         "LipschitzProbeReport", "Measure.with_nodes", "Kernel.rate",
         "Kernel.validate", "require", "Infeasible",
         "GeneratorMatrix.exit_rate", "Kernel.linear", "PolynomialV.dt",
-        "LyapunovFamily.dt", "LyapunovFamily.u0", "LyapunovFamily.u"])
+        "LyapunovFamily.dt", "LyapunovFamily.u0", "LyapunovFamily.u",
+        "eval", "segment", "SegmentView", "eval_drift", "eval_diffusion",
+        "coefficients", "_one_row", "PathExploded"])
 def test_removed_name_is_gone(owners, name):
     for owner in owners:
         with pytest.raises(AttributeError):
@@ -711,6 +724,15 @@ def test_package_exports_resolve():
     ("simulate", '{"model": {"preset": "exp_stable"}, "simulation": '
      '{"dt": 1%s, "T": 2.0, "n_paths": 2}}' % ("0" * 400),
      "simulation.dt must be finite, got inf"),
+    # an initial table that does not describe a segment on [0.5, 1]
+    ("simulate", '{"model": {"preset": "exp_stable", "initial": '
+     '{"times": [1.0, 0.5], "values": [1.0, 3.0]}}, '
+     '"simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}',
+     "initial table: times must be finite and strictly increasing"),
+    ("simulate", '{"model": {"preset": "exp_stable", "initial": '
+     '{"times": [0.5, 1.0], "values": [1.0]}}, '
+     '"simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}',
+     "initial table: times and values must be flat and of equal length"),
 ], ids=["no-theta-lower", "top-level-array", "certificate-not-object",
         "simulation-not-object", "no-generator", "output-key", "lyapunov-key",
         "certificate-key", "estimate-key", "model-key", "unknown-section",
@@ -719,7 +741,8 @@ def test_package_exports_resolve():
         "initial-times-number", "certificate-row-number", "term-number",
         "regimes-number", "coeff-null", "generator-string",
         "nodes-fraction", "power-fraction", "beta-bool", "v-coeff-infinite",
-        "term-coeff-infinite", "dt-past-float-range"])
+        "term-coeff-infinite", "dt-past-float-range",
+        "initial-times-decreasing", "initial-lengths"])
 def test_malformed_config_is_an_error(tmp_path, capsys, command, text, named):
     cfg = tmp_path / "experiment.json"
     cfg.write_text(text)

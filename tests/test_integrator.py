@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hpsfde.integrator
-from hpsfde.errors import NonFiniteState, PathExploded
+from hpsfde.errors import NonFiniteState
 from hpsfde.integrator import (DEFAULT_BLOCK_SIZE, IntegratorConfig,
                                SimulationBatch, TabulatedWiener,
                                initial_grid, integrate_path, path_streams,
@@ -17,7 +17,7 @@ from hpsfde.integrator import (DEFAULT_BLOCK_SIZE, IntegratorConfig,
 from hpsfde.markov import make_generator, sample_regime_path
 from hpsfde.models import (CustomTerm, Kernel, Measure, ModelSpec,
                            PantographTerm, PolynomialTerm)
-from hpsfde.paths import eval as path_eval
+from hpsfde.paths import _interp
 from hpsfde.presets import PRESET_NAMES, preset
 
 SINGLE = make_generator([[0.0]])
@@ -129,7 +129,7 @@ def test_zero_coefficients_keep_path_constant():
     assert np.all(batch.uniform_values == 0.7)
     for p in batch.paths:
         assert np.all(p.values == 0.7)
-        assert path_eval(p, 1.37) == 0.7
+        assert _interp(p.times, p.values, 1.37) == 0.7
 
 
 def test_zero_initial_state_is_absorbing_under_switching():
@@ -161,7 +161,7 @@ def test_piecewise_constant_drift_integrates_occupation_exactly():
         regs = p.regimes[keep]
         signs = np.where(regs[:-1] == 1, 1.0, -1.0)
         occupation = float((signs * np.diff(times)).sum())
-        drifted = float(p.values[-1] - path_eval(p, p.t0))
+        drifted = float(p.values[-1] - _interp(p.times, p.values, p.t0))
         assert drifted == pytest.approx(occupation, abs=1e-10)
 
 
@@ -548,7 +548,7 @@ def test_uniform_values_match_kept_paths():
     batch = run_batch(m, IntegratorConfig(dt=0.1, T=2.0), n_paths=6, i0=1,
                       root_seed=9)
     for p, path in enumerate(batch.paths):
-        got = path_eval(path, batch.uniform_times)
+        got = _interp(path.times, path.values, batch.uniform_times)
         assert np.array_equal(got, batch.uniform_values[p])
 
 
@@ -721,8 +721,6 @@ def test_cubic_blowup_is_recorded_not_raised():
     assert path.exploded_at == t_star
     assert path.t_end == pytest.approx(t_star)
     assert abs(path.values[-1]) > 1e3
-    with pytest.raises(PathExploded):
-        path_eval(path, min(t_star + 0.1, 2.0))
     k = np.searchsorted(batch.uniform_times, t_star, side="right")
     assert np.all(np.isnan(batch.uniform_values[0, k:]))
 
@@ -757,9 +755,21 @@ def test_keep_paths_false_drops_paths():
 def test_synthetic_batch_wraps_external_data():
     times = np.linspace(0.0, 2.0, 21)
     values = np.exp(-times)[None, :] * np.ones((5, 1))
-    batch = SimulationBatch.synthetic(times, values, t0=0.0)
+    batch = SimulationBatch.synthetic(times, values)
     assert batch.n_paths == 5
     assert batch.n_exploded == 0
     assert batch.paths is None
     with pytest.raises(ValueError):
         SimulationBatch.synthetic(times, np.zeros((5, 3)))
+
+
+def test_synthetic_batch_checks_exploded_at_shape():
+    times = np.linspace(1.0, 2.0, 11)
+    values = np.ones((5, len(times)))
+    for exploded_at in (np.full(3, np.nan), np.full((5, 1), np.nan), 1.5):
+        with pytest.raises(ValueError, match=r"exploded_at must have shape "
+                           r"\(n_paths,\) = \(5,\)"):
+            SimulationBatch.synthetic(times, values, exploded_at=exploded_at)
+    at = [np.nan, 1.5, np.nan, np.nan, np.nan]
+    batch = SimulationBatch.synthetic(times, values, exploded_at=at)
+    assert batch.t0 == 1.0 and batch.n_exploded == 1

@@ -18,7 +18,7 @@ from hpsfde.lyapunov import (LVBreakdown, LyapunovFamily, PolynomialV,
 from hpsfde.markov import make_generator
 from hpsfde.models import (CustomTerm, ModelSpec, PantographTerm,
                            PolynomialTerm)
-from hpsfde.paths import ConstantSegment, DensePath, PathStore, segment
+from hpsfde.paths import ConstantSegment, DensePath, PathStore
 from hpsfde.presets import PRESET_NAMES, preset, preset_lyapunov
 
 SINGLE = make_generator([[0.0]])
@@ -42,6 +42,18 @@ def constant_path(c, times, regimes, theta_lower, t0):
     return DensePath(times=times, values=values,
                      regimes=np.asarray(regimes, dtype=np.int64),
                      theta_lower=theta_lower, t0=t0)
+
+
+class PathView:
+    """The segment x(theta * t) of a kept path, read by its linear rule."""
+
+    def __init__(self, path, t):
+        self.path, self.t = path, t
+        self.point = self(1.0)
+
+    def __call__(self, theta):
+        return paths_mod._interp(self.path.times, self.path.values,
+                                 np.asarray(theta) * self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +304,7 @@ def test_lv_profile_matches_pointwise_lv_across_switch_lookups():
         for t_end in (3.0, 2.5053):
             times, values, _ = lv_profile(fam, m, path, t_end)
             node = np.searchsorted(path.times, times, side="right") - 1
-            expect = [eval_LV(fam, m, segment(path, t), t, r).value
+            expect = [eval_LV(fam, m, PathView(path, t), t, r).value
                       for t, r in zip(times, path.regimes[node])]
             assert values.tobytes() == np.array(expect).tobytes(), name
         assert times[-1] == 2.5053
@@ -323,12 +335,25 @@ def test_lv_profile_history_lookups_are_checked_and_read_only():
     def beyond(phi1, phi_at, t):
         return phi_at(np.array([2.0]))[0]
 
+    def below(phi1, phi_at, t):
+        return phi_at(np.array([0.49]))[0]
+
+    def edge(phi1, phi_at, t):
+        # within 1e-12 of the segment's ends a theta is clipped to them
+        assert np.array_equal(phi_at(np.array([1.0 + 1e-13]))[0], phi1)
+        assert np.array_equal(phi_at(np.array([0.5 - 1e-13]))[0],
+                              phi_at(np.array([0.5]))[0])
+        return phi1
+
     # lookups are shared between terms, so writing to one raises
     with pytest.raises(ValueError, match="read-only"):
         lv_profile(gbm_family(), with_drift(scribble), path)
-    # theta * t past the path's end is out of its domain
+    # a theta outside [theta_lower, 1] is out of the segment's domain
     with pytest.raises(OutOfDomain):
         lv_profile(gbm_family(), with_drift(beyond), path)
+    with pytest.raises(OutOfDomain):
+        lv_profile(gbm_family(), with_drift(below), path)
+    lv_profile(gbm_family(), with_drift(edge), path)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +439,10 @@ def test_residual_chunks_match_per_path_profiles():
         deltas, integrals = [], []
         for path in kept:
             _, _, integral = lv_profile(fam, m, path, t_end)
-            x_end = float(paths_mod.eval(path, t_end))
+            x_end = float(paths_mod._interp(path.times, path.values, t_end))
             idx = int(np.searchsorted(path.times, t_end, side="right")) - 1
             r_end = int(path.regimes[min(idx, len(path.regimes) - 1)])
-            x0 = float(paths_mod.eval(path, path.t0))
+            x0 = float(paths_mod._interp(path.times, path.values, path.t0))
             i0 = int(path.regimes[np.searchsorted(path.times, path.t0)])
             deltas.append(float(fam.value(x_end, r_end))
                           - float(fam.value(x0, i0)) - integral)

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 from hpsfde.errors import UnsupportedMeasure
 from hpsfde.integrator import IntegratorConfig, run_batch
 from hpsfde.lyapunov import eval_LV, martingale_residual
-from hpsfde.markov import make_generator
+from hpsfde.markov import make_generator, sample_regime_path
 from hpsfde.models import (Kernel, Measure, ModelSpec, PantographTerm,
-                           PolynomialTerm, CustomTerm, coefficients,
-                           eval_diffusion, eval_drift, single_regime)
+                           PolynomialTerm, CustomTerm, _Pass, single_regime)
 from hpsfde.paths import ConstantSegment
 from hpsfde.presets import default_measure, preset, preset_lyapunov
 
 THREE_ATOMS = Measure.from_atoms([(0.5, 1 / 3), (0.75, 1 / 3), (1.0, 1 / 3)])
+
+
+def coefficients_at(m, seg, t, i):
+    """Regime i's drift and diffusion at one segment, as LV reads them."""
+    return tuple(float(v) for v in _Pass(m, seg.point, seg, t).regime(i))
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +260,33 @@ def test_initial_value_forms():
     assert fn.initial_value(0.9) == pytest.approx(math.sin(0.9))
 
 
-def test_eval_drift_validates_arguments():
-    m = preset("exp_stable")
-    seg = ConstantSegment(0.5, m.theta_lower)
-    with pytest.raises(ValueError):
-        eval_drift(m, seg, 1.0, 3)
+@pytest.mark.parametrize("table, why", [
+    (((1.0, 0.5), (1.0, 3.0)), "finite and strictly increasing"),
+    (((0.5, 0.5, 1.0), (1.0, 2.0, 3.0)), "finite and strictly increasing"),
+    (((0.5, math.nan, 1.0), (1.0, 2.0, 3.0)),
+     "finite and strictly increasing"),
+    (((0.5, 1.0), (1.0, math.inf)), "values must be finite"),
+    (((0.5, 0.75, 1.0), (1.0, 3.0)), "equal length"),
+    (((0.9, 1.0), (1.0, 3.0)), r"cover \[theta_lower\*t0, t0\] = \[0.5, 1\]"),
+    (((0.5, 0.9), (1.0, 3.0)), "cover"),
+    (((), ()), "cover"),
+], ids=["decreasing", "repeated", "nan-time", "inf-value", "lengths",
+        "starts-late", "ends-early", "empty"])
+def test_initial_table_is_validated(table, why):
+    with pytest.raises(ValueError, match="initial table: .*" + why):
+        ModelSpec(theta_lower=0.5, t0=1.0, generator=one_state(),
+                  drift=((),), diffusion=((),), initial_segment=table)
+    # presets build their model through the same check
+    with pytest.raises(ValueError, match="initial table"):
+        preset("exp_stable", initial=table)
+
+
+def test_initial_table_within_grid_tolerance_is_accepted():
+    m = ModelSpec(theta_lower=0.5, t0=1.0, generator=one_state(),
+                  drift=((),), diffusion=((),),
+                  initial_segment=((0.5 + 1e-10, 0.8, 1.0 - 1e-10),
+                                   (1.0, 2.0, 3.0)))
+    assert m.initial_value(0.8) == 2.0
 
 
 def test_preset_point_mass_spot_values():
@@ -268,12 +294,12 @@ def test_preset_point_mass_spot_values():
     # the kernel factor is exp(0) = 1 at any t
     m = preset("exp_stable", nu_choice=Measure.point_mass(1.0))
     seg = ConstantSegment(1.0, m.theta_lower)
-    assert eval_drift(m, seg, 3.0, 2) == pytest.approx(0.1, rel=1e-14)
-    assert eval_diffusion(m, seg, 3.0, 2) == pytest.approx(
-        0.2, rel=1e-14)
+    f, g = coefficients_at(m, seg, 3.0, 2)
+    assert f == pytest.approx(0.1, rel=1e-14)
+    assert g == pytest.approx(0.2, rel=1e-14)
     mp = preset("poly_stable", nu_choice=Measure.point_mass(1.0))
     seg = ConstantSegment(1.0, mp.theta_lower)
-    assert eval_diffusion(mp, seg, 5.0, 1) == pytest.approx(
+    assert coefficients_at(mp, seg, 5.0, 1)[1] == pytest.approx(
         0.2, rel=1e-14)
 
 
@@ -282,7 +308,8 @@ def test_preset_default_measure_drift_value():
     seg = ConstantSegment(0.5, m.theta_lower)
     decay = (math.exp(-0.25) + math.exp(-0.125) + 1.0) / 3.0
     want = 0.05 * 0.5 + 0.05 * 0.5 * decay
-    assert eval_drift(m, seg, 1.0, 2) == pytest.approx(want, rel=1e-13)
+    f, _ = coefficients_at(m, seg, 1.0, 2)
+    assert f == pytest.approx(want, rel=1e-13)
 
 
 def test_single_regime_preserves_coefficients():
@@ -290,9 +317,34 @@ def test_single_regime_preserves_coefficients():
     sub = single_regime(m, 2)
     assert sub.n_regimes == 1
     seg = ConstantSegment(0.8, m.theta_lower)
-    assert eval_drift(sub, seg, 2.0, 1) == eval_drift(m, seg, 2.0, 2)
+    want = coefficients_at(m, seg, 2.0, 2)
+    assert coefficients_at(sub, seg, 2.0, 1) == want
     with pytest.raises(ValueError):
         single_regime(m, 5)
+
+
+_INDEXED_CALLS = {
+    "run_batch": lambda m, i: run_batch(m, IntegratorConfig(dt=0.1, T=1.5),
+                                        n_paths=2, i0=i, root_seed=0),
+    "single_regime": single_regime,
+    "eval_LV": lambda m, i: eval_LV(preset_lyapunov("exp_stable"), m,
+                                    ConstantSegment(0.5, m.theta_lower),
+                                    1.0, i),
+    "sample_regime_path": lambda m, i: sample_regime_path(
+        m.generator, i, 1.0, 2.0, seed=0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_INDEXED_CALLS))
+def test_index_argument_is_an_integer_in_range(call):
+    m = preset("exp_stable")
+    fn = _INDEXED_CALLS[call]
+    for bad in (0, 3, 2.0, 1.5, True, np.float64(2.0), "2", None):
+        with pytest.raises(ValueError, match="must be an integer in 1..2"):
+            fn(m, bad)
+    # numpy integers index like Python ones
+    fn(m, np.int64(2))
+    fn(m, np.int16(1))
 
 
 def test_default_measure_support_matches_preset():
@@ -387,7 +439,7 @@ def test_plan_matches_per_term_sum_bit_for_bit(lists, states, regimes,
     reg = np.array(regimes)
     t = np.linspace(1.0, 3.0, len(X)) if one_t_per_row else 2.0
     with np.errstate(all="ignore"):
-        F, G = coefficients(m, X, reg, _history_lookup, t)
+        F, G = _Pass(m, X, _history_lookup, t).merged(reg)
         want = [np.where(reg == 2,
                          _per_term_sum(part[1], X, _history_lookup, t),
                          _per_term_sum(part[0], X, _history_lookup, t))
@@ -410,9 +462,8 @@ def test_structured_terms_have_one_evaluation_path(monkeypatch):
     assert again.uniform_values.tobytes() == batch.uniform_values.tobytes()
     fam = preset_lyapunov("exp_stable")
     martingale_residual(fam, again, 2.0)
-    seg = ConstantSegment(0.5, m.theta_lower)
-    eval_drift(m, seg, 1.0, 2)
-    eval_LV(fam, m, seg, 1.0, 1)
+    for i in (1, 2):
+        eval_LV(fam, m, ConstantSegment(0.5, m.theta_lower), 1.0, i)
 
 
 def test_one_kernel_factor_per_quadrature_and_kernel(monkeypatch):
@@ -429,5 +480,5 @@ def test_one_kernel_factor_per_quadrature_and_kernel(monkeypatch):
     monkeypatch.setattr(Kernel, "decay", counted)
     m = preset("switch_stabilized")
     X = np.linspace(-1.0, 1.0, 7)
-    coefficients(m, X, np.array([1, 2, 1, 2, 1, 2, 1]), _history_lookup, 2.0)
+    _Pass(m, X, _history_lookup, 2.0).merged(np.array([1, 2, 1, 2, 1, 2, 1]))
     assert sorted(calls) == [1, 3]

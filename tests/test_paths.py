@@ -1,16 +1,13 @@
-"""Dense path evaluation, segment views, CSV export."""
+"""Dense paths, their piecewise-linear rule, CSV export."""
 from __future__ import annotations
 
 import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hpsfde.errors import OutOfDomain, PathExploded
-from hpsfde.paths import (ConstantSegment, DensePath, eval as path_eval,
-                          segment, write_csv, write_table)
+from hpsfde.paths import (ConstantSegment, DensePath, _interp, write_csv,
+                          write_table)
 
 
 def make_path(times, values, theta_lower=0.5, t0=1.0, regimes=None,
@@ -28,70 +25,22 @@ SIMPLE = make_path([0.5, 0.75, 1.0, 1.5, 2.0], [0.0, 1.0, 2.0, 1.0, 3.0])
 
 def test_eval_exact_at_grid_points():
     for t, want in zip(SIMPLE.times, SIMPLE.values):
-        assert path_eval(SIMPLE, t) == want
+        assert _interp(SIMPLE.times, SIMPLE.values, t) == want
 
 
 def test_eval_linear_between_grid_points():
-    assert path_eval(SIMPLE, 1.25) == pytest.approx(1.5, abs=1e-15)
-    assert path_eval(SIMPLE, 0.625) == pytest.approx(0.5, abs=1e-15)
+    assert _interp(SIMPLE.times, SIMPLE.values, 1.25) == pytest.approx(
+        1.5, abs=1e-15)
+    assert _interp(SIMPLE.times, SIMPLE.values, 0.625) == pytest.approx(
+        0.5, abs=1e-15)
 
 
 def test_eval_vectorized_shape():
-    out = path_eval(SIMPLE, np.array([0.5, 1.0, 2.0]))
+    out = _interp(SIMPLE.times, SIMPLE.values, np.array([0.5, 1.0, 2.0]))
     assert out.shape == (3,)
     assert np.array_equal(out, [0.0, 2.0, 3.0])
     grid = np.array([[0.5, 1.0], [1.5, 2.0]])
-    assert path_eval(SIMPLE, grid).shape == (2, 2)
-
-
-def test_eval_out_of_domain():
-    with pytest.raises(OutOfDomain):
-        path_eval(SIMPLE, 0.4)
-    with pytest.raises(OutOfDomain):
-        path_eval(SIMPLE, 2.1)
-
-
-def test_eval_tolerates_roundoff_at_endpoints():
-    assert path_eval(SIMPLE, 2.0 + 1e-12) == 3.0
-    assert path_eval(SIMPLE, 0.5 - 1e-12) == 0.0
-
-
-def test_exploded_path_guards_evaluation():
-    p = make_path([0.5, 1.0, 1.5], [0.0, 1.0, 5.0], exploded_at=1.5)
-    assert path_eval(p, 1.5) == 5.0
-    with pytest.raises(PathExploded):
-        path_eval(p, 1.5 + 1e-6)
-    with pytest.raises(PathExploded):
-        segment(p, 1.6)
-
-
-def test_segment_anchor_domain():
-    with pytest.raises(OutOfDomain):
-        segment(SIMPLE, 0.9)  # before t0
-    with pytest.raises(OutOfDomain):
-        segment(SIMPLE, 2.5)  # past horizon
-    view = segment(SIMPLE, 2.0)
-    assert view.point == 3.0
-
-
-def test_segment_view_values():
-    view = segment(SIMPLE, 2.0)
-    # theta=0.5 -> x(1.0) = 2, theta=1 -> x(2) = 3
-    assert view(0.5) == 2.0
-    assert view(1.0) == 3.0
-    out = view(np.array([0.5, 0.75, 1.0]))
-    assert out.shape == (3,)
-    assert out[1] == path_eval(SIMPLE, 1.5)
-
-
-def test_segment_view_theta_domain():
-    view = segment(SIMPLE, 2.0)
-    with pytest.raises(OutOfDomain):
-        view(0.49)
-    with pytest.raises(OutOfDomain):
-        view(1.01)
-    # boundary values within tolerance are clipped, not rejected
-    assert view(1.0 + 1e-13) == 3.0
+    assert _interp(SIMPLE.times, SIMPLE.values, grid).shape == (2, 2)
 
 
 def test_constant_segment():
