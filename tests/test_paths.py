@@ -1,11 +1,16 @@
 """Dense paths, their piecewise-linear rule, CSV export."""
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
+from hpsfde.errors import OutOfDomain
+from hpsfde.lyapunov import LyapunovFamily, PolynomialV, lv_profile
+from hpsfde.markov import make_generator
+from hpsfde.models import CustomTerm, ModelSpec, PolynomialTerm
 from hpsfde.paths import (ConstantSegment, DensePath, _interp, write_csv,
                           write_table)
 
@@ -41,6 +46,38 @@ def test_eval_vectorized_shape():
     assert np.array_equal(out, [0.0, 2.0, 3.0])
     grid = np.array([[0.5, 1.0], [1.5, 2.0]])
     assert _interp(SIMPLE.times, SIMPLE.values, grid).shape == (2, 2)
+
+
+def test_segment_view_theta_domain():
+    # the segment x(theta * t) of a kept path is read by the residual's
+    # delayed lookup; a CustomTerm drift reads it at every grid time
+    model = ModelSpec(theta_lower=0.5, t0=1.0,
+                      generator=make_generator([[0.0]]),
+                      drift=((PolynomialTerm([(1, 0.0)]),),),
+                      diffusion=((PolynomialTerm([(1, 0.0)]),),),
+                      initial_segment=0.0)
+    family = LyapunovFamily(regimes=(PolynomialV([(2, 1.0)]),),
+                            u0_power=2, u_powers=(2,))
+
+    def reading(theta, seen=None):
+        def fn(phi1, phi_at, t):
+            out = phi_at(np.array([theta]))[0]
+            if seen is not None:
+                seen.append([a.ravel() for a in np.broadcast_arrays(t, out)])
+            return np.zeros_like(phi1)
+        return dataclasses.replace(model, drift=((CustomTerm(fn),),))
+
+    with pytest.raises(OutOfDomain):
+        lv_profile(family, reading(0.49), SIMPLE)
+    with pytest.raises(OutOfDomain):
+        lv_profile(family, reading(1.01), SIMPLE)
+    # boundary values within tolerance are clipped, not rejected
+    seen = []
+    lv_profile(family, reading(1.0 + 1e-13, seen), SIMPLE)
+    t = np.concatenate([a for a, _ in seen])
+    x = np.concatenate([b for _, b in seen])
+    assert np.any(t == 2.0)
+    assert np.all(x[t == 2.0] == 3.0)
 
 
 def test_constant_segment():
