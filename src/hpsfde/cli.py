@@ -120,16 +120,14 @@ def cmd_check_ito(args) -> int:
     print("preset,t_end,residual,stderr,z")
     print("%s,%.17g,%.17g,%.17g,%.17g"
           % (name, stat.t_end, stat.residual, stat.stderr, stat.z))
-    parts = stat.parts
-    print("mean_integral,drift_part,diffusion_part,coupling_part")
-    print("%.17g,%.17g,%.17g,%.17g"
-          % (stat.mean_integral, parts.drift_part, parts.diffusion_part,
-             parts.coupling_part))
-    print("regime,drift_part,diffusion_part,coupling_part")
-    for i, part in enumerate(stat.regime_parts, 1):
-        print("%d,%.17g,%.17g,%.17g" % (i, part.drift_part,
-                                        part.diffusion_part,
-                                        part.coupling_part))
+    parts = ("drift_part", "diffusion_part", "coupling_part")
+    regimes = stat.regime_parts
+    write_table(sys.stdout, ("mean_integral",) + parts,
+                [[stat.mean_integral]]
+                + [[getattr(stat.parts, p)] for p in parts])
+    write_table(sys.stdout, ("regime",) + parts,
+                [range(1, len(regimes) + 1)]
+                + [[getattr(r, p) for r in regimes] for p in parts])
     return 0
 
 

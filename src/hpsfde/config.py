@@ -2,7 +2,9 @@
 
 An experiment file is one JSON object with up to six sections, each
 itself an object; any other top-level key is an error.  Each section
-accepts only the keys it reads:
+accepts only the keys it reads, and so does each object nested in one
+(a measure by its kind, a term by its type, a kernel, the initial table
+and a certificate row):
 
   model        preset (a preset name; the explicit keys below are then
                unused), theta_lower, t0, generator (array of arrays,
@@ -85,6 +87,13 @@ _KEYS = {
                     "epsilon": (float, _NULL)},
     "estimate": {"power": float},
 }
+# The keys of each nested object: a measure's by kind, a term's by type.
+_MEASURE_KEYS = {"atoms": ("kind", "atoms"), "point": ("kind", "theta"),
+                 "uniform": ("kind", "lo", "hi", "nodes"),
+                 "density": ("kind", "edges", "values", "nodes")}
+_TERM_KEYS = {"polynomial": ("type", "coeffs"),
+              "pantograph": ("type", "coeff", "measure", "kernel",
+                             "point_exponent", "delay_exponent", "signed")}
 CERTIFICATE_CHECKS = ("existence", "exponential", "polynomial",
                       "time-average")
 _JSON_NAMES = {dict: "object", list: "array", float: "number",
@@ -150,6 +159,19 @@ def _field(spec, name: str, kind=None, default=_REQUIRED):
     return spec[key] if kind is None else _typed(spec[key], name, kind)
 
 
+def _object(spec, name: str, keys) -> dict:
+    """``spec`` if it is an object whose keys are among ``keys``.
+
+    Raises ValueError naming ``name`` when it is not an object, and
+    ``name.key`` for a key that nothing reads.
+    """
+    for key in _typed(spec, name, dict):
+        if key not in keys:
+            raise ValueError("unknown key %s.%s (known: %s)"
+                             % (name, key, ", ".join(keys)))
+    return spec
+
+
 def _pairs(value, name: str, kinds=(float, float)):
     """``value`` if it is an array of [x, y] arrays of the two ``kinds``."""
     for i, pair in enumerate(_typed(value, name, list)):
@@ -171,10 +193,7 @@ def _section(cfg: dict, name: str) -> dict:
     if not isinstance(spec, dict):
         raise ValueError("section %r must be a JSON object" % name)
     known = _KEYS[name]
-    for key, value in spec.items():
-        if key not in known:
-            raise ValueError("unknown key %s.%s (known: %s)"
-                             % (name, key, ", ".join(known)))
+    for key, value in _object(spec, name, known).items():
         _typed(value, "%s.%s" % (name, key), known[key])
     return spec
 
@@ -212,77 +231,84 @@ def load_config(path) -> dict:
     return cfg
 
 
-def build_measure(spec) -> Measure:
-    """Measure from its JSON form.
+def build_measure(spec, name: str = "measure") -> Measure:
+    """Measure from its JSON form, the object at ``name``.
 
     Forms: {"kind": "atoms", "atoms": [[theta, weight], ...]},
     {"kind": "point", "theta": th}, {"kind": "uniform", "lo": a,
     "hi": b, "nodes": n}, {"kind": "density", "edges": [...],
     "values": [...], "nodes": n}.
     """
-    kind = _field(spec, "measure.kind", str, "atoms")
+    kind = _field(spec, name + ".kind", str, "atoms")
+    if kind not in _MEASURE_KEYS:
+        raise ValueError("unknown measure kind %r" % (kind,))
+    _object(spec, name, _MEASURE_KEYS[kind])
     if kind == "atoms":
-        atoms = _pairs(_field(spec, "measure.atoms"), "measure.atoms")
+        atoms = _pairs(_field(spec, name + ".atoms"), name + ".atoms")
         return Measure.from_atoms([(a[0], a[1]) for a in atoms])
     if kind == "point":
-        return Measure.point_mass(_field(spec, "measure.theta", float, 1.0))
-    nodes = _field(spec, "measure.nodes", int, DEFAULT_DENSITY_NODES)
+        return Measure.point_mass(_field(spec, name + ".theta", float, 1.0))
+    nodes = _field(spec, name + ".nodes", int, DEFAULT_DENSITY_NODES)
     if kind == "uniform":
-        return Measure.uniform(_field(spec, "measure.lo", float),
-                               _field(spec, "measure.hi", float), nodes=nodes)
-    if kind == "density":
-        return Measure.piecewise_density(
-            _field(spec, "measure.edges", [float]),
-            _field(spec, "measure.values", [float]), nodes=nodes)
-    raise ValueError("unknown measure kind %r" % (kind,))
+        return Measure.uniform(_field(spec, name + ".lo", float),
+                               _field(spec, name + ".hi", float), nodes=nodes)
+    return Measure.piecewise_density(
+        _field(spec, name + ".edges", [float]),
+        _field(spec, name + ".values", [float]), nodes=nodes)
+
+
+def _kernel(spec, name: str) -> Kernel:
+    """The kernel object at ``name``."""
+    return Kernel(_field(_object(spec, name, ("beta",)), name + ".beta",
+                         float))
 
 
 def _build_term(spec, name: str, shared_measure: Optional[Measure],
                 shared_kernel: Optional[Kernel]):
     """The term at ``name``, such as model.drift[0][1]."""
     kind = _field(spec, name + ".type", str)
+    if kind not in _TERM_KEYS:
+        raise ValueError("unknown term type %r" % (kind,))
+    _object(spec, name, _TERM_KEYS[kind])
     if kind == "polynomial":
         coeffs = _pairs(_field(spec, name + ".coeffs"), name + ".coeffs",
                         (int, float))
         return PolynomialTerm([(int(p), float(c)) for p, c in coeffs])
-    if kind == "pantograph":
-        mspec = spec.get("measure", "shared")
-        if mspec == "shared":
-            if shared_measure is None:
-                raise ValueError(
-                    "term requests the shared measure but none is defined")
-            measure = shared_measure
-        else:
-            measure = build_measure(_typed(mspec, name + ".measure", dict))
-        kspec = _field(spec, name + ".kernel", (bool, _NULL, dict), False)
-        if kspec is True:
-            kernel = shared_kernel
-        elif kspec in (False, None):
-            kernel = None
-        else:
-            kernel = Kernel(_field(kspec, name + ".kernel.beta", float))
-        return PantographTerm(
-            coeff=_field(spec, name + ".coeff", float),
-            measure=measure, kernel=kernel,
-            point_exponent=_field(spec, name + ".point_exponent", float, 0.0),
-            delay_exponent=_field(spec, name + ".delay_exponent", float, 1.0),
-            signed=_field(spec, name + ".signed", bool, False))
-    raise ValueError("unknown term type %r" % (kind,))
+    mspec = spec.get("measure", "shared")
+    if mspec == "shared":
+        if shared_measure is None:
+            raise ValueError(
+                "term requests the shared measure but none is defined")
+        measure = shared_measure
+    else:
+        measure = build_measure(mspec, name + ".measure")
+    kspec = _field(spec, name + ".kernel", (bool, _NULL, dict), False)
+    if kspec is True:
+        kernel = shared_kernel
+    elif kspec in (False, None):
+        kernel = None
+    else:
+        kernel = _kernel(kspec, name + ".kernel")
+    return PantographTerm(
+        coeff=_field(spec, name + ".coeff", float),
+        measure=measure, kernel=kernel,
+        point_exponent=_field(spec, name + ".point_exponent", float, 0.0),
+        delay_exponent=_field(spec, name + ".delay_exponent", float, 1.0),
+        signed=_field(spec, name + ".signed", bool, False))
 
 
 def build_model(cfg: dict) -> ModelSpec:
     """ModelSpec from the ``model`` section of a config."""
     spec = _section(cfg, "model")
-    shared_measure = (build_measure(spec["measure"])
+    shared_measure = (build_measure(spec["measure"], "model.measure")
                       if "measure" in spec else None)
     t0 = float(spec.get("t0", DEFAULT_T0))
     initial = _initial_from(spec.get("initial", DEFAULT_INITIAL))
     name = spec.get("preset")
     if name is not None:
         return preset(name, nu_choice=shared_measure, t0=t0, initial=initial)
-    shared_kernel = (
-        Kernel(_field(spec["kernel"], "model.kernel.beta", float))
-        if "kernel" in spec else None)
+    shared_kernel = (_kernel(spec["kernel"], "model.kernel")
+                     if "kernel" in spec else None)
 
     def terms(part):
         return tuple(
@@ -300,6 +326,7 @@ def build_model(cfg: dict) -> ModelSpec:
 
 def _initial_from(spec):
     if isinstance(spec, dict):
+        _object(spec, "model.initial", ("times", "values"))
         return (tuple(_field(spec, "model.initial.times", [float])),
                 tuple(_field(spec, "model.initial.values", [float])))
     return float(spec)
@@ -332,16 +359,17 @@ def build_certificate(cfg: dict) -> CertificateData:
         if name is None:
             raise ValueError("certificate section needs a preset or rows")
         return preset_certificate(name, t0=float(model_t0))
-    rows = tuple(
-        CertificateRow(
-            a=_field(r, "certificate.rows[%d].a" % k, float),
+    rows = []
+    for k, r in enumerate(spec["rows"]):
+        name = "certificate.rows[%d]" % k
+        _object(r, name, ("a", "b_alpha"))
+        rows.append(CertificateRow(
+            a=_field(r, name + ".a", float),
             b_alpha=tuple((float(b), float(al)) for b, al in _pairs(
-                _field(r, "certificate.rows[%d].b_alpha" % k),
-                "certificate.rows[%d].b_alpha" % k)))
-        for k, r in enumerate(spec["rows"]))
+                _field(r, name + ".b_alpha"), name + ".b_alpha"))))
     beta = spec.get("beta")
     return CertificateData(
-        a0=float(spec.get("a0", 0.0)), rows=rows,
+        a0=float(spec.get("a0", 0.0)), rows=tuple(rows),
         theta_lower=_field(spec, "certificate.theta_lower", float),
         t0=float(spec.get("t0", model_t0)),
         beta=None if beta is None else float(beta))

@@ -19,19 +19,21 @@ def require_finite(**values) -> None:
             raise ValueError("%s must be finite, got %r" % (name, value))
 
 
-def require_index(name: str, value, n: int) -> None:
-    """ValueError unless ``value`` is a 1-based integer index in 1..n.
+def require_index(name: str, value, n=None) -> None:
+    """ValueError unless ``value`` is an integer in 1..n, or >= 1 when
+    ``n`` is None.
 
     Python and numpy integers qualify; bools and floats do not, even
     integral ones.
     """
+    top = math.inf if n is None else n
     try:
-        ok = not isinstance(value, bool) and 1 <= operator.index(value) <= n
+        ok = not isinstance(value, bool) and 1 <= operator.index(value) <= top
     except TypeError:
         ok = False
     if not ok:
-        raise ValueError("%s must be an integer in 1..%d, got %r"
-                         % (name, n, value))
+        raise ValueError("%s must be an integer %s, got %r" % (
+            name, ">= 1" if n is None else "in 1..%d" % n, value))
 
 
 class Error(Exception):
@@ -78,10 +80,6 @@ class DimensionMismatch(Error):
 
 class UnsupportedMeasure(Error):
     """A measure violates its constraints (mass, support, or kind)."""
-
-
-class QuadratureUnsupported(Error):
-    """No quadrature rule is available for the requested measure kind."""
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,10 @@ switch table fix: per theta set, each uniform step's history piece and
 weights, and each switch's two lookup sources in one buffer that holds
 the history followed by the switch-node states; per switch, its
 substep lengths, their square roots, its normal and the slot its end
-state goes to; per kernel group, the weighted kernel at every uniform
-and switch time.  A pass only gathers, multiplies, adds and writes.
-Each state is written once, into the history, and the block's grid
-values are filled from it once at the end.
+state goes to; per integral of the model's plan, the weighted kernel
+at every uniform and switch time.  A pass only gathers, multiplies,
+adds and writes.  Each state is written once, into the history, and
+the block's grid values are filled from it once at the end.
 
 Determinism contract: path p draws all its randomness from the two
 children of SeedSequence(root_seed, spawn_key=(p,)), a regime-chain
@@ -637,11 +637,9 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
         streams; switching-free models only.  It must cover [t0, T] and
         hold at least ``n_paths`` rows.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    require_index("n_paths", n_paths)
     require_index("i0", i0, m.n_regimes)
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1, got %r" % (block_size,))
+    require_index("block_size", block_size)
 
     u_times = uniform_grid(m.t0, cfg.T, cfg.dt)
     if wiener is not None:

@@ -43,7 +43,7 @@ from . import paths as paths_mod
 from .errors import (DimensionMismatch, InsufficientPaths, OutOfDomain,
                      require_finite, require_index)
 from .estimators import standard_error
-from .models import ModelSpec, _cached, _Pass
+from .models import THETA_TOL, ModelSpec, _cached, _Pass, _polynomial
 
 
 @dataclass(frozen=True)
@@ -65,23 +65,14 @@ class PolynomialV:
             raise ValueError("V needs at least one positive coefficient")
         object.__setattr__(self, "coeffs", tuple(norm))
 
-    def _derivative(self, x, shift: int):
-        """The shift-th x-derivative of V at x."""
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x)
-        for p, c in self.coeffs:
-            if p >= shift:
-                out = out + c * math.perm(p, shift) * x ** (p - shift)
-        return out
-
     def value(self, x):
-        return self._derivative(x, 0)
+        return _polynomial(self.coeffs, x)
 
     def dx(self, x):
-        return self._derivative(x, 1)
+        return _polynomial(self.coeffs, x, 1)
 
     def dxx(self, x):
-        return self._derivative(x, 2)
+        return _polynomial(self.coeffs, x, 2)
 
 
 @dataclass(frozen=True)
@@ -186,17 +177,18 @@ def _check_regimes(V: LyapunovFamily, m: ModelSpec) -> None:
             "V has %d regimes, model has %d" % (V.n_regimes, m.n_regimes))
 
 
-def _lv_parts(V: LyapunovFamily, m: ModelSpec, ev: _Pass, x, v, i: int):
-    """LV's drift, diffusion and coupling parts in regime i at states x.
-
-    ``ev`` is a coefficient pass at x and ``v[l]`` is V(x, l + 1).
-    """
-    f, g = ev.regime(i)
-    coupling = np.zeros_like(x)
-    rates = m.generator.rates[i - 1]
-    for l in range(m.n_regimes):
-        coupling = coupling + rates[l] * v[l]
-    return V.dx(x, i) * f, 0.5 * g * g * V.dxx(x, i), coupling
+def _lv_table(V: LyapunovFamily, m: ModelSpec, ev: _Pass, x):
+    """LV's drift, diffusion and coupling parts at the states x in every
+    regime, regime 1 first; ``ev`` is a coefficient pass at x."""
+    v = [V.value(x, l + 1) for l in range(m.n_regimes)]
+    table = []
+    for i in range(1, m.n_regimes + 1):
+        f, g = ev.regime(i)
+        coupling = np.zeros_like(x)
+        for rate, v_l in zip(m.generator.rates[i - 1], v):
+            coupling = coupling + rate * v_l
+        table.append((V.dx(x, i) * f, 0.5 * g * g * V.dxx(x, i), coupling))
+    return table
 
 
 def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
@@ -209,10 +201,8 @@ def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
     _check_regimes(V, m)
     require_index("regime", i, m.n_regimes)
     x = float(view.point)
-    v = [V.value(x, l + 1) for l in range(m.n_regimes)]
-    drift, diffusion, coupling = (
-        float(part) for part in _lv_parts(V, m, _Pass(m, x, view, t),
-                                          x, v, i))
+    parts = _lv_table(V, m, _Pass(m, x, view, t), x)[i - 1]
+    drift, diffusion, coupling = (float(part) for part in parts)
     return LVBreakdown(value=drift + diffusion + coupling, drift_part=drift,
                        diffusion_part=diffusion, coupling_part=coupling)
 
@@ -233,13 +223,6 @@ def require_t_end(t_end, t0: float, T: float, name: str = "t_end") -> None:
            if t_end < t0 else "t0 itself" if t_end == t0 else "past T")
     raise ValueError("%s must lie in (t0, T] = (%g, %g], got %r, which is %s"
                      % (name, t0, T, t_end, why))
-
-
-def _lv_table(V: LyapunovFamily, m: ModelSpec, ev: _Pass, x):
-    """LV's drift, diffusion and coupling parts at the states x in every
-    regime, regime 1 first."""
-    v = [V.value(x, l + 1) for l in range(m.n_regimes)]
-    return [_lv_parts(V, m, ev, x, v, i) for i in range(1, m.n_regimes + 1)]
 
 
 class _LVAlong:
@@ -336,13 +319,13 @@ class _LVAlong:
     def _delayed(self, thetas, t):
         """The lookup times theta * t of the thetas other than 1.
 
-        Thetas outside [theta_lower, 1] by more than 1e-12 raise
+        Thetas outside [theta_lower, 1] by more than ``THETA_TOL`` raise
         OutOfDomain; the rest are clipped to it.
         Returns (times, own), ``own`` marking the thetas equal to 1.
         """
         lo = self.store.theta_lower
-        if thetas.size and (thetas.min() < lo - 1e-12
-                            or thetas.max() > 1.0 + 1e-12):
+        if thetas.size and (thetas.min() < lo - THETA_TOL
+                            or thetas.max() > 1.0 + THETA_TOL):
             raise OutOfDomain("theta must lie in [%g, 1], got range [%g, %g]"
                               % (lo, thetas.min(), thetas.max()))
         thetas = np.clip(thetas, lo, 1.0)

@@ -28,10 +28,9 @@ computes each basis at most once for all terms and regimes that read it,
 sums each regime present in term order on all rows and merges the
 regimes row by row, so every value has the bits of summing the terms'
 ``value`` in term order.  ``Term.value`` stays the per-term method.
-The weighted kernel w_j K(theta_j, t) is computed once per quadrature
-and kernel, shared by integrals that differ in the delay exponent or
-signedness; the integrator computes it once per block for all its
-times and hands each pass its columns.
+Each integral's weighted quadrature w_j K(theta_j, t) is computed once
+per pass; the integrator and LV along paths compute it once for all
+their times and hand each pass its columns.
 """
 
 from __future__ import annotations
@@ -42,12 +41,14 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (QuadratureUnsupported, UnsupportedMeasure,
-                     require_finite, require_index)
+from .errors import UnsupportedMeasure, require_finite, require_index
 from .markov import GeneratorMatrix
 from .paths import _atol
 
 MASS_TOL = 1e-12
+# how far outside [theta_lower, 1] a theta may lie and still be read at
+# the nearest end
+THETA_TOL = 1e-12
 DEFAULT_DENSITY_NODES = 64
 
 
@@ -138,9 +139,6 @@ class Measure:
             thetas = np.array([t for t, _ in self.atoms])
             weights = np.array([w for _, w in self.atoms])
             return thetas, weights
-        if self.kind != "density":
-            raise QuadratureUnsupported(
-                "no quadrature rule for measure kind %r" % self.kind)
         total_width = self.edges[-1] - self.edges[0]
         all_t = []
         all_w = []
@@ -179,6 +177,20 @@ class Kernel:
 # Coefficient terms
 # ---------------------------------------------------------------------------
 
+def _polynomial(coeffs, x, shift: int = 0):
+    """The shift-th x-derivative of sum c * x**p over (p, c) in coeffs.
+
+    That is sum c * perm(p, shift) * x**(p - shift) over p >= shift,
+    summed in coefficient order from zeros.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(x)
+    for p, c in coeffs:
+        if p >= shift:
+            out = out + c * math.perm(p, shift) * x ** (p - shift)
+    return out
+
+
 @dataclass(frozen=True)
 class PolynomialTerm:
     """Sum of signed integer powers of the current state phi(1).
@@ -202,11 +214,7 @@ class PolynomialTerm:
         object.__setattr__(self, "coeffs", tuple(norm))
 
     def value(self, phi1, phi_at, t):
-        phi1 = np.asarray(phi1, dtype=np.float64)
-        out = np.zeros_like(phi1)
-        for p, c in self.coeffs:
-            out = out + c * phi1 ** p
-        return out
+        return _polynomial(self.coeffs, phi1)
 
 
 @dataclass(frozen=True)
@@ -249,20 +257,16 @@ class PantographTerm:
             out = out * np.abs(phi1) ** self.point_exponent
         return self.coeff * out
 
-    def _kernel_key(self):
-        """What the weighted quadrature :meth:`_weighted` depends on."""
-        return (self._thetas.tobytes(), self._weights.tobytes(), self.kernel)
-
     def _integral_key(self):
         """What the integral depends on besides the state and the time."""
-        return self._kernel_key() + (float(self.delay_exponent), self.signed)
+        return (self._thetas.tobytes(), self._weights.tobytes(), self.kernel,
+                float(self.delay_exponent), self.signed)
 
     def _weighted(self, t, ndim: int):
         """The quadrature weights times K(theta, t), one row per theta.
 
         ``ndim`` is the number of axes the weights broadcast over after
         the theta axis: the state's, or the time's for a table of times.
-        Terms with equal :meth:`_kernel_key` share this value.
         """
         w = self._weights.reshape((len(self._thetas),) + (1,) * ndim)
         if self.kernel is not None:
@@ -378,7 +382,7 @@ class ModelSpec:
 
     def _check_pantograph(self, term: PantographTerm) -> None:
         lo, hi = term.measure.support_range()
-        if lo < self.theta_lower - 1e-12 or hi > 1.0 + 1e-12:
+        if lo < self.theta_lower - THETA_TOL or hi > 1.0 + THETA_TOL:
             raise UnsupportedMeasure(
                 "measure support [%g, %g] outside [%g, 1]"
                 % (lo, hi, self.theta_lower))
@@ -428,19 +432,12 @@ class _Plan:
     basis key is ("x", p) for x**p, ("I", g) for the integral of group g,
     or ("P", g, pe) for that integral times |x|**pe.  A group is the
     pantograph terms with one integral (quadrature, kernel, delay
-    exponent, signedness); ``integrals[g]`` is its first term.  Groups
-    that differ only in the delay exponent or signedness share one
-    weighted quadrature, the basis ("W", q) of a pass:
-    ``kernels[kernel_of[g]]`` is the first term with group g's
-    quadrature and kernel.
+    exponent, signedness); ``integrals[g]`` is its first term.
     """
 
     def __init__(self, m: ModelSpec):
         self.integrals = []
-        self.kernels = []
-        self.kernel_of = []
         groups = {}
-        kernel_groups = {}
 
         def compile_terms(terms, regime, part):
             out = []
@@ -453,11 +450,6 @@ class _Plan:
                     if shape not in groups:
                         groups[shape] = len(self.integrals)
                         self.integrals.append(term)
-                        kernel = term._kernel_key()
-                        if kernel not in kernel_groups:
-                            kernel_groups[kernel] = len(self.kernels)
-                            self.kernels.append(term)
-                        self.kernel_of.append(kernel_groups[kernel])
                     g = groups[shape]
                     key = (("I", g) if term.point_exponent == 0.0
                            else ("P", g, term.point_exponent))
@@ -477,14 +469,14 @@ class _Plan:
                                for i, terms in enumerate(m.diffusion, 1))
 
     def weights(self, t):
-        """Each kernel group's weighted quadrature at the times ``t``.
+        """Each integral group's weighted quadrature at the times ``t``.
 
         One array of shape (quadrature nodes, len(t)) per group, in the
-        order of ``kernels``; a kernel-free group's is a broadcast view.
+        order of ``integrals``; a kernel-free group's is a broadcast view.
         """
         return [np.broadcast_to(term._weighted(t, 1),
                                 (len(term._thetas), len(t)))
-                for term in self.kernels]
+                for term in self.integrals]
 
 
 class _Pass:
@@ -493,9 +485,9 @@ class _Pass:
     Each basis of the model's plan is computed at most once per pass and
     shared by every term and regime that reads it.  A regime's sum has
     the bits of summing its terms' ``value`` in term order from zeros.
-    ``weights``, when given, holds each kernel group's weighted
-    quadrature at t, shaped to broadcast against the delayed states;
-    otherwise a group's is computed from t when a basis first needs it.
+    ``weights`` holds each integral group's weighted quadrature at t,
+    shaped to broadcast against the delayed states; when it is not
+    given, the pass computes it from t.
     """
 
     def __init__(self, m: ModelSpec, X, phi_at, t, weights=None):
@@ -504,23 +496,19 @@ class _Pass:
         self._X = np.asarray(X, dtype=np.float64)
         self._phi_at = phi_at
         self._t = t
+        self._weights = weights if weights is not None else [
+            term._weighted(t, self._X.ndim) for term in self._plan.integrals]
         # x**1 has the bits of x
         self._memo = {("x", 1): self._X}
-        for q, w in enumerate(weights or ()):
-            self._memo[("W", q)] = w
 
     def _basis(self, key):
         v = self._memo.get(key)
         if v is None:
             if key[0] == "x":
                 v = self._X ** key[1]
-            elif key[0] == "W":
-                v = self._plan.kernels[key[1]]._weighted(self._t,
-                                                         self._X.ndim)
             elif key[0] == "I":
                 v = self._plan.integrals[key[1]]._integral(
-                    self._phi_at,
-                    self._basis(("W", self._plan.kernel_of[key[1]])))
+                    self._phi_at, self._weights[key[1]])
             else:
                 v = self._basis(("I", key[1])) * np.abs(self._X) ** key[2]
             self._memo[key] = v

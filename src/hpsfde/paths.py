@@ -83,14 +83,13 @@ def _interp(times, values, t):
     the end pieces.  ``values`` holds one entry per time along its first
     axis, either a number or a row with one number per path, and may
     have entries past len(times), which are never read.  The result has
-    the shape of t, followed by the path axis if there is one.
+    the shape of t, followed by the path axis if there is one.  The
+    piece and its weight are :func:`_piece`'s.
     """
-    # the piece index, clipped to [0, len(times) - 2] without np.clip
-    j = np.searchsorted(times[1:-1], t, side="right")
-    left, right = values[j], values[j + 1]
+    j, w = _piece(times, t)
     if values.ndim == 2:
-        j, t = j[..., None], np.asarray(t)[..., None]
-    return _lerp(t, times[j], times[j + 1], left, right)
+        w = np.asarray(w)[..., None]
+    return values[j] * (1.0 - w) + values[j + 1] * w
 
 
 @dataclass(frozen=True, eq=False)

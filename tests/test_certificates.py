@@ -368,6 +368,17 @@ def test_polynomial_rate_infeasible_table():
     assert "infeasible" in verdict.detail[0]
 
 
+def test_polynomial_rate_below_the_strictness_margin():
+    # the k=1 margin is epsilon - 5e-10: feasible only below 5e-10,
+    # which leaves no rate above STRICTNESS_MARGIN (1e-9)
+    c = simple_data(a=1.0 + 5e-10, b_alpha=((1.0, 1.0),))
+    verdict = solve_epsilon_polynomial(c)
+    assert not verdict.holds
+    assert verdict.epsilon is None
+    assert 0.0 < verdict.epsilon_sup < STRICTNESS_MARGIN
+    assert "no room above the strictness margin" in verdict.detail[0]
+
+
 @given(st.floats(0.5, 10.0), st.floats(0.0, 2.0), st.floats(0.0, 1.0),
        st.floats(0.1, 0.9), st.floats(0.0, 3.0), st.floats(0.001, 2.0))
 @settings(max_examples=100, deadline=None)

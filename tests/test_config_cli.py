@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hpsfde
-from hpsfde import certificates, cli, errors, models, paths
+from hpsfde import certificates, cli, errors, lyapunov, models, paths
 from hpsfde.certificates import (solve_epsilon_exponential,
                                  solve_epsilon_polynomial)
 from hpsfde.cli import _parser, _write_summary, main
@@ -53,6 +53,15 @@ EXPLICIT_MODEL = {
     ],
     "initial": 0.5,
 }
+
+
+def explicit_config(part=None, i=0, j=0, **changes):
+    """A simulate config of EXPLICIT_MODEL, with ``changes`` merged into
+    term [i][j] of ``part``, or into the model when ``part`` is None."""
+    model = json.loads(json.dumps(EXPLICIT_MODEL))
+    (model if part is None else model[part][i][j]).update(changes)
+    return json.dumps({"model": model,
+                       "simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}})
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +123,14 @@ def test_build_model_explicit_branch():
     assert f == pytest.approx(-1.5)
     assert np.array_equal(m.generator.rates,
                           [[-1.0, 1.0], [2.0, -2.0]])
+
+
+def test_term_reads_its_own_kernel():
+    cfg = json.loads(explicit_config("drift", 0, 1, kernel={"beta": 0.25}))
+    m = build_model(cfg)
+    assert m.drift[0][1].kernel == Kernel(0.25)
+    assert build_model({"model": EXPLICIT_MODEL}).drift[0][1].kernel == (
+        Kernel(0.5))
 
 
 def test_build_model_table_initial():
@@ -213,6 +230,19 @@ def test_simulate_writes_summary(tmp_path, capsys):
     assert first[1] + first[2] == pytest.approx(1.0)
     assert first[3] == pytest.approx(0.25)  # initial value 0.5 squared
     assert "simulated 30 paths" in capsys.readouterr().out
+
+
+def test_summary_when_every_path_exploded(tmp_path, capsys):
+    # every path crosses the threshold in its first step
+    cfg = write_config(tmp_path, simulate_config(simulation={
+        "dt": 0.05, "T": 2.0, "n_paths": 4, "blowup_threshold": 0.1}))
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert lines[0] == "time,occ_1,occ_2,moment_2,moment_4"
+    assert len(lines) == 22
+    assert all(line.split(",")[3:] == ["nan", "nan"] for line in lines[1:])
+    assert "simulated 4 paths (4 exploded)" in capsys.readouterr().out
 
 
 def test_summary_bytes_same_for_path_and_stream(tmp_path):
@@ -374,6 +404,19 @@ def test_certify_failing_table_exits_nonzero(tmp_path, capsys):
                         "checks": ["existence"]}})
     assert main(["certify", "--config", cfg]) == 1
     assert "overall: FAILS" in capsys.readouterr().out
+
+
+def test_certify_time_average_without_a_bound_fails(tmp_path, capsys):
+    # a_1 = 0.5 < 1.5 = sum b (alpha + (1 - alpha) / theta_lower)
+    cfg = write_config(tmp_path, {
+        "certificate": {"rows": [{"a": 0.5, "b_alpha": [[1.0, 0.5]]}],
+                        "theta_lower": 0.5, "a0": 1.0,
+                        "checks": ["time-average"]}})
+    assert main(["certify", "--config", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "k=1: time-average denominator for k=1 is -1\n" in out
+    assert "== time averages ==" in out and "verdict: FAILS" in out
+    assert "overall: FAILS" in out
 
 
 def test_certify_not_applicable_check_fails(tmp_path, capsys):
@@ -602,13 +645,18 @@ def test_removed_keyword_argument_is_a_type_error(call, keyword):
     ((models,), "coefficients"),
     ((models,), "_one_row"),
     ((errors,), "PathExploded"),
+    ((errors, models), "QuadratureUnsupported"),
+    ((lyapunov,), "_lv_parts"),
+    ((hpsfde.PolynomialV,), "_derivative"),
+    ((hpsfde.PantographTerm,), "_kernel_key"),
 ], ids=["sup_norm", "FunctionSegment", "validate_local_lipschitz_probe",
         "LipschitzProbeReport", "Measure.with_nodes", "Kernel.rate",
         "Kernel.validate", "require", "Infeasible",
         "GeneratorMatrix.exit_rate", "Kernel.linear", "PolynomialV.dt",
         "LyapunovFamily.dt", "LyapunovFamily.u0", "LyapunovFamily.u",
         "eval", "segment", "SegmentView", "eval_drift", "eval_diffusion",
-        "coefficients", "_one_row", "PathExploded"])
+        "coefficients", "_one_row", "PathExploded", "QuadratureUnsupported",
+        "_lv_parts", "PolynomialV._derivative", "_kernel_key"])
 def test_removed_name_is_gone(owners, name):
     for owner in owners:
         with pytest.raises(AttributeError):
@@ -733,6 +781,41 @@ def test_package_exports_resolve():
      '{"times": [0.5, 1.0], "values": [1.0]}}, '
      '"simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}',
      "initial table: times and values must be flat and of equal length"),
+    ("simulate", explicit_config("drift", 0, 0, coeffs=[[1, -2.0], [3]]),
+     "model.drift[0][0].coeffs must hold [x, y] pairs, got [3]"),
+    # a key that nothing reads, in each object nested in a section
+    ("simulate", '{"model": {"preset": "exp_stable", "measure": '
+     '{"kind": "uniform", "lo": 0.5, "hi": 1.0, "nodez": 8}}, '
+     '"simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}',
+     "unknown key model.measure.nodez (known: kind, lo, hi, nodes)"),
+    ("simulate", '{"model": {"preset": "exp_stable", "measure": '
+     '{"atoms": [[1.0, 1.0]], "weights": [1.0]}}, '
+     '"simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}',
+     "unknown key model.measure.weights (known: kind, atoms)"),
+    ("simulate", explicit_config("drift", 0, 1, measure={
+        "kind": "point", "thetaa": 1.0}),
+     "unknown key model.drift[0][1].measure.thetaa (known: kind, theta)"),
+    ("simulate", explicit_config("diffusion", 0, 0, measure={
+        "kind": "density", "edges": [0.5, 1.0], "values": [2.0],
+        "node": 8}),
+     "unknown key model.diffusion[0][0].measure.node "
+     "(known: kind, edges, values, nodes)"),
+    ("simulate", explicit_config(kernel={"betta": 0.5}),
+     "unknown key model.kernel.betta (known: beta)"),
+    ("simulate", explicit_config("drift", 0, 1, kernel={"beta": 0.5,
+                                                        "rate": 1.0}),
+     "unknown key model.drift[0][1].kernel.rate (known: beta)"),
+    ("simulate", explicit_config("drift", 0, 0, coef=3),
+     "unknown key model.drift[0][0].coef (known: type, coeffs)"),
+    ("simulate", explicit_config("drift", 0, 1, point_exponant=2.0),
+     "unknown key model.drift[0][1].point_exponant (known: type, coeff, "
+     "measure, kernel, point_exponent, delay_exponent, signed)"),
+    ("simulate", explicit_config(initial={
+        "times": [0.5, 1.0], "values": [1.0, 1.0], "value": 1.0}),
+     "unknown key model.initial.value (known: times, values)"),
+    ("certify", '{"certificate": {"rows": [{"a": 2.0, "b_alpha": '
+     '[[1.0, 0.5]], "bb": 1.0}], "theta_lower": 0.5}}',
+     "unknown key certificate.rows[0].bb (known: a, b_alpha)"),
 ], ids=["no-theta-lower", "top-level-array", "certificate-not-object",
         "simulation-not-object", "no-generator", "output-key", "lyapunov-key",
         "certificate-key", "estimate-key", "model-key", "unknown-section",
@@ -742,7 +825,11 @@ def test_package_exports_resolve():
         "regimes-number", "coeff-null", "generator-string",
         "nodes-fraction", "power-fraction", "beta-bool", "v-coeff-infinite",
         "term-coeff-infinite", "dt-past-float-range",
-        "initial-times-decreasing", "initial-lengths"])
+        "initial-times-decreasing", "initial-lengths", "coeffs-not-pair",
+        "model-measure-key", "model-atoms-key", "term-point-key",
+        "term-density-key", "model-kernel-key", "term-kernel-key",
+        "polynomial-term-key", "pantograph-term-key", "initial-key",
+        "certificate-row-key"])
 def test_malformed_config_is_an_error(tmp_path, capsys, command, text, named):
     cfg = tmp_path / "experiment.json"
     cfg.write_text(text)

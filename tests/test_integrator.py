@@ -745,6 +745,28 @@ def test_run_batch_validation():
                       block_size=block_size)
 
 
+@pytest.mark.parametrize("argument", ["n_paths", "block_size"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3", None, 0, -1],
+                         ids=["fraction", "integral-float", "bool", "string",
+                              "none", "zero", "negative"])
+def test_counts_are_integers_from_one(argument, value):
+    # checked before any work, by the rule of the regime indices
+    args = {"n_paths": 3, "block_size": 2, argument: value}
+    with pytest.raises(ValueError, match="%s must be an integer >= 1, got %r"
+                       % (argument, value)):
+        run_batch(gbm_model(), IntegratorConfig(dt=0.1, T=2.0), i0=1,
+                  root_seed=0, **args)
+
+
+def test_numpy_integer_counts_are_accepted():
+    cfg = IntegratorConfig(dt=0.1, T=2.0)
+    want = run_batch(gbm_model(), cfg, n_paths=3, i0=1, root_seed=0,
+                     block_size=2)
+    got = run_batch(gbm_model(), cfg, n_paths=np.int64(3), i0=1,
+                    root_seed=0, block_size=np.int32(2))
+    assert got.uniform_values.tobytes() == want.uniform_values.tobytes()
+
+
 def test_keep_paths_false_drops_paths():
     batch = run_batch(gbm_model(), IntegratorConfig(dt=0.1, T=2.0),
                       n_paths=3, i0=1, root_seed=0, keep_paths=False)

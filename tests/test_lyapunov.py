@@ -535,6 +535,24 @@ def test_residual_parts_match_pointwise_breakdown():
     assert stat.mean_integral == pytest.approx(0.75 * point.value, rel=1e-12)
 
 
+def test_identical_paths_give_an_infinite_z():
+    # no noise and no switching, so all 100 paths are one Euler path and
+    # the residual has no spread; on it x is linear in t and LV cubic,
+    # which the trapezoid misses, so the residual is not zero.  Every
+    # number is a short dyadic, so the mean is exact too.
+    m = ModelSpec(theta_lower=0.5, t0=1.0, generator=SINGLE,
+                  drift=((PolynomialTerm([(0, 0.25)]),),), diffusion=((),),
+                  initial_segment=1.0)
+    fam = LyapunovFamily(regimes=(PolynomialV([(2, 1.0), (4, 1.0)]),),
+                         u0_power=2, u_powers=(2,))
+    batch = run_batch(m, IntegratorConfig(dt=0.25, T=2.0), n_paths=100,
+                      i0=1, root_seed=0)
+    stat = martingale_residual(fam, batch, 2.0)
+    assert stat.stderr == 0.0
+    assert stat.residual != 0.0
+    assert stat.z == np.inf
+
+
 def test_z_with_allowance():
     stat = ResidualStatistic(residual=1.0, stderr=0.5, z=2.0,
                              mean_integral=1.0, t_end=2.0, n_paths_used=100,

@@ -69,6 +69,12 @@ def test_sample_path_structure():
     assert np.all(np.diff(rp.states) != 0)
 
 
+@pytest.mark.parametrize("t0, T", [(2.0, 2.0), (3.0, 2.0)])
+def test_sample_path_needs_t0_before_T(t0, T):
+    with pytest.raises(ValueError, match="need t0 < T"):
+        sample_regime_path(make_generator(TWO_STATE), 1, t0, T, seed=1)
+
+
 def test_sample_path_deterministic_per_seed():
     g = make_generator(TWO_STATE)
     a = sample_regime_path(g, 1, 1.0, 100.0, seed=7)

@@ -55,6 +55,10 @@ def test_density_measure_validation():
         Measure.piecewise_density([1.0, 0.5], [2.0])  # edges decreasing
     with pytest.raises(UnsupportedMeasure):
         Measure.piecewise_density([0.5, 1.0], [-2.0])
+    with pytest.raises(UnsupportedMeasure, match="len"):
+        Measure.piecewise_density([0.5, 0.75, 1.0], [2.0])
+    with pytest.raises(UnsupportedMeasure, match="nodes must be >= 2"):
+        Measure.uniform(0.5, 1.0, nodes=1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -179,6 +183,12 @@ def test_pantograph_term_exponents():
     phi_at = lambda th: np.asarray(th)
     want = 4.0 * (0.5 ** 3 + 0.75 ** 3 + 1.0) / 3.0  # |phi1|^2 = 4
     assert term.value(2.0, phi_at, 1.0) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("exponent", ["point_exponent", "delay_exponent"])
+def test_pantograph_term_rejects_negative_exponents(exponent):
+    with pytest.raises(ValueError, match="exponents must be nonnegative"):
+        PantographTerm(coeff=1.0, measure=THREE_ATOMS, **{exponent: -1.0})
 
 
 def test_pantograph_term_kernel_decay():
@@ -466,10 +476,12 @@ def test_structured_terms_have_one_evaluation_path(monkeypatch):
         eval_LV(fam, m, ConstantSegment(0.5, m.theta_lower), 1.0, i)
 
 
-def test_one_kernel_factor_per_quadrature_and_kernel(monkeypatch):
-    # switch_stabilized's three pantograph integrals use two quadratures
-    # (nu and the point mass at 1) under one kernel, so a pass over both
-    # regimes computes exp(-beta (1 - theta) t) twice
+def test_one_kernel_factor_per_integral_group(monkeypatch):
+    # switch_stabilized's four pantograph terms form three integrals:
+    # signed over nu, |y|^2 over nu, and signed over the point mass at 1,
+    # which a drift and a diffusion term share.  A pass computes each
+    # integral's exp(-beta (1 - theta) t) once, and none when handed
+    # its weights.
     calls = []
     decay = Kernel.decay
 
@@ -480,5 +492,13 @@ def test_one_kernel_factor_per_quadrature_and_kernel(monkeypatch):
     monkeypatch.setattr(Kernel, "decay", counted)
     m = preset("switch_stabilized")
     X = np.linspace(-1.0, 1.0, 7)
-    _Pass(m, X, _history_lookup, 2.0).merged(np.array([1, 2, 1, 2, 1, 2, 1]))
-    assert sorted(calls) == [1, 3]
+    reg = np.array([1, 2, 1, 2, 1, 2, 1])
+    F, G = _Pass(m, X, _history_lookup, 2.0).merged(reg)
+    assert len(m._plan.integrals) == 3
+    assert sorted(calls) == [1, 3, 3]
+    weights = [w[:, :1] for w in m._plan.weights(np.array([2.0]))]
+    del calls[:]
+    again = _Pass(m, X, _history_lookup, 2.0, weights).merged(reg)
+    assert calls == []
+    assert again[0].tobytes() == F.tobytes()
+    assert again[1].tobytes() == G.tobytes()

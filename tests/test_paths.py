@@ -78,6 +78,10 @@ def test_segment_view_theta_domain():
     x = np.concatenate([b for _, b in seen])
     assert np.any(t == 2.0)
     assert np.all(x[t == 2.0] == 3.0)
+    # a path whose first node is t0 has no history for theta * t0 < t0
+    late = make_path([1.0, 1.5, 2.0], [2.0, 1.0, 3.0])
+    with pytest.raises(OutOfDomain, match="before the paths start at 1"):
+        lv_profile(family, reading(0.5), late)
 
 
 def test_constant_segment():
