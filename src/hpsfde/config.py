@@ -6,8 +6,9 @@ accepts only the keys it reads, and so does each object nested in one
 (a measure by its kind, a term by its type, a kernel, the initial table
 and a certificate row):
 
-  model        preset (a preset name; the explicit keys below are then
-               unused), theta_lower, t0, generator (array of arrays,
+  model        preset (a preset name; the explicit keys below other
+               than t0, initial and measure are then an error),
+               theta_lower, t0, generator (array of arrays,
                row-major), initial (a constant or {"times", "values"}),
                measure and kernel (the shared ones), drift and
                diffusion (per-regime term lists).
@@ -87,6 +88,8 @@ _KEYS = {
                     "epsilon": (float, _NULL)},
     "estimate": {"power": float},
 }
+# The model keys that a preset sets itself.
+_PRESET_FIXES = ("theta_lower", "generator", "kernel", "drift", "diffusion")
 # The keys of each nested object: a measure's by kind, a term's by type.
 _MEASURE_KEYS = {"atoms": ("kind", "atoms"), "point": ("kind", "theta"),
                  "uniform": ("kind", "lo", "hi", "nodes"),
@@ -187,14 +190,19 @@ def _section(cfg: dict, name: str) -> dict:
     """Section ``name`` of a config, {} when it is absent.
 
     Raises ValueError when the section is not an object or holds a key
-    that nothing reads or a value of the wrong JSON type.
+    that nothing reads, a value of the wrong JSON type or, beside
+    ``model.preset``, a model key that the preset sets.
     """
     spec = cfg.get(name, {})
     if not isinstance(spec, dict):
         raise ValueError("section %r must be a JSON object" % name)
     known = _KEYS[name]
+    fixed = _PRESET_FIXES if spec.get("preset") is not None else ()
     for key, value in _object(spec, name, known).items():
         _typed(value, "%s.%s" % (name, key), known[key])
+        if name == "model" and key in fixed:
+            raise ValueError("model.%s is set by model.preset %r; drop one "
+                             "of them" % (key, spec["preset"]))
     return spec
 
 

@@ -29,27 +29,42 @@ ABSORBING_RATE = 1e-300
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Validated N x N transition-rate matrix.
+    """An N x N transition-rate matrix, checked at construction.
 
-    Use :func:`make_generator` to construct one; the constructor itself
-    does not validate.
+    ``rates`` is a square array-like of shape (N, N), N >= 1, held as a
+    read-only float64 copy.  Off-diagonal entries are jump rates and
+    must be >= 0; each row must sum to zero within ``ROW_SUM_TOL``
+    absolute.
+
+    Raises:
+      ValueError: not a square matrix, or some rate is NaN or infinite.
+      NegativeOffDiagonal: some rate (i, j), i != j, is negative.
+      RowSumNonZero: some row sum exceeds the tolerance.
     """
 
-    n_states: int
     rates: np.ndarray
 
-    @cached_property
-    def jump_table(self) -> np.ndarray:
-        """Row i-1: cumulative destination probabilities of a jump from i.
+    def __post_init__(self):
+        q = np.array(self.rates, dtype=np.float64)
+        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
+            raise ValueError("generator must be a square matrix with N >= 1")
+        if not np.isfinite(q).all():
+            raise ValueError("generator rates must be finite")
+        off = q[~np.eye(len(q), dtype=bool)]
+        if off.size and off.min() < 0.0:
+            raise NegativeOffDiagonal(
+                "off-diagonal rates must be nonnegative, min is %g"
+                % off.min())
+        worst = np.abs(q.sum(axis=1)).max()
+        if worst > ROW_SUM_TOL:
+            raise RowSumNonZero("row sums must be 0 within %g, worst is %g"
+                                % (ROW_SUM_TOL, worst))
+        q.setflags(write=False)
+        object.__setattr__(self, "rates", q)
 
-        Built on first use, so a chain that never jumps never builds it.
-        Rows of absorbing states are never read.
-        """
-        off = np.where(np.eye(self.n_states, dtype=bool), 0.0, self.rates)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            table = np.cumsum(off / -np.diag(self.rates)[:, None], axis=1)
-        table.setflags(write=False)
-        return table
+    @property
+    def n_states(self) -> int:
+        return len(self.rates)
 
     @cached_property
     def _holding(self) -> list:
@@ -58,8 +73,16 @@ class GeneratorMatrix:
 
     @cached_property
     def _jump_rows(self) -> list:
-        """The jump table's rows as Python lists, for the sampler."""
-        return self.jump_table.tolist()
+        """Row i-1: cumulative destination probabilities of a jump from i.
+
+        Python lists for the sampler, built on first use, so a chain
+        that never jumps never builds them.  Rows of absorbing states
+        are never read.
+        """
+        off = np.where(np.eye(self.n_states, dtype=bool), 0.0, self.rates)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.cumsum(off / -np.diag(self.rates)[:, None],
+                             axis=1).tolist()
 
     def absorbing(self, i: int) -> bool:
         """Whether state i (1-based) never jumps."""
@@ -67,38 +90,8 @@ class GeneratorMatrix:
 
 
 def make_generator(rates) -> GeneratorMatrix:
-    """Validate a rate matrix and wrap it as a GeneratorMatrix.
-
-    Args:
-      rates: square array-like of shape (N, N).  Off-diagonal entries are
-        jump rates and must be >= 0; each row must sum to zero within
-        1e-12 absolute.
-
-    Returns:
-      GeneratorMatrix with a read-only float64 copy of the rates.
-
-    Raises:
-      ValueError: not a square matrix, or some rate is NaN or infinite.
-      NegativeOffDiagonal: some rate (i, j), i != j, is negative.
-      RowSumNonZero: some row sum exceeds the tolerance.
-    """
-    q = np.array(rates, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 1:
-        raise ValueError("generator must be a square matrix with N >= 1")
-    if not np.isfinite(q).all():
-        raise ValueError("generator rates must be finite")
-    n = q.shape[0]
-    off = q[~np.eye(n, dtype=bool)]
-    if off.size and off.min() < 0.0:
-        raise NegativeOffDiagonal(
-            "off-diagonal rates must be nonnegative, min is %g" % off.min())
-    sums = q.sum(axis=1)
-    worst = np.abs(sums).max()
-    if worst > ROW_SUM_TOL:
-        raise RowSumNonZero(
-            "row sums must be 0 within %g, worst is %g" % (ROW_SUM_TOL, worst))
-    q.setflags(write=False)
-    return GeneratorMatrix(n_states=n, rates=q)
+    """``GeneratorMatrix(rates)``: the checked, read-only rate matrix."""
+    return GeneratorMatrix(rates)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,11 @@ sums of two structured term kinds:
     measure on [theta_lower, 1], and K an optional exponential decay
     kernel (absent kernel means K == 1).
 
-Arbitrary callables can be attached through CustomTerm.
+Arbitrary callables can be attached through CustomTerm.  Each model
+input checks itself when it is built: a Measure is its quadrature
+(thetas and weights, read-only), the generator its rate matrix
+(``markov.GeneratorMatrix``) and ModelSpec checks theta_lower, a finite
+positive t0, the per-regime term lists and an initial table.
 
 The state is scalar.  Terms are evaluated on batches of it: phi(1) may
 be one state, an array with one state per Monte Carlo path, or one per
@@ -28,6 +32,8 @@ computes each basis at most once for all terms and regimes that read it,
 sums each regime present in term order on all rows and merges the
 regimes row by row, so every value has the bits of summing the terms'
 ``value`` in term order.  ``Term.value`` stays the per-term method.
+A pass looks up the delayed states of each theta set once and keeps
+them, read-only, next to the bases computed from them.
 Each integral's weighted quadrature w_j K(theta_j, t) is computed once
 per pass; the integrator and LV along paths compute it once for all
 their times and hand each pass its columns.
@@ -56,37 +62,46 @@ DEFAULT_DENSITY_NODES = 64
 # Measures on [theta_lower, 1]
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measure:
-    """Probability measure used by pantograph integral terms.
+    """Probability measure used by pantograph integral terms, held as its
+    quadrature: integral h dnu ~= sum_j weights[j] * h(thetas[j]).
 
-    Two kinds are supported: finite atom lists and piecewise-constant
-    densities (integrated by composite trapezoid with ``nodes`` points).
-    Construct through :meth:`from_atoms`, :meth:`point_mass`,
-    :meth:`piecewise_density` or :meth:`uniform`.
+    ``thetas`` and ``weights`` become read-only float64 arrays, checked
+    once here: at least one node, one weight per node, all finite,
+    weights >= 0 and summing to 1 within ``MASS_TOL``.  Atom measures
+    (:meth:`from_atoms`, :meth:`point_mass`) are their own quadrature;
+    densities (:meth:`piecewise_density`, :meth:`uniform`) are
+    integrated by composite trapezoid.
     """
 
-    kind: str
-    atoms: Tuple[Tuple[float, float], ...] = ()
-    edges: Tuple[float, ...] = ()
-    density_values: Tuple[float, ...] = ()
-    nodes: int = DEFAULT_DENSITY_NODES
+    thetas: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        thetas, weights = (np.array(a, dtype=np.float64)
+                           for a in (self.thetas, self.weights))
+        if not (thetas.ndim == 1 and thetas.shape == weights.shape
+                and thetas.size):
+            raise UnsupportedMeasure(
+                "measure needs at least one theta and one weight per theta")
+        if not (np.isfinite(thetas).all() and np.isfinite(weights).all()):
+            raise UnsupportedMeasure("thetas and weights must be finite")
+        if (weights < 0).any():
+            raise UnsupportedMeasure("weights must be nonnegative")
+        mass = sum(weights.tolist())
+        if abs(mass - 1.0) > MASS_TOL:
+            raise UnsupportedMeasure("weights must sum to 1 within %g, got "
+                                     "%.17g" % (MASS_TOL, mass))
+        for name, a in (("thetas", thetas), ("weights", weights)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @classmethod
     def from_atoms(cls, atoms: Sequence[Tuple[float, float]]) -> "Measure":
-        atoms = tuple((float(t), float(w)) for t, w in atoms)
-        if not atoms:
-            raise UnsupportedMeasure("measure needs at least one atom")
-        if not all(math.isfinite(t) and math.isfinite(w) for t, w in atoms):
-            raise UnsupportedMeasure("atom thetas and weights must be finite")
-        if any(w < 0 for _, w in atoms):
-            raise UnsupportedMeasure("atom weights must be nonnegative")
-        mass = sum(w for _, w in atoms)
-        if abs(mass - 1.0) > MASS_TOL:
-            raise UnsupportedMeasure(
-                "atom weights must sum to 1 within %g, got %.17g"
-                % (MASS_TOL, mass))
-        return cls(kind="atoms", atoms=atoms)
+        """Atoms (theta, weight), each theta carrying its weight."""
+        atoms = [(float(t), float(w)) for t, w in atoms]
+        return cls([t for t, _ in atoms], [w for _, w in atoms])
 
     @classmethod
     def point_mass(cls, theta: float = 1.0) -> "Measure":
@@ -95,6 +110,9 @@ class Measure:
     @classmethod
     def piecewise_density(cls, edges: Sequence[float], values: Sequence[float],
                           nodes: int = DEFAULT_DENSITY_NODES) -> "Measure":
+        """Density values[k] on [edges[k], edges[k + 1]], by composite
+        trapezoid with at least 2 nodes per piece; ``nodes`` is the
+        target total."""
         edges = tuple(float(e) for e in edges)
         values = tuple(float(v) for v in values)
         if len(edges) != len(values) + 1 or len(values) < 1:
@@ -104,18 +122,18 @@ class Measure:
             raise UnsupportedMeasure("edges and density values must be finite")
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise UnsupportedMeasure("edges must be strictly increasing")
-        if any(v < 0 for v in values):
-            raise UnsupportedMeasure("density values must be nonnegative")
-        widths = [b - a for a, b in zip(edges, edges[1:])]
-        mass = sum(w * v for w, v in zip(widths, values))
-        if abs(mass - 1.0) > MASS_TOL:
-            raise UnsupportedMeasure(
-                "density mass must be 1 within %g, got %.17g"
-                % (MASS_TOL, mass))
         if nodes < 2:
             raise UnsupportedMeasure("nodes must be >= 2")
-        return cls(kind="density", edges=edges, density_values=values,
-                   nodes=int(nodes))
+        total_width = edges[-1] - edges[0]
+        thetas, weights = [], []
+        for a, b, v in zip(edges, edges[1:], values):
+            n = max(2, int(math.ceil(int(nodes) * (b - a) / total_width)))
+            w = np.full(n, (b - a) / (n - 1) * v)
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            thetas.append(np.linspace(a, b, n))
+            weights.append(w)
+        return cls(np.concatenate(thetas), np.concatenate(weights))
 
     @classmethod
     def uniform(cls, lo: float, hi: float,
@@ -123,34 +141,7 @@ class Measure:
         return cls.piecewise_density([lo, hi], [1.0 / (hi - lo)], nodes=nodes)
 
     def support_range(self) -> Tuple[float, float]:
-        if self.kind == "atoms":
-            ts = [t for t, _ in self.atoms]
-            return min(ts), max(ts)
-        return self.edges[0], self.edges[-1]
-
-    def quadrature(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights such that integral h dnu ~= sum w_j h(theta_j).
-
-        Exact for atom measures.  For densities, composite trapezoid with
-        at least 2 nodes per constant piece; ``nodes`` is the target
-        total.
-        """
-        if self.kind == "atoms":
-            thetas = np.array([t for t, _ in self.atoms])
-            weights = np.array([w for _, w in self.atoms])
-            return thetas, weights
-        total_width = self.edges[-1] - self.edges[0]
-        all_t = []
-        all_w = []
-        for a, b, v in zip(self.edges, self.edges[1:], self.density_values):
-            n = max(2, int(math.ceil(self.nodes * (b - a) / total_width)))
-            t = np.linspace(a, b, n)
-            w = np.full(n, (b - a) / (n - 1) * v)
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            all_t.append(t)
-            all_w.append(w)
-        return np.concatenate(all_t), np.concatenate(all_w)
+        return float(self.thetas.min()), float(self.thetas.max())
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +216,9 @@ class PantographTerm:
         coeff * |phi(1)|^point_exponent
               * integral K(theta, t) * D(phi(theta)) dnu(theta)
     with D(y) = y when ``signed`` (requires delay_exponent == 1), else
-    |y|^delay_exponent.  ``kernel`` may be None, meaning K == 1.
+    |y|^delay_exponent.  ``kernel`` may be None, meaning K == 1.  The
+    integral is the sum over ``measure.thetas`` and ``measure.weights``;
+    a ``measure`` that is not a :class:`Measure` is a TypeError.
     """
 
     coeff: float
@@ -234,10 +227,6 @@ class PantographTerm:
     point_exponent: float = 0.0
     delay_exponent: float = 1.0
     signed: bool = False
-    _thetas: np.ndarray = field(init=False, default=None, repr=False,
-                                compare=False)
-    _weights: np.ndarray = field(init=False, default=None, repr=False,
-                                 compare=False)
 
     def __post_init__(self):
         require_finite(coeff=self.coeff, point_exponent=self.point_exponent,
@@ -246,9 +235,9 @@ class PantographTerm:
             raise ValueError("exponents must be nonnegative")
         if self.signed and self.delay_exponent != 1.0:
             raise ValueError("signed terms require delay_exponent == 1")
-        thetas, weights = self.measure.quadrature()
-        object.__setattr__(self, "_thetas", thetas)
-        object.__setattr__(self, "_weights", weights)
+        if not isinstance(self.measure, Measure):
+            raise TypeError("measure must be a Measure, got a %s"
+                            % type(self.measure).__name__)
 
     def value(self, phi1, phi_at, t):
         phi1 = np.asarray(phi1, dtype=np.float64)
@@ -259,8 +248,8 @@ class PantographTerm:
 
     def _integral_key(self):
         """What the integral depends on besides the state and the time."""
-        return (self._thetas.tobytes(), self._weights.tobytes(), self.kernel,
-                float(self.delay_exponent), self.signed)
+        return (self.measure.thetas.tobytes(), self.measure.weights.tobytes(),
+                self.kernel, float(self.delay_exponent), self.signed)
 
     def _weighted(self, t, ndim: int):
         """The quadrature weights times K(theta, t), one row per theta.
@@ -268,9 +257,10 @@ class PantographTerm:
         ``ndim`` is the number of axes the weights broadcast over after
         the theta axis: the state's, or the time's for a table of times.
         """
-        w = self._weights.reshape((len(self._thetas),) + (1,) * ndim)
+        thetas = self.measure.thetas
+        w = self.measure.weights.reshape((len(thetas),) + (1,) * ndim)
         if self.kernel is not None:
-            w = w * self.kernel.decay(self._thetas.reshape(w.shape), t)
+            w = w * self.kernel.decay(thetas.reshape(w.shape), t)
         return w
 
     def _integral(self, phi_at, w):
@@ -280,7 +270,7 @@ class PantographTerm:
         :meth:`_integral_key` share this value, so a coefficient pass
         computes it once for all of them.
         """
-        delayed = np.asarray(phi_at(self._thetas), dtype=np.float64)
+        delayed = np.asarray(phi_at(self.measure.thetas), dtype=np.float64)
         if self.signed:
             d = delayed
         elif self.delay_exponent == 1.0:
@@ -304,8 +294,9 @@ class CustomTerm:
     ``fn(phi1, phi_at, t)`` receives the current state (any array
     shape), a callback mapping a theta vector to delayed states with a
     leading theta axis, and the anchor time (scalar or an array matching
-    phi1).  The delayed states may be shared with other terms and
-    read-only, so they must not be modified in place.
+    phi1).  In a coefficient pass the delayed states are read-only and
+    shared with every other term that reads the same thetas, so writing
+    to them raises.
     """
 
     fn: Callable
@@ -327,7 +318,8 @@ class ModelSpec:
 
     Fields:
       theta_lower: proportional-delay bound in (0, 1).
-      t0: start time, > 0 (the earliest delayed lookup is theta_lower*t0).
+      t0: start time, finite and > 0 (the earliest delayed lookup is
+        theta_lower*t0).
       generator: regime generator matrix.
       drift, diffusion: per-regime term tuples, index regime-1.
       initial_segment: constant, (times, values) table on
@@ -346,6 +338,7 @@ class ModelSpec:
     def __post_init__(self):
         if not 0.0 < self.theta_lower < 1.0:
             raise ValueError("theta_lower must lie in (0, 1)")
+        require_finite(t0=self.t0)
         if self.t0 <= 0.0:
             raise ValueError("t0 must be positive")
         n = self.generator.n_states
@@ -408,22 +401,6 @@ class ModelSpec:
         return np.full(t_arr.shape, float(xi))
 
 
-def _cached(lookup):
-    """Any history ``lookup``, run once per theta set; rows are read-only."""
-    cache = {}
-
-    def phi_at(thetas):
-        key = thetas.tobytes()
-        rows = cache.get(key)
-        if rows is None:
-            rows = lookup(thetas)
-            rows.setflags(write=False)
-            cache[key] = rows
-        return rows
-
-    return phi_at
-
-
 class _Plan:
     """A model's drift and diffusion as coefficients times shared bases.
 
@@ -475,31 +452,43 @@ class _Plan:
         order of ``integrals``; a kernel-free group's is a broadcast view.
         """
         return [np.broadcast_to(term._weighted(t, 1),
-                                (len(term._thetas), len(t)))
+                                (len(term.measure.thetas), len(t)))
                 for term in self.integrals]
 
 
 class _Pass:
     """A model's coefficients at states X and time t, regime by regime.
 
-    Each basis of the model's plan is computed at most once per pass and
-    shared by every term and regime that reads it.  A regime's sum has
-    the bits of summing its terms' ``value`` in term order from zeros.
-    ``weights`` holds each integral group's weighted quadrature at t,
-    shaped to broadcast against the delayed states; when it is not
-    given, the pass computes it from t.
+    ``lookup`` maps a theta vector to the delayed states, one row per
+    theta, in a float64 array of its own.  The pass looks up each theta
+    set once and keeps its rows, read-only, in its memo next to the
+    bases computed from them; each basis of the model's plan is computed
+    at most once and shared by every term and regime that reads it.  A
+    regime's sum has the bits of summing its terms' ``value`` in term
+    order from zeros.  ``weights`` holds each integral group's weighted
+    quadrature at t, shaped to broadcast against the delayed states;
+    when it is not given, the pass computes it from t.
     """
 
-    def __init__(self, m: ModelSpec, X, phi_at, t, weights=None):
+    def __init__(self, m: ModelSpec, X, lookup, t, weights=None):
         self._plan = m._plan
         self._raw = X
         self._X = np.asarray(X, dtype=np.float64)
-        self._phi_at = phi_at
+        self._lookup = lookup
         self._t = t
         self._weights = weights if weights is not None else [
             term._weighted(t, self._X.ndim) for term in self._plan.integrals]
         # x**1 has the bits of x
         self._memo = {("x", 1): self._X}
+
+    def _delayed(self, thetas):
+        """The delayed rows at ``thetas``, looked up once per pass."""
+        key = thetas.tobytes()
+        rows = self._memo.get(key)
+        if rows is None:
+            rows = self._memo[key] = self._lookup(thetas)
+            rows.setflags(write=False)
+        return rows
 
     def _basis(self, key):
         v = self._memo.get(key)
@@ -508,7 +497,7 @@ class _Pass:
                 v = self._X ** key[1]
             elif key[0] == "I":
                 v = self._plan.integrals[key[1]]._integral(
-                    self._phi_at, self._weights[key[1]])
+                    self._delayed, self._weights[key[1]])
             else:
                 v = self._basis(("I", key[1])) * np.abs(self._X) ** key[2]
             self._memo[key] = v
@@ -532,7 +521,7 @@ class _Pass:
                 if v is None:
                     continue
             else:
-                v = term.value(self._raw, self._phi_at, self._t)
+                v = term.value(self._raw, self._delayed, self._t)
                 if out is None:
                     out = np.zeros_like(self._X)
             out = 0.0 + v if out is None else out + v

@@ -81,7 +81,7 @@ def test_build_measure_kinds():
     point = build_measure({"kind": "point", "theta": 0.8})
     assert point.support_range() == (0.8, 0.8)
     unif = build_measure({"kind": "uniform", "lo": 0.6, "hi": 1.0})
-    th, w = unif.quadrature()
+    th, w = unif.thetas, unif.weights
     assert abs(w.sum() - 1.0) < 1e-12
     dens = build_measure({"kind": "density", "edges": [0.5, 1.0],
                           "values": [2.0], "nodes": 32})
@@ -91,8 +91,10 @@ def test_build_measure_kinds():
 
 
 def test_build_model_preset_branch():
+    # t0, initial and measure are the model keys a preset leaves open
     m = build_model({"model": {"preset": "exp_stable", "t0": 2.0,
-                               "initial": 0.3}})
+                               "initial": 0.3,
+                               "measure": {"kind": "point", "theta": 0.8}}})
     assert m.t0 == 2.0
     assert m.theta_lower == 0.5
     assert float(m.initial_value(1.5)) == 0.3
@@ -649,6 +651,11 @@ def test_removed_keyword_argument_is_a_type_error(call, keyword):
     ((lyapunov,), "_lv_parts"),
     ((hpsfde.PolynomialV,), "_derivative"),
     ((hpsfde.PantographTerm,), "_kernel_key"),
+    ((models,), "_cached"),
+    ((hpsfde.Measure,), "quadrature"),
+    ((hpsfde.GeneratorMatrix,), "jump_table"),
+    ((hpsfde.PantographTerm,), "_thetas"),
+    ((hpsfde.PantographTerm,), "_weights"),
 ], ids=["sup_norm", "FunctionSegment", "validate_local_lipschitz_probe",
         "LipschitzProbeReport", "Measure.with_nodes", "Kernel.rate",
         "Kernel.validate", "require", "Infeasible",
@@ -656,7 +663,9 @@ def test_removed_keyword_argument_is_a_type_error(call, keyword):
         "LyapunovFamily.dt", "LyapunovFamily.u0", "LyapunovFamily.u",
         "eval", "segment", "SegmentView", "eval_drift", "eval_diffusion",
         "coefficients", "_one_row", "PathExploded", "QuadratureUnsupported",
-        "_lv_parts", "PolynomialV._derivative", "_kernel_key"])
+        "_lv_parts", "PolynomialV._derivative", "_kernel_key", "_cached",
+        "Measure.quadrature", "GeneratorMatrix.jump_table",
+        "PantographTerm._thetas", "PantographTerm._weights"])
 def test_removed_name_is_gone(owners, name):
     for owner in owners:
         with pytest.raises(AttributeError):
@@ -816,6 +825,20 @@ def test_package_exports_resolve():
     ("certify", '{"certificate": {"rows": [{"a": 2.0, "b_alpha": '
      '[[1.0, 0.5]], "bb": 1.0}], "theta_lower": 0.5}}',
      "unknown key certificate.rows[0].bb (known: a, b_alpha)"),
+    # a model key that the preset sets, for every command
+    ("certify", '{"model": {"preset": "exp_stable", "theta_lower": 0.9}}',
+     "model.theta_lower is set by model.preset 'exp_stable'"),
+    ("certify", '{"model": {"preset": "exp_stable", "generator": [[0.0]]}}',
+     "model.generator is set by model.preset 'exp_stable'"),
+    ("check-ito", '{"model": {"preset": "switch_stabilized", "kernel": '
+     '{"beta": 9.0}}, "simulation": {"dt": 0.1, "T": 2.0, "n_paths": 20}}',
+     "model.kernel is set by model.preset 'switch_stabilized'"),
+    ("simulate", '{"model": {"preset": "poly_stable", "drift": [[], []]}, '
+     '"simulation": {"dt": 0.1, "T": 2.0, "n_paths": 2}}',
+     "model.drift is set by model.preset 'poly_stable'"),
+    ("estimate", '{"model": {"preset": "exp_stable", "diffusion": [[], []]}, '
+     '"simulation": {"dt": 0.1, "T": 2.0, "n_paths": 20}}',
+     "model.diffusion is set by model.preset 'exp_stable'"),
 ], ids=["no-theta-lower", "top-level-array", "certificate-not-object",
         "simulation-not-object", "no-generator", "output-key", "lyapunov-key",
         "certificate-key", "estimate-key", "model-key", "unknown-section",
@@ -829,7 +852,8 @@ def test_package_exports_resolve():
         "model-measure-key", "model-atoms-key", "term-point-key",
         "term-density-key", "model-kernel-key", "term-kernel-key",
         "polynomial-term-key", "pantograph-term-key", "initial-key",
-        "certificate-row-key"])
+        "certificate-row-key", "preset-theta-lower", "preset-generator",
+        "preset-kernel", "preset-drift", "preset-diffusion"])
 def test_malformed_config_is_an_error(tmp_path, capsys, command, text, named):
     cfg = tmp_path / "experiment.json"
     cfg.write_text(text)

@@ -347,6 +347,25 @@ def test_custom_term_lookups_match_per_path_reference():
         assert batch.paths[p].values.tolist() == [x for _, x in nodes]
 
 
+@pytest.mark.parametrize("at_switch", [False, True], ids=["step", "switch"])
+def test_custom_term_cannot_write_to_delayed_rows(at_switch):
+    # the rows of a pass are shared by every term that reads the theta
+    # set, so writing to them raises; a uniform step passes a scalar t,
+    # a switch substep one time per row
+    def scribble(phi1, phi_at, t):
+        if np.ndim(t) or not at_switch:
+            phi_at(np.array([0.75]))[0, 0] = 0.0
+        return 0.0 * phi1
+
+    m = ModelSpec(theta_lower=0.5, t0=1.0,
+                  generator=make_generator([[-40.0, 40.0], [60.0, -60.0]]),
+                  drift=((CustomTerm(scribble),), ()), diffusion=((), ()),
+                  initial_segment=1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        run_batch(m, IntegratorConfig(dt=0.05, T=3.0), n_paths=8, i0=1,
+                  root_seed=7)
+
+
 def dying_model():
     # regime 1 is a random walk that crosses the threshold at grid
     # times; entering regime 2 makes the drift 1e308 + 1e308 = inf, so

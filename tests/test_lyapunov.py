@@ -313,7 +313,7 @@ def test_lv_profile_matches_pointwise_lv_across_switch_lookups():
         switch = np.flatnonzero(np.diff(path.regimes)) + 1
         assert len(switch) >= 1
         thetas = np.unique(np.concatenate(
-            [term._thetas for terms in m.drift + m.diffusion
+            [term.measure.thetas for terms in m.drift + m.diffusion
              for term in terms if isinstance(term, PantographTerm)]))
         lookups = (thetas[:, None] * times[None, :]).ravel()
         assert any(np.any((lookups > path.times[k - 1])

@@ -51,6 +51,16 @@ def test_make_generator_rejects_non_finite_rates(rates):
         make_generator(rates)
 
 
+@pytest.mark.parametrize("rates, error", [
+    ([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]], ValueError),
+    ([[1.0, -1.0], [0.0, 0.0]], NegativeOffDiagonal),
+    ([[-1.0, 1.0], [2.0, -1.0]], RowSumNonZero),
+], ids=["2x3", "negative-off-diagonal", "row-sum"])
+def test_generator_constructor_checks_its_rates(rates, error):
+    with pytest.raises(error):
+        GeneratorMatrix(rates)
+
+
 def test_generator_rates_read_only():
     g = make_generator(TWO_STATE)
     with pytest.raises(ValueError):

@@ -43,7 +43,8 @@ def test_atom_measure_tolerates_tiny_mass_error():
 
 
 def test_point_mass_quadrature_is_exact():
-    th, w = Measure.point_mass(0.8).quadrature()
+    nu = Measure.point_mass(0.8)
+    th, w = nu.thetas, nu.weights
     assert np.array_equal(th, [0.8])
     assert np.array_equal(w, [1.0])
 
@@ -73,11 +74,32 @@ def test_measures_reject_non_finite_numbers(bad):
         Measure.piecewise_density([0.5, 1.0], [bad])
 
 
+@pytest.mark.parametrize("thetas, weights", [
+    ((0.5, 1.0), (2.0, 0.5)),
+    ((0.5, 1.0), (1.0,)),
+    ((), ()),
+    ((0.5, 1.0), (-0.5, 1.5)),
+    ((math.nan, 1.0), (0.5, 0.5)),
+], ids=["mass-2.5", "unequal-lengths", "empty", "negative-weight",
+        "nan-node"])
+def test_measure_constructor_checks_its_quadrature(thetas, weights):
+    with pytest.raises(UnsupportedMeasure):
+        Measure(thetas, weights)
+
+
+def test_measure_holds_read_only_float64_arrays():
+    nu = Measure([0.5, 1], [0.25, 0.75])
+    assert nu.thetas.dtype == nu.weights.dtype == np.float64
+    for a in (nu.thetas, nu.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 def test_uniform_density_trapezoid_exact_for_linear_integrand():
     # integral of theta over U(0.5, 1) is 0.75; trapezoid is exact on
     # linear integrands at any node count
     nu = Measure.uniform(0.5, 1.0, nodes=7)
-    th, w = nu.quadrature()
+    th, w = nu.thetas, nu.weights
     assert abs(w.sum() - 1.0) < 1e-12
     assert abs((w * th).sum() - 0.75) < 1e-12
 
@@ -87,7 +109,7 @@ def test_density_quadrature_halving_converged():
     exact = 2.0 * (1.0 - 0.125) / 3.0  # integral of 2 theta^2 on [1/2, 1]
 
     def integral(measure):
-        th, w = measure.quadrature()
+        th, w = measure.thetas, measure.weights
         return float((w * th ** 2).sum())
 
     coarse = integral(nu)
@@ -108,7 +130,8 @@ def test_support_range():
 def test_atom_quadrature_weights_normalized(raw):
     total = sum(w for _, w in raw)
     atoms = [(t, w / total) for t, w in raw]
-    th, w = Measure.from_atoms(atoms).quadrature()
+    nu = Measure.from_atoms(atoms)
+    th, w = nu.thetas, nu.weights
     assert np.all(w >= 0)
     assert abs(w.sum() - 1.0) < 1e-12
     assert len(th) == len(atoms)
@@ -235,6 +258,23 @@ def test_model_rejects_bad_theta_lower_and_t0():
     with pytest.raises(ValueError):
         ModelSpec(theta_lower=0.5, t0=0.0, generator=one_state(),
                   drift=((),), diffusion=((),), initial_segment=0.0)
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf])
+def test_model_rejects_non_finite_t0(t0):
+    with pytest.raises(ValueError, match="t0 must be finite"):
+        ModelSpec(theta_lower=0.5, t0=t0, generator=one_state(),
+                  drift=((),), diffusion=((),), initial_segment=0.0)
+
+
+def test_preset_rejects_infinite_t0():
+    with pytest.raises(ValueError, match="t0 must be finite"):
+        preset("exp_stable", t0=math.inf)
+
+
+def test_pantograph_term_needs_a_measure():
+    with pytest.raises(TypeError, match="measure must be a Measure"):
+        PantographTerm(coeff=1.0, measure=((1.0, 1.0),))
 
 
 def test_model_requires_terms_per_regime():
