@@ -92,29 +92,46 @@ def standard_error(samples: np.ndarray) -> float:
     return float(samples.std(ddof=1)) / math.sqrt(n)
 
 
-def _surviving_abs(batch: SimulationBatch, min_paths: int):
-    """Grid times, |x| of the non-exploded paths and their count.
-
-    |x| is one fresh array, which the estimators overwrite in place;
-    ``batch.uniform_values`` is read, never copied or written.
-    """
-    keep = ~batch.exploded_mask
-    n_used = int(keep.sum())
+def _n_surviving(batch: SimulationBatch, min_paths: int) -> int:
+    """The count of non-exploded paths, which must reach ``min_paths``."""
+    n_used = batch.n_paths - batch.n_exploded
     if n_used == 0:
         raise AllExploded("all %d paths exploded" % batch.n_paths)
     if n_used < min_paths:
         raise InsufficientPaths(
             "%d non-exploded paths, need at least %d" % (n_used, min_paths))
-    if n_used == batch.n_paths:
-        return batch.uniform_times, np.abs(batch.uniform_values), n_used
-    vals = batch.uniform_values[keep]
-    return batch.uniform_times, np.abs(vals, out=vals), n_used
+    return n_used
+
+
+def _surviving_abs(batch: SimulationBatch, cols: slice = slice(None),
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """|x| of the non-exploded paths at the grid columns ``cols``.
+
+    |x| is written to ``out``, or else to one fresh array, which the
+    estimators overwrite in place; ``batch.uniform_values`` is read,
+    never written.
+    """
+    vals = batch.uniform_values[:, cols]
+    if batch.n_exploded:
+        vals = vals[~batch.exploded_mask]
+        if out is None:
+            out = vals
+    return np.abs(vals, out=out)
+
+
+def _log_abs(stat: np.ndarray, p: float) -> np.ndarray:
+    """p log max(|x|, LOG_FLOOR), in place over the array |x|."""
+    np.maximum(stat, LOG_FLOOR, out=stat)
+    np.log(stat, out=stat)
+    stat *= p
+    return stat
 
 
 def moment_curve(batch: SimulationBatch, p: float,
                  min_paths: int = 1) -> np.ndarray:
     """Mean of |x(t)|^p over the non-exploded paths on the uniform grid."""
-    stat = _surviving_abs(batch, min_paths)[1]
+    _n_surviving(batch, min_paths)
+    stat = _surviving_abs(batch)
     stat **= p
     return stat.mean(axis=0)
 
@@ -161,19 +178,36 @@ def _quantile_summary(slopes: np.ndarray) -> Dict[float, float]:
 
 
 def _pathwise_fit(kind, batch, p, window, min_paths, abscissa) -> RateReport:
-    """Report of the per-path OLS slopes of log|x(t)|^p on abscissa(t)."""
-    times, logs, n_used = _surviving_abs(batch, min_paths)
-    np.maximum(logs, LOG_FLOOR, out=logs)
-    np.log(logs, out=logs)
-    logs *= p
+    """Report of the per-path OLS slopes of log|x(t)|^p on abscissa(t).
+
+    The slopes are fitted on the logs of the window's columns alone,
+    held column-major like the masked copy ``logs[:, mask]`` that they
+    were first fitted on: ``Y.dot`` rounds by the layout of Y.  Without
+    explosions, the full table of logs for the series then reuses the
+    window's buffer.  A window array of its own, once freed, can stay
+    resident under glibc's malloc, whose mmap threshold rises to the
+    largest block freed, and add to every later peak.
+    """
+    n_used = _n_surviving(batch, min_paths)
+    times = batch.uniform_times
     mask = _window_mask(times, batch.t0, batch.T, window)
-    slopes = _per_path_slopes(abscissa(times[mask]), logs[:, mask])
+    cols = np.flatnonzero(mask)
+    width = len(cols) if batch.n_exploded else len(times)
+    buf = np.empty(n_used * width)
+    win = buf[:n_used * len(cols)].reshape(n_used, len(cols), order="F")
+    _surviving_abs(batch, slice(cols[0], cols[-1] + 1), out=win)
+    slopes = _per_path_slopes(abscissa(times[mask]), _log_abs(win, p))
+    if batch.n_exploded:
+        del buf, win
+        logs = _surviving_abs(batch)
+    else:
+        logs = _surviving_abs(batch, out=buf.reshape(n_used, width))
     return RateReport(kind=kind, fitted_rate=float(slopes.max()),
                       stderr=standard_error(slopes),
                       window=(float(times[mask][0]), float(times[mask][-1])),
                       n_paths_used=n_used, n_exploded=batch.n_exploded,
                       series_times=times.copy(),
-                      series_values=logs.mean(axis=0),
+                      series_values=_log_abs(logs, p).mean(axis=0),
                       quantiles=_quantile_summary(slopes))
 
 
@@ -232,7 +266,8 @@ def estimate_time_average(batch: SimulationBatch, p: float,
 
     ``stderr`` is the standard error across per-path time averages.
     """
-    times, stat, n_used = _surviving_abs(batch, min_paths)
+    n_used = _n_surviving(batch, min_paths)
+    times, stat = batch.uniform_times, _surviving_abs(batch)
     stat **= p
     series = np.empty(len(times))
     series[0] = stat[:, 0].mean()

@@ -53,10 +53,10 @@ containing q switches consumes its step normal, used by the whole step
 or by its first substep, then one normal per substep that starts at a
 switch.  A jump exactly at a grid time starts no substep and reads no
 normal.  A block draws its paths' normals in that order into a buffer
-of a few dozen rows at a time and splits each chunk into a time-major
-table Z[k, row] of step normals, which the step loop reads as one
-contiguous row per step, and the switch normals in the switch table's
-order.
+of a few dozen rows at a time and splits each chunk: the normal of
+step k waits in the history row that step k's end state overwrites,
+which the step loop reads as one contiguous row before writing it, and
+the switch normals go to the switch table's order.
 
 Blow-up is data, not failure: a path whose state exceeds the threshold
 (or turns non-finite) is marked exploded and frozen; the batch always
@@ -282,14 +282,14 @@ class _Switches(NamedTuple):
     passes: dict
 
 
-def _sample_block_chains(m, u_times, rows, root_seed, i0):
-    """Regime grid, jump counts and switch table for one block.
+def _sample_block_chains(m, u_times, rows, root_seed, i0, r_grid):
+    """Fill the block's regime grid r_grid; return jump counts, switches.
 
     A block whose start regime is absorbing samples no chain: its grid
     is i0 throughout and its switch table is empty.
     """
     b = len(rows)
-    r_grid = np.full((b, len(u_times)), i0, dtype=np.int16)
+    r_grid[...] = i0
     jump_counts = np.zeros(b, dtype=np.int64)
     time, regime = np.zeros(0), np.zeros(0, dtype=np.int64)
     if not m.generator.absorbing(i0):
@@ -337,25 +337,28 @@ def _sample_block_chains(m, u_times, rows, root_seed, i0):
     starts = np.flatnonzero(starts).tolist()
     for lo, hi in zip(starts, starts[1:] + [n]):
         sw.passes.setdefault(int(sw.step[lo]), []).append((lo, hi))
-    return r_grid, jump_counts, sw
+    return jump_counts, sw
 
 
-def _draw_block_normals(rows, root_seed, n_steps, sw):
-    """The block's normals, split into uniform steps and switches.
+def _draw_block_normals(rows, root_seed, sw, Z):
+    """Draw the block's normals into ``Z`` and the switch table's order.
 
-    Row r draws n_steps normals plus one per switch of its own in the
-    table from its noise stream, in stream order, into a buffer that
-    holds one chunk of ``_NORMAL_ROWS`` rows; a jump at a grid time
-    starts no substep and reads no normal.  Each chunk is split: the
-    normal of uniform step k goes to ``Z[k, r]``, a time-major table,
-    and the normal of the substep that starts at switch entry e goes to
-    ``z_sw[e]``, in the switch table's order.  In a row's stream, each
-    step's normal is followed by one per switch inside the step, so
-    entry e is at position step + 1 + rank.
+    ``Z`` has one row per uniform step and one column per block row: the
+    history rows that the steps' end states overwrite.  Row r draws one
+    normal per step plus one per switch of its own in the table from its
+    noise stream, in stream order, into a buffer that holds one chunk of
+    ``_NORMAL_ROWS`` rows; a jump at a grid time starts no substep and
+    reads no normal.  Each chunk is split: the normal of uniform step k
+    goes to ``Z[k, r]``, and the normal of the substep that starts at
+    switch entry e goes to ``z_sw[e]``.  In a row's stream, each step's
+    normal is followed by one per switch inside the step, so entry e is
+    at position step + 1 + rank.  A row's first switch in a step also
+    gets the step's normal, the one before its own, in ``z_to[e]``: its
+    substep to that switch reads it after the step has overwritten Z.
     """
-    b = len(rows)
-    Z = np.empty((n_steps, b))
+    n_steps, b = Z.shape
     z_sw = np.empty(len(sw.time))
+    z_to = np.empty(len(sw.time))
     by_row = np.argsort(sw.row, kind="stable")
     row_sorted = sw.row[by_row]
     for c0 in range(0, b, _NORMAL_ROWS):
@@ -373,11 +376,13 @@ def _draw_block_normals(rows, root_seed, n_steps, sw):
         if len(e):
             at = offsets[sw.row[e] - c0] + sw.step[e] + 1 + sw.rank[e]
             z_sw[e] = buf[at]
+            first = sw.prv[e] < 0
+            z_to[e[first]] = buf[at[first] - 1]
             keep = np.ones(len(buf), dtype=bool)
             keep[at] = False
             buf = buf[keep]
         Z[:, c0:c1] = buf.reshape(c1 - c0, n_steps).T
-    return Z, z_sw
+    return z_sw, z_to
 
 
 class _Lookups:
@@ -485,20 +490,23 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
     n_init = len(init_times)
     threshold = cfg.blowup_threshold
 
-    r_grid, jump_counts, sw = _sample_block_chains(m, u_times, rows,
-                                                   root_seed, i0)
-    if wiener is None:
-        Z, z_sw = _draw_block_normals(rows, root_seed, k_steps, sw)
-    elif jump_counts.any():
+    r_grid = out["regimes_uniform"][block]
+    jump_counts, sw = _sample_block_chains(m, u_times, rows, root_seed, i0,
+                                           r_grid)
+    if wiener is not None and jump_counts.any():
         raise ValueError("a Wiener table requires a switching-free model")
 
     # history, one row per time: initial nodes, then the uniform grid;
-    # the switch-node states follow it in one buffer
+    # the switch-node states follow it in one buffer.  Until step k
+    # writes its end state, that state's row holds the step's normal.
     ht = np.concatenate((init_times[:-1], u_times))
     base_col = n_init - 1
     look = _Lookups(ht, base_col, u_times, sw, b)
     H, buf, node_x = look.H, look.buf, look.nodes
     H[:n_init] = init_vals[:, None]
+    if wiener is None:
+        z_sw, z_to = _draw_block_normals(rows, root_seed, sw,
+                                         H[base_col + 1:])
     node_x[:] = np.nan
 
     # substep geometry: [t, s] ending at switch s, and [s, end] from it;
@@ -550,17 +558,18 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
                          [w[:, k:k + 1] for w in w_step]
                          ).merged(r_grid[:, k])
             if wiener is None:
-                z = Z[k]
-                dW = sqrt_h[k] * z
+                # Xn holds the step's normal until the step writes it
+                dW = sqrt_h[k] * Xn
             else:
                 dW = wiener.increment(t, t_next)[block]
             np.add(X + F * h_list[k], G * dW, out=Xn)
 
             # Switch substeps, one pass per substep index over the alive
             # rows with that many switches in the step: the first ends
-            # at the row's first switch and reuses F, G and z; each
-            # later one starts at a switch and ends at the next switch
-            # or at t_next, where its state goes to H.
+            # at the row's first switch and reuses F, G and the step's
+            # normal, kept in z_to; each later one starts at a switch
+            # and ends at the next switch or at t_next, where its state
+            # goes to H.
             passes = sw.passes.get(k, [])
             for i, (lo, hi) in enumerate(passes[:1] + passes):
                 sel = slice(lo, hi)
@@ -568,7 +577,8 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
                     sel = lo + np.flatnonzero(alive[sw.row[lo:hi]])
                 R = sw.row[sel]
                 if i == 0:
-                    xn = X[R] + F[R] * h_to[sel] + G[R] * sq_to[sel] * z[R]
+                    xn = (X[R] + F[R] * h_to[sel]
+                          + G[R] * sq_to[sel] * z_to[sel])
                     dst = to_node[sel]
                 else:
                     x = node_x[sel]
@@ -603,7 +613,6 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
     for row in dead.tolist():
         u_block[row, death_col[row]:] = np.nan
         u_block[row, death_col[row]] = crossed[row]
-    out["regimes_uniform"][block] = r_grid
     out["exploded_at"][block] = exploded_at
     out["n_switches"][block] = jump_counts
     if keep_paths:
@@ -659,7 +668,8 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
 
     k1 = len(u_times)
     out = {
-        "uniform_values": np.full((n_paths, k1), np.nan),
+        # every block writes its whole slice of both grids
+        "uniform_values": np.empty((n_paths, k1)),
         "regimes_uniform": np.empty((n_paths, k1), dtype=np.int16),
         "exploded_at": np.full(n_paths, np.nan),
         "n_switches": np.zeros(n_paths, dtype=np.int64),

@@ -27,14 +27,14 @@ ROW_SUM_TOL = 1e-12
 ABSORBING_RATE = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """An N x N transition-rate matrix, checked at construction.
 
     ``rates`` is a square array-like of shape (N, N), N >= 1, held as a
     read-only float64 copy.  Off-diagonal entries are jump rates and
     must be >= 0; each row must sum to zero within ``ROW_SUM_TOL``
-    absolute.
+    absolute.  Generators compare and hash by identity.
 
     Raises:
       ValueError: not a square matrix, or some rate is NaN or infinite.

@@ -273,9 +273,11 @@ def test_statistic_at_interpolates_and_validates():
 # ---------------------------------------------------------------------------
 
 # Peak traced allocation of one call, as a multiple of the value array,
-# when no path exploded; the copying expressions peaked at 3, 3, 3 and 5.
-PEAK_BOUNDS = {estimate_moment_rate: 1.25, estimate_as_rate: 1.75,
-               estimate_polynomial_rate: 1.75, estimate_time_average: 3.25}
+# with or without exploded paths; the copying expressions peaked at 3, 3,
+# 3 and 5.  The a.s. estimators fit on the window's |x| before the full
+# table of logs is built, so they peak at that table, about 1.0.
+PEAK_BOUNDS = {estimate_moment_rate: 1.25, estimate_as_rate: 1.25,
+               estimate_polynomial_rate: 1.25, estimate_time_average: 3.25}
 
 
 def wide_batch(n_exploded):
@@ -356,9 +358,8 @@ def test_estimators_match_copying_reference_in_place(n_exploded, p):
             else:
                 assert got == value, (est.__name__, name)
         assert batch.uniform_values.tobytes() == before, est.__name__
-        if n_exploded == 0:
-            assert peak <= PEAK_BOUNDS[est] * nbytes, (est.__name__,
-                                                       peak / nbytes)
+        assert peak <= PEAK_BOUNDS[est] * nbytes, (est.__name__,
+                                                   peak / nbytes)
 
 
 @pytest.mark.parametrize("n_exploded", [0, 3])

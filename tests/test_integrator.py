@@ -4,6 +4,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hpsfde.integrator import (DEFAULT_BLOCK_SIZE, IntegratorConfig,
                                run_batch, uniform_grid)
 from hpsfde.markov import make_generator, sample_regime_path
 from hpsfde.models import (CustomTerm, Kernel, Measure, ModelSpec,
-                           PantographTerm, PolynomialTerm)
+                           PantographTerm, PolynomialTerm, single_regime)
 from hpsfde.paths import _interp
 from hpsfde.presets import PRESET_NAMES, preset
 
@@ -791,6 +792,30 @@ def test_keep_paths_false_drops_paths():
                       n_paths=3, i0=1, root_seed=0, keep_paths=False)
     assert batch.paths is None
     assert np.all(np.isfinite(batch.uniform_values))
+
+
+# Peak traced memory of a batch over its grid values' bytes.  The grid
+# values, the int16 regime grid and one block's history (one float64 per
+# path per step) come to about 2.3; step normals wait in the history
+# rows.  Each switch adds its table entries and lookup tables, about
+# 0.8 more at 18 switches per path on a dt=0.01 grid.
+@pytest.mark.parametrize("model, n_paths, bound", [
+    (single_regime(preset("exp_stable"), 1), 1000, 2.5),
+    (preset("exp_stable"), 500, 3.5)], ids=["switch_free", "switching"])
+def test_batch_holds_each_path_by_step_array_once(model, n_paths, bound):
+    cfg = IntegratorConfig(dt=0.01, T=15.0)
+    # a first batch imports what a batch imports on first use
+    run_batch(model, IntegratorConfig(dt=0.01, T=2.0), n_paths=2, i0=1,
+              root_seed=3, keep_paths=False)
+    tracemalloc.start()
+    try:
+        batch = run_batch(model, cfg, n_paths=n_paths, i0=1, root_seed=3,
+                          keep_paths=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * batch.uniform_values.nbytes, (
+        peak / batch.uniform_values.nbytes)
 
 
 def test_synthetic_batch_wraps_external_data():

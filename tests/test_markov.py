@@ -67,6 +67,14 @@ def test_generator_rates_read_only():
         g.rates[0, 0] = 5.0
 
 
+def test_generators_compare_and_hash_by_identity():
+    g1, g2 = make_generator(TWO_STATE), make_generator(TWO_STATE)
+    assert g1 == g1 and g1 != g2
+    assert hash(g1) == hash(g1) and hash(g1) != hash(g2)
+    table = {g1: "first", g2: "second"}
+    assert table[g1] == "first" and table[g2] == "second"
+
+
 def test_sample_path_structure():
     g = make_generator(TWO_STATE)
     rp = sample_regime_path(g, 1, 1.0, 50.0, seed=123)
