@@ -34,7 +34,7 @@ from .lyapunov import (LVBreakdown, LyapunovFamily, PolynomialV,
 from .markov import (GeneratorMatrix, RegimePath, make_generator,
                      sample_regime_path, stationary_distribution)
 from .models import (Kernel, Measure, ModelSpec, PantographTerm,
-                     PolynomialTerm, CustomTerm, single_regime)
+                     PolynomialTerm, single_regime)
 from .paths import ConstantSegment, DensePath, write_csv
 from .presets import (PRESET_NAMES, default_measure, preset,
                       preset_certificate, preset_lyapunov)
@@ -43,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificateData", "CertificateRow", "CertificateVerdict",
-    "ConstantSegment", "CustomTerm", "DensePath", "Error",
+    "ConstantSegment", "DensePath", "Error",
     "GeneratorMatrix", "IntegratorConfig", "Kernel", "LVBreakdown",
     "LyapunovFamily", "Measure", "ModelSpec", "PantographTerm",
     "PolynomialTerm", "PolynomialV", "PRESET_NAMES", "RateReport",

@@ -62,12 +62,12 @@ class ReducibleChain(Error):
 # ---------------------------------------------------------------------------
 
 class OutOfDomain(Error):
-    """A delayed lookup of LV along paths falls outside the segment
-    [theta_lower, 1] or before the paths start."""
+    """A delayed lookup of LV along paths falls below the paths'
+    theta_lower or before the paths start."""
 
 
 class NonFiniteState(Error):
-    """A state became NaN or infinite before the blow-up threshold."""
+    """A model's constant initial value is NaN or infinite."""
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NonFiniteState, require_finite, require_index
+from .errors import require_finite, require_index
 from .markov import sample_regime_path
 from .models import ModelSpec, _Pass
 from .paths import DensePath, PathStore, _interp, _piece
@@ -663,8 +663,6 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
     h = float(u_times[1] - u_times[0])
     init_times = initial_grid(m, h)
     init_vals = m.initial_value(init_times)
-    if not np.all(np.isfinite(init_vals)):
-        raise NonFiniteState("initial data contains non-finite values")
 
     k1 = len(u_times)
     out = {

@@ -53,7 +53,7 @@ from . import paths as paths_mod
 from .errors import (DimensionMismatch, InsufficientPaths, OutOfDomain,
                      require_finite, require_index)
 from .estimators import standard_error
-from .models import THETA_TOL, ModelSpec, _Pass, _polynomial
+from .models import THETA_TOL, ModelSpec, _Pass, _polynomial, _power
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,11 @@ class PolynomialV:
     def __init__(self, coeffs):
         norm = []
         for p, c in coeffs:
-            if float(p) != int(p) or int(p) < 0 or int(p) % 2 != 0:
-                raise ValueError("V powers must be even nonnegative integers")
+            p = _power(p, even=True)
             require_finite(coeff=c)
             if c < 0:
                 raise ValueError("V coefficients must be nonnegative")
-            norm.append((int(p), float(c)))
+            norm.append((p, float(c)))
         if not norm or max(c for _, c in norm) <= 0:
             raise ValueError("V needs at least one positive coefficient")
         object.__setattr__(self, "coeffs", tuple(norm))
@@ -211,9 +210,7 @@ def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
     _check_regimes(V, m)
     require_index("regime", i, m.n_regimes)
     x = float(view.point)
-    # the pass flags its rows read-only: a view of the caller's array, not it
-    ev = _Pass(m, x, lambda th: np.asarray(view(th), dtype=np.float64).view(),
-               t)
+    ev = _Pass(m, x, lambda th: np.asarray(view(th), dtype=np.float64), t)
     parts = _lv_table(V, m, ev, x)[i - 1]
     drift, diffusion, coupling = (float(part) for part in parts)
     return LVBreakdown(value=drift + diffusion + coupling, drift_part=drift,
@@ -332,13 +329,16 @@ class _LVAlong:
     def _delayed(self, thetas, t):
         """The lookup times theta * t of the thetas other than 1.
 
-        Thetas outside [theta_lower, 1] by more than ``THETA_TOL`` raise
-        OutOfDomain; the rest are clipped to it.
+        A theta below the store's theta_lower by more than ``THETA_TOL``
+        raises OutOfDomain, as does a lookup before the paths start.
+        Only a path that :func:`lv_profile` reads reaches either: one with
+        a larger theta_lower than the model's, or one without its initial
+        segment.  ``ModelSpec`` keeps every theta at most 1 + ``THETA_TOL``.
+        The thetas are clipped to [theta_lower, 1].
         Returns (times, own), ``own`` marking the thetas equal to 1.
         """
         lo = self.store.theta_lower
-        if thetas.size and (thetas.min() < lo - THETA_TOL
-                            or thetas.max() > 1.0 + THETA_TOL):
+        if thetas.size and thetas.min() < lo - THETA_TOL:
             raise OutOfDomain("theta must lie in [%g, 1], got range [%g, %g]"
                               % (lo, thetas.min(), thetas.max()))
         thetas = np.clip(thetas, lo, 1.0)

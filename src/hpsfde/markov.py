@@ -94,13 +94,14 @@ def make_generator(rates) -> GeneratorMatrix:
     return GeneratorMatrix(rates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegimePath:
     """One sampled trajectory of the regime process on [t0, T].
 
     The path is piecewise constant and right-continuous: the process sits
     in states[k] on [jump_times[k-1], jump_times[k]) with the convention
-    jump_times[-1] = t0.  Consecutive states always differ.
+    jump_times[-1] = t0.  Consecutive states always differ.  Paths
+    compare and hash by identity.
     """
 
     t0: float

@@ -13,11 +13,12 @@ sums of two structured term kinds:
     measure on [theta_lower, 1], and K an optional exponential decay
     kernel (absent kernel means K == 1).
 
-Arbitrary callables can be attached through CustomTerm.  Each model
-input checks itself when it is built: a Measure is its quadrature
-(thetas and weights, read-only), the generator its rate matrix
+These two kinds are the whole language.  Each model input checks
+itself when it is built: a Measure is its quadrature (thetas and
+weights, read-only), the generator its rate matrix
 (``markov.GeneratorMatrix``) and ModelSpec checks theta_lower, a finite
-positive t0, the per-regime term lists and an initial table.
+positive t0, the per-regime term lists and the initial data (a finite
+constant or a (times, values) table).
 
 The state is scalar.  Terms are evaluated on batches of it: phi(1) may
 be one state, an array with one state per Monte Carlo path, or one per
@@ -31,9 +32,9 @@ pantograph integral (times a power of |phi(1)|).  One coefficient pass
 computes each basis at most once for all terms and regimes that read it,
 sums each regime present in term order on all rows and merges the
 regimes row by row, so every value has the bits of summing the terms'
-``value`` in term order.  ``Term.value`` stays the per-term method.
-A pass looks up the delayed states of each theta set once and keeps
-them, read-only, next to the bases computed from them.
+``value`` in term order; ``Term.value`` is the per-term reference the
+tests compare the plan against.  A pass looks up the delayed states of
+each theta set once and keeps them next to the bases computed from them.
 Each integral's weighted quadrature w_j K(theta_j, t) is computed once
 per pass; the integrator and LV along paths compute it once for all
 their times and hand each pass its columns.
@@ -42,12 +43,14 @@ their times and hand each pass its columns.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import UnsupportedMeasure, require_finite, require_index
+from .errors import (NonFiniteState, UnsupportedMeasure, require_finite,
+                     require_index)
 from .markov import GeneratorMatrix
 from .paths import _atol
 
@@ -182,6 +185,21 @@ def _polynomial(coeffs, x, shift: int = 0):
     return out
 
 
+def _power(p, even: bool = False) -> int:
+    """``p`` as an int: a real, non-bool number equal to a nonnegative
+    integer, and an even one when ``even`` is set.
+
+    Any other ``p`` is a ValueError that names it.  The powers of
+    :class:`PolynomialTerm` and of ``lyapunov.PolynomialV`` pass here.
+    """
+    if (isinstance(p, numbers.Real) and not isinstance(p, bool)
+            and 0 <= p < math.inf and p == int(p)
+            and not (even and int(p) % 2)):
+        return int(p)
+    raise ValueError("powers must be %snonnegative integers, got %r"
+                     % ("even " if even else "", p))
+
+
 @dataclass(frozen=True)
 class PolynomialTerm:
     """Sum of signed integer powers of the current state phi(1).
@@ -196,12 +214,9 @@ class PolynomialTerm:
     def __init__(self, coeffs: Sequence[Tuple[float, float]]):
         norm = []
         for p, c in coeffs:
-            if float(p) != int(p) or p < 0:
-                raise ValueError(
-                    "polynomial powers must be nonnegative integers, got %r"
-                    % (p,))
+            p = _power(p)
             require_finite(coeff=c)
-            norm.append((int(p), float(c)))
+            norm.append((p, float(c)))
         object.__setattr__(self, "coeffs", tuple(norm))
 
     def value(self, phi1, phi_at, t):
@@ -287,25 +302,7 @@ class PantographTerm:
         return out
 
 
-@dataclass(frozen=True)
-class CustomTerm:
-    """Escape hatch for coefficients outside the structured DSL.
-
-    ``fn(phi1, phi_at, t)`` receives the current state (any array
-    shape), a callback mapping a theta vector to delayed states with a
-    leading theta axis, and the anchor time (scalar or an array matching
-    phi1).  In a coefficient pass the delayed states are read-only and
-    shared with every other term that reads the same thetas, so writing
-    to them raises.
-    """
-
-    fn: Callable
-
-    def value(self, phi1, phi_at, t):
-        return np.asarray(self.fn(phi1, phi_at, t), dtype=np.float64)
-
-
-Term = Union[PolynomialTerm, PantographTerm, CustomTerm]
+Term = Union[PolynomialTerm, PantographTerm]
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +319,8 @@ class ModelSpec:
         theta_lower*t0).
       generator: regime generator matrix.
       drift, diffusion: per-regime term tuples, index regime-1.
-      initial_segment: constant, (times, values) table on
-        [theta_lower*t0, t0], or a callable t -> value.
+      initial_segment: a finite real constant, or a (times, values)
+        table on [theta_lower*t0, t0].
     """
 
     theta_lower: float
@@ -331,7 +328,7 @@ class ModelSpec:
     generator: GeneratorMatrix
     drift: Tuple[Tuple[Term, ...], ...]
     diffusion: Tuple[Tuple[Term, ...], ...]
-    initial_segment: Union[float, Tuple, Callable]
+    initial_segment: Union[float, Tuple]
     _plan: "_Plan" = field(init=False, default=None, repr=False,
                            compare=False)
 
@@ -345,8 +342,16 @@ class ModelSpec:
         if len(self.drift) != n or len(self.diffusion) != n:
             raise ValueError(
                 "drift/diffusion need one term list per regime (%d)" % n)
-        if isinstance(self.initial_segment, tuple):
+        xi = self.initial_segment
+        if isinstance(xi, tuple):
             self._check_initial_table()
+        elif not isinstance(xi, numbers.Real) or isinstance(xi, bool):
+            raise TypeError("initial_segment must be a real constant or a "
+                            "(times, values) table, got a %s"
+                            % type(xi).__name__)
+        elif not math.isfinite(xi):
+            raise NonFiniteState("initial value must be finite, got %r"
+                                 % (xi,))
         object.__setattr__(self, "_plan", _Plan(self))
 
     def _check_initial_table(self) -> None:
@@ -391,9 +396,6 @@ class ModelSpec:
         """
         t_arr = np.asarray(t, dtype=np.float64)
         xi = self.initial_segment
-        if callable(xi):
-            return np.array([float(xi(float(ti))) for ti in t_arr.ravel()]
-                            ).reshape(t_arr.shape)
         if isinstance(xi, tuple):
             knots, kvals = xi
             return np.interp(t_arr, np.asarray(knots, float),
@@ -405,11 +407,12 @@ class _Plan:
     """A model's drift and diffusion as coefficients times shared bases.
 
     ``drift[i - 1]`` holds regime i's drift terms in term order, each
-    either a CustomTerm or the term's (coeff, basis key) products.  A
-    basis key is ("x", p) for x**p, ("I", g) for the integral of group g,
-    or ("P", g, pe) for that integral times |x|**pe.  A group is the
-    pantograph terms with one integral (quadrature, kernel, delay
-    exponent, signedness); ``integrals[g]`` is its first term.
+    as the term's (coeff, basis key) products.  A basis key is ("x", p)
+    for x**p, ("I", g) for the integral of group g, or ("P", g, pe) for
+    that integral times |x|**pe.  A group is the pantograph terms with
+    one integral (quadrature, kernel, delay exponent, signedness);
+    ``integrals[g]`` is its first term.  Every term compiles: a model
+    holds no other kind.
     """
 
     def __init__(self, m: ModelSpec):
@@ -431,12 +434,10 @@ class _Plan:
                     key = (("I", g) if term.point_exponent == 0.0
                            else ("P", g, term.point_exponent))
                     out.append(((term.coeff, key),))
-                elif isinstance(term, CustomTerm):
-                    out.append(term)
                 else:
                     raise TypeError(
-                        "regime %d %s term %d is a %s, not a PolynomialTerm, "
-                        "PantographTerm or CustomTerm"
+                        "regime %d %s term %d is a %s, not a PolynomialTerm "
+                        "or PantographTerm"
                         % (regime, part, pos, type(term).__name__))
             return tuple(out)
 
@@ -460,22 +461,20 @@ class _Pass:
     """A model's coefficients at states X and time t, regime by regime.
 
     ``lookup`` maps a theta vector to the delayed states, one row per
-    theta, in a float64 array of its own.  The pass looks up each theta
-    set once and keeps its rows, read-only, in its memo next to the
-    bases computed from them; each basis of the model's plan is computed
-    at most once and shared by every term and regime that reads it.  A
-    regime's sum has the bits of summing its terms' ``value`` in term
-    order from zeros.  ``weights`` holds each integral group's weighted
-    quadrature at t, shaped to broadcast against the delayed states;
-    when it is not given, the pass computes it from t.
+    theta, as a float64 array.  The pass looks up each theta set once
+    and keeps its rows in its memo next to the bases computed from
+    them; each basis of the model's plan is computed at most once and
+    shared by every term and regime that reads it.  A regime's sum has
+    the bits of summing its terms' ``value`` in term order from zeros.
+    ``weights`` holds each integral group's weighted quadrature at t,
+    shaped to broadcast against the delayed states; when it is not
+    given, the pass computes it from t.
     """
 
     def __init__(self, m: ModelSpec, X, lookup, t, weights=None):
         self._plan = m._plan
-        self._raw = X
         self._X = np.asarray(X, dtype=np.float64)
         self._lookup = lookup
-        self._t = t
         self._weights = weights if weights is not None else [
             term._weighted(t, self._X.ndim) for term in self._plan.integrals]
         # x**1 has the bits of x
@@ -487,7 +486,6 @@ class _Pass:
         rows = self._memo.get(key)
         if rows is None:
             rows = self._memo[key] = self._lookup(thetas)
-            rows.setflags(write=False)
         return rows
 
     def _basis(self, key):
@@ -512,18 +510,13 @@ class _Pass:
         memo = self._memo
         out = None
         for term in terms:
-            if type(term) is tuple:
-                v = None
-                for c, key in term:
-                    # reading the memo inline saves a call per product
-                    cb = c * (memo[key] if key in memo else self._basis(key))
-                    v = cb if v is None else v + cb
-                if v is None:
-                    continue
-            else:
-                v = term.value(self._raw, self._delayed, self._t)
-                if out is None:
-                    out = np.zeros_like(self._X)
+            v = None
+            for c, key in term:
+                # reading the memo inline saves a call per product
+                cb = c * (memo[key] if key in memo else self._basis(key))
+                v = cb if v is None else v + cb
+            if v is None:
+                continue
             out = 0.0 + v if out is None else out + v
         return np.zeros_like(self._X) if out is None else out
 

@@ -102,7 +102,7 @@ def preset(name: str, nu_choice: Optional[Measure] = None,
       nu_choice: measure for the free pantograph integrals; default is
         :func:`default_measure` for the preset.
       t0: start time (> 0).
-      initial: initial segment (constant, table, or callable).
+      initial: initial segment (a constant or a (times, values) table).
     """
     rec = _record(name)
     nu = nu_choice if nu_choice is not None else default_measure(name)

@@ -656,6 +656,8 @@ def test_removed_keyword_argument_is_a_type_error(call, keyword):
     ((hpsfde.GeneratorMatrix,), "jump_table"),
     ((hpsfde.PantographTerm,), "_thetas"),
     ((hpsfde.PantographTerm,), "_weights"),
+    ((hpsfde, models), "CustomTerm"),
+    ((_Pass(preset("exp_stable"), 0.5, None, 1.0),), "_raw"),
 ], ids=["sup_norm", "FunctionSegment", "validate_local_lipschitz_probe",
         "LipschitzProbeReport", "Measure.with_nodes", "Kernel.rate",
         "Kernel.validate", "require", "Infeasible",
@@ -665,7 +667,8 @@ def test_removed_keyword_argument_is_a_type_error(call, keyword):
         "coefficients", "_one_row", "PathExploded", "QuadratureUnsupported",
         "_lv_parts", "PolynomialV._derivative", "_kernel_key", "_cached",
         "Measure.quadrature", "GeneratorMatrix.jump_table",
-        "PantographTerm._thetas", "PantographTerm._weights"])
+        "PantographTerm._thetas", "PantographTerm._weights", "CustomTerm",
+        "_Pass._raw"])
 def test_removed_name_is_gone(owners, name):
     for owner in owners:
         with pytest.raises(AttributeError):

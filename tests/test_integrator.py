@@ -16,8 +16,8 @@ from hpsfde.integrator import (DEFAULT_BLOCK_SIZE, IntegratorConfig,
                                initial_grid, integrate_path, path_streams,
                                run_batch, uniform_grid)
 from hpsfde.markov import make_generator, sample_regime_path
-from hpsfde.models import (CustomTerm, Kernel, Measure, ModelSpec,
-                           PantographTerm, PolynomialTerm, single_regime)
+from hpsfde.models import (Kernel, Measure, ModelSpec, PantographTerm,
+                           PolynomialTerm, single_regime)
 from hpsfde.paths import _interp
 from hpsfde.presets import PRESET_NAMES, preset
 
@@ -329,42 +329,33 @@ def test_switch_substeps_match_per_path_reference(threshold, blow_ups, nu):
     assert blow_ups <= seen
 
 
-def test_custom_term_lookups_match_per_path_reference():
-    # a custom term's theta set is not in the model's plan; the block
-    # compiles its lookups on first use, also for in-step nodes
-    custom = CustomTerm(lambda phi1, phi_at, t: -0.5 * phi1 + 0.3 * phi_at(
-        np.array([0.6, 0.97, 1.0]))[1] * np.sqrt(t))
+def test_own_theta_set_lookups_match_per_path_reference():
+    # a pantograph term whose theta set no other term reads, damped by a
+    # kernel, in both regimes; at a switch time a inside a step, the
+    # lookup x(0.97 a) lies past the step's start, among its own nodes
+    own = PantographTerm(coeff=0.3, kernel=Kernel(0.5),
+                         measure=Measure.from_atoms([(0.6, 0.2), (0.97, 0.5),
+                                                     (1.0, 0.3)]))
     m = ModelSpec(theta_lower=0.5, t0=1.0,
                   generator=make_generator([[-40.0, 40.0], [60.0, -60.0]]),
-                  drift=((custom,), (PolynomialTerm([(1, 0.5)]), custom)),
-                  diffusion=((PolynomialTerm([(1, 0.3)]),), (custom,)),
+                  drift=((PolynomialTerm([(1, -0.5)]), own),
+                         (PolynomialTerm([(1, 0.5)]), own)),
+                  diffusion=((PolynomialTerm([(1, 0.3)]),), (own,)),
                   initial_segment=1.2)
     cfg = IntegratorConfig(dt=0.05, T=3.0)
     batch = run_batch(m, cfg, n_paths=8, i0=1, root_seed=7, block_size=3)
     assert batch.n_switches.sum() > 0
+    u = batch.uniform_times
+    past_start = False
     for p in range(8):
         uniform, exploded, nodes = _reference_path(m, cfg, p, 1, 7)
         assert batch.uniform_values[p].tobytes() == uniform.tobytes()
+        assert batch.paths[p].times.tolist() == [t for t, _ in nodes]
         assert batch.paths[p].values.tolist() == [x for _, x in nodes]
-
-
-@pytest.mark.parametrize("at_switch", [False, True], ids=["step", "switch"])
-def test_custom_term_cannot_write_to_delayed_rows(at_switch):
-    # the rows of a pass are shared by every term that reads the theta
-    # set, so writing to them raises; a uniform step passes a scalar t,
-    # a switch substep one time per row
-    def scribble(phi1, phi_at, t):
-        if np.ndim(t) or not at_switch:
-            phi_at(np.array([0.75]))[0, 0] = 0.0
-        return 0.0 * phi1
-
-    m = ModelSpec(theta_lower=0.5, t0=1.0,
-                  generator=make_generator([[-40.0, 40.0], [60.0, -60.0]]),
-                  drift=((CustomTerm(scribble),), ()), diffusion=((), ()),
-                  initial_segment=1.0)
-    with pytest.raises(ValueError, match="read-only"):
-        run_batch(m, IntegratorConfig(dt=0.05, T=3.0), n_paths=8, i0=1,
-                  root_seed=7)
+        times = batch.paths[p].times
+        sw = np.setdiff1d(times[times > m.t0], u)
+        past_start |= bool((0.97 * sw > u[np.searchsorted(u, sw) - 1]).any())
+    assert past_start
 
 
 def dying_model():

@@ -16,7 +16,7 @@ from hpsfde.lyapunov import (LVBreakdown, LyapunovFamily, PolynomialV,
                              lv_profile, martingale_residual,
                              sandwich_report)
 from hpsfde.markov import make_generator
-from hpsfde.models import (CustomTerm, ModelSpec, PantographTerm,
+from hpsfde.models import (Measure, ModelSpec, PantographTerm,
                            PolynomialTerm)
 from hpsfde.paths import ConstantSegment, DensePath, PathStore
 from hpsfde.presets import PRESET_NAMES, preset, preset_lyapunov
@@ -321,39 +321,27 @@ def test_lv_profile_matches_pointwise_lv_across_switch_lookups():
                           & (lookups != path.times[k])) for k in switch), name
 
 
-def test_lv_profile_history_lookups_are_checked_and_read_only():
+def test_lv_profile_history_lookups_are_checked():
     m = gbm_model()
     path = integrate_path(m, IntegratorConfig(dt=0.01, T=2.0), i0=1, seed=1)
 
-    def with_drift(fn):
-        return dataclasses.replace(m, drift=((CustomTerm(fn),),))
+    def with_atoms(model, *atoms):
+        term = PantographTerm(coeff=0.3, measure=Measure.from_atoms(atoms))
+        return dataclasses.replace(
+            model, drift=((PolynomialTerm([(1, 0.07)]), term),))
 
-    def scribble(phi1, phi_at, t):
-        phi_at(np.array([0.5]))[0, 0] = 0.0
-        return phi1
-
-    def beyond(phi1, phi_at, t):
-        return phi_at(np.array([2.0]))[0]
-
-    def below(phi1, phi_at, t):
-        return phi_at(np.array([0.49]))[0]
-
-    def edge(phi1, phi_at, t):
-        # within 1e-12 of the segment's ends a theta is clipped to them
-        assert np.array_equal(phi_at(np.array([1.0 + 1e-13]))[0], phi1)
-        assert np.array_equal(phi_at(np.array([0.5 - 1e-13]))[0],
-                              phi_at(np.array([0.5]))[0])
-        return phi1
-
-    # lookups are shared between terms, so writing to one raises
-    with pytest.raises(ValueError, match="read-only"):
-        lv_profile(gbm_family(), with_drift(scribble), path)
-    # a theta outside [theta_lower, 1] is out of the segment's domain
-    with pytest.raises(OutOfDomain):
-        lv_profile(gbm_family(), with_drift(beyond), path)
-    with pytest.raises(OutOfDomain):
-        lv_profile(gbm_family(), with_drift(below), path)
-    lv_profile(gbm_family(), with_drift(edge), path)
+    # a model with a lower theta_lower than the path's reads below the
+    # path's segment
+    wide = dataclasses.replace(m, theta_lower=0.4)
+    with pytest.raises(OutOfDomain, match=r"theta must lie in \[0.5, 1\]"):
+        lv_profile(gbm_family(), with_atoms(wide, (0.45, 1.0)), path)
+    # within 1e-12 of the segment's ends a theta is clipped to them
+    near = lv_profile(gbm_family(),
+                      with_atoms(m, (1.0 + 1e-13, 0.5), (0.5 - 1e-13, 0.5)),
+                      path)
+    at = lv_profile(gbm_family(), with_atoms(m, (1.0, 0.5), (0.5, 0.5)), path)
+    assert near[1].tobytes() == at[1].tobytes()
+    assert near[2] == at[2]
 
 
 # ---------------------------------------------------------------------------

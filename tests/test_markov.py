@@ -75,6 +75,15 @@ def test_generators_compare_and_hash_by_identity():
     assert table[g1] == "first" and table[g2] == "second"
 
 
+def test_regime_paths_compare_and_hash_by_identity():
+    g = make_generator(TWO_STATE)
+    p1, p2 = (sample_regime_path(g, 1, 0.0, 5.0, seed=s) for s in (1, 2))
+    assert p1 == p1 and p1 != p2
+    assert hash(p1) == hash(p1) and hash(p1) != hash(p2)
+    table = {p1: "first", p2: "second"}
+    assert table[p1] == "first" and table[p2] == "second"
+
+
 def test_sample_path_structure():
     g = make_generator(TWO_STATE)
     rp = sample_regime_path(g, 1, 1.0, 50.0, seed=123)

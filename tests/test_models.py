@@ -2,18 +2,19 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpsfde.errors import UnsupportedMeasure
+from hpsfde.errors import NonFiniteState, UnsupportedMeasure
 from hpsfde.integrator import IntegratorConfig, run_batch
-from hpsfde.lyapunov import eval_LV, martingale_residual
+from hpsfde.lyapunov import PolynomialV, eval_LV, martingale_residual
 from hpsfde.markov import make_generator, sample_regime_path
 from hpsfde.models import (Kernel, Measure, ModelSpec, PantographTerm,
-                           PolynomialTerm, CustomTerm, _Pass, single_regime)
+                           PolynomialTerm, _Pass, single_regime)
 from hpsfde.paths import ConstantSegment
 from hpsfde.presets import default_measure, preset, preset_lyapunov
 
@@ -173,6 +174,29 @@ def test_polynomial_term_rejects_bad_powers():
         PolynomialTerm([(1.5, 1.0)])
 
 
+@pytest.mark.parametrize("cls", [PolynomialTerm, PolynomialV])
+@pytest.mark.parametrize("power", [math.inf, math.nan, True, np.True_, "2",
+                                   None, -2, 2.5],
+                         ids=["inf", "nan", "True", "np.True_", "'2'", "None",
+                              "-2", "2.5"])
+def test_polynomial_powers_follow_one_rule(cls, power):
+    # a power is a real, non-bool number equal to a nonnegative integer
+    with pytest.raises(ValueError, match="powers must be .*got %s"
+                       % re.escape(repr(power))):
+        cls([(power, 1.0)])
+
+
+@pytest.mark.parametrize("cls", [PolynomialTerm, PolynomialV])
+def test_polynomial_powers_accept_integral_numbers(cls):
+    for good in (2, 2.0, np.int64(2), np.float64(2.0)):
+        (p, _), = cls([(good, 1.0)]).coeffs
+        assert p == 2 and type(p) is int
+    # V's powers are also even
+    PolynomialTerm([(3, 1.0)])
+    with pytest.raises(ValueError, match="even nonnegative integers, got 3"):
+        PolynomialV([(3, 1.0)])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_terms_reject_non_finite_numbers(bad):
     with pytest.raises(ValueError, match="coeff must be finite"):
@@ -238,11 +262,6 @@ def test_pantograph_term_vector_phi1():
     assert np.allclose(out, phi1)
 
 
-def test_custom_term_passthrough():
-    term = CustomTerm(lambda phi1, phi_at, t: 2.0 * phi1 + t)
-    assert term.value(3.0, None, 1.0) == pytest.approx(7.0)
-
-
 # ---------------------------------------------------------------------------
 # model validation and evaluation
 # ---------------------------------------------------------------------------
@@ -304,10 +323,17 @@ def test_initial_value_forms():
                       initial_segment=((0.5, 1.0), (0.0, 1.0)))
     assert table.initial_value(0.75) == pytest.approx(0.5)
 
-    fn = ModelSpec(theta_lower=0.5, t0=1.0, generator=one_state(),
-                   drift=((),), diffusion=((),),
-                   initial_segment=lambda t: math.sin(t))
-    assert fn.initial_value(0.9) == pytest.approx(math.sin(0.9))
+    # initial data is a constant or a table, checked when it is built
+    for other in (lambda t: math.sin(t), "0.7", [(0.5, 1.0), (0.0, 1.0)],
+                  True, None):
+        with pytest.raises(TypeError, match="a real constant or a "
+                           r"\(times, values\) table"):
+            ModelSpec(theta_lower=0.5, t0=1.0, generator=one_state(),
+                      drift=((),), diffusion=((),), initial_segment=other)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteState, match="initial value"):
+            ModelSpec(theta_lower=0.5, t0=1.0, generator=one_state(),
+                      drift=((),), diffusion=((),), initial_segment=bad)
 
 
 @pytest.mark.parametrize("table, why", [
@@ -422,8 +448,7 @@ def test_model_rejects_coefficients_that_are_not_terms():
                   initial_segment=0.0)
     g = make_generator([[-1.0, 1.0], [2.0, -2.0]])
     with pytest.raises(TypeError, match="regime 2 diffusion term 2 is a "
-                       "float, not a PolynomialTerm, PantographTerm or "
-                       "CustomTerm"):
+                       "float, not a PolynomialTerm or PantographTerm$"):
         ModelSpec(theta_lower=0.5, t0=1.0, generator=g,
                   drift=((), ()),
                   diffusion=((), (PolynomialTerm([(1, 1.0)]), 0.1)),
@@ -458,10 +483,8 @@ _polynomial_terms = st.builds(
     PolynomialTerm,
     st.lists(st.tuples(st.integers(0, 7), st.floats(-5.0, 5.0)),
              max_size=4))
-_custom_term = CustomTerm(lambda phi1, phi_at, t: 0.5 * phi1
-                          - phi_at(np.array([1.0]))[0] * np.sqrt(t))
-_term_lists = st.lists(st.one_of(_pantograph_terms, _polynomial_terms,
-                                 st.just(_custom_term)), max_size=5)
+_term_lists = st.lists(st.one_of(_pantograph_terms, _polynomial_terms),
+                       max_size=5)
 # 1e200 overflows every power above 1 and every |x|**pe with pe > 1
 _states = st.sampled_from((0.0, -0.0, 1e200, -1e200, 0.3, -1.7, 2.5))
 
