@@ -62,12 +62,14 @@ class ReducibleChain(Error):
 # ---------------------------------------------------------------------------
 
 class OutOfDomain(Error):
-    """A delayed lookup of LV along paths falls below the paths'
-    theta_lower or before the paths start."""
+    """A model's delayed lookup along a path that ``lyapunov.lv_profile``
+    reads falls below the path's theta_lower or before its first node."""
 
 
-class NonFiniteState(Error):
-    """A model's constant initial value is NaN or infinite."""
+class NonFiniteState(Error, ValueError):
+    """A model's initial data, a constant or a table value, is NaN or
+    infinite.  It is a ValueError too, as the other initial-data checks
+    are."""
 
 
 # ---------------------------------------------------------------------------

@@ -18,23 +18,36 @@ endpoint), then for j >= 1 the substep starting at s_j, evaluating
 only the regimes present.  A whole step adds f h + g (sqrt(h) z), a
 substep f h_s + (g sqrt(h_s)) z.
 
-Delayed lookups x(theta * a) interpolate piecewise linearly, by the
-rule of ``paths._interp``.  Times at or before the step's left end t
-(within 1e-15) read the uniform grid plus the initial-segment nodes;
-later times, which a substep starting at a > t meets for theta > t/a,
-read the row's own nodes in the step: t and its switches up to a.  A
-batch that keeps its paths keeps the states at switch times as nodes
-too, in one store with the grid values (``paths.PathStore``).
+Delayed-lookup rule.  This is the package's one rule for reading
+x(theta a) at a node a of a row, by the Euler step and by LV along kept
+paths alike.  The node lies in the uniform step that starts at t; a
+grid node starts its own step, so a = t there.  Thetas are clipped to
+[theta_lower, 1] first.  A time theta a at or before t (within 1e-15)
+reads the initial-segment and uniform-grid nodes alone, the piece
+capped at the step that ends at t, so theta == 1 at a grid time reads
+that node.  A later time, which a node a > t meets for theta > t/a,
+reads the row's own nodes in the step: t and its switches up to a.
+Either way the value is the piece's x_l (1 - w) + x_r w, with the
+weight w of ``paths._piece``.  ``_Grid`` compiles the grid half of the
+rule once per batch and theta set; ``_Lookups`` compiles the rest once
+per block.  ``lyapunov._LVAlong`` lays out each block of kept rows as a
+block of the step loop, its switch and closing nodes as the entries of
+a switch table, and reads through these same lookups.
 
-Before its step loop, a block compiles what the grid and its sampled
-switch table fix: per theta set, each uniform step's history piece and
-weights, and each switch's two lookup sources in one buffer that holds
-the history followed by the switch-node states; per switch, its
-substep lengths, their square roots, its normal and the slot its end
-state goes to; per integral of the model's plan, the weighted kernel
-at every uniform and switch time.  A pass only gathers, multiplies,
-adds and writes.  Each state is written once, into the history, and
-the block's grid values are filled from it once at the end.
+A batch that keeps its paths keeps the states at switch times as nodes
+too, in one store with the grid values (``paths.PathStore``).  The
+store builds each path's DensePath on demand, and the LV residual
+reads it block by block of rows.
+
+Before its step loop, a block compiles what its sampled switch table
+fixes: each switch's two lookup sources in one buffer that holds the
+history followed by the switch-node states; per switch, its substep
+lengths, their square roots, its normal and the slot its end state goes
+to; per integral of the model's plan, the weighted kernel at every
+uniform and switch time.  The grid's lookups are shared by every block.
+A pass only gathers, multiplies, adds and writes.  Each state is
+written once, into the history, and the block's grid values are filled
+from it once at the end.
 
 Determinism contract: path p draws all its randomness from the two
 children of SeedSequence(root_seed, spawn_key=(p,)), a regime-chain
@@ -304,7 +317,16 @@ def _sample_block_chains(m, u_times, rows, root_seed, i0, r_grid):
         time = np.concatenate([rp.jump_times for rp in chains])
         regime = np.concatenate([rp.states[1:] for rp in chains])
     row = np.repeat(np.arange(b), jump_counts)
+    return jump_counts, _switch_table(u_times, row, time, regime)
 
+
+def _switch_table(u_times, row, time, regime):
+    """The switch table of nodes strictly inside steps of ``u_times``.
+
+    Entry i is on block row ``row[i]`` at ``time[i]`` and enters
+    ``regime[i]``; the entries come in (row, time) order, and those at a
+    grid time are left out.
+    """
     # jump times lie in (t0, T), so every step index is in [0, k)
     step = np.searchsorted(u_times, time, side="right") - 1
     inside = np.flatnonzero(u_times[step] < time)
@@ -337,7 +359,7 @@ def _sample_block_chains(m, u_times, rows, root_seed, i0, r_grid):
     starts = np.flatnonzero(starts).tolist()
     for lo, hi in zip(starts, starts[1:] + [n]):
         sw.passes.setdefault(int(sw.step[lo]), []).append((lo, hi))
-    return jump_counts, sw
+    return sw
 
 
 def _draw_block_normals(rows, root_seed, sw, Z):
@@ -356,7 +378,7 @@ def _draw_block_normals(rows, root_seed, sw, Z):
     gets the step's normal, the one before its own, in ``z_to[e]``: its
     substep to that switch reads it after the step has overwritten Z.
     """
-    n_steps, b = Z.shape
+    steps, b = Z.shape
     z_sw = np.empty(len(sw.time))
     z_to = np.empty(len(sw.time))
     by_row = np.argsort(sw.row, kind="stable")
@@ -366,7 +388,7 @@ def _draw_block_normals(rows, root_seed, sw, Z):
         e = by_row[np.searchsorted(row_sorted, c0):
                    np.searchsorted(row_sorted, c1)]
         offsets = np.zeros(c1 - c0 + 1, dtype=np.int64)
-        np.cumsum(n_steps + np.bincount(sw.row[e] - c0, minlength=c1 - c0),
+        np.cumsum(steps + np.bincount(sw.row[e] - c0, minlength=c1 - c0),
                   out=offsets[1:])
         buf = np.empty(offsets[-1])
         for i, p in enumerate(rows[c0:c1]):
@@ -381,62 +403,86 @@ def _draw_block_normals(rows, root_seed, sw, Z):
             keep = np.ones(len(buf), dtype=bool)
             keep[at] = False
             buf = buf[keep]
-        Z[:, c0:c1] = buf.reshape(c1 - c0, n_steps).T
+        Z[:, c0:c1] = buf.reshape(c1 - c0, steps).T
     return z_sw, z_to
 
 
-class _Lookups:
-    """A block's delayed lookups, compiled once per theta set.
+class _Grid:
+    """A batch's history times and each theta set's grid lookups.
 
-    ``buf`` holds the history H, one row per time of ``ht`` and one
-    column per row of the block, followed by the state at each switch
-    node in the table's order.  Each lookup is a piece of the rule of
-    ``paths._interp``: two sources and the weights (1 - w, w).
-
-    - Uniform step k reads x(theta t_k) from H rows J[k] and J[k] + 1.
-      The piece index is capped at the history's last piece, so theta
-      == 1 reads x(t_k) and never H[k + 1].
-    - The substep starting at switch a reads x(theta a) from two flat
-      sources in ``buf``.  A time at or before the step's left end t
-      (within 1e-15) reads H; a later one reads the row's nodes in the
-      step: t, then its switches up to a.
+    ``ht`` holds the initial nodes before t0, then the uniform grid from
+    index ``base`` on.  Grid time k reads x(theta t_k) from history rows
+    j[k] and j[k] + 1 with weights (1 - w, w), the piece capped at the
+    step that ends at t_k, so theta == 1 reads x(t_k) and never a later
+    row.  Thetas are clipped to [theta_lower, 1] where the tables
+    compile.  A theta set's tables are compiled on first use and shared
+    by every block that reads this grid.
     """
 
-    def __init__(self, ht, base_col, u_times, sw, b):
-        self.buf = np.empty(len(ht) * b + len(sw.time))
-        self.H = self.buf[:len(ht) * b].reshape(len(ht), b)
-        self.nodes = self.buf[len(ht) * b:]
-        self._ht, self._base_col, self._u_times = ht, base_col, u_times
-        self._sw, self._b = sw, b
+    def __init__(self, ht, base, theta_lower):
+        self.ht, self.base, self.theta_lower = ht, base, theta_lower
         self._sets = {}
 
-    def _tables(self, thetas):
-        """The step and switch tables of a theta set, compiled on first use."""
+    def clip(self, thetas):
+        return np.clip(thetas, self.theta_lower, 1.0)
+
+    def tables(self, thetas):
+        """(j, j + 1, 1 - w, w, run), one row per grid time; run[i] is
+        j[0, i] when theta i reads consecutive rows, j[k, i] = j[0, i] +
+        k, and -1 otherwise."""
         key = thetas.tobytes()
         tables = self._sets.get(key)
         if tables is None:
-            tables = self._sets[key] = (self._step_tables(thetas),
-                                        self._switch_tables(thetas))
+            t = self.ht[self.base:, None]
+            j, w = _piece(self.ht, self.clip(thetas) * t,
+                          self.base + np.arange(len(t))[:, None] - 1)
+            run = np.where((np.diff(j, axis=0) == 1).all(axis=0), j[0], -1)
+            tables = self._sets[key] = (j, j + 1, (1.0 - w)[..., None],
+                                        w[..., None], run.tolist())
         return tables
 
-    def _step_tables(self, thetas):
-        t = self._u_times[:-1, None]
-        j, w = _piece(self._ht, thetas * t,
-                      self._base_col + np.arange(len(t))[:, None] - 1)
-        return j, j + 1, (1.0 - w)[..., None], w[..., None]
+
+class _Lookups:
+    """A block's delayed lookups, by the rule of its ``_Grid``.
+
+    ``buf`` holds the history H, one row per time of the grid's ``ht``
+    (the first ``n`` of them when given) and one column per row of the
+    block, followed by the state at each node of the switch table ``sw``
+    in the table's order.  Each lookup is a piece of the rule of
+    ``paths._interp``: two sources and the weights (1 - w, w).
+
+    - Grid time k reads x(theta t_k) by the grid's tables.
+    - The node of switch entry a reads x(theta a) from two flat sources
+      in ``buf``.  A time at or before the step's left end t (within
+      1e-15) reads H, the piece capped at the step that ends at t; a
+      later one reads the row's nodes in the step: t, then its entries
+      up to a.  These tables are compiled once per theta set.
+    """
+
+    def __init__(self, grid, sw, b, n=None):
+        n = len(grid.ht) if n is None else n
+        self.buf = np.empty(n * b + len(sw.time))
+        self.H = self.buf[:n * b].reshape(n, b)
+        self.nodes = self.buf[n * b:]
+        self._grid, self._sw, self._b = grid, sw, b
+        self._sets = {}
 
     def _switch_tables(self, thetas):
-        sw, b, ht = self._sw, self._b, self._ht
-        col = self._base_col + sw.step
-        lt = thetas[:, None] * sw.time
+        key = thetas.tobytes()
+        tables = self._sets.get(key)
+        if tables is not None:
+            return tables
+        sw, b, ht = self._sw, self._b, self._grid.ht
+        col = self._grid.base + sw.step
+        lt = self._grid.clip(thetas)[:, None] * sw.time
         j, w = _piece(ht, lt, col - 1)
         left, right = j * b + sw.row, (j + 1) * b + sw.row
-        t = self._u_times[sw.step]
+        t = ht[col]
         late = lt > t + 1e-15
         if late.any():
-            # walk back from the substep's own node to the piece [s, s']
+            # walk back from the entry's own node to the piece [s, s']
             # of the row's nodes in the step that holds lt
-            node = len(ht) * b
+            node = self.H.size
             s_right = np.broadcast_to(np.arange(len(sw.time)), lt.shape)
             s_left = np.broadcast_to(sw.prv, lt.shape)
             for _ in range(int(sw.count.max())):
@@ -452,31 +498,52 @@ class _Lookups:
             left = np.where(late, np.where(at_t, col * b + sw.row,
                                            node + s_left), left)
             right = np.where(late, node + s_right, right)
-        return left, right, 1.0 - w, w
+        tables = self._sets[key] = (left, right, 1.0 - w, w)
+        return tables
 
     def at_step(self, k):
-        """The history lookup of uniform step k."""
+        """The lookup of grid time k."""
         H = self.H
 
         def lookup(thetas):
-            j, j1, w_l, w_r = self._tables(thetas)[0]
+            j, j1, w_l, w_r, _ = self._grid.tables(thetas)
             return H[j[k]] * w_l[k] + H[j1[k]] * w_r[k]
 
         return lookup
 
     def at_switches(self, sel):
-        """The lookups of the substeps starting at switch entries sel."""
+        """The lookups of the nodes of switch entries sel."""
         buf = self.buf
 
         def lookup(thetas):
-            left, right, w_l, w_r = self._tables(thetas)[1]
+            left, right, w_l, w_r = self._switch_tables(thetas)
             return (buf[left[:, sel]] * w_l[:, sel]
                     + buf[right[:, sel]] * w_r[:, sel])
 
         return lookup
 
+    def at_nodes(self, n):
+        """The lookups of grid times 0..n-1 of every row, time-major,
+        then of every switch entry: the order of ``buf`` from t0 on."""
+        H, b = self.H, self._b
+        switches = self.at_switches(slice(None))
 
-def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
+        def lookup(thetas):
+            j, j1, w_l, w_r, run = self._grid.tables(thetas)
+            out = np.empty((len(thetas), n * b + len(self._sw.time)))
+            grid = out[:, :n * b].reshape(len(thetas), n, b)
+            for i, a in enumerate(run):
+                # consecutive rows are read as slices, not gathered
+                left, right = ((H[a:a + n], H[a + 1:a + 1 + n]) if a >= 0
+                               else (H[j[:n, i]], H[j1[:n, i]]))
+                np.add(left * w_l[:n, i], right * w_r[:n, i], out=grid[i])
+            out[:, n * b:] = switches(thetas)
+            return out
+
+        return lookup
+
+
+def _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
                      root_seed, wiener, keep_paths, out):
     """Integrate one block of paths and write results into ``out``.
 
@@ -486,8 +553,6 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
     """
     b = len(rows)
     block = slice(rows.start, rows.stop)
-    k_steps = len(u_times) - 1
-    n_init = len(init_times)
     threshold = cfg.blowup_threshold
 
     r_grid = out["regimes_uniform"][block]
@@ -499,11 +564,10 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
     # history, one row per time: initial nodes, then the uniform grid;
     # the switch-node states follow it in one buffer.  Until step k
     # writes its end state, that state's row holds the step's normal.
-    ht = np.concatenate((init_times[:-1], u_times))
-    base_col = n_init - 1
-    look = _Lookups(ht, base_col, u_times, sw, b)
+    base_col = grid.base
+    look = _Lookups(grid, sw, b)
     H, buf, node_x = look.H, look.buf, look.nodes
-    H[:n_init] = init_vals[:, None]
+    H[:base_col + 1] = init_vals[:, None]
     if wiener is None:
         z_sw, z_to = _draw_block_normals(rows, root_seed, sw,
                                          H[base_col + 1:])
@@ -551,7 +615,7 @@ def _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
         return np.flatnonzero(~alive)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(k_steps):
+        for k in range(len(u_times) - 1):
             t, t_next = t_list[k], t_list[k + 1]
             X, Xn = H[base_col + k], H[base_col + k + 1]
             F, G = _Pass(m, X, look.at_step(k), t,
@@ -663,6 +727,9 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
     h = float(u_times[1] - u_times[0])
     init_times = initial_grid(m, h)
     init_vals = m.initial_value(init_times)
+    # one grid for every block: its lookups compile once per theta set
+    grid = _Grid(np.concatenate((init_times[:-1], u_times)),
+                 len(init_times) - 1, m.theta_lower)
 
     k1 = len(u_times)
     out = {
@@ -677,7 +744,7 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
               for s in range(0, n_paths, block_size)]
 
     def work(rows):
-        _integrate_block(m, cfg, u_times, init_times, init_vals, rows, i0,
+        _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
                          root_seed, wiener, keep_paths, out)
 
     if workers <= 1 or len(blocks) == 1:

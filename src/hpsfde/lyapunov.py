@@ -25,20 +25,14 @@ t_end between two nodes closes it with the interpolated endpoint
 (t_end, x(t_end)).  One routine evaluates LV along the rows of a batch's
 path store (``paths.PathStore``) without building a path: it reads the
 grid values and the switch-node table directly, in passes over blocks
-of rows with a fixed bound on the nodes a block holds, and the delayed
-lookups of the grid nodes share tables compiled once per batch.
-:func:`lv_profile` is its one-row case.  Each path's integral sums its
-own trapezoids in time order, so results do not depend on the blocks.
+of rows with a fixed bound on the nodes a block holds, one coefficient
+pass per block.  :func:`lv_profile` is its one-row case.  Each path's
+integral sums its own trapezoids in time order, so results do not
+depend on the blocks.
 
-A grid node's delayed lookup reads through the row's switch nodes when
-its piece holds some, which is the rule of ``paths.PathStore``; the
-integrator's uniform step at the same grid time reads grid nodes only.
-So at such nodes the f in LV is not the f of the Euler step: on 1000
-paths at dt=1e-3 on [1, 2] (seed 1), 3252 of 3412 such lookups differ
-on switch_stabilized, 579 of 754 on exp_stable and 3534 of 4190 on
-poly_stable, by up to 2.7e-3 in the delayed state.  A martingale
-compensator built from the Euler increments, g_k dW_k = x_{k+1} - x_k
-- f_k h_k, must therefore evaluate f_k by the integrator's rule.
+Every delayed lookup reads by the rule stated in the ``integrator``
+module's docstring, through its compiled lookups, so the f in LV at a
+node is the f of the Euler step there.
 """
 
 from __future__ import annotations
@@ -53,6 +47,7 @@ from . import paths as paths_mod
 from .errors import (DimensionMismatch, InsufficientPaths, OutOfDomain,
                      require_finite, require_index)
 from .estimators import standard_error
+from .integrator import _Grid, _Lookups, _switch_table
 from .models import THETA_TOL, ModelSpec, _Pass, _polynomial, _power
 
 
@@ -221,7 +216,10 @@ def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
 # history lookup builds (quadrature nodes x block nodes) arrays, so one
 # pass over a whole batch would multiply the peak memory of the check.
 # A block takes as many rows as fit when each has the most nodes of any.
-_CHUNK_NODES = 1 << 14
+# On 1000 switch_stabilized paths at dt=1e-3 on [1, 2], 1 << 15 ran the
+# check about 10% faster than 1 << 14, and its peak stayed below the
+# batch's own.
+_CHUNK_NODES = 1 << 15
 
 
 def require_t_end(t_end, t0: float, T: float, name: str = "t_end") -> None:
@@ -242,16 +240,17 @@ class _LVAlong:
     grid tolerance at T, in time order.  When the last of them lies
     further than the tolerance before t_end, the node (t_end, x(t_end))
     closes the row; it carries the regime of the node before it.
-    ``x_end`` and ``r_end`` are each row's state at t_end and the regime
-    of its last node at or before t_end.
+    ``x_end`` and ``r_end`` are each row's state at t_end, read by the
+    rule of ``paths._interp`` over the row's nodes, and the regime of
+    the node it is read from.
 
-    LV runs in two kinds of pass.  The grid nodes of a block of rows
-    (``blocks`` lists them as (lo, hi) ranges of ``rows``) make one
-    pass; its delayed lookups read each theta set's grid pieces and
-    weights (1 - w, w), compiled once for the store, and recompute only
-    the (row, node) pairs whose piece holds switch nodes of the row.
-    The switch and closing nodes of all rows make one pass of their own.
-    The kernel weights come from the model's plan once per grid time.
+    A block of rows (``blocks`` lists them as (lo, hi) ranges of
+    ``rows``) is laid out as the integrator lays out its own: the
+    time-major history, then the rows' switch and closing nodes as the
+    entries of a switch table, in one ``integrator._Lookups`` buffer.
+    So every delayed lookup is the integrator's, and LV at all of the
+    block's nodes takes one coefficient pass.  The grid lookups compile
+    once per theta set for all blocks.
     """
 
     def __init__(self, V: LyapunovFamily, m: ModelSpec, store, rows,
@@ -264,131 +263,84 @@ class _LVAlong:
                                              side="right"))
         # a kept row lacks a grid node on [t0, t_end] only when it
         # exploded within the tolerance after t_end: then it is the last
-        grid_n = n_g - np.isnan(store.values[rows, n_g - 1])
-        self.kept = np.zeros(len(store), dtype=bool)
-        self.kept[rows] = True
-        sel = np.flatnonzero(self.kept[store.node_row]
-                             & (store.node_time <= t_end + tol))
-        self.sw_pos = np.searchsorted(rows, store.node_row[sel])
-        self.sw_step = np.searchsorted(times, store.node_time[sel],
-                                       side="right") - 1
-        q = np.bincount(self.sw_pos, minlength=len(rows))
-        first = np.cumsum(q) - q
-        self.sw_rank = np.arange(len(sel)) - first[self.sw_pos]
+        self.grid_n = n_g - np.isnan(store.values[rows, n_g - 1])
+        kept = np.zeros(len(store), dtype=bool)
+        kept[rows] = True
+        node_row, node_time = store.node_row, store.node_time
+        sel = np.flatnonzero(kept[node_row] & (node_time <= t_end + tol))
 
-        # each row's last node, and whether t_end closes the row
-        last_t = times[grid_n - 1]
-        last_x = store.values[rows, grid_n - 1]
-        last_r = store.regimes[rows, grid_n - 1].astype(np.int64)
-        has = np.flatnonzero(q)
-        s = sel[first[has] + q[has] - 1]
-        later = store.node_time[s] > last_t[has]
-        has, s = has[later], s[later]
-        last_t[has] = store.node_time[s]
-        last_x[has] = store.node_value[s]
-        last_r[has] = store.node_regime[s]
-        close = last_t < t_end - tol
-        self.end_pos = np.flatnonzero(close)
-        self.counts = grid_n + q + close
-        self.grid_n = grid_n
-
-        # at a node x(t_end) is the node's state; between nodes it is
-        # interpolated, at T past the end of the grid
-        t = np.full(len(rows), min(t_end, times[-1]))
-        t_l, x_l, r_l, t_r, x_r = store._around(rows, t)
-        self.x_end = np.where(last_t == t_end, last_x,
-                              paths_mod._lerp(t, t_l, t_r, x_l, x_r))
+        # x(t_end) by the rule of paths._interp on the piece of each
+        # row's nodes that holds t: its grid step, narrowed to the row's
+        # switch nodes inside the step
+        t = min(t_end, times[-1])
+        g = min(int(np.searchsorted(times, t, side="right")) - 1,
+                len(times) - 2)
+        t_l, t_r = np.full(len(rows), times[g]), np.full(len(rows),
+                                                         times[g + 1])
+        x_l, x_r = store.values[rows, g], store.values[rows, g + 1]
+        r_l = store.regimes[rows, g].astype(np.int64)
+        s = np.flatnonzero(kept[node_row] & (node_time > times[g])
+                           & (node_time < times[g + 1]))
+        at = np.searchsorted(rows, node_row[s])
+        before = node_time[s] <= t
+        # a row's last node at or before t, and its first one after t
+        sl, pl = s[before], at[before]
+        last = np.diff(pl, append=-1) != 0
+        sl, pl = sl[last], pl[last]
+        t_l[pl], x_l[pl] = node_time[sl], store.node_value[sl]
+        r_l[pl] = store.node_regime[sl]
+        sr, pr = s[~before], at[~before]
+        first = np.diff(pr, prepend=-1) != 0
+        sr, pr = sr[first], pr[first]
+        t_r[pr], x_r[pr] = node_time[sr], store.node_value[sr]
+        self.x_end = paths_mod._lerp(t, t_l, t_r, x_l, x_r)
         self.r_end = (store.regimes[rows, -1] if t_end >= times[-1]
                       else r_l)
+        # t_end closes a row none of whose nodes lies within tol of it
+        close = (t_l < t_end - tol) & (t_r > t_end + tol)
+
+        # the rows' switch nodes and closing nodes by row and time, each
+        # a node of its block's switch table: (position in rows, time,
+        # regime, state)
+        pos = np.concatenate((np.searchsorted(rows, node_row[sel]),
+                              np.flatnonzero(close)))
+        by_row = np.argsort(pos, kind="stable")
+        self.entries = tuple(v[by_row] for v in (
+            pos, np.concatenate((node_time[sel],
+                                 np.full(close.sum(), t_end))),
+            np.concatenate((store.node_regime[sel], r_l[close])),
+            np.concatenate((store.node_value[sel], self.x_end[close]))))
+        self.counts = self.grid_n + np.bincount(pos, minlength=len(rows))
 
         size = max(1, _CHUNK_NODES // int(self.counts.max()))
         self.blocks = [(lo, min(lo + size, len(rows)))
                        for lo in range(0, len(rows), size)]
-
-        # one pass over the switch nodes, then the closing nodes
-        sp_row = np.concatenate((store.node_row[sel], rows[close]))
-        sp_t = np.concatenate((store.node_time[sel],
-                               np.full(len(self.end_pos), t_end)))
-        sp_x = np.concatenate((store.node_value[sel], self.x_end[close]))
-        self.sp_t = sp_t
-        self.sp_r = np.concatenate((store.node_regime[sel], last_r[close]))
-
-        def sparse(thetas):
-            tq, own = self._delayed(thetas, sp_t[None, :])
-            out = np.empty((len(thetas), len(sp_t)))
-            out[own] = sp_x
-            out[~own] = store._eval(np.tile(sp_row, len(tq)),
-                                     tq.ravel()).reshape(tq.shape)
-            return out
-
-        ev = _Pass(m, sp_x, sparse, sp_t, m._plan.weights(sp_t))
-        self.sp_parts = np.array(_lv_table(V, m, ev, sp_x))
-        self.w_grid = m._plan.weights(times[:n_g])
-        self._tables = {}
-
-    def _delayed(self, thetas, t):
-        """The lookup times theta * t of the thetas other than 1.
-
-        A theta below the store's theta_lower by more than ``THETA_TOL``
-        raises OutOfDomain, as does a lookup before the paths start.
-        Only a path that :func:`lv_profile` reads reaches either: one with
-        a larger theta_lower than the model's, or one without its initial
-        segment.  ``ModelSpec`` keeps every theta at most 1 + ``THETA_TOL``.
-        The thetas are clipped to [theta_lower, 1].
-        Returns (times, own), ``own`` marking the thetas equal to 1.
-        """
-        lo = self.store.theta_lower
-        if thetas.size and thetas.min() < lo - THETA_TOL:
-            raise OutOfDomain("theta must lie in [%g, 1], got range [%g, %g]"
-                              % (lo, thetas.min(), thetas.max()))
-        thetas = np.clip(thetas, lo, 1.0)
-        own = thetas == 1.0
-        tq = thetas[~own, None] * t
-        start = self.store._history[0]
-        if tq.size and tq.min() < start - paths_mod._atol(
-                self.store.times[-1]):
-            raise OutOfDomain("lookup at t=%g before the paths start at %g"
-                              % (tq.min(), start))
-        return np.maximum(tq, start), own
-
-    def _grid_tables(self, thetas):
-        """A theta set's grid lookups, compiled once for all rows.
-
-        Returns (own, J, 1 - w, w, fix): grid node k of every row reads
-        x(theta_i t_k) from history rows J[i, k] and J[i, k] + 1, except
-        the pairs in ``fix`` = (position in rows, i, k, value), sorted
-        by position, whose piece holds switch nodes of the row.
-        """
-        key = thetas.tobytes()
-        if key in self._tables:
-            return self._tables[key]
-        store, rows = self.store, self.rows
-        tq, own = self._delayed(thetas, store.times[None, :self.n_g])
         n0 = len(store.init_times)
-        J, w = paths_mod._piece(store._history, tq)
-        # the (row, step) pairs with switch nodes; J is ascending in k,
-        # so the nodes of a row whose piece is step j form one range
-        keys = store._steps[0]
-        g_row, g_step = np.divmod(keys, len(store.times))
-        mine = self.kept[g_row] & (g_step < self.n_g)
-        g_pos = np.searchsorted(rows, g_row[mine])
-        g_col = n0 + g_step[mine]
-        pos, th, k = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
-        for i, Ji in enumerate(J):
-            lo = np.searchsorted(Ji, g_col, side="left")
-            n = np.searchsorted(Ji, g_col, side="right") - lo
-            at = np.repeat(np.arange(len(lo)), n)
-            pos.append(g_pos[at])
-            th.append(np.full(len(at), i))
-            k.append(lo[at] + np.arange(len(at)) - (np.cumsum(n) - n)[at])
-        pos, th, k = (np.concatenate(v) for v in (pos, th, k))
-        order = np.argsort(pos, kind="stable")
-        pos, th, k = pos[order], th[order], k[order]
-        fix = (pos, np.flatnonzero(~own)[th], k,
-               store._eval(rows[pos], tq[th, k]))
-        tables = self._tables[key] = (own, J, (1.0 - w)[..., None],
-                                      w[..., None], fix)
-        return tables
+        self.grid = _Grid(np.concatenate((store.init_times, times)), n0,
+                          store.theta_lower)
+        self.w_grid = m._plan.weights(times[:n_g])
+
+    def _weights(self, b: int, times):
+        """Each integral group's weighted quadrature at a block's nodes:
+        the grid times, computed once, for each of its b rows, then
+        ``times``.  A kernel-free group's weights broadcast, and groups
+        with one quadrature and kernel share one array."""
+        integrals = self.m._plan.integrals
+        # the quadrature and kernel of each group's integral
+        keys = [term._integral_key()[:3] for term in integrals]
+        shared = {}
+        for key, term, w_g, w_t in zip(keys, integrals, self.w_grid,
+                                       self.m._plan.weights(times)):
+            if key in shared:
+                continue
+            if term.kernel is None:
+                shared[key] = term.measure.weights[:, None]
+                continue
+            w = shared[key] = np.empty((len(w_g), self.n_g * b + len(times)))
+            w[:, :self.n_g * b].reshape(len(w_g), self.n_g, b)[...] = \
+                w_g[..., None]
+            w[:, self.n_g * b:] = w_t
+        return [shared[key] for key in keys]
 
     def block(self, lo: int, hi: int):
         """LV along rows[lo:hi].
@@ -403,61 +355,42 @@ class _LVAlong:
         rows = self.rows[lo:hi]
         b = len(rows)
         n0 = len(store.init_times)
-        # the history, one row per time and one column per path
-        H = np.empty((n0 + n_g, b))
-        H[:n0] = store.init_values[:, None]
-        H[n0:] = store.values[rows, :n_g].T
-        X = H[n0:]
+        pos, time, regime, x = self.entries
+        a, z = np.searchsorted(pos, (lo, hi))
+        row = pos[a:z] - lo
+        sw = _switch_table(store.times, row, time[a:z], regime[a:z])
+        look = _Lookups(self.grid, sw, b, n0 + n_g)
+        look.H[:n0] = store.init_values[:, None]
+        look.H[n0:] = store.values[rows, :n_g].T
+        # an entry's rank counts its row's entries before it
+        look.nodes[:] = x[a + np.searchsorted(row, sw.row) + sw.rank]
 
-        def grid(thetas):
-            own, J, w_l, w_r, (pos, th, k, val) = self._grid_tables(thetas)
-            out = np.empty((len(thetas), n_g, b))
-            out[own] = X
-            out[~own] = H[J] * w_l + H[J + 1] * w_r
-            a, z = np.searchsorted(pos, (lo, hi))
-            out[th[a:z], k[a:z], pos[a:z] - lo] = val[a:z]
-            return out
-
-        t_grid = np.broadcast_to(store.times[:n_g, None], X.shape)
-        ev = _Pass(m, X, grid, t_grid,
-                   [w[..., None] for w in self.w_grid])
-        s_lo, s_hi = np.searchsorted(self.sw_pos, (lo, hi))
-        e_lo, e_hi = np.searchsorted(self.end_pos, (lo, hi))
-        sparse = np.concatenate((np.arange(s_lo, s_hi),
-                                 len(self.sw_pos) + np.arange(e_lo, e_hi)))
         # the block's nodes: the grid nodes (node k of row r at k * b + r),
-        # then its switch nodes, then its closing nodes
+        # then the table's entries
+        X = look.buf[n0 * b:]
         n_grid = n_g * b
-        grid_parts = [[part.ravel() for part in parts]
-                      for parts in _lv_table(self.V, m, ev, X)]
-        sparse_parts = self.sp_parts[..., sparse]
-        # LV in regime 1 at every node, then in regime 2, ...
-        lv = np.concatenate([p[0] + p[1] + p[2] for parts in zip(
-            grid_parts, sparse_parts) for p in parts])
-        size = n_grid + len(sparse)
-        t_all = np.concatenate((np.repeat(store.times[:n_g], b),
-                                self.sp_t[sparse]))
+        size = len(X)
+        table = _lv_table(self.V, m, _Pass(m, X, look.at_nodes(n_g), None,
+                                           self._weights(b, sw.time)), X)
+        t_all = np.concatenate((np.repeat(store.times[:n_g], b), sw.time))
         r_all = np.concatenate((store.regimes[rows, :n_g].T.ravel(),
-                                self.sp_r[sparse]), dtype=np.int64) - 1
+                                sw.regime), dtype=np.int64) - 1
+        # LV in regime 1 at every node, then in regime 2, ...
+        lv = np.concatenate([d + g + c for d, g, c in table])
 
         # src[j]: the node at position j of the rows' nodes in time order;
         # a row's grid nodes fill the places its other nodes leave
         counts = self.counts[lo:hi]
         offsets = np.concatenate(([0], np.cumsum(counts)))
         src = np.empty(offsets[-1], dtype=np.int64)
-        sw_row = self.sw_pos[s_lo:s_hi] - lo
-        sw_at = (offsets[sw_row] + self.sw_step[s_lo:s_hi] + 1
-                 + self.sw_rank[s_lo:s_hi])
-        end_at = offsets[self.end_pos[e_lo:e_hi] - lo + 1] - 1
+        sw_at = offsets[sw.row] + sw.step + 1 + sw.rank
         on_grid = np.ones(len(src), dtype=bool)
         on_grid[sw_at] = False
-        on_grid[end_at] = False
         node = np.arange(n_grid).reshape(n_g, b).T
         grid_n = self.grid_n[lo:hi]
         src[on_grid] = (node[np.arange(n_g) < grid_n[:, None]]
                         if (grid_n < n_g).any() else node.ravel())
         src[sw_at] = n_grid + np.arange(len(sw_at))
-        src[end_at] = n_grid + len(sw_at) + np.arange(len(end_at))
 
         # trapezoids in the regime of each interval's left node; no
         # interval joins one row's last node to the next row's first
@@ -476,10 +409,8 @@ class _LVAlong:
         weight[left] = half
         weight[right] += half
         weight = weight.reshape(-1, size)
-        part_sums = np.array([[g @ w[:n_grid] + s @ w[n_grid:]
-                               for g, s in zip(g_parts, s_parts)]
-                              for g_parts, s_parts, w in zip(
-                                  grid_parts, sparse_parts, weight)])
+        part_sums = np.array([[part @ w for part in parts]
+                              for parts, w in zip(table, weight)])
         # each row's integral sums its trapezoids in time order; rows of
         # one node count share one C-contiguous table
         integrals = np.empty(b)
@@ -501,21 +432,45 @@ def lv_profile(V: LyapunovFamily, m: ModelSpec, path,
     integrand is continuous inside every interval).  A t_end between
     grid points adds the interpolated endpoint (t_end, x(t_end)).  This
     is the residual's pass on a store of one row, whose grid is the
-    path's nodes from t0 on.
+    path's nodes from t0 on, so every delayed lookup reads through all
+    of the path's nodes.
 
     Returns (times, values, integral).
 
     Raises:
-      ValueError: t_end outside (t0, last node of the path].
+      ValueError: t_end outside (t0, last node of the path], or a path
+        t0 other than the model's.
+      DimensionMismatch: a path regime that the model does not have.
+      OutOfDomain: a model theta below the path's theta_lower, or a
+        lookup before the path's first node.
     """
     if t_end is None:
         t_end = path.t_end
     require_t_end(t_end, path.t0, path.t_end)
+    if abs(path.t0 - m.t0) > paths_mod._atol(m.t0):
+        raise ValueError("the path starts at t0=%r, the model at t0=%r"
+                         % (path.t0, m.t0))
+    bad = path.regimes[(path.regimes < 1) | (path.regimes > m.n_regimes)]
+    if len(bad):
+        raise DimensionMismatch("path regime %d is not a regime 1..%d of "
+                                "the model" % (bad[0], m.n_regimes))
     a = int(np.searchsorted(path.times, path.t0 - paths_mod._atol(
         path.t_end), side="left"))
+    # the lookups clip each theta to [theta_lower, 1] and read no time
+    # before the path's first node
+    lo, start = path.theta_lower, path.times[0]
+    for term in m._plan.integrals:
+        thetas = term.measure.thetas
+        if thetas.min() < lo - THETA_TOL:
+            raise OutOfDomain("theta must lie in [%g, 1], got range [%g, %g]"
+                              % (lo, thetas.min(), thetas.max()))
+        first = max(thetas.min(), lo) * path.times[a]
+        if first < start - paths_mod._atol(path.t_end):
+            raise OutOfDomain("lookup at t=%g before the paths start at %g"
+                              % (first, start))
     none = np.zeros(0, dtype=np.int64)
     store = paths_mod.PathStore(
-        theta_lower=path.theta_lower, t0=path.t0,
+        theta_lower=lo, t0=path.t0,
         init_times=path.times[:a], init_values=path.values[:a],
         times=path.times[a:], values=path.values[None, a:],
         regimes=path.regimes[None, a:], exploded_at=np.full(1, np.nan),

@@ -359,7 +359,8 @@ class ModelSpec:
 
         Its times and values are finite and of equal length, the times
         strictly increasing, and they cover [theta_lower*t0, t0] within
-        the grid tolerance.
+        the grid tolerance.  A value that is not finite raises
+        NonFiniteState, as a constant does.
         """
         times, values = (np.asarray(a, dtype=np.float64)
                          for a in self.initial_segment)
@@ -369,7 +370,7 @@ class ModelSpec:
         elif not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
             why = "times must be finite and strictly increasing"
         elif not np.isfinite(values).all():
-            why = "values must be finite"
+            raise NonFiniteState("initial table: values must be finite")
         elif not (len(times) and times[0] <= lo + tol
                   and times[-1] >= self.t0 - tol):
             why = "times must cover [theta_lower*t0, t0] = [%g, %g]" % (

@@ -19,7 +19,6 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -66,13 +65,14 @@ def _piece(times, t, last=None):
     """Index j and weight w of the piece [times[j], times[j + 1]] at t.
 
     j indexes the last time at or before t, capped at ``last`` (by
-    default the second to last time), and w = (t - times[j]) /
-    (times[j + 1] - times[j]), so the rule of :func:`_lerp` reads
-    x[j] (1 - w) + x[j + 1] w.
+    default the second to last time) but at least 0, and w = (t -
+    times[j]) / (times[j + 1] - times[j]), so the rule of :func:`_lerp`
+    reads x[j] (1 - w) + x[j + 1] w.
     """
     if last is None:
         last = len(times) - 2
-    j = np.minimum(np.searchsorted(times[1:], t, side="right"), last)
+    j = np.minimum(np.searchsorted(times[1:], t, side="right"),
+                   np.maximum(last, 0))
     return j, (t - times[j]) / (times[j + 1] - times[j])
 
 
@@ -149,72 +149,6 @@ class PathStore(Sequence):
                          regimes=regs[order], theta_lower=self.theta_lower,
                          t0=self.t0,
                          exploded_at=None if math.isnan(e) else e)
-
-    @cached_property
-    def _history(self) -> np.ndarray:
-        """The times of the initial nodes followed by the grid."""
-        return np.concatenate((self.init_times, self.times))
-
-    @cached_property
-    def _steps(self):
-        """(key, first, count) of each (row, grid step) with switch nodes.
-
-        ``key`` is row * len(times) + step, ascending; ``first`` indexes
-        the step's first switch node and ``count`` counts them.
-        """
-        step = np.searchsorted(self.times, self.node_time, side="right") - 1
-        key = self.node_row * len(self.times) + step
-        first = np.flatnonzero(np.diff(key, prepend=-1) != 0)
-        return key[first], first, np.diff(first, append=len(key))
-
-    def _around(self, rows, t):
-        """The piece of each row's path that holds time t.
-
-        Returns (t_left, x_left, r_left, t_right, x_right): the row's
-        last node at or before t and the node after it, the last piece
-        for a t at or past the end of the grid, and the left node's
-        regime.  Reads the rule of :func:`_interp` off the store, so
-        ``_lerp(t, t_left, t_right, x_left, x_right)`` is ``_interp`` over
-        the nodes of ``store[row]`` bit for bit inside them.
-        """
-        ht = self._history
-        n0 = len(self.init_times)
-        j, _ = _piece(ht, t)
-
-        def node(col):
-            lead = col < n0
-            x = np.empty(len(col))
-            x[lead] = self.init_values[col[lead]]
-            x[~lead] = self.values[rows[~lead], col[~lead] - n0]
-            return x
-
-        t_l, x_l, t_r, x_r = ht[j], node(j), ht[j + 1], node(j + 1)
-        r_l = self.regimes[rows, np.maximum(j - n0, 0)]
-        keys, firsts, counts = self._steps
-        step = j - n0
-        if len(keys) and (step >= 0).any():
-            key = rows * len(self.times) + step
-            at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-            hit = np.flatnonzero((step >= 0) & (keys[at] == key))
-            f, q, th = firsts[at[hit]], counts[at[hit]], t[hit]
-            # the row's switch nodes in the step at or before t
-            m = np.zeros(len(hit), dtype=np.int64)
-            for i in range(int(q.max(initial=0))):
-                m += (i < q) & (self.node_time[np.minimum(f + i, len(
-                    self.node_time) - 1)] <= th)
-            left = hit[m > 0]
-            s = (f + m - 1)[m > 0]
-            t_l[left], x_l[left] = self.node_time[s], self.node_value[s]
-            r_l[left] = self.node_regime[s]
-            right = hit[m < q]
-            s = (f + m)[m < q]
-            t_r[right], x_r[right] = self.node_time[s], self.node_value[s]
-        return t_l, x_l, r_l, t_r, x_r
-
-    def _eval(self, rows, t):
-        """Each row's path at time t, by the rule of :func:`_interp`."""
-        t_l, x_l, _, t_r, x_r = self._around(rows, t)
-        return _lerp(t, t_l, t_r, x_l, x_r)
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,32 @@ def test_own_theta_set_lookups_match_per_path_reference():
     assert past_start
 
 
+def test_thetas_within_tolerance_are_read_at_the_nearest_end():
+    # a theta within THETA_TOL outside [theta_lower, 1] is read at the
+    # nearest end, in a uniform step and in a switch substep alike, not
+    # extrapolated past theta_lower * t0 or past the step's own node
+    def model(lo, hi):
+        nu = Measure.from_atoms([(lo, 0.5), (hi, 0.5)])
+        return ModelSpec(
+            theta_lower=0.5, t0=1.0,
+            generator=make_generator([[-40.0, 40.0], [60.0, -60.0]]),
+            drift=((PolynomialTerm([(1, -1.0)]),
+                    PantographTerm(coeff=0.5, measure=nu)),
+                   (PantographTerm(coeff=-0.3, measure=nu, signed=True),)),
+            diffusion=((PantographTerm(coeff=0.4, measure=nu,
+                                       point_exponent=1.0),),
+                       (PolynomialTerm([(1, 0.6)]),)),
+            initial_segment=1.2)
+
+    cfg = IntegratorConfig(dt=0.05, T=3.0)
+    near = run_batch(model(0.5 - 1e-13, 1.0 + 1e-13), cfg, n_paths=16,
+                     i0=1, root_seed=7)
+    at = run_batch(model(0.5, 1.0), cfg, n_paths=16, i0=1, root_seed=7)
+    assert near.n_switches.sum() > 0
+    assert near.uniform_values.tobytes() == at.uniform_values.tobytes()
+    assert near.paths.node_value.tobytes() == at.paths.node_value.tobytes()
+
+
 def dying_model():
     # regime 1 is a random walk that crosses the threshold at grid
     # times; entering regime 2 makes the drift 1e308 + 1e308 = inf, so

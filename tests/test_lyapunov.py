@@ -1,12 +1,14 @@
 """Lyapunov families, the operator LV, and the martingale residual test."""
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import types
 
 import numpy as np
 import pytest
 
+from hpsfde import lyapunov as lyapunov_mod
 from hpsfde import paths as paths_mod
 from hpsfde.errors import (DimensionMismatch, InsufficientPaths,
                            OutOfDomain)
@@ -17,7 +19,7 @@ from hpsfde.lyapunov import (LVBreakdown, LyapunovFamily, PolynomialV,
                              sandwich_report)
 from hpsfde.markov import make_generator
 from hpsfde.models import (Measure, ModelSpec, PantographTerm,
-                           PolynomialTerm)
+                           PolynomialTerm, single_regime)
 from hpsfde.paths import ConstantSegment, DensePath, PathStore
 from hpsfde.presets import PRESET_NAMES, preset, preset_lyapunov
 
@@ -321,6 +323,95 @@ def test_lv_profile_matches_pointwise_lv_across_switch_lookups():
                           & (lookups != path.times[k])) for k in switch), name
 
 
+def _piece_value(times, values, u, last):
+    """x(u) on the piece [times[i], times[i + 1]], where i indexes the
+    last time at or before u, capped at ``last``."""
+    i = min(bisect.bisect_right(times, u) - 1, last)
+    w = (u - times[i]) / (times[i + 1] - times[i])
+    return values[i] * (1.0 - w) + values[i + 1] * w
+
+
+class StepView:
+    """The segment x(theta t) at a node of a kept path, read by the
+    integrator's rule.
+
+    The node at t = ``step_t[-1]`` lies in the step that starts at
+    t_k = ``grid_t[k]``; a grid node starts its own step.  A time
+    theta t at or before t_k (within 1e-15) reads the initial and grid
+    nodes alone, the piece capped at the step that ends at t_k; a later
+    one reads the path's nodes in the step up to the node, ``step_t``
+    and ``step_x``.  Thetas are clipped to [theta_lower, 1].
+    """
+
+    def __init__(self, grid_t, grid_x, k, step_t, step_x, theta_lower):
+        self.grid_t, self.grid_x, self.k = grid_t, grid_x, k
+        self.step_t, self.step_x = step_t, step_x
+        self.theta_lower = theta_lower
+        self.point = step_x[-1]
+
+    def __call__(self, thetas):
+        t_k = self.grid_t[self.k]
+        lookups = np.clip(thetas, self.theta_lower, 1.0) * self.step_t[-1]
+        return np.array([
+            _piece_value(self.grid_t, self.grid_x, u, self.k - 1)
+            if u <= t_k + 1e-15 else
+            _piece_value(self.step_t, self.step_x, u, len(self.step_t) - 2)
+            for u in lookups.tolist()])
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_lv_along_kept_paths_reads_by_the_integrators_rule(name):
+    # LV at every node of the residual's pass is eval_LV on a segment
+    # read as the Euler step reads it; only the step's own nodes after
+    # t_k may be switch nodes, so a grid node never reads through one
+    m, fam = preset(name), preset_lyapunov(name)
+    batch = run_batch(m, IntegratorConfig(dt=0.01, T=3.0), n_paths=200,
+                      i0=1, root_seed=1)
+    store = batch.paths
+    thetas = np.unique(np.concatenate([term.measure.thetas
+                                       for term in m._plan.integrals]))
+    history = np.concatenate((store.init_times, store.times))
+    expect, differ = {}, False
+    for t_end in (3.0, 2.5053):
+        along = _LVAlong(fam, m, store, np.arange(len(store)), t_end)
+        for lo, hi in along.blocks:
+            _, _, times, values, offsets = along.block(lo, hi)
+            for p in range(lo, hi):
+                path = store[p]
+                on_grid = np.isin(path.times, history)
+                grid_t = path.times[on_grid].tolist()
+                grid_x = path.values[on_grid].tolist()
+                node_t, node_x = path.times.tolist(), path.values.tolist()
+                a, z = offsets[p - lo], offsets[p - lo + 1]
+                for t in times[a:z].tolist():
+                    if (p, t) in expect:
+                        continue
+                    i = bisect.bisect_left(node_t, t)
+                    t_k = store.times[np.searchsorted(store.times, t,
+                                                      side="right") - 1]
+                    first = bisect.bisect_left(node_t, t_k)
+                    if i < len(node_t) and node_t[i] == t:
+                        step_t, step_x = node_t[first:i + 1], \
+                            node_x[first:i + 1]
+                        r = path.regimes[i]
+                    else:
+                        # the closing node carries the regime before it
+                        step_t = node_t[first:i] + [t]
+                        step_x = node_x[first:i] + [along.x_end[p]]
+                        r = path.regimes[i - 1]
+                    view = StepView(grid_t, grid_x,
+                                    bisect.bisect_left(grid_t, t_k), step_t,
+                                    step_x, store.theta_lower)
+                    expect[p, t] = eval_LV(fam, m, view, t, r).value
+                    differ = differ or not np.array_equal(
+                        view(thetas), PathView(path, t)(thetas))
+                got = values[a:z]
+                want = np.array([expect[p, t] for t in times[a:z].tolist()])
+                assert got.tobytes() == want.tobytes(), (name, t_end, p)
+    # reading through every node would differ at some of these nodes
+    assert differ
+
+
 def test_lv_profile_history_lookups_are_checked():
     m = gbm_model()
     path = integrate_path(m, IntegratorConfig(dt=0.01, T=2.0), i0=1, seed=1)
@@ -342,6 +433,30 @@ def test_lv_profile_history_lookups_are_checked():
     at = lv_profile(gbm_family(), with_atoms(m, (1.0, 0.5), (0.5, 0.5)), path)
     assert near[1].tobytes() == at[1].tobytes()
     assert near[2] == at[2]
+
+
+def test_lv_profile_rejects_a_regime_the_model_lacks():
+    # an exp_stable path that visits regime 2, read with regime 1 alone
+    m = preset("exp_stable")
+    path = integrate_path(m, IntegratorConfig(dt=0.01, T=3.0), i0=1, seed=1)
+    assert 2 in path.regimes
+    with pytest.raises(DimensionMismatch, match="path regime 2 is not a "
+                       r"regime 1\.\.1 of the model"):
+        lv_profile(gbm_family(), single_regime(m, 1), path)
+
+
+def test_lv_profile_rejects_a_path_from_another_t0():
+    # the same path, read with the model's t0 moved to 1.5
+    m = preset("exp_stable")
+    path = integrate_path(m, IntegratorConfig(dt=0.01, T=3.0), i0=1, seed=1)
+    moved = dataclasses.replace(m, t0=1.5)
+    with pytest.raises(ValueError, match=r"the path starts at t0=1\.0, the "
+                       r"model at t0=1\.5"):
+        lv_profile(preset_lyapunov("exp_stable"), moved, path)
+    # within the grid tolerance the path's t0 is the model's
+    within = dataclasses.replace(m, t0=1.0 + 1e-12)
+    assert lv_profile(preset_lyapunov("exp_stable"), within, path)[2] == \
+        lv_profile(preset_lyapunov("exp_stable"), m, path)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +504,11 @@ def test_residual_counts_exploded_paths():
     assert stat.n_paths_used + stat.n_excluded == 160
 
 
-def test_residual_chunks_match_per_path_profiles():
+def test_residual_chunks_match_per_path_profiles(monkeypatch):
     # a two-regime version of the exploding model above: some paths
-    # switch, some explode, and the kept paths fill several row blocks,
-    # the last one partly
+    # switch, some explode, and the kept paths fill several row blocks
+    # of at most 1 << 14 nodes, the last one partly
+    monkeypatch.setattr(lyapunov_mod, "_CHUNK_NODES", 1 << 14)
     gen = make_generator([[-1.0, 1.0], [1.0, -1.0]])
     m = ModelSpec(theta_lower=0.5, t0=1.0, generator=gen,
                   drift=((PolynomialTerm([(3, 0.2)]),),

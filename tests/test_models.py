@@ -357,6 +357,16 @@ def test_initial_table_is_validated(table, why):
         preset("exp_stable", initial=table)
 
 
+def test_non_finite_initial_data_is_one_error():
+    # a constant and a table value alike, and a ValueError as the other
+    # initial-data checks are
+    for initial in (math.inf, ((0.5, 1.0), (1.0, math.nan))):
+        with pytest.raises(NonFiniteState) as err:
+            ModelSpec(theta_lower=0.5, t0=1.0, generator=one_state(),
+                      drift=((),), diffusion=((),), initial_segment=initial)
+        assert isinstance(err.value, ValueError)
+
+
 def test_initial_table_within_grid_tolerance_is_accepted():
     m = ModelSpec(theta_lower=0.5, t0=1.0, generator=one_state(),
                   drift=((),), diffusion=((),),

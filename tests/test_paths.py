@@ -28,19 +28,19 @@ def make_path(times, values, theta_lower=0.5, t0=1.0, regimes=None,
 SIMPLE = make_path([0.5, 0.75, 1.0, 1.5, 2.0], [0.0, 1.0, 2.0, 1.0, 3.0])
 
 
-def test_eval_exact_at_grid_points():
+def test_interp_exact_at_grid_points():
     for t, want in zip(SIMPLE.times, SIMPLE.values):
         assert _interp(SIMPLE.times, SIMPLE.values, t) == want
 
 
-def test_eval_linear_between_grid_points():
+def test_interp_linear_between_grid_points():
     assert _interp(SIMPLE.times, SIMPLE.values, 1.25) == pytest.approx(
         1.5, abs=1e-15)
     assert _interp(SIMPLE.times, SIMPLE.values, 0.625) == pytest.approx(
         0.5, abs=1e-15)
 
 
-def test_eval_vectorized_shape():
+def test_interp_vectorized_shape():
     out = _interp(SIMPLE.times, SIMPLE.values, np.array([0.5, 1.0, 2.0]))
     assert out.shape == (3,)
     assert np.array_equal(out, [0.0, 2.0, 3.0])
@@ -73,10 +73,13 @@ def test_segment_view_theta_domain():
                       SIMPLE)
     at = lv_profile(family, reading((1.0, 0.5), (0.5, 0.5)), SIMPLE)
     assert near[1].tobytes() == at[1].tobytes() and near[2] == at[2]
-    # a path whose first node is t0 has no history for theta * t0 < t0
+    # a path whose first node is t0 has no history for theta * t0 < t0,
+    # but each node reads itself at theta = 1: LV = 2 x^2
     late = make_path([1.0, 1.5, 2.0], [2.0, 1.0, 3.0])
     with pytest.raises(OutOfDomain, match="before the paths start at 1"):
         lv_profile(family, reading((0.5, 1.0)), late)
+    assert lv_profile(family, reading((1.0, 1.0)), late)[1].tolist() == \
+        [8.0, 2.0, 18.0]
 
 
 def test_constant_segment():
