@@ -55,21 +55,31 @@ stream and a noise stream.  They are built directly from their spawn
 keys (p, 0) and (p, 1); the chain stream only when the start regime is
 not absorbing, since an absorbing chain draws nothing.  Paths are
 processed in fixed-size blocks whose composition depends only on the
-path index; workers own whole blocks and write into disjoint
-preallocated slices.  Each row's result depends only on its own
+path index; ``run_batch``'s workers own whole blocks and write into
+disjoint preallocated slices, and a block's draw threads own whole
+chunks of its rows.  Each row's result depends only on its own
 streams, so rerunning with the same root seed reproduces every output
-bit at any block size or worker count.
+bit at any block size, worker count or number of usable cores.
 
 Noise stream order: each path draws one standard normal per uniform
 step plus one per regime switch inside a step, in time order: a step
 containing q switches consumes its step normal, used by the whole step
 or by its first substep, then one normal per substep that starts at a
 switch.  A jump exactly at a grid time starts no substep and reads no
-normal.  A block draws its paths' normals in that order into a buffer
-of a few dozen rows at a time and splits each chunk: the normal of
-step k waits in the history row that step k's end state overwrites,
-which the step loop reads as one contiguous row before writing it, and
-the switch normals go to the switch table's order.
+normal.  A block draws its paths' normals in that order, a chunk of a
+few dozen rows at a time, and splits each chunk: the normal of step k
+waits in the history row that step k's end state overwrites, which the
+step loop reads as one contiguous row before writing it, and the
+switch normals go to the switch table's order.  A block of at least
+``_THREADED_STEPS`` steps, with several chunks and several usable cores
+(``os.sched_getaffinity``), draws on min(cores, chunks) threads: the
+calling thread draws every threads-th chunk and a pool made for the
+block draws the others, whole chunks, into slot buffers that the
+calling thread allocates.  The calling thread splits every chunk, in
+chunk order, and the pool is shut down before the block's step loop.
+Otherwise the calling thread draws alone.  A thread that draws a row
+reads only that row's stream, so which thread draws which chunk
+changes no bit.
 
 Blow-up is data, not failure: a path whose state exceeds the threshold
 (or turns non-finite) is marked exploded and frozen; the batch always
@@ -80,6 +90,7 @@ the start of its (sub)step, a threshold crossing at its end.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -91,10 +102,16 @@ from .markov import sample_regime_path
 from .models import ModelSpec, _Pass
 from .paths import DensePath, PathStore, _interp, _piece
 
-# Measured: 3000 paths ran 25% faster as one block than as three of 1024.
+# Measured on 2 cores: 3000 switch-free paths to T = 15 took 126 ms as
+# one block and 196-204 ms as three of 1024.
 DEFAULT_BLOCK_SIZE = 4096
 # rows per chunk of the buffer that a block draws its normals into
 _NORMAL_ROWS = 32
+# A row's draw releases the GIL only while it fills the row's normals,
+# so several threads pay only on long rows.  Measured on 2 cores, 3000
+# switch-free rows took 15% less time on two threads than on one at 1000
+# steps and 39% less at 1400, but 5% more at 700 and 27% more at 500.
+_THREADED_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -362,27 +379,44 @@ def _switch_table(u_times, row, time, regime):
     return sw
 
 
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _draw_block_normals(rows, root_seed, sw, Z):
     """Draw the block's normals into ``Z`` and the switch table's order.
 
     ``Z`` has one row per uniform step and one column per block row: the
     history rows that the steps' end states overwrite.  Row r draws one
     normal per step plus one per switch of its own in the table from its
-    noise stream, in stream order, into a buffer that holds one chunk of
-    ``_NORMAL_ROWS`` rows; a jump at a grid time starts no substep and
-    reads no normal.  Each chunk is split: the normal of uniform step k
-    goes to ``Z[k, r]``, and the normal of the substep that starts at
-    switch entry e goes to ``z_sw[e]``.  In a row's stream, each step's
-    normal is followed by one per switch inside the step, so entry e is
-    at position step + 1 + rank.  A row's first switch in a step also
-    gets the step's normal, the one before its own, in ``z_to[e]``: its
-    substep to that switch reads it after the step has overwritten Z.
+    noise stream, in stream order, into a slot buffer that holds one
+    chunk of ``_NORMAL_ROWS`` rows; a jump at a grid time starts no
+    substep and reads no normal.  Each chunk is split: the normal of
+    uniform step k goes to ``Z[k, r]``, and the normal of the substep
+    that starts at switch entry e goes to ``z_sw[e]``.  In a row's
+    stream, each step's normal is followed by one per switch inside the
+    step, so entry e is at position step + 1 + rank.  A row's first
+    switch in a step also gets the step's normal, the one before its
+    own, in ``z_to[e]``: its substep to that switch reads it after the
+    step has overwritten Z.
+
+    On several threads (see the module docstring) there are two slots
+    per thread, and once a chunk is split its slot passes to the chunk
+    that many places on.  Only the calling thread allocates: a buffer
+    allocated in a worker would stay in that thread's own malloc arena
+    and raise the peak RSS.
     """
     steps, b = Z.shape
     z_sw = np.empty(len(sw.time))
     z_to = np.empty(len(sw.time))
     by_row = np.argsort(sw.row, kind="stable")
     row_sorted = sw.row[by_row]
+    # (first row, end row, switch entries, each row's normals in a slot)
+    chunks = []
     for c0 in range(0, b, _NORMAL_ROWS):
         c1 = min(c0 + _NORMAL_ROWS, b)
         e = by_row[np.searchsorted(row_sorted, c0):
@@ -390,11 +424,20 @@ def _draw_block_normals(rows, root_seed, sw, Z):
         offsets = np.zeros(c1 - c0 + 1, dtype=np.int64)
         np.cumsum(steps + np.bincount(sw.row[e] - c0, minlength=c1 - c0),
                   out=offsets[1:])
-        buf = np.empty(offsets[-1])
-        for i, p in enumerate(rows[c0:c1]):
+        chunks.append((c0, c1, e, offsets))
+
+    def draw(chunk, slot):
+        c0, c1, _, offsets = chunk
+        for p, lo, hi in zip(rows[c0:c1], offsets[:-1].tolist(),
+                             offsets[1:].tolist()):
             rng = np.random.Generator(np.random.PCG64(
                 _stream(root_seed, p, _NOISE)))
-            rng.standard_normal(out=buf[offsets[i]:offsets[i + 1]])
+            rng.standard_normal(out=slot[lo:hi])
+        return slot
+
+    def split(chunk, slot):
+        c0, c1, e, offsets = chunk
+        buf = slot[:offsets[-1]]
         if len(e):
             at = offsets[sw.row[e] - c0] + sw.step[e] + 1 + sw.rank[e]
             z_sw[e] = buf[at]
@@ -404,6 +447,30 @@ def _draw_block_normals(rows, root_seed, sw, Z):
             keep[at] = False
             buf = buf[keep]
         Z[:, c0:c1] = buf.reshape(c1 - c0, steps).T
+
+    threads = (min(_usable_cores(), len(chunks))
+               if steps >= _THREADED_STEPS else 1)
+    size = max(int(offsets[-1]) for *_, offsets in chunks)
+    if threads == 1:
+        slot = np.empty(size)
+        for chunk in chunks:
+            split(chunk, draw(chunk, slot))
+        return z_sw, z_to
+    slots = [np.empty(size) for _ in range(2 * threads)]
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        drawn = {}
+
+        def ahead(c):
+            if c < len(chunks) and c % threads:
+                drawn[c] = pool.submit(draw, chunks[c], slots[c % len(slots)])
+
+        for c in range(len(slots)):
+            ahead(c)
+        for c, chunk in enumerate(chunks):
+            slot = (drawn.pop(c).result() if c % threads
+                    else draw(chunk, slots[c % len(slots)]))
+            split(chunk, slot)
+            ahead(c + len(slots))
     return z_sw, z_to
 
 
@@ -701,7 +768,10 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
 
     Args:
       workers: thread count; blocks are distributed round-robin.
-        GIL-bound, slower than one thread; kept while bench/ times it.
+        GIL-bound, slower than one thread: on 2 cores, 3000 switch-free
+        paths in blocks of 1024 took 230-244 ms on two workers and
+        196-204 ms on one, each block drawing its normals on two
+        threads of its own.  Kept while bench/ times it.
       block_size: paths per vectorized block (tuning only, not results).
       keep_paths: keep the switch nodes too, so that ``paths`` holds
         every path (the martingale residual test reads them); switch

@@ -181,18 +181,21 @@ def _check_regimes(V: LyapunovFamily, m: ModelSpec) -> None:
             "V has %d regimes, model has %d" % (V.n_regimes, m.n_regimes))
 
 
+def _lv_regime(V: LyapunovFamily, m: ModelSpec, ev: _Pass, x, v, i: int):
+    """LV's drift, diffusion and coupling parts at the states x in regime
+    i; ``ev`` is a coefficient pass at x and ``v`` V at x in every
+    regime, regime 1 first."""
+    f, g = ev.regime(i)
+    coupling = np.zeros_like(x)
+    for rate, v_l in zip(m.generator.rates[i - 1], v):
+        coupling = coupling + rate * v_l
+    return V.dx(x, i) * f, 0.5 * g * g * V.dxx(x, i), coupling
+
+
 def _lv_table(V: LyapunovFamily, m: ModelSpec, ev: _Pass, x):
-    """LV's drift, diffusion and coupling parts at the states x in every
-    regime, regime 1 first; ``ev`` is a coefficient pass at x."""
+    """LV's parts at the states x in every regime, regime 1 first."""
     v = [V.value(x, l + 1) for l in range(m.n_regimes)]
-    table = []
-    for i in range(1, m.n_regimes + 1):
-        f, g = ev.regime(i)
-        coupling = np.zeros_like(x)
-        for rate, v_l in zip(m.generator.rates[i - 1], v):
-            coupling = coupling + rate * v_l
-        table.append((V.dx(x, i) * f, 0.5 * g * g * V.dxx(x, i), coupling))
-    return table
+    return [_lv_regime(V, m, ev, x, v, i) for i in range(1, m.n_regimes + 1)]
 
 
 def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
@@ -206,8 +209,10 @@ def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
     require_index("regime", i, m.n_regimes)
     x = float(view.point)
     ev = _Pass(m, x, lambda th: np.asarray(view(th), dtype=np.float64), t)
-    parts = _lv_table(V, m, ev, x)[i - 1]
-    drift, diffusion, coupling = (float(part) for part in parts)
+    # only regime i's coefficients; V in every regime feeds the coupling
+    v = [V.value(x, l + 1) for l in range(m.n_regimes)]
+    drift, diffusion, coupling = (float(part)
+                                  for part in _lv_regime(V, m, ev, x, v, i))
     return LVBreakdown(value=drift + diffusion + coupling, drift_part=drift,
                        diffusion_part=diffusion, coupling_part=coupling)
 
@@ -324,23 +329,23 @@ class _LVAlong:
         """Each integral group's weighted quadrature at a block's nodes:
         the grid times, computed once, for each of its b rows, then
         ``times``.  A kernel-free group's weights broadcast, and groups
-        with one quadrature and kernel share one array."""
-        integrals = self.m._plan.integrals
-        # the quadrature and kernel of each group's integral
-        keys = [term._integral_key()[:3] for term in integrals]
+        that share the plan's weights share one array."""
         shared = {}
-        for key, term, w_g, w_t in zip(keys, integrals, self.w_grid,
-                                       self.m._plan.weights(times)):
-            if key in shared:
-                continue
-            if term.kernel is None:
-                shared[key] = term.measure.weights[:, None]
-                continue
-            w = shared[key] = np.empty((len(w_g), self.n_g * b + len(times)))
-            w[:, :self.n_g * b].reshape(len(w_g), self.n_g, b)[...] = \
-                w_g[..., None]
-            w[:, self.n_g * b:] = w_t
-        return [shared[key] for key in keys]
+        out = []
+        for term, w_g, w_t in zip(self.m._plan.integrals, self.w_grid,
+                                  self.m._plan.weights(times)):
+            w = shared.get(id(w_t))
+            if w is None:
+                if term.kernel is None:
+                    w = term.measure.weights[:, None]
+                else:
+                    w = np.empty((len(w_g), self.n_g * b + len(times)))
+                    w[:, :self.n_g * b].reshape(len(w_g), self.n_g, b)[...] \
+                        = w_g[..., None]
+                    w[:, self.n_g * b:] = w_t
+                shared[id(w_t)] = w
+            out.append(w)
+        return out
 
     def block(self, lo: int, hi: int):
         """LV along rows[lo:hi].

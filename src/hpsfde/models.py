@@ -452,10 +452,18 @@ class _Plan:
 
         One array of shape (quadrature nodes, len(t)) per group, in the
         order of ``integrals``; a kernel-free group's is a broadcast view.
+        Groups with one quadrature and kernel get the same array, so it
+        is computed once.
         """
-        return [np.broadcast_to(term._weighted(t, 1),
-                                (len(term.measure.thetas), len(t)))
-                for term in self.integrals]
+        shared = {}
+        out = []
+        for term in self.integrals:
+            key = term._integral_key()[:3]
+            if key not in shared:
+                shared[key] = np.broadcast_to(
+                    term._weighted(t, 1), (len(term.measure.thetas), len(t)))
+            out.append(shared[key])
+        return out
 
 
 class _Pass:

@@ -4,7 +4,11 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -468,6 +472,65 @@ def test_switch_normals_match_reference_across_chunks():
                           block_size=block)
         assert 0 < batch.n_exploded < 80
         _assert_matches_reference(batch, ref)
+
+
+def test_thread_count_does_not_change_results(monkeypatch):
+    # a block of long rows draws its normals on min(cores, chunks)
+    # threads, the calling thread and a pool of the others: blocks of 67,
+    # 150 and the default 160 rows hold 3, 5 and 5 chunks, cut at other
+    # rows, and the last blocks of 26 and 10 rows one chunk, which the
+    # calling thread draws alone.  8 cores gives each chunk of a block
+    # its own thread, and a short switch interval makes the threads
+    # interleave often.
+    m = fast_switching_model()
+    cfg = IntegratorConfig(dt=0.05, T=3.0, blowup_threshold=50.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = [_reference_path(m, cfg, p, 1, 7) for p in range(160)]
+    pools = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(hpsfde.integrator, "ThreadPoolExecutor", Recorded)
+    # rows of 40 steps are too short to pay for a pool
+    monkeypatch.setattr(hpsfde.integrator, "_usable_cores", lambda: 3)
+    _assert_matches_reference(run_batch(m, cfg, n_paths=160, i0=1,
+                                        root_seed=7), ref)
+    assert pools == []
+    monkeypatch.setattr(hpsfde.integrator, "_THREADED_STEPS", 40)
+    chunk = hpsfde.integrator._NORMAL_ROWS
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cores in (1, 2, 3, 8):
+            monkeypatch.setattr(hpsfde.integrator, "_usable_cores",
+                                lambda n=cores: n)
+            for block in (67, 150, DEFAULT_BLOCK_SIZE):
+                del pools[:]
+                before = threading.active_count()
+                batch = run_batch(m, cfg, n_paths=160, i0=1, root_seed=7,
+                                  block_size=block)
+                assert threading.active_count() == before
+                chunks = [-(-min(block, 160 - s) // chunk)
+                          for s in range(0, 160, block)]
+                assert pools == [min(cores, c) - 1 for c in chunks
+                                 if min(cores, c) > 1]
+                _assert_matches_reference(batch, ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
+    usable = hpsfde.integrator._usable_cores
+    if hasattr(os, "sched_getaffinity"):
+        assert usable() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert usable() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable() == 1
 
 
 def test_absorbing_start_samples_no_chain(monkeypatch):

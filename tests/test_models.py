@@ -575,3 +575,28 @@ def test_one_kernel_factor_per_integral_group(monkeypatch):
     assert calls == []
     assert again[0].tobytes() == F.tobytes()
     assert again[1].tobytes() == G.tobytes()
+
+
+def test_plan_weights_once_per_quadrature_and_kernel(monkeypatch):
+    # switch_stabilized's signed and |y|^2 integrals over nu share their
+    # weighted kernel: the plan evaluates 3 + 1 quadrature rows per time,
+    # not 3 + 3 + 1, and hands both groups one array
+    calls = []
+    decay = Kernel.decay
+
+    def counted(self, theta, t):
+        calls.append(np.asarray(theta).shape[0])
+        return decay(self, theta, t)
+
+    monkeypatch.setattr(Kernel, "decay", counted)
+    m = preset("switch_stabilized")
+    t = np.linspace(1.0, 2.0, 5)
+    weights = m._plan.weights(t)
+    assert sorted(calls) == [1, 3]
+    over_nu = [w for w in weights if len(w) == 3]
+    assert len(over_nu) == 2 and over_nu[0] is over_nu[1]
+    assert len({id(w) for w in weights}) == 2
+    for term, w in zip(m._plan.integrals, weights):
+        assert w.shape == (len(term.measure.thetas), len(t))
+        assert w.tobytes() == np.broadcast_to(term._weighted(t, 1),
+                                              w.shape).tobytes()
