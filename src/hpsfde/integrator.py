@@ -29,10 +29,14 @@ that node.  A later time, which a node a > t meets for theta > t/a,
 reads the row's own nodes in the step: t and its switches up to a.
 Either way the value is the piece's x_l (1 - w) + x_r w, with the
 weight w of ``paths._piece``.  ``_Grid`` compiles the grid half of the
-rule once per batch and theta set; ``_Lookups`` compiles the rest once
-per block.  ``lyapunov._LVAlong`` lays out each block of kept rows as a
-block of the step loop, its switch and closing nodes as the entries of
-a switch table, and reads through these same lookups.
+rule once per batch and theta set, and each integral's weighted kernel
+at every grid time once per batch; ``_Lookups`` compiles the rest once
+per block, with the kernels at the block's switch times.
+``lyapunov._LVAlong`` lays out each block of kept rows as a block of
+the step loop, its switch and closing nodes as the entries of a switch
+table, and runs the loop's two kinds of pass over it, one over the grid
+rows and one over the switch entries, through these same lookups and
+kernels.
 
 A batch that keeps its paths keeps the states at switch times as nodes
 too, in one store with the grid values (``paths.PathStore``).  The
@@ -44,10 +48,13 @@ fixes: each switch's two lookup sources in one buffer that holds the
 history followed by the switch-node states; per switch, its substep
 lengths, their square roots, its normal and the slot its end state goes
 to; per integral of the model's plan, the weighted kernel at every
-uniform and switch time.  The grid's lookups are shared by every block.
-A pass only gathers, multiplies, adds and writes.  Each state is
-written once, into the history, and the block's grid values are filled
-from it once at the end.
+switch time.  The grid's lookups and kernels are shared by every block.
+Until step k writes its end state into its history row, that row holds
+the step's Brownian increment: sqrt(h) times the step's normal, or the
+difference of a ``TabulatedWiener`` table across the step.  A pass only
+gathers, multiplies, adds and writes.  Each state is written once, into
+the history, and the block's grid values are filled from it once at
+the end.
 
 Determinism contract: path p draws all its randomness from the two
 children of SeedSequence(root_seed, spawn_key=(p,)), a regime-chain
@@ -67,19 +74,19 @@ containing q switches consumes its step normal, used by the whole step
 or by its first substep, then one normal per substep that starts at a
 switch.  A jump exactly at a grid time starts no substep and reads no
 normal.  A block draws its paths' normals in that order, a chunk of a
-few dozen rows at a time, and splits each chunk: the normal of step k
-waits in the history row that step k's end state overwrites, which the
-step loop reads as one contiguous row before writing it, and the
-switch normals go to the switch table's order.  A block of at least
-``_THREADED_STEPS`` steps, with several chunks and several usable cores
-(``os.sched_getaffinity``), draws on min(cores, chunks) threads: the
-calling thread draws every threads-th chunk and a pool made for the
-block draws the others, whole chunks, into slot buffers that the
-calling thread allocates.  The calling thread splits every chunk, in
-chunk order, and the pool is shut down before the block's step loop.
-Otherwise the calling thread draws alone.  A thread that draws a row
-reads only that row's stream, so which thread draws which chunk
-changes no bit.
+few dozen rows at a time, and splits each chunk: the normal of step k,
+scaled by sqrt(h), waits in the history row that step k's end state
+overwrites, which the step loop reads as one contiguous row before
+writing it, and the switch normals go to the switch table's order.  A
+block of at least ``_THREADED_STEPS`` steps, with several chunks and
+several usable cores (``os.sched_getaffinity``), draws on min(cores,
+chunks) threads: the calling thread draws every threads-th chunk and a
+pool made for the block draws the others, whole chunks, into slot
+buffers that the calling thread allocates.  The calling thread splits
+every chunk, in chunk order, and the pool is shut down before the
+block's step loop.  Otherwise the calling thread draws alone.  A thread
+that draws a row reads only that row's stream, so which thread draws
+which chunk changes no bit.
 
 Blow-up is data, not failure: a path whose state exceeds the threshold
 (or turns non-finite) is marked exploded and frozen; the batch always
@@ -260,13 +267,18 @@ class SimulationBatch:
                   ) -> "SimulationBatch":
         """Wrap externally produced trajectories for the estimators.
 
-        ``times`` is the shared grid, which starts at t0, and ``values``
-        an (n_paths, len(times)) array.  ``exploded_at``, one blow-up
+        ``times`` is the shared grid, finite and strictly increasing,
+        which starts at t0, and ``values`` an (n_paths, len(times))
+        array.  ``exploded_at``, one blow-up
         time per path (NaN when none), defaults to no explosions.
         Useful for analyzing data from other integrators or closed-form
         paths.
         """
         times = np.asarray(times, dtype=np.float64)
+        if times.ndim != 1 or not (np.isfinite(times).all()
+                                   and (np.diff(times) > 0).all()):
+            raise ValueError("times must be a finite, strictly increasing "
+                             "grid, got %s" % np.array2string(times))
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != len(times):
             raise ValueError("values must have shape (n_paths, len(times))")
@@ -296,8 +308,8 @@ class _Switches(NamedTuple):
     the row's next switch in the step (entry ``nxt``), or the step's
     right end when ``nxt`` is -1.  ``prv`` is the row's previous switch
     in the step, or -1.  ``rank`` counts the row's earlier switches in
-    the block and ``count`` its switches in the step.  ``passes[k]``
-    lists step k's entries by rank as (lo, hi) ranges.
+    the block.  ``passes[k]`` lists step k's entries by rank as (lo, hi)
+    ranges.
     """
 
     step: np.ndarray
@@ -308,7 +320,6 @@ class _Switches(NamedTuple):
     nxt: np.ndarray
     prv: np.ndarray
     rank: np.ndarray
-    count: np.ndarray
     passes: dict
 
 
@@ -367,8 +378,7 @@ def _switch_table(u_times, row, time, regime):
     fields = (step, row, time, regime,
               np.where(last, u_times[step + 1], np.roll(time, -1)),
               np.where(last, -1, np.roll(pos, -1)),
-              np.where(first, -1, np.roll(pos, 1)),
-              rank, np.bincount(group)[group])
+              np.where(first, -1, np.roll(pos, 1)), rank)
     sw = _Switches(*(v[perm] for v in fields), passes={})
     in_step = in_step[perm]
     starts = np.ones(n, dtype=bool)
@@ -387,22 +397,23 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_block_normals(rows, root_seed, sw, Z):
-    """Draw the block's normals into ``Z`` and the switch table's order.
+def _draw_block_normals(rows, root_seed, sw, dW, sqrt_h):
+    """Draw the block's step increments into ``dW``, and its switch
+    normals in the switch table's order.
 
-    ``Z`` has one row per uniform step and one column per block row: the
+    ``dW`` has one row per uniform step and one column per block row: the
     history rows that the steps' end states overwrite.  Row r draws one
     normal per step plus one per switch of its own in the table from its
     noise stream, in stream order, into a slot buffer that holds one
     chunk of ``_NORMAL_ROWS`` rows; a jump at a grid time starts no
-    substep and reads no normal.  Each chunk is split: the normal of
-    uniform step k goes to ``Z[k, r]``, and the normal of the substep
-    that starts at switch entry e goes to ``z_sw[e]``.  In a row's
-    stream, each step's normal is followed by one per switch inside the
-    step, so entry e is at position step + 1 + rank.  A row's first
-    switch in a step also gets the step's normal, the one before its
-    own, in ``z_to[e]``: its substep to that switch reads it after the
-    step has overwritten Z.
+    substep and reads no normal.  Each chunk is split: the normal z of
+    uniform step k goes to ``dW[k, r]`` as ``sqrt_h[k] * z``, and the
+    normal of the substep that starts at switch entry e to ``z_sw[e]``.
+    In a row's stream, each step's normal is followed by one per switch
+    inside the step, so entry e is at position step + 1 + rank.  A row's
+    first switch in a step also gets the step's normal, the one before
+    its own, in ``z_to[e]``: its substep to that switch reads it after
+    the step has overwritten its increment.
 
     On several threads (see the module docstring) there are two slots
     per thread, and once a chunk is split its slot passes to the chunk
@@ -410,7 +421,7 @@ def _draw_block_normals(rows, root_seed, sw, Z):
     allocated in a worker would stay in that thread's own malloc arena
     and raise the peak RSS.
     """
-    steps, b = Z.shape
+    steps, b = dW.shape
     z_sw = np.empty(len(sw.time))
     z_to = np.empty(len(sw.time))
     by_row = np.argsort(sw.row, kind="stable")
@@ -446,7 +457,11 @@ def _draw_block_normals(rows, root_seed, sw, Z):
             keep = np.ones(len(buf), dtype=bool)
             keep[at] = False
             buf = buf[keep]
-        Z[:, c0:c1] = buf.reshape(c1 - c0, steps).T
+        # scaled in place, in row order: a ufunc into the transposed
+        # slice would allocate its own buffers for every chunk
+        buf = buf.reshape(c1 - c0, steps)
+        buf *= sqrt_h
+        dW[:, c0:c1] = buf.T
 
     threads = (min(_usable_cores(), len(chunks))
                if steps >= _THREADED_STEPS else 1)
@@ -475,7 +490,8 @@ def _draw_block_normals(rows, root_seed, sw, Z):
 
 
 class _Grid:
-    """A batch's history times and each theta set's grid lookups.
+    """A batch's history times, each theta set's grid lookups, and each
+    integral's weighted kernel at every grid time.
 
     ``ht`` holds the initial nodes before t0, then the uniform grid from
     index ``base`` on.  Grid time k reads x(theta t_k) from history rows
@@ -483,11 +499,15 @@ class _Grid:
     step that ends at t_k, so theta == 1 reads x(t_k) and never a later
     row.  Thetas are clipped to [theta_lower, 1] where the tables
     compile.  A theta set's tables are compiled on first use and shared
-    by every block that reads this grid.
+    by every block that reads this grid.  ``weights[g][:, k]`` is the
+    weighted kernel of the plan's integral group g at grid time k, shaped
+    to broadcast against the delayed rows of a block.
     """
 
-    def __init__(self, ht, base, theta_lower):
+    def __init__(self, ht, base, theta_lower, plan):
         self.ht, self.base, self.theta_lower = ht, base, theta_lower
+        self.plan = plan
+        self.weights = [w[..., None] for w in plan.weights(ht[base:])]
         self._sets = {}
 
     def clip(self, thetas):
@@ -510,7 +530,8 @@ class _Grid:
 
 
 class _Lookups:
-    """A block's delayed lookups, by the rule of its ``_Grid``.
+    """A block's delayed lookups, by the rule of its ``_Grid``, and each
+    integral's weighted kernel at its switch times, ``weights``.
 
     ``buf`` holds the history H, one row per time of the grid's ``ht``
     (the first ``n`` of them when given) and one column per row of the
@@ -532,6 +553,7 @@ class _Lookups:
         self.H = self.buf[:n * b].reshape(n, b)
         self.nodes = self.buf[n * b:]
         self._grid, self._sw, self._b = grid, sw, b
+        self.weights = grid.plan.weights(sw.time)
         self._sets = {}
 
     def _switch_tables(self, thetas):
@@ -552,7 +574,7 @@ class _Lookups:
             node = self.H.size
             s_right = np.broadcast_to(np.arange(len(sw.time)), lt.shape)
             s_left = np.broadcast_to(sw.prv, lt.shape)
-            for _ in range(int(sw.count.max())):
+            while True:
                 back = (s_left >= 0) & (sw.time[s_left] > lt)
                 if not back.any():
                     break
@@ -589,22 +611,18 @@ class _Lookups:
 
         return lookup
 
-    def at_nodes(self, n):
-        """The lookups of grid times 0..n-1 of every row, time-major,
-        then of every switch entry: the order of ``buf`` from t0 on."""
-        H, b = self.H, self._b
-        switches = self.at_switches(slice(None))
+    def at_grid(self, n):
+        """The lookups of grid times 0..n-1 of every row, time-major."""
+        H = self.H
 
         def lookup(thetas):
             j, j1, w_l, w_r, run = self._grid.tables(thetas)
-            out = np.empty((len(thetas), n * b + len(self._sw.time)))
-            grid = out[:, :n * b].reshape(len(thetas), n, b)
+            out = np.empty((len(thetas), n, self._b))
             for i, a in enumerate(run):
                 # consecutive rows are read as slices, not gathered
                 left, right = ((H[a:a + n], H[a + 1:a + 1 + n]) if a >= 0
                                else (H[j[:n, i]], H[j1[:n, i]]))
-                np.add(left * w_l[:n, i], right * w_r[:n, i], out=grid[i])
-            out[:, n * b:] = switches(thetas)
+                np.add(left * w_l[:n, i], right * w_r[:n, i], out=out[i])
             return out
 
         return lookup
@@ -630,14 +648,18 @@ def _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
 
     # history, one row per time: initial nodes, then the uniform grid;
     # the switch-node states follow it in one buffer.  Until step k
-    # writes its end state, that state's row holds the step's normal.
+    # writes its end state, that state's row holds the step's increment.
     base_col = grid.base
     look = _Lookups(grid, sw, b)
     H, buf, node_x = look.H, look.buf, look.nodes
     H[:base_col + 1] = init_vals[:, None]
     if wiener is None:
         z_sw, z_to = _draw_block_normals(rows, root_seed, sw,
-                                         H[base_col + 1:])
+                                         H[base_col + 1:],
+                                         np.sqrt(np.diff(u_times)))
+    else:
+        H[base_col + 1:] = np.diff(_interp(
+            wiener.times, wiener.values[block].T, u_times), axis=0)
     node_x[:] = np.nan
 
     # substep geometry: [t, s] ending at switch s, and [s, end] from it;
@@ -649,10 +671,7 @@ def _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
     to_node = H.size + np.arange(len(sw.time))
     from_dst = np.where(sw.nxt < 0, (base_col + sw.step + 1) * b + sw.row,
                         H.size + sw.nxt)
-    w_step = m._plan.weights(u_times[:-1])
-    w_switch = m._plan.weights(sw.time)
     h_list = np.diff(u_times).tolist()
-    sqrt_h = np.sqrt(np.diff(u_times)).tolist()
     t_list = u_times.tolist()
 
     alive = np.ones(b, dtype=bool)
@@ -685,15 +704,11 @@ def _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
         for k in range(len(u_times) - 1):
             t, t_next = t_list[k], t_list[k + 1]
             X, Xn = H[base_col + k], H[base_col + k + 1]
-            F, G = _Pass(m, X, look.at_step(k), t,
-                         [w[:, k:k + 1] for w in w_step]
+            F, G = _Pass(m, X, look.at_step(k), None,
+                         [w[:, k] for w in grid.weights]
                          ).merged(r_grid[:, k])
-            if wiener is None:
-                # Xn holds the step's normal until the step writes it
-                dW = sqrt_h[k] * Xn
-            else:
-                dW = wiener.increment(t, t_next)[block]
-            np.add(X + F * h_list[k], G * dW, out=Xn)
+            # Xn holds the step's increment until the step writes it
+            np.add(X + F * h_list[k], G * Xn, out=Xn)
 
             # Switch substeps, one pass per substep index over the alive
             # rows with that many switches in the step: the first ends
@@ -713,8 +728,8 @@ def _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
                     dst = to_node[sel]
                 else:
                     x = node_x[sel]
-                    Fs, Gs = _Pass(m, x, look.at_switches(sel), sw.time[sel],
-                                   [w[:, sel] for w in w_switch]
+                    Fs, Gs = _Pass(m, x, look.at_switches(sel), None,
+                                   [w[:, sel] for w in look.weights]
                                    ).merged(sw.regime[sel])
                     xn = (x + Fs * h_from[sel]
                           + Gs * sq_from[sel] * z_sw[sel])
@@ -799,7 +814,7 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
     init_vals = m.initial_value(init_times)
     # one grid for every block: its lookups compile once per theta set
     grid = _Grid(np.concatenate((init_times[:-1], u_times)),
-                 len(init_times) - 1, m.theta_lower)
+                 len(init_times) - 1, m.theta_lower, m._plan)
 
     k1 = len(u_times)
     out = {

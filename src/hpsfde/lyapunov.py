@@ -24,9 +24,10 @@ The integral runs by trapezoid over each path's nodes on [t0, t_end]; a
 t_end between two nodes closes it with the interpolated endpoint
 (t_end, x(t_end)).  One routine evaluates LV along the rows of a batch's
 path store (``paths.PathStore``) without building a path: it reads the
-grid values and the switch-node table directly, in passes over blocks
-of rows with a fixed bound on the nodes a block holds, one coefficient
-pass per block.  :func:`lv_profile` is its one-row case.  Each path's
+grid values and the switch-node table directly, in blocks of rows with a
+fixed bound on the nodes a block holds.  A block takes the step loop's
+two coefficient passes: one over its grid rows, one over its switch and
+closing nodes.  :func:`lv_profile` is its one-row case.  Each path's
 integral sums its own trapezoids in time order, so results do not
 depend on the blocks.
 
@@ -253,9 +254,10 @@ class _LVAlong:
     ``rows``) is laid out as the integrator lays out its own: the
     time-major history, then the rows' switch and closing nodes as the
     entries of a switch table, in one ``integrator._Lookups`` buffer.
-    So every delayed lookup is the integrator's, and LV at all of the
-    block's nodes takes one coefficient pass.  The grid lookups compile
-    once per theta set for all blocks.
+    So every delayed lookup and weighted kernel is the integrator's, and
+    LV at the block's nodes takes the step loop's two passes: one over
+    the grid rows, one over the table's entries.  The grid lookups and
+    kernels compile once for all blocks.
     """
 
     def __init__(self, V: LyapunovFamily, m: ModelSpec, store, rows,
@@ -322,30 +324,7 @@ class _LVAlong:
                        for lo in range(0, len(rows), size)]
         n0 = len(store.init_times)
         self.grid = _Grid(np.concatenate((store.init_times, times)), n0,
-                          store.theta_lower)
-        self.w_grid = m._plan.weights(times[:n_g])
-
-    def _weights(self, b: int, times):
-        """Each integral group's weighted quadrature at a block's nodes:
-        the grid times, computed once, for each of its b rows, then
-        ``times``.  A kernel-free group's weights broadcast, and groups
-        that share the plan's weights share one array."""
-        shared = {}
-        out = []
-        for term, w_g, w_t in zip(self.m._plan.integrals, self.w_grid,
-                                  self.m._plan.weights(times)):
-            w = shared.get(id(w_t))
-            if w is None:
-                if term.kernel is None:
-                    w = term.measure.weights[:, None]
-                else:
-                    w = np.empty((len(w_g), self.n_g * b + len(times)))
-                    w[:, :self.n_g * b].reshape(len(w_g), self.n_g, b)[...] \
-                        = w_g[..., None]
-                    w[:, self.n_g * b:] = w_t
-                shared[id(w_t)] = w
-            out.append(w)
-        return out
+                          store.theta_lower, m._plan)
 
     def block(self, lo: int, hi: int):
         """LV along rows[lo:hi].
@@ -370,18 +349,27 @@ class _LVAlong:
         # an entry's rank counts its row's entries before it
         look.nodes[:] = x[a + np.searchsorted(row, sw.row) + sw.rank]
 
-        # the block's nodes: the grid nodes (node k of row r at k * b + r),
-        # then the table's entries
-        X = look.buf[n0 * b:]
+        # the step loop's two passes: one over the grid nodes (node k of
+        # row r at k * b + r), then one over the table's entries
+        X = look.H[n0:]
         n_grid = n_g * b
-        size = len(X)
-        table = _lv_table(self.V, m, _Pass(m, X, look.at_nodes(n_g), None,
-                                           self._weights(b, sw.time)), X)
+        size = n_grid + len(sw.time)
+        on_grid = _lv_table(self.V, m, _Pass(
+            m, X, look.at_grid(n_g), None,
+            [w[:, :n_g] for w in self.grid.weights]), X)
+        on_switch = _lv_table(self.V, m, _Pass(
+            m, look.nodes, look.at_switches(slice(None)), None,
+            look.weights), look.nodes)
         t_all = np.concatenate((np.repeat(store.times[:n_g], b), sw.time))
         r_all = np.concatenate((store.regimes[rows, :n_g].T.ravel(),
                                 sw.regime), dtype=np.int64) - 1
         # LV in regime 1 at every node, then in regime 2, ...
-        lv = np.concatenate([d + g + c for d, g, c in table])
+        lv = np.empty((m.n_regimes, size))
+        for i, (d, g, c) in enumerate(on_grid):
+            np.add(d + g, c, out=lv[i, :n_grid].reshape(X.shape))
+        for i, (d, g, c) in enumerate(on_switch):
+            np.add(d + g, c, out=lv[i, n_grid:])
+        lv = lv.ravel()
 
         # src[j]: the node at position j of the rows' nodes in time order;
         # a row's grid nodes fill the places its other nodes leave
@@ -389,11 +377,11 @@ class _LVAlong:
         offsets = np.concatenate(([0], np.cumsum(counts)))
         src = np.empty(offsets[-1], dtype=np.int64)
         sw_at = offsets[sw.row] + sw.step + 1 + sw.rank
-        on_grid = np.ones(len(src), dtype=bool)
-        on_grid[sw_at] = False
+        is_grid = np.ones(len(src), dtype=bool)
+        is_grid[sw_at] = False
         node = np.arange(n_grid).reshape(n_g, b).T
         grid_n = self.grid_n[lo:hi]
-        src[on_grid] = (node[np.arange(n_g) < grid_n[:, None]]
+        src[is_grid] = (node[np.arange(n_g) < grid_n[:, None]]
                         if (grid_n < n_g).any() else node.ravel())
         src[sw_at] = n_grid + np.arange(len(sw_at))
 
@@ -414,8 +402,12 @@ class _LVAlong:
         weight[left] = half
         weight[right] += half
         weight = weight.reshape(-1, size)
-        part_sums = np.array([[part @ w for part in parts]
-                              for parts, w in zip(table, weight)])
+        # a part's sum is one dot product over all of the block's nodes,
+        # which rounds as one pass did, so its two passes are joined
+        part_sums = np.array([[np.concatenate((p_g.ravel(), p_s)) @ w
+                               for p_g, p_s in zip(grid_parts, sw_parts)]
+                              for grid_parts, sw_parts, w in zip(
+                                  on_grid, on_switch, weight)])
         # each row's integral sums its trapezoids in time order; rows of
         # one node count share one C-contiguous table
         integrals = np.empty(b)

@@ -8,7 +8,7 @@ import os
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -522,6 +522,47 @@ def test_thread_count_does_not_change_results(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_a_slot_is_split_before_it_is_drawn_into_again(monkeypatch):
+    # a pool whose submit draws at once: a slot handed to a later chunk
+    # before the calling thread has split it would be overwritten there.
+    # 400 rows hold 13 chunks, more than the two slots per thread.
+    submitted = []
+
+    class AtOnce:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submitted.append(args[0])
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    m = preset("exp_stable")
+    cfg = IntegratorConfig(dt=0.05, T=3.0)
+    base = run_batch(m, cfg, n_paths=400, i0=1, root_seed=9)
+    assert base.n_switches.sum() > 0
+    monkeypatch.setattr(hpsfde.integrator, "ThreadPoolExecutor", AtOnce)
+    monkeypatch.setattr(hpsfde.integrator, "_THREADED_STEPS", 40)
+    for cores in (2, 3):
+        monkeypatch.setattr(hpsfde.integrator, "_usable_cores",
+                            lambda n=cores: n)
+        assert -(-400 // hpsfde.integrator._NORMAL_ROWS) > 2 * cores
+        del submitted[:]
+        other = run_batch(m, cfg, n_paths=400, i0=1, root_seed=9)
+        assert len(submitted) == 13 - len(range(0, 13, cores))
+        assert other.uniform_values.tobytes() == base.uniform_values.tobytes()
+        assert other.exploded_at.tobytes() == base.exploded_at.tobytes()
+        assert (other.paths.node_value.tobytes()
+                == base.paths.node_value.tobytes())
+
+
 def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
     usable = hpsfde.integrator._usable_cores
     if hasattr(os, "sched_getaffinity"):
@@ -919,3 +960,18 @@ def test_synthetic_batch_checks_exploded_at_shape():
     at = [np.nan, 1.5, np.nan, np.nan, np.nan]
     batch = SimulationBatch.synthetic(times, values, exploded_at=at)
     assert batch.t0 == 1.0 and batch.n_exploded == 1
+
+
+def test_synthetic_batch_checks_the_time_grid():
+    # an unordered grid would give trapezoids of negative width, a NaN or
+    # infinite time NaN estimates
+    values = np.ones((5, 4))
+    for times in ([1.0, 2.0, 1.5, 3.0], [1.0, 2.0, 2.0, 3.0],
+                  [1.0, 2.0, np.nan, 3.0], [1.0, 2.0, 3.0, np.inf]):
+        with pytest.raises(ValueError, match="times must be a finite, "
+                           "strictly increasing grid"):
+            SimulationBatch.synthetic(times, values)
+    with pytest.raises(ValueError, match="times must be"):
+        SimulationBatch.synthetic(np.ones((1, 4)), values)
+    batch = SimulationBatch.synthetic([1.0, 1.5, 2.0, 3.0], values)
+    assert batch.t0 == 1.0 and batch.T == 3.0

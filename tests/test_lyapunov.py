@@ -565,6 +565,27 @@ def test_residual_chunks_match_per_path_profiles(monkeypatch):
                                                  rel=1e-12)
 
 
+def test_residual_does_not_depend_on_the_block_size_with_delays(monkeypatch):
+    # switch_stabilized reads delayed states in both passes of a block,
+    # over the grid rows and over the switch and closing entries.  Some
+    # rows never switch, so blocks of one row at T hold no entry; 2.5053
+    # closes every row between two of its nodes.
+    m = preset("switch_stabilized")
+    batch = run_batch(m, IntegratorConfig(dt=0.01, T=3.0), n_paths=150,
+                      i0=1, root_seed=5, keep_paths=True)
+    assert (batch.n_switches == 0).any() and batch.n_switches.sum() > 0
+    default = lyapunov_mod._CHUNK_NODES
+    for t_end in (3.0, 2.5053):
+        stats = []
+        for chunk in (1, 1 << 9, default):
+            monkeypatch.setattr(lyapunov_mod, "_CHUNK_NODES", chunk)
+            stats.append(martingale_residual(preset_lyapunov(
+                "switch_stabilized"), batch, t_end))
+        for field in ("residual", "stderr", "z", "mean_integral"):
+            assert len({np.float64(getattr(s, field)).tobytes()
+                        for s in stats}) == 1, field
+
+
 @pytest.mark.parametrize("t_end, why", [
     (float("nan"), "not a number"), (1.0, "t0 itself"),
     (0.5, "before t0"), (2.5, "past T"), (2.0 + 1e-8, "past T")])
