@@ -13,17 +13,19 @@ bookkeeping, and wrong LV algebra alike.
 
 Run:  python3 demos/03_martingale_check.py  (under a second)
 """
-from hpsfde import (IntegratorConfig, lv_profile, integrate_path,
-                    martingale_residual, preset, preset_lyapunov, run_batch)
+from hpsfde import (IntegratorConfig, lv_profile, martingale_residual,
+                    preset, preset_lyapunov, run_batch)
 
 
 def main():
     m = preset("exp_stable")
     fam = preset_lyapunov("exp_stable")
 
-    # pointwise LV values along one path, plus the running integral
-    path = integrate_path(m, IntegratorConfig(dt=0.01, T=2.0), i0=1, seed=1)
-    times, values, integral = lv_profile(fam, m, path)
+    # LV at the nodes of one path, a one-path batch, and its integral:
+    # that path's share of the residual below
+    one = run_batch(m, IntegratorConfig(dt=0.01, T=2.0), n_paths=1, i0=1,
+                    root_seed=1)
+    times, values, integral = lv_profile(fam, one, 0)
     print("one path: LV at t0 = %.4f, at T = %.4f, integral = %.4f"
           % (values[0], values[-1], integral))
 

@@ -32,7 +32,7 @@ from .certificates import (CertificateData, check_existence,
 from .errors import Error, NotApplicable
 from .estimators import (estimate_as_rate, estimate_moment_rate,
                          estimate_polynomial_rate, estimate_time_average,
-                         moment_curve)
+                         moment_curve, require_power)
 from .integrator import IntegratorConfig, SimulationBatch, run_batch
 from .lyapunov import martingale_residual, require_t_end
 from .paths import write_csv, write_table
@@ -87,11 +87,14 @@ def cmd_simulate(args) -> int:
     if limit is not None and not per_path:
         raise ValueError("output.per_path_limit is set but output.per_path "
                          "is not true, so no path file would be written")
+    moments = out_spec.get("moments", [2.0])
+    for k, p in enumerate(moments):
+        require_power(p, "output.moments[%d]" % k)
     batch = _simulate_batch(cfg, config_mod.build_model(cfg),
                             keep_paths=per_path)
     os.makedirs(args.out, exist_ok=True)
     summary = os.path.join(args.out, "summary.csv")
-    _write_summary(batch, out_spec.get("moments", [2.0]), summary)
+    _write_summary(batch, moments, summary)
     written = [summary]
     if per_path:
         path_dir = os.path.join(args.out, "paths")
@@ -199,6 +202,7 @@ def cmd_certify(args) -> int:
 def cmd_estimate(args) -> int:
     cfg = config_mod.load_config(args.config)
     power = float(cfg.get("estimate", {}).get("power", 2.0))
+    require_power(power, "estimate.power")
     batch = _simulate_batch(cfg, config_mod.build_model(cfg))
     report = _ESTIMATORS[args.kind](batch, power)
     report.to_csv(args.out)

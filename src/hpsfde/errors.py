@@ -3,9 +3,10 @@
 Every error raised by this package derives from :class:`Error`, so callers
 can catch the whole family with one except clause.  The subclasses mirror
 the distinct failure modes of the domain objects: generator matrices,
-path states and delayed lookups, coefficient models, batch statistics,
-and certificate arithmetic.  The two argument checks that several
-modules share raise plain ValueError.
+initial data, coefficient models, batch statistics, and certificate
+arithmetic.  Delayed lookups raise nothing: every path that the package
+reads is a batch's, whose history covers each lookup.  The two
+argument checks that several modules share raise plain ValueError.
 """
 
 import math
@@ -58,13 +59,8 @@ class ReducibleChain(Error):
 
 
 # ---------------------------------------------------------------------------
-# Path states and delayed lookups
+# Initial data
 # ---------------------------------------------------------------------------
-
-class OutOfDomain(Error):
-    """A model's delayed lookup along a path that ``lyapunov.lv_profile``
-    reads falls below the path's theta_lower or before its first node."""
-
 
 class NonFiniteState(Error, ValueError):
     """A model's initial data, a constant or a table value, is NaN or

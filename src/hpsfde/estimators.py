@@ -16,7 +16,8 @@ paths have heavy relative dispersion.
 All estimators fit on the tail window [t0 + (T - t0)/2, T] by default,
 since the targets are limsup statements and early transients bias the
 slopes.  Exploded paths are excluded from every statistic and counted
-in the report.  Reductions are plain sums over the path axis, so
+in the report.  Every power p must be finite and > 0
+(:func:`require_power`).  Reductions are plain sums over the path axis, so
 results do not depend on path ordering or on how the batch was
 partitioned into blocks.
 """
@@ -92,8 +93,16 @@ def standard_error(samples: np.ndarray) -> float:
     return float(samples.std(ddof=1)) / math.sqrt(n)
 
 
-def _n_surviving(batch: SimulationBatch, min_paths: int) -> int:
-    """The count of non-exploded paths, which must reach ``min_paths``."""
+def require_power(p, name: str = "p") -> None:
+    """ValueError unless the power p of |x|^p is finite and > 0."""
+    if not 0 < p < math.inf:
+        raise ValueError("%s must be finite and > 0, got %r" % (name, p))
+
+
+def _n_surviving(batch: SimulationBatch, p: float, min_paths: int) -> int:
+    """The count of non-exploded paths, which must reach ``min_paths``;
+    the power p of the statistic is checked first."""
+    require_power(p)
     n_used = batch.n_paths - batch.n_exploded
     if n_used == 0:
         raise AllExploded("all %d paths exploded" % batch.n_paths)
@@ -130,7 +139,7 @@ def _log_abs(stat: np.ndarray, p: float) -> np.ndarray:
 def moment_curve(batch: SimulationBatch, p: float,
                  min_paths: int = 1) -> np.ndarray:
     """Mean of |x(t)|^p over the non-exploded paths on the uniform grid."""
-    _n_surviving(batch, min_paths)
+    _n_surviving(batch, p, min_paths)
     stat = _surviving_abs(batch)
     stat **= p
     return stat.mean(axis=0)
@@ -188,7 +197,7 @@ def _pathwise_fit(kind, batch, p, window, min_paths, abscissa) -> RateReport:
     resident under glibc's malloc, whose mmap threshold rises to the
     largest block freed, and add to every later peak.
     """
-    n_used = _n_surviving(batch, min_paths)
+    n_used = _n_surviving(batch, p, min_paths)
     times = batch.uniform_times
     mask = _window_mask(times, batch.t0, batch.T, window)
     cols = np.flatnonzero(mask)
@@ -266,7 +275,7 @@ def estimate_time_average(batch: SimulationBatch, p: float,
 
     ``stderr`` is the standard error across per-path time averages.
     """
-    n_used = _n_surviving(batch, min_paths)
+    n_used = _n_surviving(batch, p, min_paths)
     times, stat = batch.uniform_times, _surviving_abs(batch)
     stat **= p
     series = np.empty(len(times))

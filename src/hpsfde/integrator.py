@@ -188,6 +188,21 @@ def path_streams(root_seed: int, p: int):
     return _stream(root_seed, p, _CHAIN), _stream(root_seed, p, _NOISE)
 
 
+def _table(times, values):
+    """``times`` and ``values`` as float arrays, checked: ``times`` a
+    finite, strictly increasing grid and ``values`` one row per path
+    with one entry per time."""
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or not (np.isfinite(times).all()
+                               and (np.diff(times) > 0).all()):
+        raise ValueError("times must be a finite, strictly increasing "
+                         "grid, got %s" % np.array2string(times))
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != len(times):
+        raise ValueError("values must have shape (n_paths, len(times))")
+    return times, values
+
+
 class TabulatedWiener:
     """Brownian values on a fine grid, shared across refinement levels.
 
@@ -197,13 +212,16 @@ class TabulatedWiener:
     extrapolates, so run_batch requires the table to cover [t0, T] and
     to hold a row for every path.  Intended for strong convergence
     studies where several step sizes must be driven by the same noise.
+    ``times`` must hold at least two times, finite and strictly
+    increasing, and ``values`` must be finite.
     """
 
     def __init__(self, times: np.ndarray, values: np.ndarray):
-        self.times = np.asarray(times, dtype=np.float64)
-        self.values = np.asarray(values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] != len(self.times):
-            raise ValueError("values must have shape (n_paths, len(times))")
+        self.times, self.values = _table(times, values)
+        if len(self.times) < 2:
+            raise ValueError("times must hold at least 2 times")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
 
     @classmethod
     def sample(cls, t0: float, T: float, dt: float, n_paths: int,
@@ -274,14 +292,7 @@ class SimulationBatch:
         Useful for analyzing data from other integrators or closed-form
         paths.
         """
-        times = np.asarray(times, dtype=np.float64)
-        if times.ndim != 1 or not (np.isfinite(times).all()
-                                   and (np.diff(times) > 0).all()):
-            raise ValueError("times must be a finite, strictly increasing "
-                             "grid, got %s" % np.array2string(times))
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != len(times):
-            raise ValueError("values must have shape (n_paths, len(times))")
+        times, values = _table(times, values)
         n_paths = values.shape[0]
         if exploded_at is None:
             exploded_at = np.full(n_paths, np.nan)

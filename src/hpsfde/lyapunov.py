@@ -45,11 +45,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import paths as paths_mod
-from .errors import (DimensionMismatch, InsufficientPaths, OutOfDomain,
-                     require_finite, require_index)
+from .errors import (DimensionMismatch, InsufficientPaths, require_finite,
+                     require_index)
 from .estimators import standard_error
 from .integrator import _Grid, _Lookups, _switch_table
-from .models import THETA_TOL, ModelSpec, _Pass, _polynomial, _power
+from .models import ModelSpec, _Pass, _polynomial, _power
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,12 @@ class LVBreakdown:
         if abs(total - self.value) > 1e-10 * max(1.0, abs(self.value)):
             raise ValueError("LV parts do not sum to the stated value")
 
+    @classmethod
+    def of(cls, drift, diffusion, coupling) -> "LVBreakdown":
+        """The breakdown of these parts, whose value is their sum."""
+        return cls(value=drift + diffusion + coupling, drift_part=drift,
+                   diffusion_part=diffusion, coupling_part=coupling)
+
 
 def _check_regimes(V: LyapunovFamily, m: ModelSpec) -> None:
     if V.n_regimes != m.n_regimes:
@@ -212,10 +218,8 @@ def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
     ev = _Pass(m, x, lambda th: np.asarray(view(th), dtype=np.float64), t)
     # only regime i's coefficients; V in every regime feeds the coupling
     v = [V.value(x, l + 1) for l in range(m.n_regimes)]
-    drift, diffusion, coupling = (float(part)
-                                  for part in _lv_regime(V, m, ev, x, v, i))
-    return LVBreakdown(value=drift + diffusion + coupling, drift_part=drift,
-                       diffusion_part=diffusion, coupling_part=coupling)
+    return LVBreakdown.of(*(float(part)
+                            for part in _lv_regime(V, m, ev, x, v, i)))
 
 
 # Upper bound on the nodes that one pass of LV along paths holds.  The
@@ -419,62 +423,37 @@ class _LVAlong:
         return integrals, part_sums, t, values, offsets
 
 
-def lv_profile(V: LyapunovFamily, m: ModelSpec, path,
-               t_end: Optional[float] = None):
-    """LV along one path, its per-point values, and the time integral.
+def lv_profile(V: LyapunovFamily, batch, p, t_end: Optional[float] = None):
+    """LV along kept row p of a batch, its values at the row's nodes, and
+    the time integral on [t0, t_end] (t_end defaults to T).
 
-    Evaluates LV(x_s, s, r(s)) at every grid point of ``path`` in
-    [t0, t_end] and integrates by trapezoid over each grid interval with
-    that interval's regime (switch times are grid points, so the
-    integrand is continuous inside every interval).  A t_end between
-    grid points adds the interpolated endpoint (t_end, x(t_end)).  This
-    is the residual's pass on a store of one row, whose grid is the
-    path's nodes from t0 on, so every delayed lookup reads through all
-    of the path's nodes.
+    The nodes are the row's grid and switch nodes on [t0, t_end], closed
+    by (t_end, x(t_end)) when t_end lies between two of them; LV at a
+    node is taken in the node's regime.  This is the residual's pass on
+    row p alone, so the times, values and integral are bit for bit row
+    p's share of :func:`martingale_residual` at the same t_end.  p
+    follows the index rules of ``batch.paths[p]``, and t_end must come
+    before the row's explosion, if it has one.
 
     Returns (times, values, integral).
 
     Raises:
-      ValueError: t_end outside (t0, last node of the path], or a path
-        t0 other than the model's.
-      DimensionMismatch: a path regime that the model does not have.
-      OutOfDomain: a model theta below the path's theta_lower, or a
-        lookup before the path's first node.
+      ValueError: a batch run without keep_paths=True, t_end outside
+        (t0, T], or a row that exploded at or before t_end.
+      TypeError, IndexError: a p that ``batch.paths[p]`` rejects.
     """
+    store = batch.paths
+    if store is None:
+        raise ValueError("batch was run without keep_paths=True")
+    p = store.row(p)
     if t_end is None:
-        t_end = path.t_end
-    require_t_end(t_end, path.t0, path.t_end)
-    if abs(path.t0 - m.t0) > paths_mod._atol(m.t0):
-        raise ValueError("the path starts at t0=%r, the model at t0=%r"
-                         % (path.t0, m.t0))
-    bad = path.regimes[(path.regimes < 1) | (path.regimes > m.n_regimes)]
-    if len(bad):
-        raise DimensionMismatch("path regime %d is not a regime 1..%d of "
-                                "the model" % (bad[0], m.n_regimes))
-    a = int(np.searchsorted(path.times, path.t0 - paths_mod._atol(
-        path.t_end), side="left"))
-    # the lookups clip each theta to [theta_lower, 1] and read no time
-    # before the path's first node
-    lo, start = path.theta_lower, path.times[0]
-    for term in m._plan.integrals:
-        thetas = term.measure.thetas
-        if thetas.min() < lo - THETA_TOL:
-            raise OutOfDomain("theta must lie in [%g, 1], got range [%g, %g]"
-                              % (lo, thetas.min(), thetas.max()))
-        first = max(thetas.min(), lo) * path.times[a]
-        if first < start - paths_mod._atol(path.t_end):
-            raise OutOfDomain("lookup at t=%g before the paths start at %g"
-                              % (first, start))
-    none = np.zeros(0, dtype=np.int64)
-    store = paths_mod.PathStore(
-        theta_lower=lo, t0=path.t0,
-        init_times=path.times[:a], init_values=path.values[:a],
-        times=path.times[a:], values=path.values[None, a:],
-        regimes=path.regimes[None, a:], exploded_at=np.full(1, np.nan),
-        node_row=none, node_time=none * 1.0, node_value=none * 1.0,
-        node_regime=none)
+        t_end = store.times[-1]
+    require_t_end(t_end, store.t0, store.times[-1])
+    if store.exploded_at[p] <= t_end:
+        raise ValueError("path %d exploded at t=%r, at or before t_end=%r"
+                         % (p, float(store.exploded_at[p]), float(t_end)))
     integrals, _, times, values, _ = _LVAlong(
-        V, m, store, np.zeros(1, dtype=np.int64), t_end).block(0, 1)
+        V, batch.model, store, np.full(1, p), t_end).block(0, 1)
     return times, values, float(integrals[0])
 
 
@@ -562,16 +541,11 @@ def martingale_residual(V: LyapunovFamily, batch, t_end: float
     else:
         z = residual / stderr
 
-    def breakdown(drift, diffusion, coupling):
-        return LVBreakdown(value=drift + diffusion + coupling,
-                           drift_part=drift, diffusion_part=diffusion,
-                           coupling_part=coupling)
-
     # the parts are the sums of the regimes' parts, in regime order
     by_regime = [[float(s) / len(d) for s in sums] for sums in part_sums]
     return ResidualStatistic(
         residual=residual, stderr=stderr, z=z,
         mean_integral=float(np.mean(integrals)), t_end=float(t_end),
         n_paths_used=len(d), n_excluded=len(store) - len(kept),
-        parts=breakdown(*(sum(column) for column in zip(*by_regime))),
-        regime_parts=tuple(breakdown(*sums) for sums in by_regime))
+        parts=LVBreakdown.of(*(sum(column) for column in zip(*by_regime))),
+        regime_parts=tuple(LVBreakdown.of(*sums) for sums in by_regime))

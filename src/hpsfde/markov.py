@@ -141,7 +141,7 @@ def sample_regime_path(g: GeneratorMatrix, i0: int, t0: float, T: float,
     Args:
       g: validated generator.
       i0: initial state in {1, ..., N}.
-      t0, T: horizon with t0 < T.
+      t0, T: finite horizon with t0 < T.
       seed: anything np.random.default_rng accepts (int, SeedSequence,
         or Generator).  The draw order is fixed: one exponential per
         sojourn followed by one uniform for the destination, so a given
@@ -151,8 +151,8 @@ def sample_regime_path(g: GeneratorMatrix, i0: int, t0: float, T: float,
       RegimePath with strictly increasing jump times in (t0, T).
     """
     require_index("i0", i0, g.n_states)
-    if not t0 < T:
-        raise ValueError("need t0 < T, got t0=%r T=%r" % (t0, T))
+    if not -np.inf < t0 < T < np.inf:
+        raise ValueError("need t0 < T, both finite, got t0=%r T=%r" % (t0, T))
     rng = np.random.default_rng(seed)
     jumps = []
     states = [i0]

@@ -65,14 +65,15 @@ def _piece(times, t, last=None):
     """Index j and weight w of the piece [times[j], times[j + 1]] at t.
 
     j indexes the last time at or before t, capped at ``last`` (by
-    default the second to last time) but at least 0, and w = (t -
-    times[j]) / (times[j + 1] - times[j]), so the rule of :func:`_lerp`
-    reads x[j] (1 - w) + x[j + 1] w.
+    default the second to last time), and w = (t - times[j]) /
+    (times[j + 1] - times[j]), so the rule of :func:`_lerp` reads
+    x[j] (1 - w) + x[j + 1] w.  ``times`` holds at least two entries and
+    ``last`` is at least 0: a batch's history has a node before t0, and
+    a ``TabulatedWiener`` table at least two times.
     """
     if last is None:
         last = len(times) - 2
-    j = np.minimum(np.searchsorted(times[1:], t, side="right"),
-                   np.maximum(last, 0))
+    j = np.minimum(np.searchsorted(times[1:], t, side="right"), last)
     return j, (t - times[j]) / (times[j + 1] - times[j])
 
 
@@ -126,12 +127,19 @@ class PathStore(Sequence):
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, p) -> DensePath:
-        p = operator.index(p)
-        n = len(self)
+    def row(self, p) -> int:
+        """Row p of the store, counted from the end when p < 0.
+
+        Raises TypeError for a p that is not an integer and IndexError
+        for one outside the store.
+        """
+        p, n = operator.index(p), len(self)
         if not -n <= p < n:
             raise IndexError("path %d of a store of %d paths" % (p, n))
-        p %= n
+        return p % n
+
+    def __getitem__(self, p) -> DensePath:
+        p = self.row(p)
         lo, hi = np.searchsorted(self.node_row, (p, p + 1))
         row = self.values[p]
         keep = ~np.isnan(row)

@@ -956,3 +956,33 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
     assert "certify" in proc.stdout
+
+
+@pytest.mark.parametrize("command, section, key, bad", [
+    ("simulate", "output", "moments", [2.0, -2.0]),
+    ("simulate", "output", "moments", [0.0]),
+    ("estimate", "estimate", "power", -2.0),
+    ("estimate", "estimate", "power", 0)])
+def test_a_bad_power_is_rejected_before_simulating(tmp_path, capsys,
+                                                   monkeypatch, command,
+                                                   section, key, bad):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("%s simulated before checking the power"
+                             % command)
+
+    monkeypatch.setattr(cli, "run_batch", no_simulation)
+    cfg = write_config(tmp_path, {
+        "model": {"preset": "exp_stable"},
+        "simulation": {"dt": 0.05, "T": 2.0, "n_paths": 120},
+        section: {key: bad}})
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    assert main(argv + (["--kind", "moment"] if command == "estimate"
+                        else [])) == 2
+    captured = capsys.readouterr()
+    name = ("output.moments[%d]" % (len(bad) - 1) if key == "moments"
+            else "estimate.power")
+    value = float(bad[-1] if key == "moments" else bad)
+    assert captured.err == "error: %s must be finite and > 0, got %r\n" % (
+        name, value)
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()

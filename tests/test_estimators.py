@@ -15,7 +15,8 @@ from hpsfde.estimators import (LOG_FLOOR, RateReport, _ols_slope,
                                _per_path_slopes, _quantile_summary,
                                _window_mask, estimate_as_rate,
                                estimate_moment_rate, estimate_polynomial_rate,
-                               estimate_time_average, standard_error)
+                               estimate_time_average, moment_curve,
+                               require_power, standard_error)
 from hpsfde.integrator import IntegratorConfig, SimulationBatch, run_batch
 from hpsfde.paths import write_table
 from hpsfde.presets import preset
@@ -400,3 +401,22 @@ def test_estimators_on_simulated_stable_preset():
     # the median per-path slope is the stable indicator here
     assert worst.quantiles[0.5] < -0.5
     assert worst.fitted_rate == worst.quantiles[1.0]
+
+
+@pytest.mark.parametrize("p", [-2.0, 0.0, float("nan"), float("inf"),
+                               -float("inf")])
+def test_every_estimator_needs_a_finite_positive_power(p):
+    # a negative power fits a growth rate to a decaying batch, NaN and inf
+    # give NaN, and p = 0 gives 0.0: none is a rate of |x|^p
+    batch = exp_batch(rate=2.0, times=TIMES_30)
+    message = "p must be finite and > 0, got %r" % p
+    for estimate in (moment_curve, estimate_moment_rate, estimate_as_rate,
+                     estimate_time_average, estimate_polynomial_rate):
+        with pytest.raises(ValueError) as err:
+            estimate(batch, p)
+        assert str(err.value) == message, estimate.__name__
+    with pytest.raises(ValueError, match=r"estimate\.power must be finite "
+                       "and > 0"):
+        require_power(p, "estimate.power")
+    # the smallest positive power is one
+    require_power(5e-324)

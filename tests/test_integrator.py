@@ -833,6 +833,33 @@ def test_wiener_table_needs_a_row_per_path():
                   i0=1, root_seed=1, keep_paths=False, wiener=wiener)
 
 
+@pytest.mark.parametrize("change, message", [
+    # swapped interior times read the table out of order
+    (lambda t, v: t.__setitem__([3, 4], t[[4, 3]]), "times must be a finite, "
+     "strictly increasing grid"),
+    # a NaN time flags every path as exploded
+    (lambda t, v: t.__setitem__(3, np.nan), "times must be a finite, "
+     "strictly increasing grid"),
+    # an infinite value flags its path as exploded
+    (lambda t, v: v.__setitem__((0, 2), np.inf), "values must be finite"),
+    (lambda t, v: v.__setitem__((1, 5), np.nan), "values must be finite")],
+    ids=["swapped_times", "nan_time", "inf_value", "nan_value"])
+def test_tabulated_wiener_checks_its_table(change, message):
+    w = TabulatedWiener.sample(1.0, 2.0, 0.1, n_paths=5, root_seed=1)
+    times, values = w.times.copy(), w.values.copy()
+    change(times, values)
+    with pytest.raises(ValueError, match=message):
+        TabulatedWiener(times, values)
+
+
+def test_tabulated_wiener_needs_two_times():
+    # a one-node table has no piece to read, so increment() would fail
+    with pytest.raises(ValueError, match="times must hold at least 2 times"):
+        TabulatedWiener(np.array([1.0]), np.zeros((5, 1)))
+    with pytest.raises(ValueError, match="times must hold at least 2 times"):
+        TabulatedWiener(np.zeros(0), np.zeros((5, 0)))
+
+
 def test_tabulated_wiener_basics():
     with pytest.raises(ValueError):
         TabulatedWiener(np.array([0.0, 1.0]), np.zeros(3))

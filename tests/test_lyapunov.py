@@ -10,16 +10,14 @@ import pytest
 
 from hpsfde import lyapunov as lyapunov_mod
 from hpsfde import paths as paths_mod
-from hpsfde.errors import (DimensionMismatch, InsufficientPaths,
-                           OutOfDomain)
-from hpsfde.integrator import IntegratorConfig, integrate_path, run_batch
+from hpsfde.errors import DimensionMismatch, InsufficientPaths
+from hpsfde.integrator import IntegratorConfig, run_batch
 from hpsfde.lyapunov import (LVBreakdown, LyapunovFamily, PolynomialV,
                              ResidualStatistic, _LVAlong, eval_LV,
                              lv_profile, martingale_residual,
                              sandwich_report)
 from hpsfde.markov import make_generator
-from hpsfde.models import (Measure, ModelSpec, PantographTerm,
-                           PolynomialTerm, single_regime)
+from hpsfde.models import ModelSpec, PolynomialTerm
 from hpsfde.paths import ConstantSegment, DensePath, PathStore
 from hpsfde.presets import PRESET_NAMES, preset, preset_lyapunov
 
@@ -235,13 +233,35 @@ def test_lv_regime_count_mismatch():
 # LV along a path
 # ---------------------------------------------------------------------------
 
+def one_row_profile(fam, m, path, t_end=None):
+    """LV along a hand-built path by the residual's pass.
+
+    The path is the one row of a store, with its nodes before t0 as the
+    store's initial nodes and no switch nodes; t_end defaults to the
+    path's last node.
+    """
+    a = int(np.searchsorted(path.times, path.t0))
+    none = np.zeros(0, dtype=np.int64)
+    store = PathStore(
+        theta_lower=path.theta_lower, t0=path.t0,
+        init_times=path.times[:a], init_values=path.values[:a],
+        times=path.times[a:], values=path.values[None, a:],
+        regimes=path.regimes[None, a:], exploded_at=np.full(1, np.nan),
+        node_row=none, node_time=none * 1.0, node_value=none * 1.0,
+        node_regime=none)
+    integrals, _, times, values, _ = _LVAlong(
+        fam, m, store, np.zeros(1, dtype=np.int64),
+        path.t_end if t_end is None else t_end).block(0, 1)
+    return times, values, float(integrals[0])
+
+
 def test_lv_profile_constant_path_single_regime():
     m = preset("poly_stable")
     fam = preset_lyapunov("poly_stable")
     c = 0.8
     path = constant_path(c, [0.75, 1.0, 1.5, 2.0, 3.0], [2, 2, 2, 2, 2],
                          0.75, 1.0)
-    times, values, integral = lv_profile(fam, m, path)
+    times, values, integral = one_row_profile(fam, m, path)
     expect = -3.32 * c ** 4 - 8.55 * c ** 10
     assert np.array_equal(times, [1.0, 1.5, 2.0, 3.0])
     assert np.allclose(values, expect, rtol=1e-12)
@@ -253,7 +273,7 @@ def test_lv_profile_uses_left_node_regime_per_interval():
     fam = preset_lyapunov("poly_stable")
     c = 0.6
     path = constant_path(c, [0.75, 1.0, 2.0, 3.0], [1, 1, 2, 2], 0.75, 1.0)
-    times, values, integral = lv_profile(fam, m, path)
+    times, values, integral = one_row_profile(fam, m, path)
     lv1 = -21.0 * c ** 4 - 24.0 * c ** 6 - 20.76 * c ** 10
     lv2 = -3.32 * c ** 4 - 8.55 * c ** 10
     assert values[0] == pytest.approx(lv1, rel=1e-12)
@@ -267,7 +287,7 @@ def test_lv_profile_truncates_at_t_end():
     c = 0.8
     path = constant_path(c, [0.75, 1.0, 1.5, 2.0, 3.0], [2, 2, 2, 2, 2],
                          0.75, 1.0)
-    times, _, integral = lv_profile(fam, m, path, t_end=2.0)
+    times, _, integral = one_row_profile(fam, m, path, t_end=2.0)
     expect = -3.32 * c ** 4 - 8.55 * c ** 10
     assert times[-1] == 2.0
     assert integral == pytest.approx(1.0 * expect, rel=1e-12)
@@ -281,46 +301,63 @@ def test_lv_profile_closes_off_grid_t_end():
     c = 0.8
     path = constant_path(c, [0.75, 1.0, 1.5, 2.0, 3.0], [2, 2, 2, 2, 2],
                          0.75, 1.0)
-    times, values, integral = lv_profile(fam, m, path, t_end=1.75)
+    times, values, integral = one_row_profile(fam, m, path, t_end=1.75)
     expect = -3.32 * c ** 4 - 8.55 * c ** 10
     assert np.array_equal(times, [1.0, 1.5, 1.75])
     assert np.allclose(values, expect, rtol=1e-12)
     assert integral == pytest.approx(0.75 * expect, rel=1e-12)
     # within the grid tolerance of a node nothing is added
-    times, _, near = lv_profile(fam, m, path, t_end=2.0 + 1e-12)
+    times, _, near = one_row_profile(fam, m, path, t_end=2.0 + 1e-12)
     assert times[-1] == 2.0
-    assert near == lv_profile(fam, m, path, t_end=2.0)[2]
+    assert near == one_row_profile(fam, m, path, t_end=2.0)[2]
+    batch = run_batch(m, IntegratorConfig(dt=0.25, T=3.0), n_paths=1, i0=2,
+                      root_seed=1)
     with pytest.raises(ValueError, match="before t0"):
-        lv_profile(fam, m, path, t_end=0.9)
+        lv_profile(fam, batch, 0, t_end=0.9)
 
 
-def test_lv_profile_matches_pointwise_lv_across_switch_lookups():
-    # eval_LV at one node and lv_profile at every node share one formula,
-    # so they agree bit for bit
-    for name in PRESET_NAMES:
-        m = preset(name)
-        fam = preset_lyapunov(name)
-        path = integrate_path(m, IntegratorConfig(dt=0.01, T=3.0), i0=1,
-                              seed=1)
-        # on the grid, and with an interpolated endpoint between two nodes
-        for t_end in (3.0, 2.5053):
-            times, values, _ = lv_profile(fam, m, path, t_end)
-            node = np.searchsorted(path.times, times, side="right") - 1
-            expect = [eval_LV(fam, m, PathView(path, t), t, r).value
-                      for t, r in zip(times, path.regimes[node])]
-            assert values.tobytes() == np.array(expect).tobytes(), name
-        assert times[-1] == 2.5053
-        # some delayed lookup theta * t falls between the two neighbours
-        # of a switch node, so its interpolation reads the switch node
-        switch = np.flatnonzero(np.diff(path.regimes)) + 1
-        assert len(switch) >= 1
-        thetas = np.unique(np.concatenate(
-            [term.measure.thetas for terms in m.drift + m.diffusion
-             for term in terms if isinstance(term, PantographTerm)]))
-        lookups = (thetas[:, None] * times[None, :]).ravel()
-        assert any(np.any((lookups > path.times[k - 1])
-                          & (lookups < path.times[k + 1])
-                          & (lookups != path.times[k])) for k in switch), name
+def test_lv_profile_reads_a_kept_row():
+    # row p of a batch: its own exploded_at and index rules, and t_end
+    # by the residual's rule
+    m = ModelSpec(theta_lower=0.5, t0=1.0, generator=SINGLE,
+                  drift=((PolynomialTerm([(3, 0.2)]),),),
+                  diffusion=((PolynomialTerm([(1, 0.8)]),),),
+                  initial_segment=1.0)
+    cfg = IntegratorConfig(dt=0.005, T=2.0, blowup_threshold=1e6)
+    batch = run_batch(m, cfg, n_paths=40, i0=1, root_seed=3)
+    fam = gbm_family()
+    boom = int(np.flatnonzero(batch.exploded_at < 2.0)[0])
+    at = float(batch.exploded_at[boom])
+    with pytest.raises(ValueError, match="path %d exploded at t=%r, at or "
+                       "before t_end=2.0" % (boom, at)):
+        lv_profile(fam, batch, boom)
+    with pytest.raises(ValueError, match="exploded"):
+        lv_profile(fam, batch, boom, t_end=at)
+    # before its explosion, the row reads as in the residual's pass
+    t_end = 0.5 * (1.0 + at)
+    kept = np.flatnonzero(~(batch.exploded_at <= t_end))
+    along = _LVAlong(fam, m, batch.paths, kept, t_end)
+    assert along.blocks == [(0, len(kept))]
+    integrals, _, times, values, offsets = along.block(0, len(kept))
+    k = int(np.searchsorted(kept, boom))
+    got = lv_profile(fam, batch, boom, t_end)
+    assert got[0][-1] == t_end
+    assert got[0].tobytes() == times[offsets[k]:offsets[k + 1]].tobytes()
+    assert got[1].tobytes() == values[offsets[k]:offsets[k + 1]].tobytes()
+    assert got[2] == integrals[k]
+    calm = int(np.flatnonzero(np.isnan(batch.exploded_at))[-1])
+    for got, want in zip(lv_profile(fam, batch, calm - 40),
+                         lv_profile(fam, batch, np.int64(calm), 2.0)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    with pytest.raises(IndexError, match="path 40 of a store of 40 paths"):
+        lv_profile(fam, batch, 40)
+    with pytest.raises(TypeError):
+        lv_profile(fam, batch, 1.0)
+    with pytest.raises(ValueError, match="past T"):
+        lv_profile(fam, batch, calm, t_end=2.5)
+    lean = run_batch(m, cfg, n_paths=4, i0=1, root_seed=3, keep_paths=False)
+    with pytest.raises(ValueError, match="keep_paths"):
+        lv_profile(fam, lean, 0)
 
 
 def _piece_value(times, values, u, last):
@@ -363,11 +400,15 @@ class StepView:
 def test_lv_along_kept_paths_reads_by_the_integrators_rule(name):
     # LV at every node of the residual's pass is eval_LV on a segment
     # read as the Euler step reads it; only the step's own nodes after
-    # t_k may be switch nodes, so a grid node never reads through one
+    # t_k may be switch nodes, so a grid node never reads through one.
+    # lv_profile of a row is the pass on that row alone, so it has the
+    # same bits.
     m, fam = preset(name), preset_lyapunov(name)
     batch = run_batch(m, IntegratorConfig(dt=0.01, T=3.0), n_paths=200,
                       i0=1, root_seed=1)
     store = batch.paths
+    # the first and last rows, and the first row with a switch node
+    profiled = {0, len(store) - 1, int(store.node_row[0])}
     thetas = np.unique(np.concatenate([term.measure.thetas
                                        for term in m._plan.integrals]))
     history = np.concatenate((store.init_times, store.times))
@@ -375,7 +416,7 @@ def test_lv_along_kept_paths_reads_by_the_integrators_rule(name):
     for t_end in (3.0, 2.5053):
         along = _LVAlong(fam, m, store, np.arange(len(store)), t_end)
         for lo, hi in along.blocks:
-            _, _, times, values, offsets = along.block(lo, hi)
+            integrals, _, times, values, offsets = along.block(lo, hi)
             for p in range(lo, hi):
                 path = store[p]
                 on_grid = np.isin(path.times, history)
@@ -408,55 +449,14 @@ def test_lv_along_kept_paths_reads_by_the_integrators_rule(name):
                 got = values[a:z]
                 want = np.array([expect[p, t] for t in times[a:z].tolist()])
                 assert got.tobytes() == want.tobytes(), (name, t_end, p)
+                if p in profiled:
+                    t_p, v_p, integral = lv_profile(fam, batch, p, t_end)
+                    assert t_p.tobytes() == times[a:z].tobytes()
+                    assert t_p[-1] == t_end
+                    assert v_p.tobytes() == want.tobytes(), (name, t_end, p)
+                    assert integral == integrals[p - lo]
     # reading through every node would differ at some of these nodes
     assert differ
-
-
-def test_lv_profile_history_lookups_are_checked():
-    m = gbm_model()
-    path = integrate_path(m, IntegratorConfig(dt=0.01, T=2.0), i0=1, seed=1)
-
-    def with_atoms(model, *atoms):
-        term = PantographTerm(coeff=0.3, measure=Measure.from_atoms(atoms))
-        return dataclasses.replace(
-            model, drift=((PolynomialTerm([(1, 0.07)]), term),))
-
-    # a model with a lower theta_lower than the path's reads below the
-    # path's segment
-    wide = dataclasses.replace(m, theta_lower=0.4)
-    with pytest.raises(OutOfDomain, match=r"theta must lie in \[0.5, 1\]"):
-        lv_profile(gbm_family(), with_atoms(wide, (0.45, 1.0)), path)
-    # within 1e-12 of the segment's ends a theta is clipped to them
-    near = lv_profile(gbm_family(),
-                      with_atoms(m, (1.0 + 1e-13, 0.5), (0.5 - 1e-13, 0.5)),
-                      path)
-    at = lv_profile(gbm_family(), with_atoms(m, (1.0, 0.5), (0.5, 0.5)), path)
-    assert near[1].tobytes() == at[1].tobytes()
-    assert near[2] == at[2]
-
-
-def test_lv_profile_rejects_a_regime_the_model_lacks():
-    # an exp_stable path that visits regime 2, read with regime 1 alone
-    m = preset("exp_stable")
-    path = integrate_path(m, IntegratorConfig(dt=0.01, T=3.0), i0=1, seed=1)
-    assert 2 in path.regimes
-    with pytest.raises(DimensionMismatch, match="path regime 2 is not a "
-                       r"regime 1\.\.1 of the model"):
-        lv_profile(gbm_family(), single_regime(m, 1), path)
-
-
-def test_lv_profile_rejects_a_path_from_another_t0():
-    # the same path, read with the model's t0 moved to 1.5
-    m = preset("exp_stable")
-    path = integrate_path(m, IntegratorConfig(dt=0.01, T=3.0), i0=1, seed=1)
-    moved = dataclasses.replace(m, t0=1.5)
-    with pytest.raises(ValueError, match=r"the path starts at t0=1\.0, the "
-                       r"model at t0=1\.5"):
-        lv_profile(preset_lyapunov("exp_stable"), moved, path)
-    # within the grid tolerance the path's t0 is the model's
-    within = dataclasses.replace(m, t0=1.0 + 1e-12)
-    assert lv_profile(preset_lyapunov("exp_stable"), within, path)[2] == \
-        lv_profile(preset_lyapunov("exp_stable"), m, path)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +504,30 @@ def test_residual_counts_exploded_paths():
     assert stat.n_paths_used + stat.n_excluded == 160
 
 
+def rebuilt_residual(fam, batch, t_end):
+    """The residual statistic from each kept row's lv_profile, with the
+    states at t0 and t_end read off the row's DensePath."""
+    deltas, integrals = [], []
+    for p, path in enumerate(batch.paths):
+        if path.exploded_at is not None and path.exploded_at <= t_end:
+            continue
+        _, _, integral = lv_profile(fam, batch, p, t_end)
+        x_end = float(paths_mod._interp(path.times, path.values, t_end))
+        idx = int(np.searchsorted(path.times, t_end, side="right")) - 1
+        r_end = int(path.regimes[min(idx, len(path.regimes) - 1)])
+        x0 = float(paths_mod._interp(path.times, path.values, path.t0))
+        i0 = int(path.regimes[np.searchsorted(path.times, path.t0)])
+        deltas.append(float(fam.value(x_end, r_end))
+                      - float(fam.value(x0, i0)) - integral)
+        integrals.append(integral)
+    d = np.asarray(deltas)
+    stderr = float(d.std(ddof=1) / np.sqrt(len(d)))
+    return ResidualStatistic(
+        residual=float(d.mean()), stderr=stderr, z=float(d.mean()) / stderr,
+        mean_integral=float(np.mean(integrals)), t_end=t_end,
+        n_paths_used=len(d), n_excluded=len(batch.paths) - len(d))
+
+
 def test_residual_chunks_match_per_path_profiles(monkeypatch):
     # a two-regime version of the exploding model above: some paths
     # switch, some explode, and the kept paths fill several row blocks
@@ -538,31 +562,23 @@ def test_residual_chunks_match_per_path_profiles(monkeypatch):
     # on the last node, within the grid tolerance of it or of the switch
     # node, and between nodes
     for t_end in (2.0, 2.0 - 1e-12, switch - 1e-12, 1.7531):
-        kept = [p for p in batch.paths
-                if p.exploded_at is None or p.exploded_at > t_end]
-        deltas, integrals = [], []
-        for path in kept:
-            _, _, integral = lv_profile(fam, m, path, t_end)
-            x_end = float(paths_mod._interp(path.times, path.values, t_end))
-            idx = int(np.searchsorted(path.times, t_end, side="right")) - 1
-            r_end = int(path.regimes[min(idx, len(path.regimes) - 1)])
-            x0 = float(paths_mod._interp(path.times, path.values, path.t0))
-            i0 = int(path.regimes[np.searchsorted(path.times, path.t0)])
-            deltas.append(float(fam.value(x_end, r_end))
-                          - float(fam.value(x0, i0)) - integral)
-            integrals.append(integral)
-        d = np.asarray(deltas)
-        stderr = float(d.std(ddof=1) / np.sqrt(len(d)))
-        reference = ResidualStatistic(
-            residual=float(d.mean()), stderr=stderr,
-            z=float(d.mean()) / stderr,
-            mean_integral=float(np.mean(integrals)), t_end=t_end,
-            n_paths_used=len(kept), n_excluded=160 - len(kept))
-
         stat = martingale_residual(fam, batch, t_end)
-        assert dataclasses.replace(stat, parts=None) == reference
+        assert dataclasses.replace(stat, parts=None) == \
+            rebuilt_residual(fam, batch, t_end)
         assert stat.parts.value == pytest.approx(stat.mean_integral,
                                                  rel=1e-12)
+
+    # a pantograph model with switches, whose delayed lookups read
+    # through switch nodes; at T and between nodes
+    batch = run_batch(preset("switch_stabilized"),
+                      IntegratorConfig(dt=0.01, T=3.0), n_paths=150, i0=1,
+                      root_seed=5)
+    fam = preset_lyapunov("switch_stabilized")
+    assert batch.n_switches.sum() > 0
+    for t_end in (3.0, 2.5053):
+        stat = martingale_residual(fam, batch, t_end)
+        assert dataclasses.replace(stat, parts=None) == \
+            rebuilt_residual(fam, batch, t_end)
 
 
 def test_residual_does_not_depend_on_the_block_size_with_delays(monkeypatch):

@@ -102,6 +102,21 @@ def test_sample_path_needs_t0_before_T(t0, T):
         sample_regime_path(make_generator(TWO_STATE), 1, t0, T, seed=1)
 
 
+def test_sample_path_needs_a_finite_horizon():
+    # an absorbing start returns at once, so it is checked first; from a
+    # state that jumps, an infinite horizon would never stop sampling
+    absorbing = make_generator([[0.0, 0.0], [1.0, -1.0]])
+    for t0, T in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
+                  (0.0, np.nan)):
+        with pytest.raises(ValueError, match="need t0 < T, both finite"):
+            sample_regime_path(absorbing, 1, t0, T, seed=1)
+    g = make_generator(TWO_STATE)
+    for t0, T in ((0.0, np.inf), (-np.inf, 1.0)):
+        with pytest.raises(ValueError, match="need t0 < T, both finite, "
+                           "got t0=%r T=%r" % (t0, T)):
+            sample_regime_path(g, 1, t0, T, seed=1)
+
+
 def test_sample_path_deterministic_per_seed():
     g = make_generator(TWO_STATE)
     a = sample_regime_path(g, 1, 1.0, 100.0, seed=7)

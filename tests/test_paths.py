@@ -6,11 +6,6 @@ import io
 import numpy as np
 import pytest
 
-from hpsfde.errors import OutOfDomain
-from hpsfde.lyapunov import LyapunovFamily, PolynomialV, lv_profile
-from hpsfde.markov import make_generator
-from hpsfde.models import (Measure, ModelSpec, PantographTerm,
-                           PolynomialTerm)
 from hpsfde.paths import (ConstantSegment, DensePath, _interp, write_csv,
                           write_table)
 
@@ -46,40 +41,6 @@ def test_interp_vectorized_shape():
     assert np.array_equal(out, [0.0, 2.0, 3.0])
     grid = np.array([[0.5, 1.0], [1.5, 2.0]])
     assert _interp(SIMPLE.times, SIMPLE.values, grid).shape == (2, 2)
-
-
-def test_segment_view_theta_domain():
-    # the segment x(theta * t) of a kept path is read by the residual's
-    # delayed lookup; a pantograph drift reads it at every grid time
-    family = LyapunovFamily(regimes=(PolynomialV([(2, 1.0)]),),
-                            u0_power=2, u_powers=(2,))
-
-    def reading(*atoms, theta_lower=0.5):
-        return ModelSpec(
-            theta_lower=theta_lower, t0=1.0, generator=make_generator([[0.0]]),
-            drift=((PantographTerm(coeff=1.0,
-                                   measure=Measure.from_atoms(atoms)),),),
-            diffusion=((PolynomialTerm([(1, 0.0)]),),), initial_segment=0.0)
-
-    # a model with a lower theta_lower than the path's reads below the
-    # path's segment
-    with pytest.raises(OutOfDomain, match=r"theta must lie in \[0.5, 1\]"):
-        lv_profile(family, reading((0.49, 1.0), theta_lower=0.4), SIMPLE)
-    # boundary values within tolerance are clipped, not rejected: at
-    # t = 2, x(theta t) is x(2) = 3, so LV = 2 x f = 18
-    times, values, _ = lv_profile(family, reading((1.0 + 1e-13, 1.0)), SIMPLE)
-    assert times[-1] == 2.0 and values[-1] == 18.0
-    near = lv_profile(family, reading((1.0 + 1e-13, 0.5), (0.5 - 1e-13, 0.5)),
-                      SIMPLE)
-    at = lv_profile(family, reading((1.0, 0.5), (0.5, 0.5)), SIMPLE)
-    assert near[1].tobytes() == at[1].tobytes() and near[2] == at[2]
-    # a path whose first node is t0 has no history for theta * t0 < t0,
-    # but each node reads itself at theta = 1: LV = 2 x^2
-    late = make_path([1.0, 1.5, 2.0], [2.0, 1.0, 3.0])
-    with pytest.raises(OutOfDomain, match="before the paths start at 1"):
-        lv_profile(family, reading((0.5, 1.0)), late)
-    assert lv_profile(family, reading((1.0, 1.0)), late)[1].tolist() == \
-        [8.0, 2.0, 18.0]
 
 
 def test_constant_segment():
