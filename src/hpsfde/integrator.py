@@ -60,13 +60,15 @@ Determinism contract: path p draws all its randomness from the two
 children of SeedSequence(root_seed, spawn_key=(p,)), a regime-chain
 stream and a noise stream.  They are built directly from their spawn
 keys (p, 0) and (p, 1); the chain stream only when the start regime is
-not absorbing, since an absorbing chain draws nothing.  Paths are
-processed in fixed-size blocks whose composition depends only on the
-path index; ``run_batch``'s workers own whole blocks and write into
-disjoint preallocated slices, and a block's draw threads own whole
-chunks of its rows.  Each row's result depends only on its own
+not absorbing, since an absorbing chain draws nothing.  A block seeds
+its rows' generators of one stream in one array pass of numpy's
+SeedSequence algorithm (``_generators``), equal bit for bit to
+seeding each row from its spawn key.  Paths are processed in
+fixed-size blocks whose composition depends only on the path index;
+``run_batch``'s workers own whole blocks and write into disjoint
+preallocated slices.  Each row's result depends only on its own
 streams, so rerunning with the same root seed reproduces every output
-bit at any block size, worker count or number of usable cores.
+bit at any block size or worker count.
 
 Noise stream order: each path draws one standard normal per uniform
 step plus one per regime switch inside a step, in time order: a step
@@ -74,19 +76,11 @@ containing q switches consumes its step normal, used by the whole step
 or by its first substep, then one normal per substep that starts at a
 switch.  A jump exactly at a grid time starts no substep and reads no
 normal.  A block draws its paths' normals in that order, a chunk of a
-few dozen rows at a time, and splits each chunk: the normal of step k,
-scaled by sqrt(h), waits in the history row that step k's end state
-overwrites, which the step loop reads as one contiguous row before
-writing it, and the switch normals go to the switch table's order.  A
-block of at least ``_THREADED_STEPS`` steps, with several chunks and
-several usable cores (``os.sched_getaffinity``), draws on min(cores,
-chunks) threads: the calling thread draws every threads-th chunk and a
-pool made for the block draws the others, whole chunks, into slot
-buffers that the calling thread allocates.  The calling thread splits
-every chunk, in chunk order, and the pool is shut down before the
-block's step loop.  Otherwise the calling thread draws alone.  A thread
-that draws a row reads only that row's stream, so which thread draws
-which chunk changes no bit.
+few dozen rows at a time into one buffer, and splits each chunk: the
+normal of step k, scaled by sqrt(h), waits in the history row that step
+k's end state overwrites, which the step loop reads as one contiguous
+row before writing it, and the switch normals go to the switch table's
+order.
 
 Blow-up is data, not failure: a path whose state exceeds the threshold
 (or turns non-finite) is marked exploded and frozen; the batch always
@@ -97,7 +91,6 @@ the start of its (sub)step, a threshold crossing at its end.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -109,16 +102,11 @@ from .markov import sample_regime_path
 from .models import ModelSpec, _Pass
 from .paths import DensePath, PathStore, _interp, _piece
 
-# Measured on 2 cores: 3000 switch-free paths to T = 15 took 126 ms as
-# one block and 196-204 ms as three of 1024.
+# Measured on 2 cores: 3000 switch-free paths to T = 15 took 280-305 ms
+# as one block and 356-372 ms as three of 1024.
 DEFAULT_BLOCK_SIZE = 4096
 # rows per chunk of the buffer that a block draws its normals into
 _NORMAL_ROWS = 32
-# A row's draw releases the GIL only while it fills the row's normals,
-# so several threads pay only on long rows.  Measured on 2 cores, 3000
-# switch-free rows took 15% less time on two threads than on one at 1000
-# steps and 39% less at 1400, but 5% more at 700 and 27% more at 500.
-_THREADED_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -188,15 +176,72 @@ def path_streams(root_seed: int, p: int):
     return _stream(root_seed, p, _CHAIN), _stream(root_seed, p, _NOISE)
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """Seed words already generated, handed to a bit generator."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generators(root_seed, rows, c):
+    """Yield, row by row, the generator of stream c of each path in the
+    range ``rows``: ``Generator(PCG64(_stream(root_seed, p, c)))`` bit
+    for bit.
+
+    numpy's SeedSequence algorithm runs once over the whole range.  The
+    root's pool is the same for every row; its hash constant has
+    advanced 4 * max(4, root words) times.  The key words p and c are
+    mixed into it as ``mix_entropy`` mixes words past the pool's four,
+    and ``generate_state(4, uint64)`` follows, as uint32 array passes.
+    """
+    if rows and rows[-1] >= 2**32:
+        raise ValueError("path indices must be below 2**32, got %d"
+                         % rows[-1])
+    root = np.random.SeedSequence(root_seed)
+    mixed = 4 * max(4, -(-int(root.entropy).bit_length() // 32))
+    hash_a = _INIT_A * pow(_MULT_A, mixed, 2**32) % 2**32
+    pool = [np.full(len(rows), w, dtype=np.uint32) for w in root.pool]
+    for key in (np.arange(rows.start, rows.stop, dtype=np.uint32),
+                np.full(len(rows), c, dtype=np.uint32)):
+        for d in range(4):
+            v = key ^ np.uint32(hash_a)
+            hash_a = hash_a * _MULT_A % 2**32
+            v *= np.uint32(hash_a)
+            v ^= v >> 16
+            v = pool[d] * np.uint32(_MIX_L) - v * np.uint32(_MIX_R)
+            pool[d] = v ^ (v >> 16)
+    state = []
+    hash_b = _INIT_B
+    for i in range(8):
+        v = pool[i % 4] ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B % 2**32
+        v *= np.uint32(hash_b)
+        state.append(v ^ (v >> 16))
+    seeds = np.stack(state, axis=1).astype("<u4").view("<u8")
+    for w in seeds.astype(np.uint64):
+        yield np.random.Generator(np.random.PCG64(_Words(w)))
+
+
 def _table(times, values):
     """``times`` and ``values`` as float arrays, checked: ``times`` a
-    finite, strictly increasing grid and ``values`` one row per path
-    with one entry per time."""
+    finite, strictly increasing grid of at least 2 times and ``values``
+    one row per path with one entry per time."""
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or not (np.isfinite(times).all()
                                and (np.diff(times) > 0).all()):
         raise ValueError("times must be a finite, strictly increasing "
                          "grid, got %s" % np.array2string(times))
+    if len(times) < 2:
+        raise ValueError("times must hold at least 2 times")
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != len(times):
         raise ValueError("values must have shape (n_paths, len(times))")
@@ -218,8 +263,6 @@ class TabulatedWiener:
 
     def __init__(self, times: np.ndarray, values: np.ndarray):
         self.times, self.values = _table(times, values)
-        if len(self.times) < 2:
-            raise ValueError("times must hold at least 2 times")
         if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")
 
@@ -232,9 +275,8 @@ class TabulatedWiener:
         values = np.empty((n_paths, k + 1))
         values[:, 0] = 0.0
         h = times[1] - times[0]
-        for p in range(n_paths):
-            rng = np.random.Generator(np.random.PCG64(
-                _stream(root_seed, p, _NOISE)))
+        for p, rng in enumerate(_generators(root_seed, range(n_paths),
+                                            _NOISE)):
             values[p, 1:] = np.cumsum(
                 math.sqrt(h) * rng.standard_normal(k))
         return cls(times, values)
@@ -285,10 +327,10 @@ class SimulationBatch:
                   ) -> "SimulationBatch":
         """Wrap externally produced trajectories for the estimators.
 
-        ``times`` is the shared grid, finite and strictly increasing,
-        which starts at t0, and ``values`` an (n_paths, len(times))
-        array.  ``exploded_at``, one blow-up
-        time per path (NaN when none), defaults to no explosions.
+        ``times`` is the shared grid of at least 2 times, finite and
+        strictly increasing, which starts at t0, and ``values`` an
+        (n_paths, len(times)) array.  ``exploded_at``, one blow-up time
+        per path (NaN when none), defaults to no explosions.
         Useful for analyzing data from other integrators or closed-form
         paths.
         """
@@ -346,10 +388,8 @@ def _sample_block_chains(m, u_times, rows, root_seed, i0, r_grid):
     time, regime = np.zeros(0), np.zeros(0, dtype=np.int64)
     if not m.generator.absorbing(i0):
         t0, T = float(u_times[0]), float(u_times[-1])
-        chains = [sample_regime_path(m.generator, i0, t0, T,
-                                     np.random.default_rng(
-                                         _stream(root_seed, p, _CHAIN)))
-                  for p in rows]
+        chains = [sample_regime_path(m.generator, i0, t0, T, rng)
+                  for rng in _generators(root_seed, rows, _CHAIN)]
         jump_counts[:] = [rp.n_jumps for rp in chains]
         for row in np.flatnonzero(jump_counts).tolist():
             r_grid[row] = chains[row].state_at(u_times)
@@ -400,14 +440,6 @@ def _switch_table(u_times, row, time, regime):
     return sw
 
 
-def _usable_cores() -> int:
-    """The number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _draw_block_normals(rows, root_seed, sw, dW, sqrt_h):
     """Draw the block's step increments into ``dW``, and its switch
     normals in the switch table's order.
@@ -425,43 +457,29 @@ def _draw_block_normals(rows, root_seed, sw, dW, sqrt_h):
     first switch in a step also gets the step's normal, the one before
     its own, in ``z_to[e]``: its substep to that switch reads it after
     the step has overwritten its increment.
-
-    On several threads (see the module docstring) there are two slots
-    per thread, and once a chunk is split its slot passes to the chunk
-    that many places on.  Only the calling thread allocates: a buffer
-    allocated in a worker would stay in that thread's own malloc arena
-    and raise the peak RSS.
     """
     steps, b = dW.shape
     z_sw = np.empty(len(sw.time))
     z_to = np.empty(len(sw.time))
     by_row = np.argsort(sw.row, kind="stable")
     row_sorted = sw.row[by_row]
-    # (first row, end row, switch entries, each row's normals in a slot)
-    chunks = []
-    for c0 in range(0, b, _NORMAL_ROWS):
-        c1 = min(c0 + _NORMAL_ROWS, b)
+    # where each row's normals start in the block's stream order
+    offsets = np.zeros(b + 1, dtype=np.int64)
+    np.cumsum(steps + np.bincount(sw.row, minlength=b), out=offsets[1:])
+    bounds = list(range(0, b, _NORMAL_ROWS)) + [b]
+    slot = np.empty(int(np.diff(offsets[bounds]).max()))
+    rngs = _generators(root_seed, rows, _NOISE)
+    for c0, c1 in zip(bounds, bounds[1:]):
+        at_row = offsets[c0:c1 + 1] - offsets[c0]
+        # the offsets come first, so that zip reads no generator past c1
+        for lo, hi, rng in zip(at_row[:-1].tolist(), at_row[1:].tolist(),
+                               rngs):
+            rng.standard_normal(out=slot[lo:hi])
+        buf = slot[:at_row[-1]]
         e = by_row[np.searchsorted(row_sorted, c0):
                    np.searchsorted(row_sorted, c1)]
-        offsets = np.zeros(c1 - c0 + 1, dtype=np.int64)
-        np.cumsum(steps + np.bincount(sw.row[e] - c0, minlength=c1 - c0),
-                  out=offsets[1:])
-        chunks.append((c0, c1, e, offsets))
-
-    def draw(chunk, slot):
-        c0, c1, _, offsets = chunk
-        for p, lo, hi in zip(rows[c0:c1], offsets[:-1].tolist(),
-                             offsets[1:].tolist()):
-            rng = np.random.Generator(np.random.PCG64(
-                _stream(root_seed, p, _NOISE)))
-            rng.standard_normal(out=slot[lo:hi])
-        return slot
-
-    def split(chunk, slot):
-        c0, c1, e, offsets = chunk
-        buf = slot[:offsets[-1]]
         if len(e):
-            at = offsets[sw.row[e] - c0] + sw.step[e] + 1 + sw.rank[e]
+            at = at_row[sw.row[e] - c0] + sw.step[e] + 1 + sw.rank[e]
             z_sw[e] = buf[at]
             first = sw.prv[e] < 0
             z_to[e[first]] = buf[at[first] - 1]
@@ -473,30 +491,6 @@ def _draw_block_normals(rows, root_seed, sw, dW, sqrt_h):
         buf = buf.reshape(c1 - c0, steps)
         buf *= sqrt_h
         dW[:, c0:c1] = buf.T
-
-    threads = (min(_usable_cores(), len(chunks))
-               if steps >= _THREADED_STEPS else 1)
-    size = max(int(offsets[-1]) for *_, offsets in chunks)
-    if threads == 1:
-        slot = np.empty(size)
-        for chunk in chunks:
-            split(chunk, draw(chunk, slot))
-        return z_sw, z_to
-    slots = [np.empty(size) for _ in range(2 * threads)]
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        drawn = {}
-
-        def ahead(c):
-            if c < len(chunks) and c % threads:
-                drawn[c] = pool.submit(draw, chunks[c], slots[c % len(slots)])
-
-        for c in range(len(slots)):
-            ahead(c)
-        for c, chunk in enumerate(chunks):
-            slot = (drawn.pop(c).result() if c % threads
-                    else draw(chunk, slots[c % len(slots)]))
-            split(chunk, slot)
-            ahead(c + len(slots))
     return z_sw, z_to
 
 
@@ -795,9 +789,8 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
     Args:
       workers: thread count; blocks are distributed round-robin.
         GIL-bound, slower than one thread: on 2 cores, 3000 switch-free
-        paths in blocks of 1024 took 230-244 ms on two workers and
-        196-204 ms on one, each block drawing its normals on two
-        threads of its own.  Kept while bench/ times it.
+        paths to T = 15 in blocks of 1024 took 366-391 ms on two
+        workers and 356-372 ms on one.  Kept while bench/ times it.
       block_size: paths per vectorized block (tuning only, not results).
       keep_paths: keep the switch nodes too, so that ``paths`` holds
         every path (the martingale residual test reads them); switch

@@ -4,11 +4,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
-import os
-import sys
-import threading
 import tracemalloc
-from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,9 +12,9 @@ import pytest
 import hpsfde.integrator
 from hpsfde.errors import NonFiniteState
 from hpsfde.integrator import (DEFAULT_BLOCK_SIZE, IntegratorConfig,
-                               SimulationBatch, TabulatedWiener,
-                               initial_grid, integrate_path, path_streams,
-                               run_batch, uniform_grid)
+                               SimulationBatch, TabulatedWiener, _generators,
+                               _stream, initial_grid, integrate_path,
+                               path_streams, run_batch, uniform_grid)
 from hpsfde.markov import make_generator, sample_regime_path
 from hpsfde.models import (Kernel, Measure, ModelSpec, PantographTerm,
                            PolynomialTerm, single_regime)
@@ -122,6 +118,32 @@ def test_path_streams_are_spawned_seed_sequences(root_seed):
         assert len(got) == 2
         for g, w in zip(got, want):
             assert np.array_equal(g.generate_state(8), w.generate_state(8))
+
+
+@pytest.mark.parametrize("c", [0, 1])
+@pytest.mark.parametrize("root_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1,
+                                       2**128 - 1, 2**128 + 3])
+def test_block_generators_are_the_rows_streams(root_seed, c):
+    # one array pass of numpy's SeedSequence algorithm hands each row's
+    # PCG64 the words that the row's own SeedSequence generates
+    for rows in (range(0, 1), range(1, 2), range(2**31, 2**31 + 1),
+                 range(2**32 - 1, 2**32), range(3, 40)):
+        rngs = list(_generators(root_seed, rows, c))
+        assert len(rngs) == len(rows)
+        for p, rng in zip(rows, rngs):
+            ss = np.random.SeedSequence(root_seed, spawn_key=(p, c))
+            assert (rng.bit_generator._seed_seq.words.tobytes()
+                    == ss.generate_state(4, np.uint64).tobytes())
+            ref = np.random.Generator(np.random.PCG64(_stream(root_seed, p,
+                                                              c)))
+            assert (rng.standard_normal(50).tobytes()
+                    == ref.standard_normal(50).tobytes())
+
+
+def test_block_generators_need_one_key_word_per_path():
+    # from 2**32 on numpy splits p into two key words
+    with pytest.raises(ValueError, match=r"below 2\*\*32"):
+        list(_generators(1, range(2**32 - 1, 2**32 + 1), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -472,106 +494,6 @@ def test_switch_normals_match_reference_across_chunks():
                           block_size=block)
         assert 0 < batch.n_exploded < 80
         _assert_matches_reference(batch, ref)
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    # a block of long rows draws its normals on min(cores, chunks)
-    # threads, the calling thread and a pool of the others: blocks of 67,
-    # 150 and the default 160 rows hold 3, 5 and 5 chunks, cut at other
-    # rows, and the last blocks of 26 and 10 rows one chunk, which the
-    # calling thread draws alone.  8 cores gives each chunk of a block
-    # its own thread, and a short switch interval makes the threads
-    # interleave often.
-    m = fast_switching_model()
-    cfg = IntegratorConfig(dt=0.05, T=3.0, blowup_threshold=50.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref = [_reference_path(m, cfg, p, 1, 7) for p in range(160)]
-    pools = []
-
-    class Recorded(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(hpsfde.integrator, "ThreadPoolExecutor", Recorded)
-    # rows of 40 steps are too short to pay for a pool
-    monkeypatch.setattr(hpsfde.integrator, "_usable_cores", lambda: 3)
-    _assert_matches_reference(run_batch(m, cfg, n_paths=160, i0=1,
-                                        root_seed=7), ref)
-    assert pools == []
-    monkeypatch.setattr(hpsfde.integrator, "_THREADED_STEPS", 40)
-    chunk = hpsfde.integrator._NORMAL_ROWS
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for cores in (1, 2, 3, 8):
-            monkeypatch.setattr(hpsfde.integrator, "_usable_cores",
-                                lambda n=cores: n)
-            for block in (67, 150, DEFAULT_BLOCK_SIZE):
-                del pools[:]
-                before = threading.active_count()
-                batch = run_batch(m, cfg, n_paths=160, i0=1, root_seed=7,
-                                  block_size=block)
-                assert threading.active_count() == before
-                chunks = [-(-min(block, 160 - s) // chunk)
-                          for s in range(0, 160, block)]
-                assert pools == [min(cores, c) - 1 for c in chunks
-                                 if min(cores, c) > 1]
-                _assert_matches_reference(batch, ref)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_a_slot_is_split_before_it_is_drawn_into_again(monkeypatch):
-    # a pool whose submit draws at once: a slot handed to a later chunk
-    # before the calling thread has split it would be overwritten there.
-    # 400 rows hold 13 chunks, more than the two slots per thread.
-    submitted = []
-
-    class AtOnce:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            submitted.append(args[0])
-            done = Future()
-            done.set_result(fn(*args))
-            return done
-
-    m = preset("exp_stable")
-    cfg = IntegratorConfig(dt=0.05, T=3.0)
-    base = run_batch(m, cfg, n_paths=400, i0=1, root_seed=9)
-    assert base.n_switches.sum() > 0
-    monkeypatch.setattr(hpsfde.integrator, "ThreadPoolExecutor", AtOnce)
-    monkeypatch.setattr(hpsfde.integrator, "_THREADED_STEPS", 40)
-    for cores in (2, 3):
-        monkeypatch.setattr(hpsfde.integrator, "_usable_cores",
-                            lambda n=cores: n)
-        assert -(-400 // hpsfde.integrator._NORMAL_ROWS) > 2 * cores
-        del submitted[:]
-        other = run_batch(m, cfg, n_paths=400, i0=1, root_seed=9)
-        assert len(submitted) == 13 - len(range(0, 13, cores))
-        assert other.uniform_values.tobytes() == base.uniform_values.tobytes()
-        assert other.exploded_at.tobytes() == base.exploded_at.tobytes()
-        assert (other.paths.node_value.tobytes()
-                == base.paths.node_value.tobytes())
-
-
-def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
-    usable = hpsfde.integrator._usable_cores
-    if hasattr(os, "sched_getaffinity"):
-        assert usable() == len(os.sched_getaffinity(0))
-        monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert usable() == 5
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert usable() == 1
 
 
 def test_absorbing_start_samples_no_chain(monkeypatch):
@@ -1002,3 +924,10 @@ def test_synthetic_batch_checks_the_time_grid():
         SimulationBatch.synthetic(np.ones((1, 4)), values)
     batch = SimulationBatch.synthetic([1.0, 1.5, 2.0, 3.0], values)
     assert batch.t0 == 1.0 and batch.T == 3.0
+
+
+def test_synthetic_batch_needs_two_times():
+    # a grid with t0 == T has no window, and the time average would read
+    # past its end; a simulated batch's uniform_grid refuses it too
+    with pytest.raises(ValueError, match="times must hold at least 2 times"):
+        SimulationBatch.synthetic([1.0], np.ones((150, 1)))
