@@ -35,7 +35,7 @@ from .estimators import (estimate_as_rate, estimate_moment_rate,
                          moment_curve, require_power)
 from .integrator import IntegratorConfig, SimulationBatch, run_batch
 from .lyapunov import martingale_residual, require_t_end
-from .paths import write_csv, write_table
+from .paths import write_table
 
 _ESTIMATORS = {
     "moment": estimate_moment_rate,
@@ -101,9 +101,8 @@ def cmd_simulate(args) -> int:
         os.makedirs(path_dir, exist_ok=True)
         n_dump = batch.n_paths if limit is None else min(int(limit),
                                                          batch.n_paths)
-        for p in range(n_dump):
-            write_csv(batch.paths[p],
-                      os.path.join(path_dir, "path_%05d.csv" % p))
+        batch.paths.write_csvs([os.path.join(path_dir, "path_%05d.csv" % p)
+                                for p in range(n_dump)])
         written.append("%s (%d files)" % (path_dir, n_dump))
     print("simulated %d paths (%d exploded); wrote %s"
           % (batch.n_paths, batch.n_exploded, ", ".join(written)))

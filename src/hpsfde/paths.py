@@ -138,25 +138,66 @@ class PathStore(Sequence):
             raise IndexError("path %d of a store of %d paths" % (p, n))
         return p % n
 
+    def _merge(self, p):
+        """Row p's nodes in time order, as a function of their columns.
+
+        ``merge(init, grid, node)`` joins a column's entries at the
+        initial nodes (``init`` holds one per node, or one for all),
+        at row p's kept grid nodes (``grid`` holds one per grid time)
+        and at row p's switch nodes (``node`` holds one per switch node
+        of the store), and returns them in the time order of row p's
+        nodes, ties kept in that order.  ``store[p]`` and
+        :meth:`write_csvs` read every column through this one rule.
+        """
+        lo, hi = np.searchsorted(self.node_row, (p, p + 1))
+        keep = ~np.isnan(self.values[p])
+        n_init = len(self.init_times)
+        order = np.argsort(np.concatenate((self.init_times, self.times[keep],
+                                           self.node_time[lo:hi])),
+                           kind="stable")
+
+        def merge(init, grid, node):
+            return np.concatenate((np.broadcast_to(init, n_init), grid[keep],
+                                   node[lo:hi]))[order]
+        return merge
+
     def __getitem__(self, p) -> DensePath:
         p = self.row(p)
-        lo, hi = np.searchsorted(self.node_row, (p, p + 1))
-        row = self.values[p]
-        keep = ~np.isnan(row)
-        times = np.concatenate((self.init_times, self.times[keep],
-                                self.node_time[lo:hi]))
-        order = np.argsort(times, kind="stable")
-        vals = np.concatenate((self.init_values, row[keep],
-                               self.node_value[lo:hi]))
-        regs = np.concatenate((np.full(len(self.init_times),
-                                       self.regimes[p, 0]),
-                               self.regimes[p, keep],
-                               self.node_regime[lo:hi])).astype(np.int64)
+        merge = self._merge(p)
+        regimes = merge(self.regimes[p, 0], self.regimes[p], self.node_regime)
         e = float(self.exploded_at[p])
-        return DensePath(times=times[order], values=vals[order],
-                         regimes=regs[order], theta_lower=self.theta_lower,
-                         t0=self.t0,
-                         exploded_at=None if math.isnan(e) else e)
+        return DensePath(
+            times=merge(self.init_times, self.times, self.node_time),
+            values=merge(self.init_values, self.values[p], self.node_value),
+            regimes=regimes.astype(np.int64), theta_lower=self.theta_lower,
+            t0=self.t0, exploded_at=None if math.isnan(e) else e)
+
+    def write_csvs(self, dests) -> None:
+        """Write path p to ``dests[p]`` for each p < len(dests).
+
+        Each file holds the bytes of ``write_csv(store[p], dests[p])``.
+        The initial and grid times, the regime labels and the written
+        paths' switch-node times are formatted once per call, so a path
+        formats only its states.  Raises IndexError, before writing,
+        when there are more destinations than paths.
+        """
+        if len(dests):
+            self.row(len(dests) - 1)
+        n_nodes = np.searchsorted(self.node_row, len(dests))
+        init, grid, node = (_formatted(t) for t in (
+            self.init_times, self.times, self.node_time[:n_nodes]))
+        top = max(self.regimes.max(initial=0),
+                  self.node_regime.max(initial=0))
+        labels = _formatted(np.arange(top + 1))
+        for p, dest in enumerate(dests):
+            merge = self._merge(p)
+            regimes = merge(self.regimes[p, 0], self.regimes[p],
+                            self.node_regime)
+            write_table(dest, _CSV_HEADER,
+                        (merge(init, grid, node).tolist(),
+                         labels[regimes].tolist(),
+                         merge(self.init_values, self.values[p],
+                               self.node_value)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +227,43 @@ class ConstantSegment:
 # CSV export
 # ---------------------------------------------------------------------------
 
-def write_table(dest, header, columns, footer=()) -> None:
-    """Write equal-length numeric columns as CSV.
+_CSV_HEADER = ("time", "regime", "x_1")
 
-    One line of comma-joined ``header`` names, one row per entry with
-    every value written by ``%.17g`` (17 significant digits, so floats
-    round-trip exactly and integers print as integers), then the
-    ``footer`` lines as given.  Every line ends in a bare newline.
-    ``dest`` is a text file object, or a file path written as UTF-8.
+
+def _formatted(values) -> np.ndarray:
+    """``values`` written by ``%.17g``, as an object array of str."""
+    return np.array(["%.17g" % v for v in np.asarray(values).tolist()],
+                    dtype=object)
+
+
+def write_table(dest, header, columns, footer=()) -> None:
+    """Write equal-length columns as CSV.
+
+    One line of comma-joined ``header`` names, one row per entry, then
+    the ``footer`` lines as given.  Every line ends in a bare newline.
+    A column of str (a list of str, say) is written as given; every
+    other column holds numbers, each written by ``%.17g`` (17
+    significant digits, so floats round-trip exactly and integers print
+    as integers).  Raises ValueError unless there is one header name
+    per column and the columns have one length.  ``dest`` is a text
+    file object, or a file path written as UTF-8.
     """
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    lines = [",".join(header) + "\n"]
-    lines += [row % values
-              for values in zip(*(np.asarray(c).tolist() for c in columns))]
-    lines += [line + "\n" for line in footer]
-    text = "".join(lines)
+    if len(header) != len(columns):
+        raise ValueError("%d header names for %d columns"
+                         % (len(header), len(columns)))
+    cols = [c if isinstance(c, list) else np.asarray(c).tolist()
+            for c in columns]
+    n = len(cols[0]) if cols else 0
+    if any(len(c) != n for c in cols):
+        raise ValueError("columns of unequal lengths %s"
+                         % [len(c) for c in cols])
+    row = ",".join("%s" if c and isinstance(c[0], str) else "%.17g"
+                   for c in cols) + "\n"
+    flat = [None] * (n * len(cols))
+    for k, c in enumerate(cols):
+        flat[k::len(cols)] = c
+    text = "".join([",".join(header) + "\n", row * n % tuple(flat)]
+                   + [line + "\n" for line in footer])
     if hasattr(dest, "write"):
         dest.write(text)
     else:
@@ -212,7 +275,7 @@ def write_csv(path: DensePath, dest) -> None:
     """Write a path as CSV with columns time, regime, x_1.
 
     ``dest`` is as for :func:`write_table`; a rewrite of the same path
-    is byte-identical.
+    is byte-identical.  :meth:`PathStore.write_csvs` writes a batch's
+    paths with the same bytes.
     """
-    write_table(dest, ("time", "regime", "x_1"),
-                (path.times, path.regimes, path.values))
+    write_table(dest, _CSV_HEADER, (path.times, path.regimes, path.values))

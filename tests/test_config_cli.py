@@ -271,6 +271,31 @@ def test_simulate_dumps_per_path_files(tmp_path):
     assert header == "time,regime,x_1"
 
 
+def test_simulate_path_files_are_the_batch_paths(tmp_path):
+    # most paths explode, most after a switch; the files must hold the
+    # bytes that write_csv gives the same batch's paths
+    spec = {"model": {"preset": "exp_stable", "initial": 2.5},
+            "simulation": {"dt": 0.01, "T": 3.0, "n_paths": 60,
+                           "root_seed": 3},
+            "output": {"per_path": True, "per_path_limit": 45}}
+    cfg = write_config(tmp_path, spec)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    batch = run_batch(preset("exp_stable", initial=2.5),
+                      IntegratorConfig(dt=0.01, T=3.0), n_paths=60, i0=1,
+                      root_seed=3, keep_paths=True)
+    kept = slice(45)
+    assert 0 < batch.exploded_mask[kept].sum() < 45
+    assert (batch.n_switches[kept] > 0).sum() > 40
+    files = sorted((out / "paths").iterdir())
+    assert [f.name for f in files] == ["path_%05d.csv" % p
+                                       for p in range(45)]
+    for p, name in enumerate(files):
+        want = io.StringIO()
+        paths.write_csv(batch.paths[p], want)
+        assert name.read_bytes() == want.getvalue().encode("utf-8")
+
+
 def test_simulate_outputs_identical_across_workers(tmp_path):
     # partition invariance: the same files at every block size
     outs = []

@@ -6,8 +6,12 @@ import io
 import numpy as np
 import pytest
 
+from hpsfde.integrator import IntegratorConfig, run_batch
+from hpsfde.markov import make_generator
+from hpsfde.models import ModelSpec, PolynomialTerm
 from hpsfde.paths import (ConstantSegment, DensePath, _interp, write_csv,
                           write_table)
+from hpsfde.presets import preset
 
 
 def make_path(times, values, theta_lower=0.5, t0=1.0, regimes=None,
@@ -88,3 +92,93 @@ def test_write_table_layout():
                  np.array([-0.0, np.nan])], footer=("# end,1",))
     assert buf.getvalue() == ("t,n,x\n0.10000000000000001,1,-0\n"
                               "2,12,nan\n# end,1\n")
+
+
+def test_write_table_writes_str_columns_as_given():
+    buf = io.StringIO()
+    write_table(buf, ["t", "label", "x"],
+                [["0.5", "1e+300"], ["a", "b"], [0.25, 3]])
+    assert buf.getvalue() == "t,label,x\n0.5,a,0.25\n1e+300,b,3\n"
+
+
+@pytest.mark.parametrize("header, columns, why", [
+    (["a", "b"], [np.array([1.0, 2.0, 3.0]), np.array([1, 2])],
+     "unequal lengths"),
+    (["a", "b"], [["x", "y"], [1.0]], "unequal lengths"),
+    (["a", "b", "c"], [np.array([1.0, 2.0])], "3 header names for 1"),
+    (["a"], [np.array([1.0]), np.array([2.0])], "1 header names for 2"),
+])
+def test_write_table_checks_its_shape(header, columns, why):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=why):
+        write_table(buf, header, columns)
+    assert buf.getvalue() == ""
+
+
+def three_regime_model():
+    # regime 1 is a random walk that crosses the threshold at grid
+    # times; entering regime 2 makes the drift inf, so the state turns
+    # non-finite; entering regime 3 crosses at a switch node
+    return ModelSpec(
+        theta_lower=0.5, t0=1.0,
+        generator=make_generator([[-3.0, 1.0, 2.0], [5.0, -5.0, 0.0],
+                                  [30.0, 0.0, -30.0]]),
+        drift=((), (PolynomialTerm([(0, 1e308)]),
+                    PolynomialTerm([(0, 1e308)])),
+               (PolynomialTerm([(0, 1e6)]),)),
+        diffusion=((PolynomialTerm([(0, 1.0)]),), (), ()),
+        initial_segment=-0.25)
+
+
+STORE_CASES = {
+    # a table initial segment with negative states, started in regime 2
+    "table_i0_2": (preset("exp_stable", initial=((0.5, 0.8, 1.0),
+                                                 (-0.4, 0.1, -0.7))),
+                   IntegratorConfig(dt=0.05, T=3.0), 2),
+    # three regimes; rows die non-finite and by crossing the threshold
+    "three_regimes": (three_regime_model(),
+                      IntegratorConfig(dt=0.1, T=1.4, blowup_threshold=1.0),
+                      1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORE_CASES))
+def test_store_csvs_are_the_paths_csvs(case, tmp_path):
+    m, cfg, i0 = STORE_CASES[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        store = run_batch(m, cfg, n_paths=40, i0=i0, root_seed=1,
+                          keep_paths=True).paths
+    paths = [store[p] for p in range(len(store))]
+    values = np.concatenate([p.values for p in paths])
+    regimes = np.concatenate([p.regimes for p in paths])
+    assert (values < 0).any() and len(store.node_time)
+    if case == "three_regimes":
+        assert set(regimes.tolist()) == {1, 2, 3}
+        # a crossing ends at a state beyond the threshold, a non-finite
+        # state at the last finite one
+        last = [abs(p.values[-1]) for p in paths if p.exploded_at is not None]
+        assert max(last) > 1.0 and min(last) <= 1.0
+    else:
+        assert regimes[0] == 2 and paths[0].times[0] == 0.5
+    bufs = [io.StringIO() for _ in range(len(store))]
+    store.write_csvs(bufs)
+    for path, buf in zip(paths, bufs):
+        want = io.StringIO()
+        write_csv(path, want)
+        assert buf.getvalue() == want.getvalue()
+    # a prefix of the paths, written to files
+    dests = [tmp_path / ("p%d.csv" % p) for p in range(3)]
+    store.write_csvs(dests)
+    for dest, buf in zip(dests, bufs):
+        assert dest.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+def test_store_csvs_need_a_path_per_destination(tmp_path):
+    m, cfg, i0 = STORE_CASES["table_i0_2"]
+    store = run_batch(m, cfg, n_paths=2, i0=i0, root_seed=1,
+                      keep_paths=True).paths
+    dests = [tmp_path / ("p%d.csv" % p) for p in range(3)]
+    with pytest.raises(IndexError):
+        store.write_csvs(dests)
+    assert not any(dest.exists() for dest in dests)
+    store.write_csvs([])
