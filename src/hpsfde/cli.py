@@ -29,7 +29,7 @@ from .certificates import (CertificateData, check_existence,
                            certify_epsilon_exponential,
                            solve_epsilon_exponential,
                            solve_epsilon_polynomial, time_average_bound)
-from .errors import Error, NotApplicable
+from .errors import Error, NotApplicable, require_index
 from .estimators import (estimate_as_rate, estimate_moment_rate,
                          estimate_polynomial_rate, estimate_time_average,
                          moment_curve, require_power)
@@ -48,6 +48,7 @@ _ESTIMATORS = {
 def _simulate_batch(cfg: dict, model, keep_paths: bool = False
                     ) -> SimulationBatch:
     sim = config_mod.simulation_params(cfg)
+    require_index("simulation.i0", sim["i0"], model.n_regimes)
     icfg = IntegratorConfig(dt=sim["dt"], T=sim["T"],
                             blowup_threshold=sim["blowup_threshold"])
     return run_batch(model, icfg, sim["n_paths"], sim["i0"],

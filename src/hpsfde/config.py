@@ -56,6 +56,7 @@ import numbers
 from typing import Optional
 
 from .certificates import CertificateData, CertificateRow
+from .errors import require_index
 from .integrator import DEFAULT_BLOCK_SIZE, IntegratorConfig
 from .lyapunov import LyapunovFamily, PolynomialV
 from .markov import make_generator
@@ -384,21 +385,27 @@ def build_certificate(cfg: dict) -> CertificateData:
 
 
 def simulation_params(cfg: dict) -> dict:
-    """Normalized ``simulation`` section with defaults filled in."""
+    """Normalized ``simulation`` section with defaults filled in.
+
+    The counts and the seed are checked here; ``i0`` needs the model,
+    and is checked where the batch is run.
+    """
     spec = _section(cfg, "simulation")
     if "dt" not in spec or "T" not in spec:
         raise ValueError("simulation section must set dt and T")
-    block_size = int(spec.get("block_size", DEFAULT_BLOCK_SIZE))
-    if block_size < 1:
-        raise ValueError("simulation.block_size must be >= 1, got %d"
-                         % block_size)
-    return {
+    sim = {
         "dt": float(spec["dt"]),
         "T": float(spec["T"]),
         "n_paths": int(spec.get("n_paths", 100)),
         "i0": int(spec.get("i0", 1)),
         "root_seed": int(spec.get("root_seed", 0)),
-        "block_size": block_size,
+        "block_size": int(spec.get("block_size", DEFAULT_BLOCK_SIZE)),
         "blowup_threshold": float(spec.get(
             "blowup_threshold", IntegratorConfig.blowup_threshold)),
     }
+    for key in ("n_paths", "block_size"):
+        require_index("simulation." + key, sim[key])
+    if sim["root_seed"] < 0:
+        raise ValueError("simulation.root_seed must be an integer >= 0, "
+                         "got %d" % sim["root_seed"])
+    return sim

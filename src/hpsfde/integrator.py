@@ -65,10 +65,9 @@ its rows' generators of one stream in one array pass of numpy's
 SeedSequence algorithm (``_generators``), equal bit for bit to
 seeding each row from its spawn key.  Paths are processed in
 fixed-size blocks whose composition depends only on the path index;
-``run_batch``'s workers own whole blocks and write into disjoint
-preallocated slices.  Each row's result depends only on its own
-streams, so rerunning with the same root seed reproduces every output
-bit at any block size or worker count.
+``run_batch`` runs the blocks in order, and each writes only its own
+rows.  Each row's result depends only on its own streams, so rerunning
+with the same root seed reproduces every output bit at any block size.
 
 Noise stream order: each path draws one standard normal per uniform
 step plus one per regime switch inside a step, in time order: a step
@@ -91,7 +90,6 @@ the start of its (sub)step, a threshold crossing at its end.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -634,18 +632,18 @@ class _Lookups:
 
 
 def _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
-                     root_seed, wiener, keep_paths, out):
-    """Integrate one block of paths and write results into ``out``.
+                     root_seed, wiener, u_block, r_grid):
+    """Integrate one block of paths.
 
-    ``rows`` is a range of path indices.  ``out`` is a dict of
-    preallocated batch arrays; this function only touches the slices
-    belonging to ``rows``, so concurrent blocks never overlap.
+    ``rows`` is a range of path indices, and ``u_block`` and ``r_grid``
+    are its rows of the batch's grid values and regimes, which the block
+    fills.  Returns the rows' explosion times and switch counts, then
+    the reached switch nodes by row and time: their path indices, times,
+    states and the regimes they enter.
     """
     b = len(rows)
-    block = slice(rows.start, rows.stop)
     threshold = cfg.blowup_threshold
 
-    r_grid = out["regimes_uniform"][block]
     jump_counts, sw = _sample_block_chains(m, u_times, rows, root_seed, i0,
                                            r_grid)
     if wiener is not None and jump_counts.any():
@@ -664,7 +662,8 @@ def _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
                                          np.sqrt(np.diff(u_times)))
     else:
         H[base_col + 1:] = np.diff(_interp(
-            wiener.times, wiener.values[block].T, u_times), axis=0)
+            wiener.times, wiener.values[rows.start:rows.stop].T, u_times),
+            axis=0)
     node_x[:] = np.nan
 
     # substep geometry: [t, s] ending at switch s, and [s, end] from it;
@@ -759,21 +758,16 @@ def _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
 
     # one pass over the history fills the block's grid values; a dead
     # row keeps NaN from its death on, but its crossing state
-    u_block = out["uniform_values"][block]
     u_block[...] = H[base_col:].T
     for row in dead.tolist():
         u_block[row, death_col[row]:] = np.nan
         u_block[row, death_col[row]] = crossed[row]
-    out["exploded_at"][block] = exploded_at
-    out["n_switches"][block] = jump_counts
-    if keep_paths:
-        # the reached switch nodes by row and time; a row's entries in
-        # pass order are in time order
-        by_row = np.argsort(sw.row, kind="stable")
-        reached = by_row[~np.isnan(node_x[by_row])]
-        out["nodes"][rows.start] = (sw.row[reached] + rows.start,
-                                    sw.time[reached], node_x[reached],
-                                    sw.regime[reached])
+    # the reached switch nodes by row and time; a row's entries in pass
+    # order are in time order
+    by_row = np.argsort(sw.row, kind="stable")
+    reached = by_row[~np.isnan(node_x[by_row])]
+    return (exploded_at, jump_counts, sw.row[reached] + rows.start,
+            sw.time[reached], node_x[reached], sw.regime[reached])
 
 
 def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
@@ -783,14 +777,13 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
     """Integrate ``n_paths`` independent paths of one model.
 
     Results are bit-identical for a fixed (model, config, n_paths, i0,
-    root_seed) at any ``workers``/``block_size`` partitioning, and no
-    single path's blow-up aborts the batch.
+    root_seed) at any ``block_size``, and no single path's blow-up
+    aborts the batch.
 
     Args:
-      workers: thread count; blocks are distributed round-robin.
-        GIL-bound, slower than one thread: on 2 cores, 3000 switch-free
-        paths to T = 15 in blocks of 1024 took 366-391 ms on two
-        workers and 356-372 ms on one.  Kept while bench/ times it.
+      workers: ignored; the blocks run in order on the calling thread.
+        Kept because ``bench/`` passes it; to be removed together with
+        the benchmark's ``integrator.workers2_speedup``.
       block_size: paths per vectorized block (tuning only, not results).
       keep_paths: keep the switch nodes too, so that ``paths`` holds
         every path (the martingale residual test reads them); switch
@@ -820,47 +813,30 @@ def run_batch(m: ModelSpec, cfg: IntegratorConfig, n_paths: int, i0: int,
     grid = _Grid(np.concatenate((init_times[:-1], u_times)),
                  len(init_times) - 1, m.theta_lower, m._plan)
 
-    k1 = len(u_times)
-    out = {
-        # every block writes its whole slice of both grids
-        "uniform_values": np.empty((n_paths, k1)),
-        "regimes_uniform": np.empty((n_paths, k1), dtype=np.int16),
-        "exploded_at": np.full(n_paths, np.nan),
-        "n_switches": np.zeros(n_paths, dtype=np.int64),
-        "nodes": {},
-    }
+    values = np.empty((n_paths, len(u_times)))
+    regimes = np.empty((n_paths, len(u_times)), dtype=np.int16)
     blocks = [range(s, min(s + block_size, n_paths))
               for s in range(0, n_paths, block_size)]
-
-    def work(rows):
-        _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
-                         root_seed, wiener, keep_paths, out)
-
-    if workers <= 1 or len(blocks) == 1:
-        for rows in blocks:
-            work(rows)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, blocks))
+    exploded_at, n_switches, row, time, value, regime = (
+        np.concatenate(column) for column in zip(*(
+            _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
+                             root_seed, wiener,
+                             values[rows.start:rows.stop],
+                             regimes[rows.start:rows.stop])
+            for rows in blocks)))
 
     paths = None
     if keep_paths:
-        row, time, value, regime = (
-            np.concatenate(column) for column in zip(
-                *(out["nodes"][rows.start] for rows in blocks)))
         paths = PathStore(
             theta_lower=m.theta_lower, t0=m.t0, init_times=init_times[:-1],
-            init_values=init_vals[:-1], times=u_times,
-            values=out["uniform_values"], regimes=out["regimes_uniform"],
-            exploded_at=out["exploded_at"], node_row=row, node_time=time,
-            node_value=value, node_regime=regime)
+            init_values=init_vals[:-1], times=u_times, values=values,
+            regimes=regimes, exploded_at=exploded_at, node_row=row,
+            node_time=time, node_value=value, node_regime=regime)
     return SimulationBatch(
         model=m, config=cfg, n_paths=n_paths, i0=i0, root_seed=root_seed,
         t0=m.t0, T=float(cfg.T), uniform_times=u_times,
-        uniform_values=out["uniform_values"],
-        regimes_uniform=out["regimes_uniform"],
-        exploded_at=out["exploded_at"], n_switches=out["n_switches"],
-        paths=paths)
+        uniform_values=values, regimes_uniform=regimes,
+        exploded_at=exploded_at, n_switches=n_switches, paths=paths)
 
 
 def integrate_path(m: ModelSpec, cfg: IntegratorConfig, i0: int,

@@ -867,6 +867,19 @@ def test_package_exports_resolve():
     ("estimate", '{"model": {"preset": "exp_stable", "diffusion": [[], []]}, '
      '"simulation": {"dt": 0.1, "T": 2.0, "n_paths": 20}}',
      "model.diffusion is set by model.preset 'exp_stable'"),
+    # a simulation count, regime or seed out of range
+    ("simulate", '{"model": {"preset": "exp_stable"}, "simulation": '
+     '{"dt": 0.1, "T": 2.0, "n_paths": 0}}',
+     "simulation.n_paths must be an integer >= 1, got 0"),
+    ("simulate", '{"model": {"preset": "exp_stable"}, "simulation": '
+     '{"dt": 0.1, "T": 2.0, "n_paths": 2, "i0": 3}}',
+     "simulation.i0 must be an integer in 1..2, got 3"),
+    ("simulate", '{"model": {"preset": "exp_stable"}, "simulation": '
+     '{"dt": 0.1, "T": 2.0, "n_paths": 2, "root_seed": -1}}',
+     "simulation.root_seed must be an integer >= 0, got -1"),
+    ("simulate", '{"model": {"preset": "exp_stable"}, "simulation": '
+     '{"dt": 0.1, "T": 2.0, "n_paths": 2, "block_size": 0}}',
+     "simulation.block_size must be an integer >= 1, got 0"),
 ], ids=["no-theta-lower", "top-level-array", "certificate-not-object",
         "simulation-not-object", "no-generator", "output-key", "lyapunov-key",
         "certificate-key", "estimate-key", "model-key", "unknown-section",
@@ -881,7 +894,9 @@ def test_package_exports_resolve():
         "term-density-key", "model-kernel-key", "term-kernel-key",
         "polynomial-term-key", "pantograph-term-key", "initial-key",
         "certificate-row-key", "preset-theta-lower", "preset-generator",
-        "preset-kernel", "preset-drift", "preset-diffusion"])
+        "preset-kernel", "preset-drift", "preset-diffusion",
+        "n-paths-zero", "i0-past-regimes", "root-seed-negative",
+        "block-size-zero"])
 def test_malformed_config_is_an_error(tmp_path, capsys, command, text, named):
     cfg = tmp_path / "experiment.json"
     cfg.write_text(text)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -663,6 +664,28 @@ def test_workers_and_block_size_do_not_change_results():
                 assert np.array_equal(a.regimes, b.regimes)
 
 
+def test_run_batch_starts_no_thread(monkeypatch):
+    # blocks run in order on the calling thread at any workers
+    def refuse(self):
+        raise AssertionError("run_batch started a thread")
+
+    m = preset("exp_stable")
+    cfg = IntegratorConfig(dt=0.05, T=2.0)
+    base = run_batch(m, cfg, n_paths=23, i0=1, root_seed=5, block_size=5)
+    assert base.n_switches.sum() > 0
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    other = run_batch(m, cfg, n_paths=23, i0=1, root_seed=5, workers=4,
+                      block_size=5)
+    for name in ("uniform_values", "regimes_uniform", "exploded_at",
+                 "n_switches"):
+        a, b = getattr(base, name), getattr(other, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for a, b in zip(base.paths, other.paths, strict=True):
+        for name in ("times", "values", "regimes"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.exploded_at == b.exploded_at
+
+
 def test_block_split_across_the_old_default_does_not_change_results():
     # 1100 rows: one block at the default, 1024 + 76 and 550 + 550 below it
     m = preset("exp_stable")
@@ -729,6 +752,40 @@ def test_gbm_strong_order_half():
     for coarse, fine in zip(errors, errors[1:]):
         ratio = coarse / fine
         assert 2.2 <= ratio <= 4.5, errors
+
+
+def pantograph_oracle(t, a=-1.0, b=0.5, q=0.5, t0=1.0, c=1.0):
+    """x(t) of x' = a x + b x(q t) with x = c on [q t0, t0], on [t0,
+    t0 / q**2]: the method of steps, one interval per factor of 1/q."""
+    A, B = c * (1.0 + b / a), -c * b / a
+    if t <= t0 / q:
+        return A * math.exp(a * (t - t0)) + B
+    D, E = b * A / (a * (q - 1.0)), c * b * b / (a * a)
+    K = pantograph_oracle(t0 / q, a, b, q, t0, c) - D - E
+    return K * math.exp(a * (t - t0 / q)) + D * math.exp(a * (q * t - t0)) + E
+
+
+def pantograph_model(theta=0.5):
+    return ModelSpec(theta_lower=0.5, t0=1.0, generator=SINGLE,
+                     drift=((PolynomialTerm([(1, -1.0)]),
+                             PantographTerm(coeff=0.5,
+                                            measure=Measure.point_mass(theta),
+                                            signed=True)),),
+                     diffusion=((),), initial_segment=1.0)
+
+
+@pytest.mark.parametrize("T", [2.0, 4.0])
+def test_pantograph_lookup_converges_at_order_one(T):
+    # x(0.5 t) read from the history: on [1, 2] it reads the initial
+    # segment, on [2, 4] the grid; Euler's error halves as dt halves
+    m = pantograph_model()
+    errors = []
+    for dt in (0.02, 0.01, 0.005, 0.0025):
+        batch = run_batch(m, IntegratorConfig(dt=dt, T=T), n_paths=1, i0=1,
+                          root_seed=0, keep_paths=False)
+        errors.append(abs(batch.uniform_values[0, -1] - pantograph_oracle(T)))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 1.9 <= coarse / fine <= 2.1, errors
 
 
 def test_wiener_table_rejects_switching_models():
