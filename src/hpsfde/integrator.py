@@ -14,9 +14,13 @@ time in array passes.  The first pass takes the whole step for every
 row.  Each row with switches s_1 < ... < s_q inside the step then
 replaces it by substeps, one pass per substep index over the alive rows
 that have one: [t, s_1] with the step's f, g and normal (same left
-endpoint), then for j >= 1 the substep starting at s_j, evaluating
-only the regimes present.  A whole step adds f h + g (sqrt(h) z), a
-substep f h_s + (g sqrt(h_s)) z.
+endpoint), then for j >= 1 the substep starting at s_j.  A pass whose
+rows are all dead is skipped.  Each pass is the function that the
+model's plan generates for the regimes from the least to the greatest
+among its rows (``models._Plan.compiled``): a uniform step takes them
+from its grid column, a substep pass from the switch table, once per
+block.  A whole step adds f h + g (sqrt(h) z), a substep
+f h_s + (g sqrt(h_s)) z.
 
 Delayed-lookup rule.  This is the package's one rule for reading
 x(theta a) at a node a of a row, by the Euler step and by LV along kept
@@ -29,9 +33,11 @@ that node.  A later time, which a node a > t meets for theta > t/a,
 reads the row's own nodes in the step: t and its switches up to a.
 Either way the value is the piece's x_l (1 - w) + x_r w, with the
 weight w of ``paths._piece``.  ``_Grid`` compiles the grid half of the
-rule once per batch and theta set, and each integral's weighted kernel
-at every grid time once per batch; ``_Lookups`` compiles the rest once
-per block, with the kernels at the block's switch times.
+rule once per batch for each theta set of the model's plan, and each
+integral's weighted kernel at every grid time once per batch;
+``_Lookups`` compiles the rest once per block, with the kernels at the
+block's switch times.  Both hold their tables in lists by the plan's
+theta-set number, and a pass reads each set's delayed states by it.
 ``lyapunov._LVAlong`` lays out each block of kept rows as a block of
 the step loop, its switch and closing nodes as the entries of a switch
 table, and runs the loop's two kinds of pass over it, one over the grid
@@ -51,10 +57,12 @@ to; per integral of the model's plan, the weighted kernel at every
 switch time.  The grid's lookups and kernels are shared by every block.
 Until step k writes its end state into its history row, that row holds
 the step's Brownian increment: sqrt(h) times the step's normal, or the
-difference of a ``TabulatedWiener`` table across the step.  A pass only
-gathers, multiplies, adds and writes.  Each state is written once, into
-the history, and the block's grid values are filled from it once at
-the end.
+difference of a ``TabulatedWiener`` table across the step.  A pass
+runs straight-line numpy code: it gathers each theta set's delayed
+states by the compiled tables, computes the model's bases and sums and
+merges the regimes; the step then multiplies, adds and writes.  Each
+state is written once, into the history, and the block's grid values
+are filled from it once at the end.
 
 Determinism contract: path p draws all its randomness from the two
 children of SeedSequence(root_seed, spawn_key=(p,)), a regime-chain
@@ -97,7 +105,7 @@ import numpy as np
 
 from .errors import require_finite, require_index
 from .markov import sample_regime_path
-from .models import ModelSpec, _Pass
+from .models import ModelSpec
 from .paths import DensePath, PathStore, _interp, _piece
 
 # Measured on 2 cores: 3000 switch-free paths to T = 15 took 280-305 ms
@@ -359,8 +367,9 @@ class _Switches(NamedTuple):
     the row's next switch in the step (entry ``nxt``), or the step's
     right end when ``nxt`` is -1.  ``prv`` is the row's previous switch
     in the step, or -1.  ``rank`` counts the row's earlier switches in
-    the block.  ``passes[k]`` lists step k's entries by rank as (lo, hi)
-    ranges.
+    the block.  ``passes[k]`` lists step k's entries by rank as (lo, hi,
+    regimes) ranges; ``regimes`` is the tuple of the regimes from the
+    least to the greatest that the range's entries enter.
     """
 
     step: np.ndarray
@@ -432,9 +441,14 @@ def _switch_table(u_times, row, time, regime):
     in_step = in_step[perm]
     starts = np.ones(n, dtype=bool)
     starts[1:] = (np.diff(sw.step) != 0) | (np.diff(in_step) != 0)
-    starts = np.flatnonzero(starts).tolist()
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        sw.passes.setdefault(int(sw.step[lo]), []).append((lo, hi))
+    starts = np.flatnonzero(starts)
+    if n:
+        least = np.minimum.reduceat(sw.regime, starts).tolist()
+        most = np.maximum.reduceat(sw.regime, starts).tolist()
+        starts = starts.tolist()
+        for lo, hi, a, z in zip(starts, starts[1:] + [n], least, most):
+            sw.passes.setdefault(int(sw.step[lo]), []).append(
+                (lo, hi, tuple(range(a, z + 1))))
     return sw
 
 
@@ -501,35 +515,30 @@ class _Grid:
     j[k] and j[k] + 1 with weights (1 - w, w), the piece capped at the
     step that ends at t_k, so theta == 1 reads x(t_k) and never a later
     row.  Thetas are clipped to [theta_lower, 1] where the tables
-    compile.  A theta set's tables are compiled on first use and shared
-    by every block that reads this grid.  ``weights[g][:, k]`` is the
-    weighted kernel of the plan's integral group g at grid time k, shaped
-    to broadcast against the delayed rows of a block.
+    compile.  ``tables[s]`` holds the tables of the plan's theta set s,
+    compiled once and shared by every block that reads this grid:
+    (j, j + 1, 1 - w, w, run), one row per grid time; run[i] is j[0, i]
+    when theta i reads consecutive rows, j[k, i] = j[0, i] + k, and -1
+    otherwise.  ``weights[g][:, k]`` is the weighted kernel of the
+    plan's integral group g at grid time k, shaped to broadcast against
+    the delayed rows of a block.
     """
 
     def __init__(self, ht, base, theta_lower, plan):
         self.ht, self.base, self.theta_lower = ht, base, theta_lower
         self.plan = plan
         self.weights = [w[..., None] for w in plan.weights(ht[base:])]
-        self._sets = {}
+        t = ht[base:, None]
+        self.tables = []
+        for thetas in plan.thetas:
+            j, w = _piece(ht, self.clip(thetas) * t,
+                          base + np.arange(len(t))[:, None] - 1)
+            run = np.where((np.diff(j, axis=0) == 1).all(axis=0), j[0], -1)
+            self.tables.append((j, j + 1, (1.0 - w)[..., None],
+                                w[..., None], run.tolist()))
 
     def clip(self, thetas):
         return np.clip(thetas, self.theta_lower, 1.0)
-
-    def tables(self, thetas):
-        """(j, j + 1, 1 - w, w, run), one row per grid time; run[i] is
-        j[0, i] when theta i reads consecutive rows, j[k, i] = j[0, i] +
-        k, and -1 otherwise."""
-        key = thetas.tobytes()
-        tables = self._sets.get(key)
-        if tables is None:
-            t = self.ht[self.base:, None]
-            j, w = _piece(self.ht, self.clip(thetas) * t,
-                          self.base + np.arange(len(t))[:, None] - 1)
-            run = np.where((np.diff(j, axis=0) == 1).all(axis=0), j[0], -1)
-            tables = self._sets[key] = (j, j + 1, (1.0 - w)[..., None],
-                                        w[..., None], run.tolist())
-        return tables
 
 
 class _Lookups:
@@ -547,7 +556,10 @@ class _Lookups:
       in ``buf``.  A time at or before the step's left end t (within
       1e-15) reads H, the piece capped at the step that ends at t; a
       later one reads the row's nodes in the step: t, then its entries
-      up to a.  These tables are compiled once per theta set.
+      up to a.  ``tables[s]`` holds these tables for the plan's theta
+      set s.
+
+    Each lookup maps a theta set's number to its delayed rows.
     """
 
     def __init__(self, grid, sw, b, n=None):
@@ -555,16 +567,13 @@ class _Lookups:
         self.buf = np.empty(n * b + len(sw.time))
         self.H = self.buf[:n * b].reshape(n, b)
         self.nodes = self.buf[n * b:]
-        self._grid, self._sw, self._b = grid, sw, b
+        self._grid, self._b = grid, b
         self.weights = grid.plan.weights(sw.time)
-        self._sets = {}
+        self.tables = [self._switch_tables(sw, thetas)
+                       for thetas in grid.plan.thetas]
 
-    def _switch_tables(self, thetas):
-        key = thetas.tobytes()
-        tables = self._sets.get(key)
-        if tables is not None:
-            return tables
-        sw, b, ht = self._sw, self._b, self._grid.ht
+    def _switch_tables(self, sw, thetas):
+        b, ht = self._b, self._grid.ht
         col = self._grid.base + sw.step
         lt = self._grid.clip(thetas)[:, None] * sw.time
         j, w = _piece(ht, lt, col - 1)
@@ -590,25 +599,24 @@ class _Lookups:
             left = np.where(late, np.where(at_t, col * b + sw.row,
                                            node + s_left), left)
             right = np.where(late, node + s_right, right)
-        tables = self._sets[key] = (left, right, 1.0 - w, w)
-        return tables
+        return left, right, 1.0 - w, w
 
     def at_step(self, k):
         """The lookup of grid time k."""
-        H = self.H
+        H, tables = self.H, self._grid.tables
 
-        def lookup(thetas):
-            j, j1, w_l, w_r, _ = self._grid.tables(thetas)
+        def lookup(s):
+            j, j1, w_l, w_r, _ = tables[s]
             return H[j[k]] * w_l[k] + H[j1[k]] * w_r[k]
 
         return lookup
 
     def at_switches(self, sel):
         """The lookups of the nodes of switch entries sel."""
-        buf = self.buf
+        buf, tables = self.buf, self.tables
 
-        def lookup(thetas):
-            left, right, w_l, w_r = self._switch_tables(thetas)
+        def lookup(s):
+            left, right, w_l, w_r = tables[s]
             return (buf[left[:, sel]] * w_l[:, sel]
                     + buf[right[:, sel]] * w_r[:, sel])
 
@@ -616,11 +624,11 @@ class _Lookups:
 
     def at_grid(self, n):
         """The lookups of grid times 0..n-1 of every row, time-major."""
-        H = self.H
+        H, tables = self.H, self._grid.tables
 
-        def lookup(thetas):
-            j, j1, w_l, w_r, run = self._grid.tables(thetas)
-            out = np.empty((len(thetas), n, self._b))
+        def lookup(s):
+            j, j1, w_l, w_r, run = tables[s]
+            out = np.empty((len(run), n, self._b))
             for i, a in enumerate(run):
                 # consecutive rows are read as slices, not gathered
                 left, right = ((H[a:a + n], H[a + 1:a + 1 + n]) if a >= 0
@@ -678,6 +686,15 @@ def _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
     h_list = np.diff(u_times).tolist()
     t_list = u_times.tolist()
 
+    # each step's pass over the regimes from the least to the greatest in
+    # its grid column: one per block when no row switches
+    plan = m._plan
+    if jump_counts.any():
+        step_passes = [plan.compiled(tuple(range(a, z + 1))) for a, z in zip(
+            r_grid.min(axis=0).tolist(), r_grid.max(axis=0).tolist())]
+    else:
+        step_passes = [plan.compiled((i0,))] * len(u_times)
+
     alive = np.ones(b, dtype=bool)
     dead = np.zeros(0, dtype=np.int64)
     exploded_at = np.full(b, np.nan)
@@ -708,9 +725,9 @@ def _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
         for k in range(len(u_times) - 1):
             t, t_next = t_list[k], t_list[k + 1]
             X, Xn = H[base_col + k], H[base_col + k + 1]
-            F, G = _Pass(m, X, look.at_step(k), None,
-                         [w[:, k] for w in grid.weights]
-                         ).merged(r_grid[:, k])
+            F, G = step_passes[k](X, look.at_step(k),
+                                  [w[:, k] for w in grid.weights],
+                                  r_grid[:, k])
             # Xn holds the step's increment until the step writes it
             np.add(X + F * h_list[k], G * Xn, out=Xn)
 
@@ -719,12 +736,14 @@ def _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
             # at the row's first switch and reuses F, G and the step's
             # normal, kept in z_to; each later one starts at a switch
             # and ends at the next switch or at t_next, where its state
-            # goes to H.
+            # goes to H.  A pass whose rows are all dead is skipped.
             passes = sw.passes.get(k, [])
-            for i, (lo, hi) in enumerate(passes[:1] + passes):
+            for i, (lo, hi, regimes) in enumerate(passes[:1] + passes):
                 sel = slice(lo, hi)
                 if len(dead):
                     sel = lo + np.flatnonzero(alive[sw.row[lo:hi]])
+                    if not len(sel):
+                        continue
                 R = sw.row[sel]
                 if i == 0:
                     xn = (X[R] + F[R] * h_to[sel]
@@ -732,9 +751,9 @@ def _integrate_block(m, cfg, u_times, grid, init_vals, rows, i0,
                     dst = to_node[sel]
                 else:
                     x = node_x[sel]
-                    Fs, Gs = _Pass(m, x, look.at_switches(sel), None,
-                                   [w[:, sel] for w in look.weights]
-                                   ).merged(sw.regime[sel])
+                    Fs, Gs = plan.compiled(regimes)(
+                        x, look.at_switches(sel),
+                        [w[:, sel] for w in look.weights], sw.regime[sel])
                     xn = (x + Fs * h_from[sel]
                           + Gs * sq_from[sel] * z_sw[sel])
                     dst = from_dst[sel]

@@ -49,7 +49,7 @@ from .errors import (DimensionMismatch, InsufficientPaths, require_finite,
                      require_index)
 from .estimators import standard_error
 from .integrator import _Grid, _Lookups, _switch_table
-from .models import ModelSpec, _Pass, _polynomial, _power
+from .models import ModelSpec, _polynomial, _power
 
 
 @dataclass(frozen=True)
@@ -188,21 +188,22 @@ def _check_regimes(V: LyapunovFamily, m: ModelSpec) -> None:
             "V has %d regimes, model has %d" % (V.n_regimes, m.n_regimes))
 
 
-def _lv_regime(V: LyapunovFamily, m: ModelSpec, ev: _Pass, x, v, i: int):
+def _lv_regime(V: LyapunovFamily, m: ModelSpec, f, g, x, v, i: int):
     """LV's drift, diffusion and coupling parts at the states x in regime
-    i; ``ev`` is a coefficient pass at x and ``v`` V at x in every
-    regime, regime 1 first."""
-    f, g = ev.regime(i)
+    i, from regime i's drift f and diffusion g at x and ``v``, V at x in
+    every regime, regime 1 first."""
     coupling = np.zeros_like(x)
     for rate, v_l in zip(m.generator.rates[i - 1], v):
         coupling = coupling + rate * v_l
     return V.dx(x, i) * f, 0.5 * g * g * V.dxx(x, i), coupling
 
 
-def _lv_table(V: LyapunovFamily, m: ModelSpec, ev: _Pass, x):
-    """LV's parts at the states x in every regime, regime 1 first."""
+def _lv_table(V: LyapunovFamily, m: ModelSpec, fg, x):
+    """LV's parts at the states x in every regime, regime 1 first, from
+    each regime's drift and diffusion at x in turn, (f, g, f, g, ...)."""
     v = [V.value(x, l + 1) for l in range(m.n_regimes)]
-    return [_lv_regime(V, m, ev, x, v, i) for i in range(1, m.n_regimes + 1)]
+    return [_lv_regime(V, m, fg[2 * i - 2], fg[2 * i - 1], x, v, i)
+            for i in range(1, m.n_regimes + 1)]
 
 
 def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
@@ -215,11 +216,11 @@ def eval_LV(V: LyapunovFamily, m: ModelSpec, view, t: float,
     _check_regimes(V, m)
     require_index("regime", i, m.n_regimes)
     x = float(view.point)
-    ev = _Pass(m, x, lambda th: np.asarray(view(th), dtype=np.float64), t)
     # only regime i's coefficients; V in every regime feeds the coupling
+    f, g = m._plan.at_segment(view, t, i)
     v = [V.value(x, l + 1) for l in range(m.n_regimes)]
     return LVBreakdown.of(*(float(part)
-                            for part in _lv_regime(V, m, ev, x, v, i)))
+                            for part in _lv_regime(V, m, f, g, x, v, i)))
 
 
 # Upper bound on the nodes that one pass of LV along paths holds.  The
@@ -358,12 +359,14 @@ class _LVAlong:
         X = look.H[n0:]
         n_grid = n_g * b
         size = n_grid + len(sw.time)
-        on_grid = _lv_table(self.V, m, _Pass(
-            m, X, look.at_grid(n_g), None,
-            [w[:, :n_g] for w in self.grid.weights]), X)
-        on_switch = _lv_table(self.V, m, _Pass(
-            m, look.nodes, look.at_switches(slice(None)), None,
-            look.weights), look.nodes)
+        every = m._plan.compiled(tuple(range(1, m.n_regimes + 1)),
+                                 merged=False)
+        on_grid = _lv_table(self.V, m, every(
+            X, look.at_grid(n_g), [w[:, :n_g] for w in self.grid.weights]),
+            X)
+        on_switch = _lv_table(self.V, m, every(
+            look.nodes, look.at_switches(slice(None)), look.weights),
+            look.nodes)
         t_all = np.concatenate((np.repeat(store.times[:n_g], b), sw.time))
         r_all = np.concatenate((store.regimes[rows, :n_g].T.ravel(),
                                 sw.regime), dtype=np.int64) - 1

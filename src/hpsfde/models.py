@@ -28,16 +28,18 @@ path-parallel integrator and LV along the nodes of kept paths.
 
 Each ModelSpec compiles its terms once into a plan: per regime, the
 coefficients times shared bases, a basis being a power of phi(1) or a
-pantograph integral (times a power of |phi(1)|).  One coefficient pass
-computes each basis at most once for all terms and regimes that read it,
-sums each regime present in term order on all rows and merges the
+pantograph integral (times a power of |phi(1)|).  For each tuple of
+regimes that a pass covers, the plan generates one Python function of
+straight-line numpy code.  It computes each basis that those regimes
+read once, sums each regime in term order on all rows and merges the
 regimes row by row, so every value has the bits of summing the terms'
 ``value`` in term order; ``Term.value`` is the per-term reference the
-tests compare the plan against.  A pass looks up the delayed states of
-each theta set once and keeps them next to the bases computed from them.
-Each integral's weighted quadrature w_j K(theta_j, t) is computed once
-per pass; the integrator and LV along paths compute it once for all
-their times and hand each pass its columns.
+tests compare the plan against.  The generated source holds only names
+and integer indices: the model's coefficients, powers and exponents
+are bound by name.  A pass reads the delayed states of each theta set
+once, by the set's number, and each integral's weighted quadrature
+w_j K(theta_j, t) from its caller: the integrator and LV along paths
+compute it once for all their times, ``eval_LV`` at its one time.
 """
 
 from __future__ import annotations
@@ -405,20 +407,25 @@ class ModelSpec:
 
 
 class _Plan:
-    """A model's drift and diffusion as coefficients times shared bases.
+    """A model's drift and diffusion as coefficients times shared bases,
+    and the coefficient passes compiled from them.
 
     ``drift[i - 1]`` holds regime i's drift terms in term order, each
     as the term's (coeff, basis key) products.  A basis key is ("x", p)
     for x**p, ("I", g) for the integral of group g, or ("P", g, pe) for
     that integral times |x|**pe.  A group is the pantograph terms with
     one integral (quadrature, kernel, delay exponent, signedness);
-    ``integrals[g]`` is its first term.  Every term compiles: a model
-    holds no other kind.
+    ``integrals[g]`` is its first term.  The groups' distinct theta
+    vectors are numbered: ``thetas[s]`` is set s, and group g reads set
+    ``theta_set[g]``.  Every term compiles: a model holds no other kind.
+
+    :meth:`compiled` turns the plan into one Python function per tuple
+    of regimes, from generated straight-line source.
     """
 
     def __init__(self, m: ModelSpec):
-        self.integrals = []
-        groups = {}
+        self.integrals, self.theta_set, self.thetas = [], [], []
+        groups, sets = {}, {}
 
         def compile_terms(terms, regime, part):
             out = []
@@ -431,6 +438,10 @@ class _Plan:
                     if shape not in groups:
                         groups[shape] = len(self.integrals)
                         self.integrals.append(term)
+                        s = sets.setdefault(shape[0], len(self.thetas))
+                        if s == len(self.thetas):
+                            self.thetas.append(term.measure.thetas)
+                        self.theta_set.append(s)
                     g = groups[shape]
                     key = (("I", g) if term.point_exponent == 0.0
                            else ("P", g, term.point_exponent))
@@ -446,6 +457,7 @@ class _Plan:
                            for i, terms in enumerate(m.drift, 1))
         self.diffusion = tuple(compile_terms(terms, i, "diffusion")
                                for i, terms in enumerate(m.diffusion, 1))
+        self._compiled = {}
 
     def weights(self, t):
         """Each integral group's weighted quadrature at the times ``t``.
@@ -465,91 +477,110 @@ class _Plan:
             out.append(shared[key])
         return out
 
+    def compiled(self, regimes, merged: bool = True):
+        """The coefficient pass over the regimes in the tuple ``regimes``.
 
-class _Pass:
-    """A model's coefficients at states X and time t, regime by regime.
-
-    ``lookup`` maps a theta vector to the delayed states, one row per
-    theta, as a float64 array.  The pass looks up each theta set once
-    and keeps its rows in its memo next to the bases computed from
-    them; each basis of the model's plan is computed at most once and
-    shared by every term and regime that reads it.  A regime's sum has
-    the bits of summing its terms' ``value`` in term order from zeros.
-    ``weights`` holds each integral group's weighted quadrature at t,
-    shaped to broadcast against the delayed states; when it is not
-    given, the pass computes it from t.
-    """
-
-    def __init__(self, m: ModelSpec, X, lookup, t, weights=None):
-        self._plan = m._plan
-        self._X = np.asarray(X, dtype=np.float64)
-        self._lookup = lookup
-        self._weights = weights if weights is not None else [
-            term._weighted(t, self._X.ndim) for term in self._plan.integrals]
-        # x**1 has the bits of x
-        self._memo = {("x", 1): self._X}
-
-    def _delayed(self, thetas):
-        """The delayed rows at ``thetas``, looked up once per pass."""
-        key = thetas.tobytes()
-        rows = self._memo.get(key)
-        if rows is None:
-            rows = self._memo[key] = self._lookup(thetas)
-        return rows
-
-    def _basis(self, key):
-        v = self._memo.get(key)
-        if v is None:
-            if key[0] == "x":
-                v = self._X ** key[1]
-            elif key[0] == "I":
-                v = self._plan.integrals[key[1]]._integral(
-                    self._delayed, self._weights[key[1]])
-            else:
-                v = self._basis(("I", key[1])) * np.abs(self._X) ** key[2]
-            self._memo[key] = v
-        return v
-
-    def sum(self, terms):
-        """The sum of compiled terms, such as ``plan.drift[i - 1]``."""
-        # A term's products are summed without the zero start of
-        # Term.value, which can turn its +0.0 into -0.0 and nothing else.
-        # The running sum starts at 0.0 + v, so it is never -0.0, and
-        # adding +0.0 or -0.0 to it gives the same bits.
-        memo = self._memo
-        out = None
-        for term in terms:
-            v = None
-            for c, key in term:
-                # reading the memo inline saves a call per product
-                cb = c * (memo[key] if key in memo else self._basis(key))
-                v = cb if v is None else v + cb
-            if v is None:
-                continue
-            out = 0.0 + v if out is None else out + v
-        return np.zeros_like(self._X) if out is None else out
-
-    def regime(self, i: int):
-        """Regime i's drift and diffusion."""
-        return (self.sum(self._plan.drift[i - 1]),
-                self.sum(self._plan.diffusion[i - 1]))
-
-    def merged(self, reg):
-        """Drift and diffusion with row i in regime reg[i].
-
-        Only the regimes present in ``reg`` are summed, each on all rows,
-        and merged by ``np.where``.
+        The pass is ``pass_(X, look, W, reg)`` at the states X: ``look(s)``
+        returns the delayed states at theta set s as a float64 array,
+        one row per theta, and ``W[g]`` is group g's weighted quadrature,
+        shaped to broadcast against them.  It computes each basis that
+        the regimes read once, and sums each regime's drift and
+        diffusion on all rows, term by term from ``0.0 +``, so a sum has
+        the bits of summing the terms' ``value`` in term order.  Merged,
+        it returns (F, G) with row r in regime reg[r], which must be one
+        of ``regimes``: the regimes are merged by ``np.where`` in their
+        order, and a pass with zero rows is a ValueError.  Otherwise it
+        returns each regime's drift and diffusion in turn, (f, g, f, g,
+        ...), and reads no ``reg``.  Each pass compiles once per plan.
         """
-        F = G = None
-        for i in np.flatnonzero(np.bincount(reg)):
-            f, g = self.regime(i)
-            if F is None:
-                F, G = f, g
+        fn = self._compiled.get((regimes, merged))
+        if fn is None:
+            text, namespace = self._source(regimes, merged)
+            exec(compile(text, "<coefficient pass>", "exec"), namespace)
+            fn = self._compiled[regimes, merged] = namespace["pass_"]
+        return fn
+
+    def _source(self, regimes, merged: bool):
+        """The source text of :meth:`compiled`'s pass and the namespace
+        that binds its names.
+
+        The text holds only names and integer indices: each coefficient,
+        power and exponent is bound by name in the namespace, so models
+        that differ only in their values compile to the same text.
+        """
+        body, names, values = [], {("x", 1): "X"}, {}
+
+        def bind(value):
+            name = "k%d" % len(values)
+            values[name] = value
+            return name
+
+        def basis(key):
+            if key in names:
+                return names[key]
+            name = names[key] = "b%d" % len(names)
+            if key[0] == "x":
+                body.append("%s = X ** %s" % (name, bind(key[1])))
+            elif key[0] == "P":
+                body.append("%s = %s * absolute(X) ** %s" % (
+                    name, basis(("I", key[1])), bind(key[2])))
             else:
-                here = reg == i
-                F = np.where(here, f, F)
-                G = np.where(here, g, G)
-        return F, G
+                term, s = self.integrals[key[1]], self.theta_set[key[1]]
+                d = "d%d" % s
+                if ("D", s) not in names:
+                    names["D", s] = d
+                    body.append("%s = look(%d)" % (d, s))
+                if not term.signed:
+                    d = "absolute(%s)" % d
+                    if term.delay_exponent != 1.0:
+                        d = "%s ** %s" % (d, bind(term.delay_exponent))
+                # one theta at a time, in quadrature order: numpy would
+                # sum pairwise along a contiguous theta axis
+                rows = ["w[%d]" % j for j in range(len(term.measure.thetas))]
+                body.append("w = W[%d] * %s" % (key[1], d))
+                body.append("%s = %s" % (name, " + ".join(rows[:2])))
+                body.extend("%s += %s" % (name, r) for r in rows[2:])
+            return name
+
+        def total(terms):
+            # A term's products are summed without the zero start of
+            # Term.value, which can turn its +0.0 into -0.0 and nothing
+            # else.  The running sum starts at 0.0 + v, so it is never
+            # -0.0, and adding +0.0 or -0.0 to it gives the same bits.
+            sums = ["(%s)" % " + ".join("%s * %s" % (bind(c), basis(key))
+                                        for c, key in term)
+                    for term in terms if term]
+            return " + ".join(["zero"] + sums) if sums else "zeros_like(X)"
+
+        parts = [(total(self.drift[i - 1]), total(self.diffusion[i - 1]))
+                 for i in regimes]
+        if merged:
+            head = ["if not len(reg):",
+                    "    raise ValueError('a coefficient pass needs at least "
+                    "one row')"]
+            tail = ["F = %s" % parts[0][0], "G = %s" % parts[0][1]]
+            for i, (f, g) in zip(regimes[1:], parts[1:]):
+                tail += ["here = reg == %d" % i, "F = where(here, %s, F)" % f,
+                         "G = where(here, %s, G)" % g]
+            tail.append("return F, G")
+        else:
+            head = []
+            tail = ["return (%s,)" % ", ".join(p for fg in parts for p in fg)]
+        text = "def pass_(X, look, W, reg=None):\n%s\n" % "\n".join(
+            "    " + line for line in head + body + tail)
+        return text, dict(values, zero=0.0, absolute=np.absolute,
+                          where=np.where, zeros_like=np.zeros_like)
+
+    def at_segment(self, view, t, i: int):
+        """Regime i's drift and diffusion at one segment at time t.
+
+        ``view.point`` is the current state, and ``view`` maps a theta
+        vector to the delayed states, as ``paths.ConstantSegment`` does.
+        """
+        return self.compiled((i,), merged=False)(
+            np.asarray(float(view.point)),
+            lambda s: np.asarray(view(self.thetas[s]), dtype=np.float64),
+            [term._weighted(t, 0) for term in self.integrals])
 
 
 def single_regime(m: ModelSpec, regime: int) -> ModelSpec:

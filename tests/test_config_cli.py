@@ -22,7 +22,7 @@ from hpsfde.config import (build_certificate, build_lyapunov, build_measure,
 from hpsfde.integrator import IntegratorConfig, SimulationBatch, run_batch
 from hpsfde.lyapunov import (LVBreakdown, LyapunovFamily, PolynomialV,
                              sandwich_report)
-from hpsfde.models import Kernel, PantographTerm, PolynomialTerm, _Pass
+from hpsfde.models import Kernel, PantographTerm, PolynomialTerm
 from hpsfde.paths import ConstantSegment
 from hpsfde.presets import preset, preset_certificate, preset_lyapunov
 
@@ -121,7 +121,7 @@ def test_build_model_explicit_branch():
     assert m.drift[0][1].kernel is not None
     assert m.diffusion[0][0].kernel is None
     # phi == 1 at t = t0: poly gives -2, pantograph 0.5 * exp(0) = 0.5
-    f, _ = _Pass(m, 1.0, ConstantSegment(1.0, 0.5), 1.0).regime(1)
+    f, _ = m._plan.at_segment(ConstantSegment(1.0, 0.5), 1.0, 1)
     assert f == pytest.approx(-1.5)
     assert np.array_equal(m.generator.rates,
                           [[-1.0, 1.0], [2.0, -2.0]])
@@ -682,7 +682,8 @@ def test_removed_keyword_argument_is_a_type_error(call, keyword):
     ((hpsfde.PantographTerm,), "_thetas"),
     ((hpsfde.PantographTerm,), "_weights"),
     ((hpsfde, models), "CustomTerm"),
-    ((_Pass(preset("exp_stable"), 0.5, None, 1.0),), "_raw"),
+    ((preset("exp_stable")._plan.compiled((1,)),), "_raw"),
+    ((models,), "_Pass"),
 ], ids=["sup_norm", "FunctionSegment", "validate_local_lipschitz_probe",
         "LipschitzProbeReport", "Measure.with_nodes", "Kernel.rate",
         "Kernel.validate", "require", "Infeasible",
@@ -693,7 +694,7 @@ def test_removed_keyword_argument_is_a_type_error(call, keyword):
         "_lv_parts", "PolynomialV._derivative", "_kernel_key", "_cached",
         "Measure.quadrature", "GeneratorMatrix.jump_table",
         "PantographTerm._thetas", "PantographTerm._weights", "CustomTerm",
-        "_Pass._raw"])
+        "_Plan.compiled._raw", "_Pass"])
 def test_removed_name_is_gone(owners, name):
     for owner in owners:
         with pytest.raises(AttributeError):

@@ -686,6 +686,35 @@ def test_run_batch_starts_no_thread(monkeypatch):
         assert a.exploded_at == b.exploded_at
 
 
+def test_substep_passes_of_dead_rows_are_skipped():
+    # exp_stable from 3.0 at dt=0.01: explicit Euler overshoots the
+    # quintic drift and every path is flagged as exploded, while its
+    # chain keeps switching, so substep ranges of dead rows alone occur
+    # (one row per block at block_size=1).  A merged pass with zero rows
+    # is an error, so the batch runs none.
+    m = preset("exp_stable", initial=3.0)
+    with pytest.raises(ValueError, match="at least one row"):
+        m._plan.compiled((1, 2))(np.zeros(0), None, None,
+                                 np.zeros(0, dtype=np.int16))
+    cfg = IntegratorConfig(dt=0.01, T=3.0)
+    base, *others = [run_batch(m, cfg, n_paths=40, i0=1, root_seed=1,
+                               block_size=block)
+                     for block in (1, 3, DEFAULT_BLOCK_SIZE)]
+    assert base.n_exploded == 40
+    # paths whose regime changes after they exploded
+    after = base.uniform_times[1:] > base.exploded_at[:, None]
+    switched = np.diff(base.regimes_uniform, axis=1) != 0
+    assert (switched & after).any(axis=1).sum() > 10
+    for other in others:
+        for name in ("uniform_values", "regimes_uniform", "exploded_at",
+                     "n_switches"):
+            a, b = getattr(base, name), getattr(other, name)
+            assert a.tobytes() == b.tobytes(), name
+        for name in ("node_row", "node_time", "node_value", "node_regime"):
+            a, b = getattr(base.paths, name), getattr(other.paths, name)
+            assert a.tobytes() == b.tobytes(), name
+
+
 def test_block_split_across_the_old_default_does_not_change_results():
     # 1100 rows: one block at the default, 1024 + 76 and 550 + 550 below it
     m = preset("exp_stable")

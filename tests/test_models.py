@@ -1,12 +1,15 @@
 """Measures, kernels, coefficient terms, and model validation."""
 from __future__ import annotations
 
+import io
+import itertools
 import math
 import re
+import tokenize
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpsfde.errors import NonFiniteState, UnsupportedMeasure
@@ -14,16 +17,17 @@ from hpsfde.integrator import IntegratorConfig, run_batch
 from hpsfde.lyapunov import PolynomialV, eval_LV, martingale_residual
 from hpsfde.markov import make_generator, sample_regime_path
 from hpsfde.models import (Kernel, Measure, ModelSpec, PantographTerm,
-                           PolynomialTerm, _Pass, single_regime)
+                           PolynomialTerm, single_regime)
 from hpsfde.paths import ConstantSegment
-from hpsfde.presets import default_measure, preset, preset_lyapunov
+from hpsfde.presets import (PRESET_NAMES, default_measure, preset,
+                             preset_lyapunov)
 
 THREE_ATOMS = Measure.from_atoms([(0.5, 1 / 3), (0.75, 1 / 3), (1.0, 1 / 3)])
 
 
 def coefficients_at(m, seg, t, i):
     """Regime i's drift and diffusion at one segment, as LV reads them."""
-    return tuple(float(v) for v in _Pass(m, seg.point, seg, t).regime(i))
+    return tuple(float(v) for v in m._plan.at_segment(seg, t, i))
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +484,21 @@ def _history_lookup(thetas):
     return np.cos(np.outer(thetas, np.arange(1.0, 8.0)) * 3.0) * 2.0
 
 
+def _grid_lookup(thetas):
+    # the same, at two times of LV's grid pass: (thetas, times, rows)
+    return np.stack((_history_lookup(thetas), -0.5 * _history_lookup(thetas)),
+                    axis=1)
+
+
+def _plan_pass(m, X, lookup, t, regimes, reg=None):
+    """The compiled pass over ``regimes`` at X and t, merged over ``reg``
+    when it is given, handed each group's per-term weighted quadrature."""
+    plan = m._plan
+    weights = [term._weighted(t, X.ndim) for term in plan.integrals]
+    return plan.compiled(regimes, merged=reg is not None)(
+        X, lambda s: lookup(plan.thetas[s]), weights, reg)
+
+
 _pantograph_terms = st.builds(
     lambda coeff, nu, kernel, pe, integrand: PantographTerm(
         coeff=coeff, measure=_PLAN_MEASURES[nu], kernel=_PLAN_KERNELS[kernel],
@@ -497,6 +516,11 @@ _term_lists = st.lists(st.one_of(_pantograph_terms, _polynomial_terms),
                        max_size=5)
 # 1e200 overflows every power above 1 and every |x|**pe with pe > 1
 _states = st.sampled_from((0.0, -0.0, 1e200, -1e200, 0.3, -1.7, 2.5))
+_THREE_REGIMES = make_generator([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0],
+                                 [1.0, 1.0, -2.0]])
+_SUBSETS = [s for k in (1, 2, 3) for s in itertools.combinations((1, 2, 3), k)]
+# at least the default profile's count; the ci profile asks for 1000
+_PLAN_EXAMPLES = max(150, settings().max_examples)
 
 
 def _per_term_sum(terms, X, phi_at, t):
@@ -506,29 +530,89 @@ def _per_term_sum(terms, X, phi_at, t):
     return out
 
 
-@given(st.lists(_term_lists, min_size=4, max_size=4),
+@given(st.lists(_term_lists, min_size=6, max_size=6),
        st.lists(_states, min_size=7, max_size=7),
-       st.lists(st.integers(1, 2), min_size=7, max_size=7),
+       st.lists(st.integers(0, 5), min_size=7, max_size=7),
        st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_plan_matches_per_term_sum_bit_for_bit(lists, states, regimes,
+# later terms of several products: (0.0 + term 1) + term 2, not a flat sum
+@example([[PantographTerm(coeff=0.7, measure=THREE_ATOMS, point_exponent=1.5),
+           PolynomialTerm([(1, -1.3), (2, 0.37), (3, 2.9)])],
+          [PolynomialTerm([(3, 0.11)]),
+           PolynomialTerm([(1, 4.1), (2, -0.3)]),
+           PolynomialTerm([(0, 1.7), (5, -0.013)])],
+          [], [],
+          [PantographTerm(coeff=-1.1, measure=_PLAN_MEASURES[2],
+                          kernel=Kernel(0.5)),
+           PolynomialTerm([(2, 0.9), (1, -0.27)])],
+          [PolynomialTerm([(1, 0.3)]),
+           PantographTerm(coeff=0.4, measure=THREE_ATOMS, signed=True)]],
+         [0.3, -1.7, 2.5, 0.0, -0.0, 1e200, -1e200], [0, 1, 2, 3, 4, 5, 0],
+         True)
+@settings(max_examples=_PLAN_EXAMPLES, deadline=None)
+def test_plan_matches_per_term_sum_bit_for_bit(lists, states, picks,
                                                one_t_per_row):
-    m = ModelSpec(theta_lower=0.5, t0=1.0,
-                  generator=make_generator([[-1.0, 1.0], [2.0, -2.0]]),
-                  drift=(tuple(lists[0]), tuple(lists[1])),
-                  diffusion=(tuple(lists[2]), tuple(lists[3])),
+    # the compiled pass over every non-empty set of regimes, per regime
+    # and merged over rows in some of them, at a batch of states and at
+    # a (time, row) table of them as LV's grid pass lays them out
+    m = ModelSpec(theta_lower=0.5, t0=1.0, generator=_THREE_REGIMES,
+                  drift=tuple(map(tuple, lists[:3])),
+                  diffusion=tuple(map(tuple, lists[3:])),
                   initial_segment=0.0)
     X = np.array(states)
-    reg = np.array(regimes)
     t = np.linspace(1.0, 3.0, len(X)) if one_t_per_row else 2.0
+    X2 = np.stack((X, X[::-1]))
+    t2 = np.array([[1.5], [2.5]]) if one_t_per_row else 2.0
     with np.errstate(all="ignore"):
-        F, G = _Pass(m, X, _history_lookup, t).merged(reg)
-        want = [np.where(reg == 2,
-                         _per_term_sum(part[1], X, _history_lookup, t),
-                         _per_term_sum(part[0], X, _history_lookup, t))
-                for part in (m.drift, m.diffusion)]
-    assert F.tobytes() == want[0].tobytes()
-    assert G.tobytes() == want[1].tobytes()
+        want = {i: [_per_term_sum(part[i - 1], X, _history_lookup, t)
+                    for part in (m.drift, m.diffusion)] for i in (1, 2, 3)}
+        want2 = {i: [_per_term_sum(part[i - 1], X2, _grid_lookup, t2)
+                     for part in (m.drift, m.diffusion)] for i in (1, 2, 3)}
+        for regimes in _SUBSETS:
+            each = _plan_pass(m, X, _history_lookup, t, regimes)
+            each2 = _plan_pass(m, X2, _grid_lookup, t2, regimes)
+            assert [v.tobytes() for v in each] == [
+                v.tobytes() for i in regimes for v in want[i]]
+            assert [v.tobytes() for v in each2] == [
+                v.tobytes() for i in regimes for v in want2[i]]
+            reg = np.array([regimes[p % len(regimes)] for p in picks])
+            merged = _plan_pass(m, X, _history_lookup, t, regimes, reg)
+            for part, got in enumerate(merged):
+                expect = np.empty_like(X)
+                for i in regimes:
+                    expect[reg == i] = want[i][part][reg == i]
+                assert got.tobytes() == expect.tobytes()
+
+
+def test_generated_pass_holds_no_model_values():
+    # every coefficient, power and exponent is bound by name: two models
+    # that differ only in their coefficients compile to the same text,
+    # and no text holds a float literal
+    def model(scale):
+        return ModelSpec(
+            theta_lower=0.5, t0=1.0,
+            generator=make_generator([[-1.0, 1.0], [2.0, -2.0]]),
+            drift=((PolynomialTerm([(1, -5.0 * scale), (3, 2.5 * scale)]),
+                    PantographTerm(coeff=0.5 * scale, measure=THREE_ATOMS,
+                                   kernel=Kernel(0.5), point_exponent=1.5)),
+                   (PantographTerm(coeff=0.1 * scale,
+                                   measure=Measure.uniform(0.5, 1.0),
+                                   delay_exponent=2.5),)),
+            diffusion=((PantographTerm(coeff=0.3 * scale, measure=THREE_ATOMS,
+                                       signed=True),), ()),
+            initial_segment=0.0)
+
+    plans = [model(scale)._plan for scale in (1.0, -3.7)]
+    plans += [preset(name)._plan for name in PRESET_NAMES]
+    for regimes in ((1,), (2,), (1, 2)):
+        for merged in (True, False):
+            texts = [plan._source(regimes, merged)[0] for plan in plans]
+            assert texts[0] == texts[1]
+            for text in texts:
+                numbers = [
+                    tok.string for tok in tokenize.generate_tokens(
+                        io.StringIO(text).readline)
+                    if tok.type == tokenize.NUMBER]
+                assert numbers and all(n.isdigit() for n in numbers), text
 
 
 def test_structured_terms_have_one_evaluation_path(monkeypatch):
@@ -552,9 +636,9 @@ def test_structured_terms_have_one_evaluation_path(monkeypatch):
 def test_one_kernel_factor_per_integral_group(monkeypatch):
     # switch_stabilized's four pantograph terms form three integrals:
     # signed over nu, |y|^2 over nu, and signed over the point mass at 1,
-    # which a drift and a diffusion term share.  A pass computes each
-    # integral's exp(-beta (1 - theta) t) once, and none when handed
-    # its weights.
+    # which a drift and a diffusion term share.  The plan computes each
+    # quadrature's exp(-beta (1 - theta) t) once, and the compiled pass
+    # none: it reads the weights it is handed.
     calls = []
     decay = Kernel.decay
 
@@ -566,15 +650,19 @@ def test_one_kernel_factor_per_integral_group(monkeypatch):
     m = preset("switch_stabilized")
     X = np.linspace(-1.0, 1.0, 7)
     reg = np.array([1, 2, 1, 2, 1, 2, 1])
-    F, G = _Pass(m, X, _history_lookup, 2.0).merged(reg)
     assert len(m._plan.integrals) == 3
-    assert sorted(calls) == [1, 3, 3]
     weights = [w[:, :1] for w in m._plan.weights(np.array([2.0]))]
+    assert sorted(calls) == [1, 3]
     del calls[:]
-    again = _Pass(m, X, _history_lookup, 2.0, weights).merged(reg)
+    plan = m._plan
+    F, G = plan.compiled((1, 2))(X, lambda s: _history_lookup(plan.thetas[s]),
+                                 weights, reg)
     assert calls == []
-    assert again[0].tobytes() == F.tobytes()
-    assert again[1].tobytes() == G.tobytes()
+    for got, part in zip((F, G), (m.drift, m.diffusion)):
+        want = np.where(reg == 2,
+                        _per_term_sum(part[1], X, _history_lookup, 2.0),
+                        _per_term_sum(part[0], X, _history_lookup, 2.0))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_plan_weights_once_per_quadrature_and_kernel(monkeypatch):
